@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet check chaos bench bench-reduction bench-traversal bench-batching bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
+.PHONY: build test vet check chaos bench bench-reduction bench-traversal bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
 
 build:
 	go build ./...
@@ -35,19 +35,13 @@ bench: bench-reduction
 bench-reduction:
 	go run ./cmd/experiments -only reduction -json BENCH_reduction.json
 
-# Traversal locality matrix: relabel ordering x traversal engine through the
-# full cumulative estimator, one dataset per generator family, recorded
+# Traversal locality matrix: relabel ordering through the full cumulative
+# estimator under the one traversal policy, one dataset per generator family,
+# farness checked identical across orderings in-bench, recorded
 # machine-readably in BENCH_traversal.json (see EXPERIMENTS.md and DESIGN.md
 # section 8 for the discussion).
 bench-traversal:
 	go run ./cmd/experiments -only traversal -traversal-json BENCH_traversal.json
-
-# Source-batching matrix: batching mode (arbitrary vs proximity-clustered) x
-# estimator engine under the batched traversal kernel, one dataset per
-# generator family, recorded machine-readably in BENCH_batching.json (see
-# EXPERIMENTS.md and DESIGN.md section 9 for the discussion).
-bench-batching:
-	go run ./cmd/experiments -only batching -batching-json BENCH_batching.json
 
 # Frontier scaling study: per-source vs frontier-parallel (edge-map) engine
 # across worker counts {1,2,4,8} through one full exact farness run, one

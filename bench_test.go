@@ -238,53 +238,6 @@ func BenchmarkTraversalKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkTraversalEngines compares the per-source and batched (64-wide
-// bit-parallel multi-source) traversal engines on all four generator
-// families at the paper's 20% sampling fraction, for both the random
-// baseline (unreduced, unweighted graph) and the full cumulative estimator
-// (per-block batching on the weighted reduced graph). Both engines produce
-// identical farness values; the interesting number is wall-clock per op.
-func BenchmarkTraversalEngines(b *testing.B) {
-	families := []struct {
-		name  string
-		build func(n int, seed int64) *graph.Graph
-	}{
-		{"web", gen.Web},
-		{"social", gen.Social},
-		{"community", gen.Community},
-		{"road", gen.Road},
-	}
-	modes := []struct {
-		name string
-		mode core.TraversalMode
-	}{
-		{"per-source", core.TraversalPerSource},
-		{"batched", core.TraversalBatched},
-	}
-	for _, fam := range families {
-		g := fam.build(6000, 1)
-		for _, m := range modes {
-			b.Run(fam.name+"/random20/"+m.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.RandomSamplingMode(g, 0.2, 0, 1, m.mode)
-				}
-			})
-			b.Run(fam.name+"/cumulative20/"+m.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Estimate(g, core.Options{
-						Techniques:     core.TechCumulative,
-						SampleFraction: 0.2,
-						Seed:           1,
-						Traversal:      m.mode,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkEndToEnd is the headline number: full BRICS vs the baseline on a
 // mid-size web graph at the paper's recommended operating point
 // (cumulative @ 20% vs random @ 30%, Fig. 4(b)).

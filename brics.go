@@ -112,51 +112,6 @@ const (
 	EstimatorPaper = core.EstimatorPaper
 )
 
-// TraversalMode selects the traversal engine used for sampled sources.
-type TraversalMode = core.TraversalMode
-
-// Traversal modes. TraversalAuto batches sources into 64-wide bit-parallel
-// multi-source sweeps whenever at least 8 of them share a component or
-// biconnected block, switches to the frontier-parallel edge-map engine when
-// a unit carries fewer sources than half the workers (sequential sources,
-// each traversal's levels split across the pool — the only engine that
-// scales a *single* traversal), and otherwise runs the direction-optimising
-// per-source kernel. TraversalPerSource (plain top-down), TraversalBatched,
-// TraversalHybrid (direction-optimising, never batched) and
-// TraversalFrontier (edge-map, never batched) force one engine. All engines
-// produce identical farness values for the same seed at every worker count —
-// the choice only changes the wall-clock.
-const (
-	TraversalAuto      = core.TraversalAuto
-	TraversalPerSource = core.TraversalPerSource
-	TraversalBatched   = core.TraversalBatched
-	TraversalHybrid    = core.TraversalHybrid
-	TraversalFrontier  = core.TraversalFrontier
-)
-
-// BatchingMode selects how sampled sources are packed into the 64-wide
-// bit-parallel batches of the batched traversal engine (see TraversalMode).
-type BatchingMode = core.BatchingMode
-
-// Batching modes. BatchingAuto (default) reorders the sampled sources by
-// graph proximity — a BFS/Cuthill–McKee position pass over the traversal
-// graph — whenever more than one batch runs, so each 64-wide batch covers
-// one neighbourhood and its lane frontiers merge after a few hops;
-// BatchingArbitrary keeps sample-draw order (the pre-clustering behaviour)
-// and BatchingClustered forces the proximity pass. The sample set is never
-// re-drawn — batching only permutes source order — so farness output is
-// bit-identical across modes at every worker count; only the wall-clock
-// changes.
-const (
-	BatchingAuto      = core.BatchingAuto
-	BatchingArbitrary = core.BatchingArbitrary
-	BatchingClustered = core.BatchingClustered
-)
-
-// ParseBatchingMode converts a mode name ("auto", "arbitrary", "clustered"
-// and a few aliases) into a BatchingMode.
-func ParseBatchingMode(s string) (BatchingMode, error) { return core.ParseBatchingMode(s) }
-
 // RelabelMode selects a cache-aware node reordering applied to the reduced
 // graph (and each biconnected block) before the sampled traversals run: ids
 // are permuted so hot adjacency rows pack together, distance rows are mapped
@@ -177,12 +132,13 @@ const (
 // aliases) into a RelabelMode.
 func ParseRelabelMode(s string) (RelabelMode, error) { return graph.ParseRelabelMode(s) }
 
-// ParseTraversalMode converts an engine name ("auto", "per-source",
-// "batched", "hybrid", "frontier") into a TraversalMode.
-func ParseTraversalMode(s string) (TraversalMode, error) { return core.ParseTraversalMode(s) }
-
 // Options configures Estimate; the zero value runs pure sampling at the
-// paper's default 20% fraction.
+// paper's default 20% fraction. The traversal engine is not an option: every
+// traversal unit (the reduced graph, or one biconnected block) batches its
+// sources into 64-wide bit-parallel sweeps when at least 8 of them share it,
+// switches to the frontier-parallel engine when it carries fewer sources
+// than half the workers, and otherwise runs one direction-optimising
+// traversal per source. All engines produce identical farness values.
 type Options = core.Options
 
 // Result of an estimation run: per-node farness, exactness flags and run
@@ -233,13 +189,6 @@ func ExactFarness(g *Graph, workers int) []float64 { return core.ExactFarness(g,
 // automatically.
 func RandomSampling(g *Graph, fraction float64, workers int, seed int64) *Result {
 	return core.RandomSampling(g, fraction, workers, seed)
-}
-
-// RandomSamplingMode is RandomSampling with an explicit traversal engine
-// (see TraversalMode); useful for benchmarking the engines against each
-// other.
-func RandomSamplingMode(g *Graph, fraction float64, workers int, seed int64, mode TraversalMode) *Result {
-	return core.RandomSamplingMode(g, fraction, workers, seed, mode)
 }
 
 // Distance returns the shortest-path distance between two nodes using

@@ -118,33 +118,6 @@ func TestDistancePublic(t *testing.T) {
 	}
 }
 
-func TestBatchingModePublic(t *testing.T) {
-	m, err := brics.ParseBatchingMode("clustered")
-	if err != nil || m != brics.BatchingClustered {
-		t.Fatalf("ParseBatchingMode: %v, %v", m, err)
-	}
-	g := brics.GenerateWeb(1200, 4)
-	base, err := brics.Estimate(g, brics.Options{
-		Techniques: brics.TechICR, SampleFraction: 0.3, Seed: 2,
-		Traversal: brics.TraversalBatched, Batching: brics.BatchingArbitrary,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := brics.Estimate(g, brics.Options{
-		Techniques: brics.TechICR, SampleFraction: 0.3, Seed: 2,
-		Traversal: brics.TraversalBatched, Batching: brics.BatchingClustered,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range base.Farness {
-		if base.Farness[v] != got.Farness[v] {
-			t.Fatalf("batching changed farness[%d]: %v != %v", v, base.Farness[v], got.Farness[v])
-		}
-	}
-}
-
 func TestTimed(t *testing.T) {
 	d := brics.Timed(func() {})
 	if d < 0 {

@@ -91,7 +91,7 @@ func runBatches(ctx context.Context, n int, sources []graph.NodeID, workers int,
 // bit-parallel 64-wide multi-source sweeps fanned out across a worker
 // pool. Per-worker scratch (lane-mask arrays, frontier buffers and the
 // distance slab) is allocated once and reused across batches. This is the
-// batched engine behind the estimators' TraversalBatched mode.
+// batched engine of the estimators' traversal policy.
 func RunBatches(g *graph.Graph, sources []graph.NodeID, workers int, handle BatchHandler) {
 	_ = RunBatchesCtx(context.Background(), g, sources, workers, handle)
 }

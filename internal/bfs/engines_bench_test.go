@@ -12,8 +12,8 @@ import (
 // kernels with the three CSR orderings on the four generator families. One
 // op is a fixed batch of 64 traversals, so per-source, hybrid and the
 // 64-lane batched engine are directly comparable; the ordering axis isolates
-// the memory-layout effect on each kernel. The estimation-level version of
-// this matrix (engines × orderings through Estimate itself) lives in
+// the memory-layout effect on each kernel. The estimation-level ordering
+// axis (through Estimate itself, under the one traversal policy) lives in
 // internal/experiments and feeds BENCH_traversal.json.
 func BenchmarkEngineOrderingMatrix(b *testing.B) {
 	families := []struct {

@@ -2,8 +2,10 @@ package bfs
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -46,30 +48,87 @@ func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
 				for _, mode := range modes {
 					g, _ := graph.Relabel(base, mode, 2)
 					n := g.NumNodes()
-					want := make([]int32, n)
-					got := make([]int32, n)
 					fs := NewFrontierScratch()
 					for trial := 0; trial < 4; trial++ {
 						src := graph.NodeID(rng.Intn(n))
-						Distances(g, src, want, nil)
-						wantSum, _ := Sum(want)
-						for _, w := range workerSweep {
-							FrontierDistances(g, src, got, w, fs)
-							for v := 0; v < n; v++ {
-								if got[v] != want[v] {
-									t.Fatalf("%s n=%d relabel=%v workers=%d src=%d node %d: frontier %d, sequential %d",
-										fam.name, n, mode, w, src, v, got[v], want[v])
-								}
-							}
-							if gotSum, _ := Sum(got); gotSum != wantSum {
-								t.Fatalf("%s workers=%d: farness %d, want %d", fam.name, w, gotSum, wantSum)
-							}
+						label := fmt.Sprintf("%s n=%d relabel=%v", fam.name, n, mode)
+						if !frontierAgrees(t, label, g, src, workerSweep, fs) {
+							return
 						}
 					}
 				}
 			}
 		})
 	}
+	// Extra inputs beyond the families: small random connected graphs as a
+	// quick-check property, and a 5000-node star plus random chords whose
+	// levels are far wider than 4×workers (the parallel branch of every
+	// level). Both include workers=0, which means GOMAXPROCS.
+	t.Run("random", func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := rng.Intn(300) + 2
+			g := randomConnected(rng, n)
+			return frontierAgrees(t, fmt.Sprintf("seed=%d", seed), g, graph.NodeID(rng.Intn(n)), []int{0, 1, 2, 5}, nil)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("broad", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		const n = 5000
+		b := graph.NewBuilder(n)
+		for i := 1; i < n; i++ {
+			_ = b.AddEdge(0, graph.NodeID(i))
+		}
+		for i := 0; i < 3*n; i++ {
+			_ = b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+		}
+		frontierAgrees(t, "broad", b.Build(), 17, []int{0, 4}, nil)
+	})
+}
+
+// frontierAgrees reports whether FrontierDistances from src matches
+// sequential BFS node for node (and so in farness) at every worker count,
+// failing t with the first difference otherwise.
+func frontierAgrees(t *testing.T, label string, g *graph.Graph, src graph.NodeID, workers []int, fs *FrontierScratch) bool {
+	t.Helper()
+	n := g.NumNodes()
+	want := make([]int32, n)
+	got := make([]int32, n)
+	Distances(g, src, want, nil)
+	wantSum, _ := Sum(want)
+	for _, w := range workers {
+		FrontierDistances(g, src, got, w, fs)
+		for v := 0; v < n; v++ {
+			if got[v] != want[v] {
+				t.Errorf("%s workers=%d src=%d node %d: frontier %d, sequential %d", label, w, src, v, got[v], want[v])
+				return false
+			}
+		}
+		if gotSum, _ := Sum(got); gotSum != wantSum {
+			t.Errorf("%s workers=%d: farness %d, want %d", label, w, gotSum, wantSum)
+			return false
+		}
+	}
+	return true
+}
+
+func BenchmarkFrontierVsSequentialBFS(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := randomConnected(rng, 50000)
+	dist := make([]int32, g.NumNodes())
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Distances(g, 0, dist, nil)
+		}
+	})
+	b.Run("frontier", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			FrontierDistances(g, 0, dist, 0, nil)
+		}
+	})
 }
 
 // TestWFrontierMatchesWDistances cross-checks the parallel bucketed-Dial

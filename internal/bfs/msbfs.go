@@ -136,7 +136,7 @@ func expandMask(visit func(v graph.NodeID, lane int, d int32)) func(v graph.Node
 // level differs, which the accumulating callers are insensitive to.
 //
 // Two shared-frontier fast paths exploit overlapping lanes (clustered
-// batches make overlap the common case, see core's Options.Batching):
+// batches make overlap the common case, see core's clusterOrder):
 //
 //   - Saturated rows are skipped: a push edge whose head has already seen
 //     every lane the tail carries is dropped before touching the next-mask

@@ -21,7 +21,7 @@
 // smallest nodes (two distinct blocks share at most one vertex, so that
 // key is unique), each block's edges are oriented U < V and sorted, and
 // cut flags derive from block membership. AlgoAuto picks the engine the
-// way TraversalAuto picks traversal kernels: parallel when the worker
+// way core's traversal policy picks engines: parallel when the worker
 // budget and the edge count justify the tag/label passes, the DFS below
 // that.
 package bicc

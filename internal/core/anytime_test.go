@@ -43,6 +43,7 @@ func cancelAt(cancel context.CancelFunc, target int64) *Progress {
 // farness of every vertex, on all four generator families, for the plain
 // sampling estimator, the ICR-reduced estimator and the cumulative method.
 func TestAnytimePartialBoundsContainExact(t *testing.T) {
+	pinEngine(t, perSource, nil) // one row per advance: the cancel lands exactly
 	for name, g := range anytimeFamilies(t) {
 		exact := ExactFarness(g, 4)
 		n := g.NumNodes()
@@ -54,7 +55,6 @@ func TestAnytimePartialBoundsContainExact(t *testing.T) {
 				SampleFraction: 0.5,
 				Seed:           11,
 				Workers:        1,
-				Traversal:      TraversalPerSource,
 				Anytime:        true,
 				Progress:       prog,
 			}
@@ -166,8 +166,8 @@ func TestAnytimeSnapshots(t *testing.T) {
 			}
 		}
 	}
-	opts := Options{SampleFraction: 0.4, Seed: 3, Workers: 1, Traversal: TraversalPerSource,
-		Anytime: true, Progress: prog}
+	pinEngine(t, perSource, nil)
+	opts := Options{SampleFraction: 0.4, Seed: 3, Workers: 1, Anytime: true, Progress: prog}
 	if _, err := EstimateContext(context.Background(), g, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -205,29 +205,30 @@ func TestAnytimeNothingCompleted(t *testing.T) {
 
 // TestRandomSamplingAnytime covers the standalone random-sampling driver:
 // partial runs carry bounds containing the truth, full runs stay
-// bit-identical to the plain mode across traversal engines.
+// bit-identical to the plain run on every traversal engine.
 func TestRandomSamplingAnytime(t *testing.T) {
 	g := gen.Community(400, 8)
 	exact := ExactFarness(g, 4)
 	n := g.NumNodes()
 
-	// Bit-identity of the uninterrupted run, per traversal mode and worker
-	// count — the anytime batched path swaps the mask-streaming engine for
-	// whole-row batches, which must not change a single accumulated integer.
-	for _, mode := range []TraversalMode{TraversalPerSource, TraversalBatched, TraversalAuto} {
+	// Bit-identity of the uninterrupted run, per engine and worker count —
+	// the anytime batched path swaps the mask-streaming sweep for whole-row
+	// batches, which must not change a single accumulated integer.
+	for _, e := range []engine{perSource, batched, frontier} {
+		pinEngine(t, e, nil)
 		for _, workers := range []int{1, 3} {
-			want, err := RandomSamplingModeContext(context.Background(), g, 0.3, workers, 5, mode, BatchingAuto)
+			want, err := randomSampling(context.Background(), g, 0.3, workers, 5, false, nil)
 			if err != nil {
-				t.Fatalf("mode %v w%d: %v", mode, workers, err)
+				t.Fatalf("%v w%d: %v", e, workers, err)
 			}
 			prog := &Progress{}
-			got, err := RandomSamplingAnytimeContext(context.Background(), g, 0.3, workers, 5, mode, BatchingAuto, prog)
+			got, err := randomSampling(context.Background(), g, 0.3, workers, 5, true, prog)
 			if err != nil {
-				t.Fatalf("mode %v w%d anytime: %v", mode, workers, err)
+				t.Fatalf("%v w%d anytime: %v", e, workers, err)
 			}
 			for i := range want.Farness {
 				if want.Farness[i] != got.Farness[i] {
-					t.Fatalf("mode %v w%d: farness[%d] %v != %v", mode, workers, i, want.Farness[i], got.Farness[i])
+					t.Fatalf("%v w%d: farness[%d] %v != %v", e, workers, i, want.Farness[i], got.Farness[i])
 				}
 			}
 		}
@@ -241,7 +242,8 @@ func TestRandomSamplingAnytime(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RandomSamplingAnytimeContext(ctx, g, 0.4, 1, 5, TraversalPerSource, BatchingAuto, prog)
+	pinEngine(t, perSource, nil)
+	res, err := randomSampling(ctx, g, 0.4, 1, 5, true, prog)
 	cancel()
 	if err != nil {
 		t.Fatalf("want partial result, got %v", err)
@@ -271,8 +273,9 @@ func TestAdaptivePartial(t *testing.T) {
 			cancel()
 		}
 	}
+	pinEngine(t, perSource, nil)
 	res, err := EstimateAdaptiveContext(ctx, g, AdaptiveOptions{
-		Base:            Options{Seed: 17, Workers: 1, Traversal: TraversalPerSource, Anytime: true, Progress: prog},
+		Base:            Options{Seed: 17, Workers: 1, Anytime: true, Progress: prog},
 		InitialFraction: 0.05,
 		TargetError:     1e-9, // force escalation until the cancel lands
 	})

@@ -114,7 +114,8 @@ func TestEstimateContextCanceledDuringTraversal(t *testing.T) {
 	// Cancel while traversals are in flight (not just at a checkpoint): the
 	// fan-out must stop claiming sources and return ErrCanceled.
 	g := gen.Community(1500, 3)
-	for _, tr := range []TraversalMode{TraversalPerSource, TraversalBatched} {
+	for _, e := range []engine{perSource, batched, frontier} {
+		pinEngine(t, e, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		restore := fault.Set("core.traverse", func(context.Context) error {
 			// Fires right before the fan-out; cancel now so the workers see
@@ -122,19 +123,19 @@ func TestEstimateContextCanceledDuringTraversal(t *testing.T) {
 			cancel()
 			return nil
 		})
-		_, err := EstimateContext(ctx, g, Options{Techniques: TechCumulative, SampleFraction: 0.3, Seed: 9, Traversal: tr})
+		_, err := EstimateContext(ctx, g, Options{Techniques: TechCumulative, SampleFraction: 0.3, Seed: 9})
 		restore()
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("traversal=%v: want ErrCanceled, got %v", tr, err)
+			t.Fatalf("%v: want ErrCanceled, got %v", e, err)
 		}
 	}
 }
 
-func TestRandomSamplingModeContextCanceled(t *testing.T) {
+func TestRandomSamplingContextCanceled(t *testing.T) {
 	g := gen.Community(800, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RandomSamplingModeContext(ctx, g, 0.3, 2, 1, TraversalPerSource, BatchingAuto)
+	res, err := randomSampling(ctx, g, 0.3, 2, 1, false, nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

@@ -102,20 +102,6 @@ type Options struct {
 	Seed int64
 	// Estimator selects the extrapolation rule.
 	Estimator EstimatorKind
-	// Traversal selects the traversal engine for sampled sources:
-	// TraversalAuto (default) batches sources into 64-wide bit-parallel
-	// sweeps whenever at least 8 of them share a component/block,
-	// TraversalPerSource and TraversalBatched force either engine. Both
-	// engines produce identical farness values for the same seed.
-	Traversal TraversalMode
-	// Batching selects how sampled sources are packed into the 64-wide
-	// bit-parallel batches when the batched traversal engine runs:
-	// BatchingAuto (default) reorders sources by graph proximity whenever a
-	// traversal unit spans more than one batch, BatchingArbitrary keeps
-	// sample-draw order, BatchingClustered forces the proximity pass. The
-	// sample set itself is never re-drawn, so farness is bit-identical
-	// across modes; only lane-frontier overlap (and wall-clock) changes.
-	Batching BatchingMode
 	// Relabel selects a cache-aware node reordering for the traversal
 	// phase: the reduced graph (and, under TechBiCC, every block-local
 	// graph) is rebuilt under a degree-descending or BFS-order permutation

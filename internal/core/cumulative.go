@@ -369,69 +369,51 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		cutRows = make([][]int32, rows)
 	}
 
-	// A task is one traversal unit: a single source (per-source engine) or
-	// a ≤64-wide group of sources sharing a block (batched engine). The
-	// engine choice is per block — Auto batches a block only when enough
-	// of the sample budget landed inside it.
+	// A task is one traversal unit: a single source (per-source and
+	// frontier engines) or a ≤64-wide group of sources sharing a block
+	// (batched engine). The engine is chosen per block from that block's
+	// sample share and size; tasks from frontier blocks still flow through
+	// the same dynamic task loop, with GOMAXPROCS bounding real parallelism
+	// when both levels fan out.
 	type task struct {
 		b    int32
 		srcs []graph.NodeID // reduced ids, all in block b
 	}
 	var tasks []task
-	anyBatched := false
-	// Frontier-parallel blocks: a block whose sample share is too small to
-	// occupy the worker pool runs each of its sources on the edge-map engine
-	// (levels split across workers) instead of starving the per-source
-	// fan-out. The choice is per block, like the batching choice; tasks from
-	// frontier blocks still flow through the same dynamic task loop, with
-	// GOMAXPROCS bounding real parallelism when both levels fan out.
-	workersEff := par.Workers(opts.Workers)
+	workers := par.Workers(opts.Workers)
 	frontierBlock := make([]bool, nb)
-	anyFrontier := false
+	anyBatched, anyFrontier := false, false
 	for b := 0; b < nb; b++ {
 		ss := blockSamples[b]
-		if opts.Traversal.batched(len(ss)) && len(ss) > 1 {
+		switch chooseEngine(len(ss), workers, len(d.BlockNodes[b])) {
+		case batched:
 			anyBatched = true
-			// Proximity-clustered batching, block-local edition: when a
-			// block's sample share spans several 64-wide batches, order the
-			// sources by their position in a BFS ordering of the block graph
-			// so each batch covers one neighbourhood. Under RelabelBFS the
-			// traversal-space ids already are those positions; otherwise one
-			// throwaway ordering pass per (large) block computes them.
-			// blockSamples[b] itself is left untouched — every later use is a
-			// set operation, and accumulateSource keys by the source id, so
-			// the reorder cannot change any accumulated integer.
-			if opts.Batching.clustered(len(ss)) {
-				tls := make([]graph.NodeID, len(ss))
-				for i, s := range ss {
-					tls[i] = localSrc(int32(b), s)
-				}
-				var pos []graph.NodeID
-				if opts.Relabel != graph.RelabelBFS || blockPerm == nil || blockPerm[b] == nil {
-					pos = graph.OrderW(localG[b], graph.RelabelBFS, opts.Workers).Perm
-				}
-				ord := clusterOrder(tls, pos)
-				css := make([]graph.NodeID, len(ss))
-				for i, j := range ord {
-					css[i] = ss[j]
-				}
-				ss = css
+			// Cluster the block's sources over a BFS ordering of the block
+			// graph. blockSamples[b] itself is left untouched — every later
+			// use is a set operation, and accumulateSource keys by the
+			// source id, so the reorder cannot change any accumulated
+			// integer.
+			tls := make([]graph.NodeID, len(ss))
+			for i, s := range ss {
+				tls[i] = localSrc(int32(b), s)
 			}
-			for base := 0; base < len(ss); base += bfs.MSBFSWidth {
-				hi := base + bfs.MSBFSWidth
-				if hi > len(ss) {
-					hi = len(ss)
+			ss = permuted(ss, clusterOrder(tls, func() []graph.NodeID {
+				if opts.Relabel == graph.RelabelBFS && blockPerm != nil && blockPerm[b] != nil {
+					return nil
 				}
+				return graph.OrderW(localG[b], graph.RelabelBFS, opts.Workers).Perm
+			}))
+			for base := 0; base < len(ss); base += bfs.MSBFSWidth {
+				hi := min(base+bfs.MSBFSWidth, len(ss))
 				tasks = append(tasks, task{int32(b), ss[base:hi]})
 			}
-		} else {
-			if opts.Traversal.Frontier(len(ss), workersEff, len(d.BlockNodes[b])) {
-				frontierBlock[b] = true
-				anyFrontier = true
-			}
-			for i := range ss {
-				tasks = append(tasks, task{int32(b), ss[i : i+1]})
-			}
+			continue
+		case frontier:
+			frontierBlock[b] = true
+			anyFrontier = true
+		}
+		for i := range ss {
+			tasks = append(tasks, task{int32(b), ss[i : i+1]})
 		}
 	}
 	// Cuts-first ordering for anytime runs: every accumulator is keyed by
@@ -449,7 +431,6 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		}
 		sort.SliceStable(tasks, func(i, j int) bool { return hasCut(tasks[i]) && !hasCut(tasks[j]) })
 	}
-	workers := workersEff
 	maxW := red.G.MaxWeight()
 	type ws struct {
 		s        *bfs.Scratch
@@ -499,14 +480,14 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 			red.Events[evs[i]].Extend(w.distOrig)
 		}
 	}
-	useHybrid := opts.Traversal.hybrid()
-	// blockTraverse fills dist with the block-local distances from src under
-	// the block's chosen engine (frontier, hybrid BFS or Dial).
+	// blockTraverse fills dist with the block-local distances from src: the
+	// frontier engine when the block chose it, otherwise the per-source
+	// kernel (hybrid BFS on unit weights, Dial otherwise).
 	blockTraverse := func(w *ws, b int32, src graph.NodeID, dist []int32) {
 		switch {
 		case frontierBlock[b]:
 			_ = bfs.WFrontierDistancesCtx(ctx, localG[b], localUnw[b], localSrc(b, src), dist, workers, w.fs)
-		case useHybrid && localUnw[b]:
+		case localUnw[b]:
 			_ = bfs.WHybridDistancesBFSCtx(ctx, localG[b], localSrc(b, src), dist, w.s)
 		default:
 			_ = bfs.WDistancesCtx(ctx, localG[b], localSrc(b, src), dist, w.s.B)

@@ -160,12 +160,15 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		return nil, err
 	}
 
-	if opts.Traversal.batched(k) {
-		// Batched engine: 64-wide multi-source sweeps over the traversal
-		// graph; each lane's row is scattered and extended exactly like a
-		// per-source traversal, so the accumulated integers are identical.
-		// Sources are handed over in traversal-graph ids; the handler's base
-		// index recovers each lane's canonical sample.
+	switch chooseEngine(kEff, workers, nR) {
+	case batched:
+		// 64-wide multi-source sweeps over the traversal graph; each lane's
+		// row is scattered and extended exactly like a per-source traversal,
+		// so the accumulated integers are identical. Sources are handed over
+		// in traversal-graph ids, reordered together with their canonical
+		// samples (laneSamples) so each batch covers one neighbourhood; the
+		// handler's base index recovers each lane's canonical sample. Under
+		// RelabelBFS the traversal ids already are BFS positions.
 		sourcesT := samplesReduced
 		if perm != nil {
 			sourcesT = make([]graph.NodeID, k)
@@ -173,30 +176,19 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 				sourcesT[i] = perm[sR]
 			}
 		}
-		// Proximity-clustered batching: permute the (sourcesT, laneSamples)
-		// pairs together so each 64-wide batch covers one neighbourhood of a
-		// BFS ordering of the traversal graph. Under RelabelBFS the traversal
-		// ids already are that ordering; otherwise one throwaway ordering
-		// pass computes the positions. Accumulation stays keyed by
-		// laneSamples, so the reorder cannot change any output integer.
-		laneSamples := samplesReduced
-		if opts.Batching.clustered(k) {
-			var pos []graph.NodeID
-			if perm == nil || opts.Relabel != graph.RelabelBFS {
-				pos = graph.OrderW(tg, graph.RelabelBFS, workers).Perm
+		order := clusterOrder(sourcesT, func() []graph.NodeID {
+			if perm != nil && opts.Relabel == graph.RelabelBFS {
+				return nil
 			}
-			ord := clusterOrder(sourcesT, pos)
-			st := make([]graph.NodeID, k)
-			ls := make([]graph.NodeID, k)
-			for i, j := range ord {
-				st[i] = sourcesT[j]
-				ls[i] = samplesReduced[j]
-			}
-			sourcesT, laneSamples = st, ls
-		}
+			return graph.OrderW(tg, graph.RelabelBFS, workers).Perm
+		})
+		sourcesT, laneSamples := permuted(sourcesT, order), permuted(samplesReduced, order)
 		err := bfs.RunBatchesWCtx(ctx, tg, sourcesT, workers, func(worker, base int, batch []graph.NodeID, rows [][]int32) {
 			w := &scratch[worker]
 			for lane := range batch {
+				if par.Interrupted(done) {
+					return // canceled: bank no more rows; the fan-out returns the ctx error
+				}
 				srcR := laneSamples[base+lane]
 				red.ScatterPerm(rows[lane], perm, w.distOrig)
 				red.Extend(w.distOrig)
@@ -215,13 +207,11 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		if err != nil {
 			return partialOr(err)
 		}
-	} else if opts.Traversal.Frontier(kEff, workers, nR) {
-		// Frontier-parallel engine: the transposed fan-out — sources run
-		// sequentially, each traversal splits its levels across the worker
-		// pool. Chosen when fewer sources than workers would leave most of
-		// the pool idle under per-source parallelism (or forced by
-		// TraversalFrontier). Per-row post-processing is identical to the
-		// per-source path, so the accumulated integers are too.
+	case frontier:
+		// Sources run one after another, each traversal splitting its
+		// levels across the worker pool. Per-row post-processing is
+		// identical to the per-source path, so the accumulated integers are
+		// too.
 		w := &scratch[0]
 		fs := bfs.NewFrontierScratch()
 		for i := 0; i < kEff; i++ {
@@ -242,16 +232,12 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 			}
 			accumulateRow(w, src)
 		}
-	} else {
+	default:
 		err := par.ForDynamicCtx(ctx, kEff, workers, 1, func(worker, i int) {
 			w := &scratch[worker]
 			if i < k {
 				srcR := samplesReduced[i]
-				if unweighted && opts.Traversal.hybrid() {
-					_ = bfs.WHybridDistancesAutoCtx(ctx, tg, true, permOf(srcR), w.s)
-				} else {
-					_ = bfs.WDistancesAutoCtx(ctx, tg, unweighted, permOf(srcR), w.s)
-				}
+				_ = bfs.WHybridDistancesAutoCtx(ctx, tg, unweighted, permOf(srcR), w.s)
 				if par.Interrupted(done) {
 					return // partial row; the whole run is about to error out
 				}

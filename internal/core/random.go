@@ -10,7 +10,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 )
 
 // sampleK draws k distinct values from [0, n) uniformly at random using a
@@ -48,43 +47,21 @@ func samplesFor(n int, fraction float64) int {
 // RandomSampling is the paper's Algorithm 1: choose k = fraction·n nodes
 // uniformly at random, traverse from each, report exact farness for the
 // sampled nodes and the (n−1)/k-scaled distance sum for the rest. The
-// traversal engine is chosen automatically (see TraversalAuto); use
-// RandomSamplingMode to force one.
+// traversal engine follows the one traversal policy (see engineFor).
 func RandomSampling(g *graph.Graph, fraction float64, workers int, seed int64) *Result {
-	return RandomSamplingMode(g, fraction, workers, seed, TraversalAuto)
-}
-
-// RandomSamplingMode is RandomSampling with an explicit traversal engine.
-// Farness output is identical across modes for the same seed; only the
-// wall-clock differs.
-func RandomSamplingMode(g *graph.Graph, fraction float64, workers int, seed int64, mode TraversalMode) *Result {
-	res, _ := RandomSamplingModeContext(context.Background(), g, fraction, workers, seed, mode, BatchingAuto)
+	res, _ := randomSampling(context.Background(), g, fraction, workers, seed, false, nil)
 	return res
 }
 
-// RandomSamplingModeContext is RandomSamplingMode with cooperative
-// cancellation — traversals stop at the next source (or frontier level) once
-// ctx is done and the run returns a nil Result with an ErrCanceled-wrapping
-// error — plus an explicit batching mode: under the batched engine the
-// sampled source *order* may be rearranged by proximity before batching
-// (see BatchingMode), which changes only the wall-clock, never the sample
-// set or the farness output.
-func RandomSamplingModeContext(ctx context.Context, g *graph.Graph, fraction float64, workers int, seed int64, mode TraversalMode, batching BatchingMode) (*Result, error) {
-	return randomSampling(ctx, g, fraction, workers, seed, mode, batching, false, nil)
-}
-
-// RandomSamplingAnytimeContext is RandomSamplingModeContext as an anytime
-// computation: on ctx cancellation/deadline it returns a Partial result built
-// from the completed sources (exact farness for them, clamped extrapolations
-// plus proven [Low, High] bounds for the rest) instead of nil + ErrCanceled,
-// and publishes periodic snapshots into prog (which may be nil). A run whose
-// context never fires produces farness bit-identical to
-// RandomSamplingModeContext.
-func RandomSamplingAnytimeContext(ctx context.Context, g *graph.Graph, fraction float64, workers int, seed int64, mode TraversalMode, batching BatchingMode, prog *Progress) (*Result, error) {
-	return randomSampling(ctx, g, fraction, workers, seed, mode, batching, true, prog)
-}
-
-func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, workers int, seed int64, mode TraversalMode, batching BatchingMode, anytime bool, prog *Progress) (*Result, error) {
+// randomSampling is RandomSampling with cooperative cancellation: traversals
+// stop at the next source (or frontier level) once ctx is done and the run
+// returns a nil Result with an ErrCanceled-wrapping error. With anytime set
+// it returns a Partial result built from the completed sources instead
+// (exact farness for them, clamped extrapolations plus proven [Low, High]
+// bounds for the rest), and publishes periodic snapshots into prog (which
+// may be nil). A run whose context never fires produces the same farness
+// either way.
+func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, workers int, seed int64, anytime bool, prog *Progress) (*Result, error) {
 	n := g.NumNodes()
 	res := &Result{
 		Farness: make([]float64, n),
@@ -149,47 +126,37 @@ func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, worke
 		}
 		return nil, err
 	}
-	if mode.batched(k) && any != nil {
-		// Anytime batched path: the mask-granularity engine streams visits
-		// mid-sweep, which would leave torn rows in the accumulators on a
-		// cancellation. Consume whole rows instead — the same integers reach
-		// acc, so a full run stays bit-identical to the mask path; only the
-		// wall-clock differs.
-		sources := samples
-		if batching.clustered(k) {
-			pos := graph.Order(g, graph.RelabelBFS, workers).Perm
-			ord := clusterOrder(samples, pos)
-			sources = make([]graph.NodeID, k)
-			for i, j := range ord {
-				sources[i] = samples[j]
+	switch chooseEngine(k, workers, n) {
+	case batched:
+		sources := permuted(samples, clusterOrder(samples, func() []graph.NodeID {
+			return graph.Order(g, graph.RelabelBFS, workers).Perm
+		}))
+		if any != nil {
+			// Anytime batched path: the mask-granularity sweep below streams
+			// visits mid-sweep, which would leave torn rows in the
+			// accumulators on a cancellation. Consume whole rows instead —
+			// the same integers reach acc, so a full run stays bit-identical
+			// to the mask path; only the wall-clock differs.
+			err := bfs.RunBatchesCtx(ctx, g, sources, workers, func(_, base int, batch []graph.NodeID, rows [][]int32) {
+				for lane, src := range batch {
+					if par.Interrupted(done) {
+						return // canceled: bank no more rows; the fan-out returns the ctx error
+					}
+					accumulateAny(src, rows[lane])
+				}
+			})
+			if err != nil {
+				return partialOr(err)
 			}
+			break
 		}
-		err := bfs.RunBatchesCtx(ctx, g, sources, workers, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-			for lane, src := range batch {
-				accumulateAny(src, rows[lane])
-			}
-		})
-		if err != nil {
-			return partialOr(err)
-		}
-	} else if mode.batched(k) {
-		// The batched engine consumes the visit stream at mask granularity:
-		// one d·popcount add per (node, arriving lane set) instead of one add
-		// per lane. When clustering merges the lane frontiers the common case
-		// is a single full-mask visit per node — 64 accumulator updates for
-		// the price of one atomic.
-		sources := samples
-		if batching.clustered(k) {
-			pos := graph.Order(g, graph.RelabelBFS, workers).Perm
-			ord := clusterOrder(samples, pos)
-			sources = make([]graph.NodeID, k)
-			for i, j := range ord {
-				sources[i] = samples[j]
-			}
-		}
-		// farBySlot[base+lane] is only ever written by the goroutine running
-		// that batch's sweep (slots of one batch never span batches), so the
-		// per-source sums need no atomics; only the shared acc cells do.
+		// The mask-granularity sweep adds d·popcount once per (node,
+		// arriving lane set) instead of once per lane. When clustering
+		// merges the lane frontiers the common case is a single full-mask
+		// visit per node — 64 accumulator updates for the price of one
+		// atomic. farBySlot[base+lane] is only ever written by the goroutine
+		// running that batch's sweep, so the per-source sums need no atomics;
+		// only the shared acc cells do.
 		farBySlot := make([]int64, k)
 		err := bfs.RunBatchesMaskCtx(ctx, g, sources, workers, func(_, base int, batch []graph.NodeID, v graph.NodeID, mask uint64, d int32) {
 			atomic.AddInt64(&acc[v], int64(d)*int64(bits.OnesCount64(mask)))
@@ -201,11 +168,10 @@ func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, worke
 		for i, src := range sources {
 			exactFar[src] = farBySlot[i]
 		}
-	} else if mode.Frontier(k, workers, n) {
-		// Frontier-parallel engine: sources sequential, each BFS fans its
-		// levels out across the workers (see TraversalFrontier). The row
-		// accumulation matches the per-source path, so farness is
-		// bit-identical.
+	case frontier:
+		// Sources run one after another, each BFS fanning its levels out
+		// across the workers. The row accumulation matches the per-source
+		// path, so farness is bit-identical.
 		fs := bfs.NewFrontierScratch()
 		dist := make([]int32, n)
 		for _, src := range samples {
@@ -223,47 +189,32 @@ func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, worke
 			}
 			exactFar[src] = own
 		}
-	} else {
-		accumulateRow := func(src graph.NodeID, dist []int32) {
-			if any != nil {
-				accumulateAny(src, dist)
-				return
-			}
-			var own int64
-			for w, d := range dist {
-				own += int64(d)
-				atomic.AddInt64(&acc[w], int64(d))
-			}
-			atomic.StoreInt64(&exactFar[src], own)
-		}
-		hybrid := mode.hybrid()
+	default:
 		type ws struct {
 			dist []int32
-			q    *queue.FIFO
-			s    *bfs.Scratch
+			s    bfs.Scratch
 		}
 		scratch := make([]ws, workers)
 		for i := range scratch {
-			w := ws{dist: make([]int32, n)}
-			if hybrid {
-				w.s = &bfs.Scratch{}
-			} else {
-				w.q = queue.NewFIFO(n)
-			}
-			scratch[i] = w
+			scratch[i].dist = make([]int32, n)
 		}
 		err := par.ForDynamicCtx(ctx, k, workers, 1, func(worker, i int) {
 			s := &scratch[worker]
 			src := samples[i]
-			if hybrid {
-				_ = bfs.HybridDistancesCtx(ctx, g, src, s.dist, s.s)
-			} else {
-				_ = bfs.DistancesCtx(ctx, g, src, s.dist, s.q)
-			}
+			_ = bfs.HybridDistancesCtx(ctx, g, src, s.dist, &s.s)
 			if par.Interrupted(done) {
 				return // partial row; an anytime run keeps only whole rows
 			}
-			accumulateRow(src, s.dist)
+			if any != nil {
+				accumulateAny(src, s.dist)
+				return
+			}
+			var own int64
+			for w, d := range s.dist {
+				own += int64(d)
+				atomic.AddInt64(&acc[w], int64(d))
+			}
+			atomic.StoreInt64(&exactFar[src], own)
 		})
 		if err != nil {
 			return partialOr(err)

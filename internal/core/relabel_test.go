@@ -62,7 +62,8 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 // TestEstimateRelabelBitIdentical is the acceptance property of the
 // relabeling tentpole: Estimate with each relabel mode equals Estimate
 // without, across all four families, the global and cumulative estimators,
-// every traversal engine, and 1/2/4/GOMAXPROCS workers.
+// every traversal engine (pinned through the decision hook), and
+// 1/2/4/GOMAXPROCS workers.
 func TestEstimateRelabelBitIdentical(t *testing.T) {
 	techs := []struct {
 		name string
@@ -71,17 +72,16 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 		{"ICR", TechICR},
 		{"cumulative", TechCumulative},
 	}
-	travs := []TraversalMode{TraversalAuto, TraversalPerSource, TraversalBatched, TraversalHybrid}
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(3000, 42))
 		for _, tech := range techs {
-			for _, trav := range travs {
+			for _, trav := range []engine{perSource, batched, frontier} {
+				pinEngine(t, trav, nil)
 				base, err := Estimate(g, Options{
 					Techniques:     tech.t,
 					SampleFraction: 0.2,
 					Seed:           7,
 					Workers:        1,
-					Traversal:      trav,
 				})
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", fam.name, tech.name, trav, err)
@@ -93,7 +93,6 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 							SampleFraction: 0.2,
 							Seed:           7,
 							Workers:        w,
-							Traversal:      trav,
 							Relabel:        mode,
 						})
 						if err != nil {
@@ -108,35 +107,51 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimateHybridMatchesPerSource pins the direction-optimising kernel's
-// half of the contract on its own: forcing TraversalHybrid changes no output
-// relative to the plain per-source engine (BFS levels are unique, so push
-// and pull produce the same distance rows).
+// TestEstimateHybridMatchesPerSource pins the direction-optimising kernel
+// behind the per-source engine against the plain top-down BFS of the exact
+// oracle: every value a pinned per-source run reports as exact equals
+// bfs.ExactFarness (BFS levels are unique, so push and pull produce the same
+// distance rows).
 func TestEstimateHybridMatchesPerSource(t *testing.T) {
+	pinEngine(t, perSource, nil)
 	for _, fam := range relabelFamilies() {
-		g := graph.Connect(fam.gen(3000, 9))
+		g := graph.Connect(fam.gen(600, 9))
+		oracle := ExactFarness(g, 2)
 		for _, tech := range []Technique{0, TechICR, TechCumulative} {
-			base, err := Estimate(g, Options{Techniques: tech, SampleFraction: 0.2, Seed: 3, Traversal: TraversalPerSource})
+			res, err := Estimate(g, Options{Techniques: tech, SampleFraction: 1, Seed: 3, DisableExactPropagation: true})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", fam.name, tech, err)
 			}
-			got, err := Estimate(g, Options{Techniques: tech, SampleFraction: 0.2, Seed: 3, Traversal: TraversalHybrid})
-			if err != nil {
-				t.Fatalf("%s/%v hybrid: %v", fam.name, tech, err)
+			checked := 0
+			for v, exact := range res.Exact {
+				if !exact {
+					continue
+				}
+				checked++
+				if res.Farness[v] != oracle[v] {
+					t.Fatalf("%s/%v node %d: per-source %v, oracle %v", fam.name, tech, v, res.Farness[v], oracle[v])
+				}
 			}
-			assertSameResult(t, fmt.Sprintf("%s/%v hybrid-vs-per-source", fam.name, tech), base, got)
+			if checked == 0 {
+				t.Fatalf("%s/%v: no exact value to check", fam.name, tech)
+			}
 		}
 	}
 }
 
-// TestRandomSamplingHybridMatches covers the unreduced baseline path: the
-// hybrid kernel behind TraversalHybrid/Auto per-source sampling produces the
-// same result as the FIFO kernel.
+// TestRandomSamplingHybridMatches covers the unreduced baseline path: at
+// fraction 1 every node is a source, so the per-source engine's hybrid
+// kernel must reproduce the plain-BFS oracle exactly.
 func TestRandomSamplingHybridMatches(t *testing.T) {
+	pinEngine(t, perSource, nil)
 	for _, fam := range relabelFamilies() {
-		g := graph.Connect(fam.gen(2000, 11))
-		base := RandomSamplingMode(g, 0.3, 2, 5, TraversalPerSource)
-		got := RandomSamplingMode(g, 0.3, 2, 5, TraversalHybrid)
-		assertSameResult(t, fam.name+"/random-hybrid", base, got)
+		g := graph.Connect(fam.gen(600, 11))
+		oracle := ExactFarness(g, 2)
+		res := RandomSampling(g, 1, 2, 5)
+		for v := range oracle {
+			if !res.Exact[v] || res.Farness[v] != oracle[v] {
+				t.Fatalf("%s node %d: per-source %v (exact %v), oracle %v", fam.name, v, res.Farness[v], res.Exact[v], oracle[v])
+			}
+		}
 	}
 }

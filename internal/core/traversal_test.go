@@ -1,84 +1,118 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/gen"
+	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
-var traversalFamilies = []struct {
-	name  string
-	build func(n int, seed int64) *graph.Graph
-}{
-	{"web", gen.Web},
-	{"social", gen.Social},
-	{"community", gen.Community},
-	{"road", gen.Road},
-}
-
-// TestRandomSamplingTraversalModesIdentical: the batched engine must
-// reproduce the per-source engine's farness output bit-for-bit — both are
-// integer accumulations over the same sampled rows, so any divergence is a
-// kernel bug, not estimator noise.
-func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
-	for _, fam := range traversalFamilies {
-		t.Run(fam.name, func(t *testing.T) {
-			g := fam.build(1500, 42)
-			per := RandomSamplingMode(g, 0.2, 4, 7, TraversalPerSource)
-			for _, mode := range []TraversalMode{TraversalBatched, TraversalFrontier} {
-				got := RandomSamplingMode(g, 0.2, 4, 7, mode)
-				if per.Stats.Samples != got.Stats.Samples {
-					t.Fatalf("%v: sample counts differ: %d vs %d", mode, per.Stats.Samples, got.Stats.Samples)
-				}
-				for v := range per.Farness {
-					if per.Farness[v] != got.Farness[v] {
-						t.Fatalf("%v node %d: per-source %v, got %v", mode, v, per.Farness[v], got.Farness[v])
-					}
-					if per.Exact[v] != got.Exact[v] {
-						t.Fatalf("%v node %d: exactness flags differ", mode, v)
-					}
-				}
-			}
-		})
+// pinEngine makes every engine decision in this package return e until the
+// test ends. maxK, when non-nil, records the largest source count any
+// decision was asked about.
+func pinEngine(t *testing.T, e engine, maxK *int) {
+	t.Cleanup(func() { chooseEngine = engineFor })
+	chooseEngine = func(k, _, _ int) engine {
+		if maxK != nil && k > *maxK {
+			*maxK = k
+		}
+		return e
 	}
 }
 
-// TestEstimateTraversalModesIdentical checks the same invariant through the
-// full estimator stack: global (C+R, I+C+R) and cumulative (BiCC) paths,
-// where batching happens on the reduced graph and inside blocks.
-func TestEstimateTraversalModesIdentical(t *testing.T) {
-	techs := []Technique{TechCR, TechICR, TechCumulative}
-	for _, fam := range traversalFamilies {
-		for _, tech := range techs {
-			t.Run(fam.name+"/"+tech.String(), func(t *testing.T) {
-				g := fam.build(1200, 5)
-				run := func(mode TraversalMode) *Result {
-					res, err := Estimate(g, Options{
-						Techniques:     tech,
-						SampleFraction: 0.2,
-						Workers:        4,
-						Seed:           3,
-						Traversal:      mode,
-					})
+// TestTraversalAutoPolicy pins the traversal policy: batching from
+// batchMinSources sources up, the frontier engine only when the unit's
+// sources cannot fill half the worker pool (2k ≤ workers) on a unit big
+// enough to amortise the per-level fan-out, per-source otherwise.
+func TestTraversalAutoPolicy(t *testing.T) {
+	big := frontierMinNodes
+	cases := []struct {
+		k, workers, n int
+		want          engine
+	}{
+		{1, 1, 10, perSource},
+		{batchMinSources - 1, 1, big, perSource},
+		{batchMinSources, 1, 10, batched},
+		{1000, 64, big, batched},
+		{batchMinSources, 2 * batchMinSources, big, batched}, // batching wins over frontier
+		{1, 8, big, frontier},                                // one source, many workers
+		{4, 8, big, frontier},                                // 2k == workers: boundary in
+		{5, 8, big, perSource},                               // sources can fill the pool
+		{1, 1, big, perSource},                               // no parallelism to exploit
+		{0, 8, big, perSource},
+		{1, 8, big - 1, perSource}, // too small to amortise
+	}
+	for _, c := range cases {
+		if got := engineFor(c.k, c.workers, c.n); got != c.want {
+			t.Errorf("engineFor(%d, %d, %d) = %v, want %v", c.k, c.workers, c.n, got, c.want)
+		}
+	}
+	if !SingleSourceFrontier(8, big) || SingleSourceFrontier(1, big) || SingleSourceFrontier(8, big-1) {
+		t.Error("SingleSourceFrontier disagrees with engineFor(1, workers, n)")
+	}
+}
+
+// TestEnginesBitIdentical forces each engine through the decision hook in
+// the random, global and cumulative estimators, on the four generator
+// families at workers {1,2,4}. Every run must equal the forced per-source
+// run at one worker bit for bit — farness, Exact and Samples: all engines
+// are integer accumulations over the same sampled rows, so any divergence is
+// a kernel bug, not estimator noise. The two batched cases sit on either
+// side of the clustering rule: at the low fraction no traversal unit holds
+// more than one batch (sample-draw order), at the high fraction one does
+// (clustered order).
+func TestEnginesBitIdentical(t *testing.T) {
+	const lo, hi = 0.04, 0.5
+	estimators := []struct {
+		name string
+		run  func(g *graph.Graph, fraction float64, workers int) (*Result, error)
+	}{
+		{"random", func(g *graph.Graph, fraction float64, workers int) (*Result, error) {
+			return RandomSampling(g, fraction, workers, 7), nil
+		}},
+		{"RICS", func(g *graph.Graph, fraction float64, workers int) (*Result, error) {
+			return Estimate(g, Options{Techniques: TechICR, SampleFraction: fraction, Workers: workers, Seed: 3})
+		}},
+		{"BRICS", func(g *graph.Graph, fraction float64, workers int) (*Result, error) {
+			return Estimate(g, Options{Techniques: TechCumulative, SampleFraction: fraction, Workers: workers, Seed: 3})
+		}},
+	}
+	cases := []struct {
+		name      string
+		e         engine
+		fraction  float64
+		clustered bool
+	}{
+		{"batched", batched, lo, false},
+		{"batched-clustered", batched, hi, true},
+		{"frontier", frontier, lo, false},
+	}
+	for _, fam := range relabelFamilies() {
+		g := fam.gen(1000, 5)
+		for _, est := range estimators {
+			t.Run(fam.name+"/"+est.name, func(t *testing.T) {
+				want := map[float64]*Result{}
+				for _, f := range []float64{lo, hi} {
+					pinEngine(t, perSource, nil)
+					res, err := est.run(g, f, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res
+					want[f] = res
 				}
-				per := run(TraversalPerSource)
-				for _, mode := range []TraversalMode{TraversalBatched, TraversalFrontier} {
-					got := run(mode)
-					if per.Stats.Samples != got.Stats.Samples {
-						t.Fatalf("%v: sample counts differ: %d vs %d", mode, per.Stats.Samples, got.Stats.Samples)
-					}
-					for v := range per.Farness {
-						if per.Farness[v] != got.Farness[v] {
-							t.Fatalf("%v node %d: per-source %v, got %v", mode, v, per.Farness[v], got.Farness[v])
+				for _, c := range cases {
+					for _, w := range []int{1, 2, 4} {
+						maxK := 0
+						pinEngine(t, c.e, &maxK)
+						got, err := est.run(g, c.fraction, w)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if per.Exact[v] != got.Exact[v] {
-							t.Fatalf("%v node %d: exactness flags differ", mode, v)
+						if clustered := maxK > bfs.MSBFSWidth; clustered != c.clustered {
+							t.Fatalf("%s: largest unit has %d sources; want clustered=%v", c.name, maxK, c.clustered)
 						}
+						assertSameResult(t, fmt.Sprintf("%s workers=%d", c.name, w), want[c.fraction], got)
 					}
 				}
 			})
@@ -86,55 +120,23 @@ func TestEstimateTraversalModesIdentical(t *testing.T) {
 	}
 }
 
-// TestTraversalAutoPolicy pins the Auto threshold: tiny source counts stay
-// per-source, larger ones batch.
-func TestTraversalAutoPolicy(t *testing.T) {
-	cases := []struct {
-		mode TraversalMode
-		k    int
-		want bool
-	}{
-		{TraversalAuto, 1, false},
-		{TraversalAuto, batchMinSources - 1, false},
-		{TraversalAuto, batchMinSources, true},
-		{TraversalAuto, 1000, true},
-		{TraversalPerSource, 1000, false},
-		{TraversalBatched, 1, true},
-		{TraversalBatched, 0, false},
+// TestClusterOrder: sources that fit one batch keep sample-draw order
+// without computing positions; larger sets sort by position, ties by index.
+func TestClusterOrder(t *testing.T) {
+	few := make([]graph.NodeID, bfs.MSBFSWidth)
+	if clusterOrder(few, func() []graph.NodeID { panic("positions computed for one batch") }) != nil {
+		t.Fatal("one batch was reordered")
 	}
-	for _, c := range cases {
-		if got := c.mode.batched(c.k); got != c.want {
-			t.Errorf("%v.batched(%d) = %v, want %v", c.mode, c.k, got, c.want)
-		}
+	many := make([]graph.NodeID, bfs.MSBFSWidth+2)
+	for i := range many {
+		many[i] = graph.NodeID(len(many) - 1 - i)
 	}
-}
-
-// TestTraversalFrontierPolicy pins when the frontier engine is selected: a
-// forced mode always, Auto only when the unit's source count cannot fill the
-// worker pool (2k ≤ workers) on a graph big enough to amortise the fan-out.
-func TestTraversalFrontierPolicy(t *testing.T) {
-	big := frontierMinNodes
-	cases := []struct {
-		mode       TraversalMode
-		k, workers int
-		n          int
-		want       bool
-	}{
-		{TraversalFrontier, 1, 1, 10, true}, // forced: always
-		{TraversalFrontier, 100, 8, 10, true},
-		{TraversalAuto, 1, 8, big, true},  // one source, many workers
-		{TraversalAuto, 4, 8, big, true},  // 2k == workers: boundary in
-		{TraversalAuto, 5, 8, big, false}, // sources can fill the pool
-		{TraversalAuto, 1, 1, big, false}, // no parallelism to exploit
-		{TraversalAuto, 0, 8, big, false},
-		{TraversalAuto, 1, 8, big - 1, false}, // too small to amortise
-		{TraversalPerSource, 1, 8, big, false},
-		{TraversalBatched, 1, 8, big, false},
-		{TraversalHybrid, 1, 8, big, false},
-	}
-	for _, c := range cases {
-		if got := c.mode.Frontier(c.k, c.workers, c.n); got != c.want {
-			t.Errorf("%v.Frontier(%d, %d, %d) = %v, want %v", c.mode, c.k, c.workers, c.n, got, c.want)
+	many[0] = many[1] // a tie: index order must break it
+	order := clusterOrder(many, func() []graph.NodeID { return nil })
+	got := permuted(many, order)
+	for i := 1; i < len(got); i++ {
+		if got[i-1] > got[i] || (got[i-1] == got[i] && order[i-1] > order[i]) {
+			t.Fatalf("not sorted by position then index at %d: %v", i, order)
 		}
 	}
 }

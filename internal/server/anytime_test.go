@@ -65,7 +65,7 @@ func decodeEstimate(t *testing.T, w *httptest.ResponseRecorder) estimateBody {
 func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
 	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", `{"seed":500,"techniques":"RIC","traversal":"per-source"}`)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", `{"seed":500,"techniques":"RIC"}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}
@@ -91,7 +91,7 @@ func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1}) // default SoftMargin 500ms > timeout
 	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=accept", `{"seed":510,"techniques":"RIC","traversal":"per-source"}`)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=accept", `{"seed":510,"techniques":"RIC"}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}
@@ -106,7 +106,7 @@ func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 func TestPartialNeverCached(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
 	slowFlight(t, s, 5*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=250ms&degrade=accept", `{"seed":520,"techniques":"RIC","traversal":"per-source"}`)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=250ms&degrade=accept", `{"seed":520,"techniques":"RIC"}`)
 	if w.Code != http.StatusOK || !decodeEstimate(t, w).Partial {
 		t.Fatalf("setup: expected partial 200, got %d %s", w.Code, w.Body)
 	}
@@ -118,7 +118,7 @@ func TestPartialNeverCached(t *testing.T) {
 		t.Fatalf("partial result entered the estimate cache (%d entries)", cached)
 	}
 	// Same key, generous deadline: a fresh, full run.
-	w = doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":520,"techniques":"RIC","traversal":"per-source"}`)
+	w = doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":520,"techniques":"RIC"}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("full rerun: %d %s", w.Code, w.Body)
 	}
@@ -138,7 +138,7 @@ func TestPartialNeverCached(t *testing.T) {
 func TestDegradeRejectStaysExactOrError(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
 	slowFlight(t, s, 5*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=reject", `{"seed":530,"techniques":"RIC","traversal":"per-source"}`)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=reject", `{"seed":530,"techniques":"RIC"}`)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %s", w.Code, w.Body)
 	}
@@ -155,7 +155,7 @@ func TestDegradeRejectPartialFlightIs503(t *testing.T) {
 	slowFlight(t, s, 5*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=reject", `{"seed":540,"techniques":"RIC","traversal":"per-source"}`)
+		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=reject", `{"seed":540,"techniques":"RIC"}`)
 	}()
 	// Let the throttled run bank some sources, then drain the server.
 	time.Sleep(150 * time.Millisecond)
@@ -176,7 +176,7 @@ func TestDegradeAcceptDrainServesPartial(t *testing.T) {
 	slowFlight(t, s, 5*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":550,"techniques":"RIC","traversal":"per-source"}`)
+		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":550,"techniques":"RIC"}`)
 	}()
 	time.Sleep(150 * time.Millisecond)
 	s.Close()
@@ -194,7 +194,7 @@ func TestDegradeAcceptDrainServesPartial(t *testing.T) {
 func TestFarnessPartialBounds(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
 	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodGet, "/v1/farness/3?timeout=400ms&degrade=accept&seed=560&techniques=RIC&traversal=per-source", "")
+	w := doJSON(s, http.MethodGet, "/v1/farness/3?timeout=400ms&degrade=accept&seed=560&techniques=RIC", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}

@@ -118,7 +118,7 @@ func TestChaosStormSurvivesOverloadAndFaults(t *testing.T) {
 				}
 				timeout := []string{"75ms", "150ms", "400ms", "2s"}[i%4]
 				url := fmt.Sprintf("%s/v1/estimate?timeout=%s&degrade=%s", ts.URL, timeout, degrade)
-				body := fmt.Sprintf(`{"seed":%d,"techniques":"RIC","traversal":"per-source"}`, 700+w*8+i)
+				body := fmt.Sprintf(`{"seed":%d,"techniques":"RIC"}`, 700+w*8+i)
 				code, b := httpDo(t, client, http.MethodPost, url, body)
 				check("estimate", fmt.Sprintf("estimator %d req %d", w, i), code, b)
 				// A degraded 200 must carry honest progress accounting.
@@ -139,7 +139,7 @@ func TestChaosStormSurvivesOverloadAndFaults(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			code, b := httpDo(t, client, http.MethodGet,
-				fmt.Sprintf("%s/v1/farness/%d?timeout=300ms&degrade=accept&seed=%d&techniques=RIC&traversal=per-source", ts.URL, i, 760+i), "")
+				fmt.Sprintf("%s/v1/farness/%d?timeout=300ms&degrade=accept&seed=%d&techniques=RIC", ts.URL, i, 760+i), "")
 			check("estimate", fmt.Sprintf("farness %d", i), code, b)
 			code, b = httpDo(t, client, http.MethodGet,
 				fmt.Sprintf("%s/v1/topk?k=5&timeout=500ms&degrade=accept&seed=%d", ts.URL, 770+i), "")
@@ -201,7 +201,7 @@ func TestChaosStormSurvivesOverloadAndFaults(t *testing.T) {
 		t.Fatalf("healthz after storm: %d", code)
 	}
 	code, b := httpDo(t, client, http.MethodPost, ts.URL+"/v1/estimate?timeout=30s",
-		`{"seed":799,"techniques":"RIC","traversal":"per-source"}`)
+		`{"seed":799,"techniques":"RIC"}`)
 	if code != 200 {
 		t.Fatalf("clean estimate after storm: %d %s", code, b)
 	}
@@ -229,7 +229,7 @@ func TestChaosPartialNeverServedAsExact(t *testing.T) {
 	for wave := 0; wave < 3; wave++ {
 		seed := 820 + wave
 		slowFlight(t, s, 5*time.Millisecond)
-		body := fmt.Sprintf(`{"seed":%d,"techniques":"RIC","traversal":"per-source"}`, seed)
+		body := fmt.Sprintf(`{"seed":%d,"techniques":"RIC"}`, seed)
 		var wg sync.WaitGroup
 		for i := 0; i < 6; i++ {
 			wg.Add(1)
@@ -260,7 +260,7 @@ func TestChaosPartialNeverServedAsExact(t *testing.T) {
 	for wave := 0; wave < 3; wave++ {
 		seed := 820 + wave
 		w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s",
-			fmt.Sprintf(`{"seed":%d,"techniques":"RIC","traversal":"per-source"}`, seed))
+			fmt.Sprintf(`{"seed":%d,"techniques":"RIC"}`, seed))
 		if w.Code != http.StatusOK {
 			t.Fatalf("ground truth seed %d: %d %s", seed, w.Code, w.Body)
 		}
@@ -385,7 +385,7 @@ func TestChaosGracefulDrain(t *testing.T) {
 		go func(i int, degrade string) {
 			w := doJSON(s, http.MethodPost,
 				"/v1/estimate?timeout=30s&degrade="+degrade,
-				fmt.Sprintf(`{"seed":%d,"techniques":"RIC","traversal":"per-source"}`, 840+i))
+				fmt.Sprintf(`{"seed":%d,"techniques":"RIC"}`, 840+i))
 			codes <- w.Code
 		}(i, degrade)
 	}

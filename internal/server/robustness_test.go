@@ -295,21 +295,6 @@ func TestKeyNormalization(t *testing.T) {
 	if k1 == k3 {
 		t.Fatalf("distinct techniques share key %q", k1)
 	}
-	// Batching is a perf-only knob but must still split the cache, so a
-	// client sweeping modes re-runs instead of replaying one timing.
-	k4, opts, err := s.resolve(estimateParams{Techniques: "bric", Fraction: 0.2, Seed: 1, Batching: "clustered"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k4 {
-		t.Fatalf("batching mode does not affect key %q", k1)
-	}
-	if opts.Batching != core.BatchingClustered {
-		t.Fatalf("opts.Batching = %v, want clustered", opts.Batching)
-	}
-	if _, _, err := s.resolve(estimateParams{Techniques: "bric", Fraction: 0.2, Seed: 1, Batching: "bogus"}); err == nil {
-		t.Fatal("bad batching mode accepted")
-	}
 }
 
 // TestCloseAbortsInflight: Close cancels running estimates (503) and flips

@@ -225,26 +225,50 @@ func TestDistanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestFrontierTraversalParam: traversal=frontier is accepted on the GET
-// endpoints, produces the same farness as the per-source engine (the engines
-// are bit-identical by contract), and lands in its own cache entry.
-func TestFrontierTraversalParam(t *testing.T) {
+// TestRetiredEngineParamsIgnored: the traversal engine is not a parameter.
+// Clients that still send the retired traversal/batching knobs — as query
+// params or JSON fields, valid names or not — get a 200 from the same cache
+// entry as the bare request: /v1/status keeps one cache entry throughout, so
+// no request after the first started a run.
+func TestRetiredEngineParamsIgnored(t *testing.T) {
 	_, ts := newTestServer(t)
-	var per, fr farnessBody
-	resp := getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3&traversal=per-source", &per)
+	cacheEntries := func() int {
+		var st statusBody
+		if resp := getJSON(t, ts.URL+"/v1/status", &st); resp.StatusCode != 200 {
+			t.Fatalf("status: %d", resp.StatusCode)
+		}
+		return st.CacheEntries
+	}
+	var bare farnessBody
+	if resp := getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3", &bare); resp.StatusCode != 200 {
+		t.Fatalf("bare request: %d", resp.StatusCode)
+	}
+	if n := cacheEntries(); n != 1 {
+		t.Fatalf("cache entries after the bare request: %d, want 1", n)
+	}
+	for _, q := range []string{"traversal=frontier", "traversal=per-source&batching=arbitrary", "traversal=bogus"} {
+		var got farnessBody
+		if resp := getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3&"+q, &got); resp.StatusCode != 200 {
+			t.Fatalf("%s: %d", q, resp.StatusCode)
+		}
+		if got.Farness != bare.Farness {
+			t.Fatalf("%s: farness %v, bare request %v", q, got.Farness, bare.Farness)
+		}
+		if n := cacheEntries(); n != 1 {
+			t.Fatalf("%s started a new run: %d cache entries", q, n)
+		}
+	}
+	body := bytes.NewBufferString(`{"fraction":0.3,"traversal":"per-source","batching":"clustered"}`)
+	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("per-source: %d", resp.StatusCode)
+		t.Fatalf("estimate with retired fields: %d", resp.StatusCode)
 	}
-	resp = getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3&traversal=frontier", &fr)
-	if resp.StatusCode != 200 {
-		t.Fatalf("frontier: %d", resp.StatusCode)
-	}
-	if fr.Farness != per.Farness {
-		t.Fatalf("engines disagree: frontier %v, per-source %v", fr.Farness, per.Farness)
-	}
-	resp = getJSON(t, ts.URL+"/v1/farness/0?traversal=bogus", nil)
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad traversal: %d", resp.StatusCode)
+	if n := cacheEntries(); n != 1 {
+		t.Fatalf("estimate with retired fields started a new run: %d cache entries", n)
 	}
 }
 

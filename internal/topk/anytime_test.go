@@ -27,8 +27,7 @@ func TestClosenessAnytimeVerificationCanceled(t *testing.T) {
 	defer restore()
 	res, err := ClosenessContext(ctx, g, 10, Options{
 		Estimate: core.Options{
-			SampleFraction: 0.2, Seed: 31, Workers: 1,
-			Traversal: core.TraversalPerSource, Anytime: true,
+			SampleFraction: 0.2, Seed: 31, Workers: 1, Anytime: true,
 		},
 	})
 	if err != nil {
@@ -61,8 +60,7 @@ func TestClosenessAnytimePartialEstimate(t *testing.T) {
 	}
 	res, err := ClosenessContext(ctx, g, 5, Options{
 		Estimate: core.Options{
-			SampleFraction: 0.4, Seed: 7, Workers: 1,
-			Traversal: core.TraversalPerSource, Anytime: true, Progress: prog,
+			SampleFraction: 0.4, Seed: 7, Workers: 1, Anytime: true, Progress: prog,
 		},
 		MaxVerify: 0,
 	})

@@ -121,24 +121,21 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	res := &Result{Certain: true, EstimateStats: est.Stats}
 	dist := make([]int32, n)
 	// Verification consumes candidates one at a time (the stopping rule is
-	// inherently sequential), but the traversals themselves need not be: when
-	// the estimate run's traversal mode allows batching, the next group of
-	// unverified candidates is prefetched speculatively through one ≤64-lane
-	// bit-parallel sweep — candidates adjacent in estimate order tend to be
-	// central and near each other, so their lane frontiers merge quickly and
-	// the group costs little more than one BFS. The group size starts small
-	// (the stopping rule often fires within a few candidates) and doubles as
-	// verification keeps going. Every lane computed counts against MaxVerify
-	// — groups are clipped to the remaining budget, never exceeding it — and
-	// per-lane sums are bit-identical to bfs.Sum over a per-source row, so
-	// results match the per-source path exactly.
+	// inherently sequential), but the traversals themselves need not be: the
+	// next group of unverified candidates is prefetched speculatively
+	// through one ≤64-lane bit-parallel sweep — candidates adjacent in
+	// estimate order tend to be central and near each other, so their lane
+	// frontiers merge quickly and the group costs little more than one BFS.
+	// The group size starts small (the stopping rule often fires within a
+	// few candidates) and doubles as verification keeps going. Every lane
+	// computed counts against MaxVerify — groups are clipped to the remaining
+	// budget, never exceeding it — and per-lane sums are bit-identical to
+	// bfs.Sum over a per-source row, so results match the per-source path
+	// exactly. A candidate the prefetch did not cover gets one traversal of
+	// its own, on the engine the traversal policy picks for one source at a
+	// time.
 	workers := par.Workers(opts.Estimate.Workers)
-	// Verification traversals follow the estimate's traversal policy: the
-	// frontier-parallel engine when the mode (forced or Auto, always with
-	// k = 1 — one verification BFS at a time) selects it, the sequential
-	// kernel otherwise. Forced per-source/hybrid/frontier modes also opt out
-	// of the speculative batch prefetch below.
-	useFrontier := opts.Estimate.Traversal.Frontier(1, workers, n)
+	useFrontier := core.SingleSourceFrontier(workers, n)
 	var q *queue.FIFO
 	var frontierScratch *bfs.FrontierScratch
 	if useFrontier {
@@ -146,9 +143,6 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	} else {
 		q = queue.NewFIFO(n)
 	}
-	batchVerify := opts.Estimate.Traversal != core.TraversalPerSource &&
-		opts.Estimate.Traversal != core.TraversalHybrid &&
-		opts.Estimate.Traversal != core.TraversalFrontier
 	exactCache := make([]float64, n)
 	haveExact := make([]bool, n)
 	// Sketch filter: proven farness lower bounds let the loop below discard
@@ -168,7 +162,9 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	var ms *bfs.MSScratch
 	groupSize := 8
 	done := ctx.Done()
-	prefetch := func(startIdx int) {
+	// prefetch passes the same "topk.verify" fault point as a single
+	// verification traversal: every traversal step checks it exactly once.
+	prefetch := func(startIdx int) error {
 		size := groupSize
 		if opts.MaxVerify > 0 {
 			if rem := opts.MaxVerify - res.Verified; rem < size {
@@ -176,7 +172,7 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			}
 		}
 		if size < 2 {
-			return // nothing to share a sweep with; per-source handles it
+			return nil // nothing to share a sweep with; per-source handles it
 		}
 		batch := make([]graph.NodeID, 0, size)
 		for _, vi := range order[startIdx:] {
@@ -191,7 +187,10 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			}
 		}
 		if len(batch) < 2 {
-			return
+			return nil
+		}
+		if err := fault.Checkpoint(ctx, "topk.verify"); err != nil {
+			return err
 		}
 		if ms == nil {
 			ms = bfs.NewMSScratch(n, 1)
@@ -203,7 +202,7 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			bfs.AccumulateLanes(laneFar, mask, int64(d))
 		})
 		if par.Interrupted(done) {
-			return // partial sums; the caller is about to surface ctx.Err()
+			return par.CtxErr(ctx) // partial sums; discard them
 		}
 		for lane, v := range batch {
 			exactCache[v] = float64(farBySlot[lane])
@@ -213,13 +212,16 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 		if groupSize < bfs.MSBFSWidth {
 			groupSize *= 2
 		}
+		return nil
 	}
 	exactOf := func(idx int, v graph.NodeID) (float64, error) {
 		if est.Exact[v] {
 			return est.Farness[v], nil
 		}
-		if batchVerify && !haveExact[v] {
-			prefetch(idx)
+		if !haveExact[v] {
+			if err := prefetch(idx); err != nil {
+				return 0, err
+			}
 		}
 		if haveExact[v] {
 			return exactCache[v], nil
