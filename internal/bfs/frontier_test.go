@@ -60,33 +60,52 @@ func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
 			}
 		})
 	}
-	// Extra inputs beyond the families: small random connected graphs as a
-	// quick-check property, and a 5000-node star plus random chords whose
-	// levels are far wider than 4×workers (the parallel branch of every
-	// level). Both include workers=0, which means GOMAXPROCS.
-	t.Run("random", func(t *testing.T) {
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			n := rng.Intn(300) + 2
-			g := randomConnected(rng, n)
-			return frontierAgrees(t, fmt.Sprintf("seed=%d", seed), g, graph.NodeID(rng.Intn(n)), []int{0, 1, 2, 5}, nil)
+}
+
+// TestParallelDistancesMatchesSequential: the frontier engine matches
+// sequential BFS on small random connected graphs as a quick-check
+// property, at workers {0,1,2,5} (0 means GOMAXPROCS).
+func TestParallelDistancesMatchesSequential(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(300) + 2
+		g := randomConnected(rng, n)
+		return frontierAgrees(t, fmt.Sprintf("seed=%d", seed), g, graph.NodeID(rng.Intn(n)), []int{0, 1, 2, 5}, nil)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParallelDistancesLargeFrontier: a 5000-node star plus random chords,
+// whose levels are far wider than 4×workers, drives the parallel branch of
+// every level.
+func TestParallelDistancesLargeFrontier(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 5000
+	b := graph.NewBuilder(n)
+	for i := 1; i < n; i++ {
+		_ = b.AddEdge(0, graph.NodeID(i))
+	}
+	for i := 0; i < 3*n; i++ {
+		_ = b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	frontierAgrees(t, "broad", b.Build(), 17, []int{0, 4}, nil)
+}
+
+// TestParallelExactFarness: the farness of a few sources summed from
+// frontier-parallel traversals equals the all-sources oracle.
+func TestParallelExactFarness(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomConnected(rng, 200)
+	all := ExactFarness(g, 2)
+	dist := make([]int32, g.NumNodes())
+	for _, s := range []graph.NodeID{0, 50, 199} {
+		FrontierDistances(g, s, dist, 3, nil)
+		if got, _ := Sum(dist); float64(got) != all[s] {
+			t.Fatalf("source %d: %d vs %v", s, got, all[s])
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("broad", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(7))
-		const n = 5000
-		b := graph.NewBuilder(n)
-		for i := 1; i < n; i++ {
-			_ = b.AddEdge(0, graph.NodeID(i))
-		}
-		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-		}
-		frontierAgrees(t, "broad", b.Build(), 17, []int{0, 4}, nil)
-	})
+	}
 }
 
 // frontierAgrees reports whether FrontierDistances from src matches

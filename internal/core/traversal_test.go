@@ -21,10 +21,9 @@ func pinEngine(t *testing.T, e engine, maxK *int) {
 	}
 }
 
-// TestTraversalAutoPolicy pins the traversal policy: batching from
-// batchMinSources sources up, the frontier engine only when the unit's
-// sources cannot fill half the worker pool (2k ≤ workers) on a unit big
-// enough to amortise the per-level fan-out, per-source otherwise.
+// TestTraversalAutoPolicy pins the batching side of the traversal policy:
+// batching from batchMinSources sources up, whatever the workers and unit
+// size, and per-source below that when the frontier rule does not apply.
 func TestTraversalAutoPolicy(t *testing.T) {
 	big := frontierMinNodes
 	cases := []struct {
@@ -36,10 +35,28 @@ func TestTraversalAutoPolicy(t *testing.T) {
 		{batchMinSources, 1, 10, batched},
 		{1000, 64, big, batched},
 		{batchMinSources, 2 * batchMinSources, big, batched}, // batching wins over frontier
-		{1, 8, big, frontier},                                // one source, many workers
-		{4, 8, big, frontier},                                // 2k == workers: boundary in
-		{5, 8, big, perSource},                               // sources can fill the pool
-		{1, 1, big, perSource},                               // no parallelism to exploit
+		{0, 1, 10, perSource},
+	}
+	for _, c := range cases {
+		if got := engineFor(c.k, c.workers, c.n); got != c.want {
+			t.Errorf("engineFor(%d, %d, %d) = %v, want %v", c.k, c.workers, c.n, got, c.want)
+		}
+	}
+}
+
+// TestTraversalFrontierPolicy pins when the policy picks the frontier
+// engine: only when the unit's sources cannot fill half the worker pool
+// (2k ≤ workers) on a unit big enough to amortise the per-level fan-out.
+func TestTraversalFrontierPolicy(t *testing.T) {
+	big := frontierMinNodes
+	cases := []struct {
+		k, workers, n int
+		want          engine
+	}{
+		{1, 8, big, frontier},  // one source, many workers
+		{4, 8, big, frontier},  // 2k == workers: boundary in
+		{5, 8, big, perSource}, // sources can fill the pool
+		{1, 1, big, perSource}, // no parallelism to exploit
 		{0, 8, big, perSource},
 		{1, 8, big - 1, perSource}, // too small to amortise
 	}
@@ -53,69 +70,128 @@ func TestTraversalAutoPolicy(t *testing.T) {
 	}
 }
 
-// TestEnginesBitIdentical forces each engine through the decision hook in
-// the random, global and cumulative estimators, on the four generator
-// families at workers {1,2,4}. Every run must equal the forced per-source
-// run at one worker bit for bit — farness, Exact and Samples: all engines
-// are integer accumulations over the same sampled rows, so any divergence is
-// a kernel bug, not estimator noise. The two batched cases sit on either
-// side of the clustering rule: at the low fraction no traversal unit holds
-// more than one batch (sample-draw order), at the high fraction one does
-// (clustered order).
-func TestEnginesBitIdentical(t *testing.T) {
-	const lo, hi = 0.04, 0.5
-	estimators := []struct {
-		name string
-		run  func(g *graph.Graph, fraction float64, workers int) (*Result, error)
-	}{
-		{"random", func(g *graph.Graph, fraction float64, workers int) (*Result, error) {
-			return RandomSampling(g, fraction, workers, 7), nil
-		}},
-		{"RICS", func(g *graph.Graph, fraction float64, workers int) (*Result, error) {
-			return Estimate(g, Options{Techniques: TechICR, SampleFraction: fraction, Workers: workers, Seed: 3})
-		}},
-		{"BRICS", func(g *graph.Graph, fraction float64, workers int) (*Result, error) {
-			return Estimate(g, Options{Techniques: TechCumulative, SampleFraction: fraction, Workers: workers, Seed: 3})
-		}},
+// forcedEngine is one engine pinned through the decision hook, at a sample
+// fraction of the 1000-node test graphs that puts the batched engine on one
+// side of the clustering rule: at loFraction no traversal unit holds more
+// than one batch (sample-draw order), at hiFraction one does (clustered
+// order).
+type forcedEngine struct {
+	name      string
+	e         engine
+	fraction  float64
+	clustered bool
+}
+
+const loFraction, hiFraction = 0.04, 0.5
+
+var (
+	traversalEngines = []forcedEngine{
+		{"batched", batched, loFraction, false},
+		{"frontier", frontier, loFraction, false},
 	}
-	cases := []struct {
-		name      string
-		e         engine
-		fraction  float64
-		clustered bool
-	}{
-		{"batched", batched, lo, false},
-		{"batched-clustered", batched, hi, true},
-		{"frontier", frontier, lo, false},
+	batchingEngines = []forcedEngine{
+		{"batched", batched, loFraction, false},
+		{"batched-clustered", batched, hiFraction, true},
 	}
+)
+
+// assertEnginesIdentical runs est under each forced engine at workers
+// {1,2,4} and fails unless every run equals the forced per-source run at one
+// worker bit for bit — farness, Exact and Samples: all engines are integer
+// accumulations over the same sampled rows, so any divergence is a kernel
+// bug, not estimator noise. It also checks, through the hook, that the
+// largest unit fell on the intended side of the clustering rule.
+func assertEnginesIdentical(t *testing.T, engines []forcedEngine, est func(fraction float64, workers int) (*Result, error)) {
+	t.Helper()
+	want := map[float64]*Result{}
+	for _, c := range engines {
+		if want[c.fraction] != nil {
+			continue
+		}
+		pinEngine(t, perSource, nil)
+		res, err := est(c.fraction, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c.fraction] = res
+	}
+	for _, c := range engines {
+		for _, w := range []int{1, 2, 4} {
+			maxK := 0
+			pinEngine(t, c.e, &maxK)
+			got, err := est(c.fraction, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clustered := maxK > bfs.MSBFSWidth; clustered != c.clustered {
+				t.Fatalf("%s: largest unit has %d sources; want clustered=%v", c.name, maxK, c.clustered)
+			}
+			assertSameResult(t, fmt.Sprintf("%s workers=%d", c.name, w), want[c.fraction], got)
+		}
+	}
+}
+
+// estimateTechs are the global (C+R, I+C+R) and cumulative (BiCC)
+// estimators, where engines run on the reduced graph and inside blocks.
+var estimateTechs = []Technique{TechCR, TechICR, TechCumulative}
+
+// TestRandomSamplingTraversalModesIdentical: the batched and frontier
+// engines reproduce the per-source engine in the unreduced random-sampling
+// baseline on the four generator families.
+func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := fam.gen(1000, 5)
-		for _, est := range estimators {
-			t.Run(fam.name+"/"+est.name, func(t *testing.T) {
-				want := map[float64]*Result{}
-				for _, f := range []float64{lo, hi} {
-					pinEngine(t, perSource, nil)
-					res, err := est.run(g, f, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want[f] = res
-				}
-				for _, c := range cases {
-					for _, w := range []int{1, 2, 4} {
-						maxK := 0
-						pinEngine(t, c.e, &maxK)
-						got, err := est.run(g, c.fraction, w)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if clustered := maxK > bfs.MSBFSWidth; clustered != c.clustered {
-							t.Fatalf("%s: largest unit has %d sources; want clustered=%v", c.name, maxK, c.clustered)
-						}
-						assertSameResult(t, fmt.Sprintf("%s workers=%d", c.name, w), want[c.fraction], got)
-					}
-				}
+		t.Run(fam.name, func(t *testing.T) {
+			assertEnginesIdentical(t, traversalEngines, func(fraction float64, workers int) (*Result, error) {
+				return RandomSampling(g, fraction, workers, 7), nil
 			})
+		})
+	}
+}
+
+// TestEstimateTraversalModesIdentical checks the same invariant through the
+// full estimator stack, for every global and cumulative technique.
+func TestEstimateTraversalModesIdentical(t *testing.T) {
+	for _, fam := range relabelFamilies() {
+		g := fam.gen(1000, 5)
+		for _, tech := range estimateTechs {
+			t.Run(fam.name+"/"+tech.String(), func(t *testing.T) {
+				assertEnginesIdentical(t, traversalEngines, func(fraction float64, workers int) (*Result, error) {
+					return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 3})
+				})
+			})
+		}
+	}
+}
+
+// TestRandomSamplingBatchingBitIdentical covers the batched engine of the
+// random-sampling baseline on both sides of the clustering rule.
+func TestRandomSamplingBatchingBitIdentical(t *testing.T) {
+	for _, fam := range relabelFamilies() {
+		g := fam.gen(1000, 11)
+		t.Run(fam.name, func(t *testing.T) {
+			assertEnginesIdentical(t, batchingEngines, func(fraction float64, workers int) (*Result, error) {
+				return RandomSampling(g, fraction, workers, 5), nil
+			})
+		})
+	}
+}
+
+// TestEstimateBatchingBitIdentical covers the batched engine on both sides
+// of the clustering rule in every global and cumulative technique, on
+// canonical and BFS-relabeled layouts (where the graph's own ids are the
+// cluster positions).
+func TestEstimateBatchingBitIdentical(t *testing.T) {
+	for _, fam := range relabelFamilies() {
+		g := fam.gen(1000, 42)
+		for _, tech := range estimateTechs {
+			for _, rel := range []graph.RelabelMode{graph.RelabelNone, graph.RelabelBFS} {
+				t.Run(fmt.Sprintf("%s/%s/relabel=%s", fam.name, tech, rel), func(t *testing.T) {
+					assertEnginesIdentical(t, batchingEngines, func(fraction float64, workers int) (*Result, error) {
+						return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 7, Relabel: rel})
+					})
+				})
+			}
 		}
 	}
 }
