@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet check chaos bench bench-reduction bench-traversal bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
+.PHONY: build test vet check chaos bench bench-reduction bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
 
 build:
 	go build ./...
@@ -34,14 +34,6 @@ bench: bench-reduction
 # BENCH_reduction.json (see EXPERIMENTS.md for the discussion).
 bench-reduction:
 	go run ./cmd/experiments -only reduction -json BENCH_reduction.json
-
-# Traversal locality matrix: relabel ordering through the full cumulative
-# estimator under the one traversal policy, one dataset per generator family,
-# farness checked identical across orderings in-bench, recorded
-# machine-readably in BENCH_traversal.json (see EXPERIMENTS.md and DESIGN.md
-# section 8 for the discussion).
-bench-traversal:
-	go run ./cmd/experiments -only traversal -traversal-json BENCH_traversal.json
 
 # Frontier scaling study: per-source vs frontier-parallel (edge-map) engine
 # across worker counts {1,2,4,8} through one full exact farness run, one

@@ -112,26 +112,6 @@ const (
 	EstimatorPaper = core.EstimatorPaper
 )
 
-// RelabelMode selects a cache-aware node reordering applied to the reduced
-// graph (and each biconnected block) before the sampled traversals run: ids
-// are permuted so hot adjacency rows pack together, distance rows are mapped
-// back afterwards. A pure memory-layout knob — results are bit-identical to
-// RelabelNone at every worker count.
-type RelabelMode = graph.RelabelMode
-
-// Relabel modes. RelabelDegree orders nodes by descending degree (hub
-// packing, helps power-law graphs); RelabelBFS uses a Cuthill–McKee-style
-// breadth-first order (bandwidth reduction, helps meshes and road networks).
-const (
-	RelabelNone   = graph.RelabelNone
-	RelabelDegree = graph.RelabelDegree
-	RelabelBFS    = graph.RelabelBFS
-)
-
-// ParseRelabelMode converts a mode name ("none", "degree", "bfs" and a few
-// aliases) into a RelabelMode.
-func ParseRelabelMode(s string) (RelabelMode, error) { return graph.ParseRelabelMode(s) }
-
 // Options configures Estimate; the zero value runs pure sampling at the
 // paper's default 20% fraction. The traversal engine is not an option: every
 // traversal unit (the reduced graph, or one biconnected block) batches its

@@ -7,13 +7,11 @@
 //	experiments -list
 //
 // Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9,
-// traversal, reduction (default: all, in order). See EXPERIMENTS.md
+// reduction (default: all, in order). See EXPERIMENTS.md
 // for the recorded paper-vs-measured comparison. The reduction experiment
 // times the parallel preprocessing pipeline; -json additionally writes its
 // rows as a machine-readable report (used by `make bench-reduction`). The
-// traversal experiment runs the relabel-ordering locality matrix under the
-// one traversal policy; -traversal-json writes it as BENCH_traversal.json
-// (used by `make bench-traversal`). The frontier experiment runs the
+// frontier experiment runs the
 // exact-farness engine × worker-count scaling study; -frontier-json writes it
 // as BENCH_frontier.json (used by `make bench-frontier`). The sketch
 // experiment measures point-to-point distance throughput of the three
@@ -48,9 +46,8 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default stand-in sizes)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "sampling seed")
-		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,traversal,frontier,sketch,bicc,load,reduction,ablations,sweep")
+		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,frontier,sketch,bicc,load,reduction,ablations,sweep")
 		jsonOut    = flag.String("json", "", "write the reduction benchmark rows to this JSON file")
-		travOut    = flag.String("traversal-json", "", "write the traversal locality matrix to this JSON file")
 		frontOut   = flag.String("frontier-json", "", "write the frontier scaling study to this JSON file")
 		sketchOut  = flag.String("sketch-json", "", "write the distance-sketch query study to this JSON file")
 		biccOut    = flag.String("bicc-json", "", "write the BiCC decomposition scaling study to this JSON file")
@@ -160,16 +157,6 @@ func main() {
 			experiments.FprintSweep(os.Stdout, class, pts)
 			fmt.Println()
 		}
-	}
-	if run("traversal") {
-		rows, err := experiments.TraversalBench(cfg, 0.2)
-		check(err)
-		experiments.FprintTraversal(os.Stdout, 0.2, rows)
-		if *travOut != "" {
-			check(experiments.WriteTraversalJSON(*travOut, cfg, 0.2, rows))
-			fmt.Printf("wrote %s\n", *travOut)
-		}
-		fmt.Println()
 	}
 	if run("frontier") {
 		rows, err := experiments.FrontierBench(cfg)

@@ -153,3 +153,22 @@ func TestEstimateAdaptiveContextCanceled(t *testing.T) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
+
+// TestWorkerPanicReachesCaller: a panic on a traversal worker goroutine (the
+// frontier checkpoint fires inside the cumulative task fan-out at 2 workers)
+// is re-raised by EstimateContext on the calling goroutine, where a server's
+// recover can answer 500, instead of ending the process.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	pinEngine(t, frontier, nil)
+	restore := fault.Set("bfs.frontier", fault.Panic("frontier crashed"))
+	defer restore()
+	g := gen.Road(900, 5) // keeps several biconnected blocks after reduction
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_, _ = EstimateContext(context.Background(), g, Options{Techniques: TechCumulative, SampleFraction: 0.2, Seed: 1, Workers: 2})
+		return nil
+	}()
+	if got != "fault: frontier crashed" {
+		t.Fatalf("recovered %v, want the worker's panic", got)
+	}
+}

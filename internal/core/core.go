@@ -102,14 +102,6 @@ type Options struct {
 	Seed int64
 	// Estimator selects the extrapolation rule.
 	Estimator EstimatorKind
-	// Relabel selects a cache-aware node reordering for the traversal
-	// phase: the reduced graph (and, under TechBiCC, every block-local
-	// graph) is rebuilt under a degree-descending or BFS-order permutation
-	// before the sampled traversals run, and distance rows are mapped back
-	// through the permutation. Sampling, reduction events and aggregation
-	// all stay in canonical ids, so results are bit-identical to
-	// RelabelNone at every worker count; only memory locality changes.
-	Relabel graph.RelabelMode
 	// DisableExactPropagation turns off the closed-form farness
 	// propagation for twins, dangling chains and pendant cycles
 	// (Facts III.3/III.4 generalised); useful only for ablation.
@@ -244,12 +236,6 @@ func EstimateContext(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		Chains:    opts.Techniques&TechChains != 0,
 		Redundant: opts.Techniques&TechRedundant != 0,
 		Workers:   opts.Workers,
-	}
-	if opts.Techniques&TechBiCC == 0 {
-		// The global estimators traverse the reduced graph directly, so the
-		// reduction carries the relabeled copy. Under TechBiCC traversals run
-		// on block-local graphs, which estimateCumulative relabels itself.
-		ropts.Relabel = opts.Relabel
 	}
 	var red *reduce.Reduction
 	var err error

@@ -249,56 +249,14 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		}
 	}
 
-	// Cache-aware relabeling, block-local edition: each block graph is
-	// rebuilt under the requested ordering and blockPerm[b] maps canonical
-	// local ids to relabeled ones. Sampling, event replay and the cut
-	// bookkeeping all stay canonical — only traversal sources map through
-	// the permutation on the way in and distance rows map back on the way
-	// out, so farness is bit-identical to the unrelabeled run.
-	// blockScatter composes each block's inverse permutation with the
-	// member→original map (blockScatter[b][traversal-local id] = original
-	// id), so a relabeled distance row scatters with one sequential read per
-	// node instead of a gather through the permutation.
-	var blockPerm, blockScatter [][]graph.NodeID
-	if opts.Relabel != graph.RelabelNone {
-		blockPerm = make([][]graph.NodeID, nb)
-		blockScatter = make([][]graph.NodeID, nb)
-		if err := par.ForBlocksCtx(ctx, nb, opts.Workers, func(_, lo, hi int) {
-			for b := lo; b < hi; b++ {
-				rg, r := graph.RelabelW(localG[b], opts.Relabel, 1)
-				if r == nil {
-					continue
-				}
-				localG[b], blockPerm[b] = rg, r.Perm
-				members := d.BlockNodes[b]
-				sc := make([]graph.NodeID, len(r.Inv))
-				for j, li := range r.Inv {
-					sc[j] = red.ToOld[members[li]]
-				}
-				blockScatter[b] = sc
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-	// localSrc converts a reduced-graph source id to its traversal-space
-	// block-local index.
-	localSrc := func(b int32, src graph.NodeID) graph.NodeID {
-		li := graph.NodeID(localIndex(d.BlockNodes[b], src))
-		if blockPerm != nil && blockPerm[b] != nil {
-			return blockPerm[b][li]
-		}
-		return li
-	}
-
 	// localCutPos holds, per block and cut, the cut's index into the block's
-	// traversal-space distance rows (i.e. already mapped through blockPerm).
+	// block-local distance rows.
 	localCutPos := make([][]int32, nb)
 	for b := 0; b < nb; b++ {
 		cuts := tree.BlockCuts[b]
 		localCutPos[b] = make([]int32, len(cuts))
 		for i, ci := range cuts {
-			localCutPos[b][i] = int32(localSrc(int32(b), tree.Cuts[ci]))
+			localCutPos[b][i] = int32(localIndex(d.BlockNodes[b], tree.Cuts[ci]))
 		}
 	}
 	prep := time.Since(prepStart)
@@ -395,12 +353,9 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 			// integer.
 			tls := make([]graph.NodeID, len(ss))
 			for i, s := range ss {
-				tls[i] = localSrc(int32(b), s)
+				tls[i] = localIndex(d.BlockNodes[b], s)
 			}
 			ss = permuted(ss, clusterOrder(tls, func() []graph.NodeID {
-				if opts.Relabel == graph.RelabelBFS && blockPerm != nil && blockPerm[b] != nil {
-					return nil
-				}
 				return graph.OrderW(localG[b], graph.RelabelBFS, opts.Workers).Perm
 			}))
 			for base := 0; base < len(ss); base += bfs.MSBFSWidth {
@@ -461,19 +416,12 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		scratch[i] = w
 	}
 
-	// extendBlock scatters a block-local distance row (in traversal-space
-	// ids, i.e. through blockPerm when relabeled) to original ids and
-	// replays the block's removal events, exactly as a per-source
-	// traversal would.
+	// extendBlock scatters a block-local distance row to original ids and
+	// replays the block's removal events, exactly as a per-source traversal
+	// would.
 	extendBlock := func(w *ws, b int32, dist []int32) {
-		if blockScatter != nil && blockScatter[b] != nil {
-			for j, o := range blockScatter[b] {
-				w.distOrig[o] = dist[j]
-			}
-		} else {
-			for j, m := range d.BlockNodes[b] {
-				w.distOrig[red.ToOld[m]] = dist[j]
-			}
+		for j, m := range d.BlockNodes[b] {
+			w.distOrig[red.ToOld[m]] = dist[j]
 		}
 		evs := blockEvents[b]
 		for i := len(evs) - 1; i >= 0; i-- {
@@ -484,13 +432,14 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 	// frontier engine when the block chose it, otherwise the per-source
 	// kernel (hybrid BFS on unit weights, Dial otherwise).
 	blockTraverse := func(w *ws, b int32, src graph.NodeID, dist []int32) {
+		li := localIndex(d.BlockNodes[b], src)
 		switch {
 		case frontierBlock[b]:
-			_ = bfs.WFrontierDistancesCtx(ctx, localG[b], localUnw[b], localSrc(b, src), dist, workers, w.fs)
+			_ = bfs.WFrontierDistancesCtx(ctx, localG[b], localUnw[b], li, dist, workers, w.fs)
 		case localUnw[b]:
-			_ = bfs.WHybridDistancesBFSCtx(ctx, localG[b], localSrc(b, src), dist, w.s)
+			_ = bfs.WHybridDistancesBFSCtx(ctx, localG[b], li, dist, w.s)
 		default:
-			_ = bfs.WDistancesCtx(ctx, localG[b], localSrc(b, src), dist, w.s.B)
+			_ = bfs.WDistancesCtx(ctx, localG[b], li, dist, w.s.B)
 		}
 	}
 	runBlockSource := func(w *ws, b int32, src graph.NodeID) {
@@ -598,7 +547,7 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		// per-lane post-processing is identical to the per-source path.
 		locals := w.locals[:len(t.srcs)]
 		for i, s := range t.srcs {
-			locals[i] = localSrc(t.b, s)
+			locals[i] = localIndex(members, s)
 		}
 		rows := w.views[:len(t.srcs)]
 		for i := range rows {
@@ -957,14 +906,14 @@ func buildBlockGraph(d *bicc.Decomposition, b int32) *graph.WGraph {
 	members := d.BlockNodes[b]
 	wb := graph.NewWBuilder(len(members))
 	for _, e := range d.BlockEdges[b] {
-		_ = wb.AddEdge(graph.NodeID(localIndex(members, e.U)), graph.NodeID(localIndex(members, e.V)), e.W)
+		_ = wb.AddEdge(localIndex(members, e.U), localIndex(members, e.V), e.W)
 	}
 	return wb.Build()
 }
 
 // localIndex finds v in the sorted member list.
-func localIndex(members []graph.NodeID, v graph.NodeID) int {
-	return sort.Search(len(members), func(i int) bool { return members[i] >= v })
+func localIndex(members []graph.NodeID, v graph.NodeID) graph.NodeID {
+	return graph.NodeID(sort.Search(len(members), func(i int) bool { return members[i] >= v }))
 }
 
 // intersectBlocks filters a (small) candidate block list by membership in

@@ -74,17 +74,6 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	workers := par.Workers(opts.Workers)
 	unweighted := red.G.Unweighted()
 	maxW := red.G.MaxWeight()
-	// Traversals run on the (possibly cache-relabeled) copy of the reduced
-	// graph; sampling above and the removal log stay canonical, so results
-	// are independent of the ordering. Sources map through perm on the way
-	// in, distance rows map back through ScatterPerm on the way out.
-	tg, perm := red.TraversalGraph()
-	permOf := func(sR graph.NodeID) graph.NodeID {
-		if perm != nil {
-			return perm[sR]
-		}
-		return sR
-	}
 
 	acc := make([]int64, n)      // Σ over sources of d(s, ·), original ids
 	exactFar := make([]int64, n) // exact farness of sampled nodes
@@ -162,35 +151,21 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 
 	switch chooseEngine(kEff, workers, nR) {
 	case batched:
-		// 64-wide multi-source sweeps over the traversal graph; each lane's
+		// 64-wide multi-source sweeps over the reduced graph; each lane's
 		// row is scattered and extended exactly like a per-source traversal,
-		// so the accumulated integers are identical. Sources are handed over
-		// in traversal-graph ids, reordered together with their canonical
-		// samples (laneSamples) so each batch covers one neighbourhood; the
-		// handler's base index recovers each lane's canonical sample. Under
-		// RelabelBFS the traversal ids already are BFS positions.
-		sourcesT := samplesReduced
-		if perm != nil {
-			sourcesT = make([]graph.NodeID, k)
-			for i, sR := range samplesReduced {
-				sourcesT[i] = perm[sR]
-			}
-		}
-		order := clusterOrder(sourcesT, func() []graph.NodeID {
-			if perm != nil && opts.Relabel == graph.RelabelBFS {
-				return nil
-			}
-			return graph.OrderW(tg, graph.RelabelBFS, workers).Perm
-		})
-		sourcesT, laneSamples := permuted(sourcesT, order), permuted(samplesReduced, order)
-		err := bfs.RunBatchesWCtx(ctx, tg, sourcesT, workers, func(worker, base int, batch []graph.NodeID, rows [][]int32) {
+		// so the accumulated integers are identical. Sources are reordered so
+		// each batch covers one neighbourhood; accumulation stays keyed by
+		// each lane's own source id.
+		sources := permuted(samplesReduced, clusterOrder(samplesReduced, func() []graph.NodeID {
+			return graph.OrderW(red.G, graph.RelabelBFS, workers).Perm
+		}))
+		err := bfs.RunBatchesWCtx(ctx, red.G, sources, workers, func(worker, _ int, batch []graph.NodeID, rows [][]int32) {
 			w := &scratch[worker]
-			for lane := range batch {
+			for lane, srcR := range batch {
 				if par.Interrupted(done) {
 					return // canceled: bank no more rows; the fan-out returns the ctx error
 				}
-				srcR := laneSamples[base+lane]
-				red.ScatterPerm(rows[lane], perm, w.distOrig)
+				red.Scatter(rows[lane], w.distOrig)
 				red.Extend(w.distOrig)
 				accumulateRow(w, red.ToOld[srcR])
 			}
@@ -217,10 +192,10 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		for i := 0; i < kEff; i++ {
 			if i < k {
 				srcR := samplesReduced[i]
-				if err := bfs.WFrontierDistancesCtx(ctx, tg, unweighted, permOf(srcR), w.s.Dist, workers, fs); err != nil {
+				if err := bfs.WFrontierDistancesCtx(ctx, red.G, unweighted, srcR, w.s.Dist, workers, fs); err != nil {
 					return partialOr(err)
 				}
-				red.ScatterPerm(w.s.Dist, perm, w.distOrig)
+				red.Scatter(w.s.Dist, w.distOrig)
 				red.Extend(w.distOrig)
 				accumulateRow(w, red.ToOld[srcR])
 				continue
@@ -237,11 +212,11 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 			w := &scratch[worker]
 			if i < k {
 				srcR := samplesReduced[i]
-				_ = bfs.WHybridDistancesAutoCtx(ctx, tg, unweighted, permOf(srcR), w.s)
+				_ = bfs.WHybridDistancesAutoCtx(ctx, red.G, unweighted, srcR, w.s)
 				if par.Interrupted(done) {
 					return // partial row; the whole run is about to error out
 				}
-				red.ScatterPerm(w.s.Dist, perm, w.distOrig)
+				red.Scatter(w.s.Dist, w.distOrig)
 				red.Extend(w.distOrig)
 				accumulateRow(w, red.ToOld[srcR])
 				return

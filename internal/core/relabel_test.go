@@ -5,15 +5,16 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// These tests pin the cache-aware relabeling contract: Options.Relabel is a
-// pure memory-layout knob. For every generator family, technique mix,
-// traversal engine and worker count, an estimate with relabeling on is
-// bit-for-bit the estimate with relabeling off — farness, exactness flags
-// and sample counts alike.
+// These tests run the estimators on inputs whose node ids were permuted by
+// graph.Relabel. Every traversal runs on the canonical reduced graph of its
+// input, so a permuted input is just another layout: on it every engine and
+// worker count must agree bit for bit, and every exact value must match the
+// all-pairs oracle of that same permuted graph.
 
 func relabelFamilies() []struct {
 	name string
@@ -39,7 +40,7 @@ func relabelWorkerSweep() []int {
 }
 
 // assertSameResult fails unless got matches want in every output field.
-// Farness is compared with ==, not a tolerance: the relabeling contract is
+// Farness is compared with ==, not a tolerance: the determinism contract is
 // bit-identity, and every accumulator on the path is integer arithmetic.
 func assertSameResult(t *testing.T, label string, want, got *Result) {
 	t.Helper()
@@ -59,11 +60,12 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestEstimateRelabelBitIdentical is the acceptance property of the
-// relabeling tentpole: Estimate with each relabel mode equals Estimate
-// without, across all four families, the global and cumulative estimators,
-// every traversal engine (pinned through the decision hook), and
-// 1/2/4/GOMAXPROCS workers.
+// TestEstimateRelabelBitIdentical estimates on degree- and BFS-relabeled
+// copies of all four families, through the global and cumulative
+// estimators. On each layout every traversal engine (pinned through the
+// decision hook) at 1/2/4/GOMAXPROCS workers must equal the pinned
+// per-source run at 1 worker, and every value flagged exact must equal
+// bfs.ExactFarness of the relabeled graph.
 func TestEstimateRelabelBitIdentical(t *testing.T) {
 	techs := []struct {
 		name string
@@ -74,32 +76,35 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 	}
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(3000, 42))
-		for _, tech := range techs {
-			for _, trav := range []engine{perSource, batched, frontier} {
-				pinEngine(t, trav, nil)
-				base, err := Estimate(g, Options{
-					Techniques:     tech.t,
-					SampleFraction: 0.2,
-					Seed:           7,
-					Workers:        1,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", fam.name, tech.name, trav, err)
+		for _, mode := range []graph.RelabelMode{graph.RelabelDegree, graph.RelabelBFS} {
+			pg, _ := graph.Relabel(g, mode, 0)
+			oracle := bfs.ExactFarness(pg, 0)
+			for _, tech := range techs {
+				est := func(w int) *Result {
+					t.Helper()
+					res, err := Estimate(pg, Options{
+						Techniques:     tech.t,
+						SampleFraction: 0.2,
+						Seed:           7,
+						Workers:        w,
+					})
+					if err != nil {
+						t.Fatalf("%s/%s/%s workers=%d: %v", fam.name, mode, tech.name, w, err)
+					}
+					return res
 				}
-				for _, mode := range []graph.RelabelMode{graph.RelabelDegree, graph.RelabelBFS} {
+				pinEngine(t, perSource, nil)
+				base := est(1)
+				for v, exact := range base.Exact {
+					if exact && base.Farness[v] != oracle[v] {
+						t.Fatalf("%s/%s/%s node %d: exact farness %v, oracle %v", fam.name, mode, tech.name, v, base.Farness[v], oracle[v])
+					}
+				}
+				for _, trav := range []engine{perSource, batched, frontier} {
+					pinEngine(t, trav, nil)
 					for _, w := range relabelWorkerSweep() {
-						got, err := Estimate(g, Options{
-							Techniques:     tech.t,
-							SampleFraction: 0.2,
-							Seed:           7,
-							Workers:        w,
-							Relabel:        mode,
-						})
-						if err != nil {
-							t.Fatalf("%s/%s/%s/%s workers=%d: %v", fam.name, tech.name, trav, mode, w, err)
-						}
-						label := fmt.Sprintf("%s/%s/%s/%s workers=%d", fam.name, tech.name, trav, mode, w)
-						assertSameResult(t, label, base, got)
+						label := fmt.Sprintf("%s/%s/%s/%s workers=%d", fam.name, mode, tech.name, trav, w)
+						assertSameResult(t, label, base, est(w))
 					}
 				}
 			}

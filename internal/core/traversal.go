@@ -94,26 +94,19 @@ func SingleSourceFrontier(workers, n int) bool {
 // The order sorts sources by pos, their position in a BFS ordering of the
 // traversal graph, ties by index, so consecutive runs (one batch each) cover
 // one neighbourhood and the 64 lane frontiers merge after a few hops. pos is
-// called only when clustering; a nil pos means the graph's own ids already
-// are BFS positions (it was rebuilt under graph.RelabelBFS). Accumulation
-// stays keyed by source id, so the reorder changes no output integer.
+// called only when clustering. Accumulation stays keyed by source id, so the
+// reorder changes no output integer.
 func clusterOrder(sources []graph.NodeID, pos func() []graph.NodeID) []int {
 	if len(sources) <= bfs.MSBFSWidth {
 		return nil
 	}
 	p := pos()
-	posOf := func(v graph.NodeID) graph.NodeID {
-		if p == nil {
-			return v
-		}
-		return p[v]
-	}
 	order := make([]int, len(sources))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		pa, pb := posOf(sources[order[a]]), posOf(sources[order[b]])
+		pa, pb := p[sources[order[a]]], p[sources[order[b]]]
 		if pa != pb {
 			return pa < pb
 		}

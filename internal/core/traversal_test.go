@@ -178,17 +178,18 @@ func TestRandomSamplingBatchingBitIdentical(t *testing.T) {
 }
 
 // TestEstimateBatchingBitIdentical covers the batched engine on both sides
-// of the clustering rule in every global and cumulative technique, on
-// canonical and BFS-relabeled layouts (where the graph's own ids are the
-// cluster positions).
+// of the clustering rule in every global and cumulative technique, on the
+// generator's layout and on its BFS-relabeled copy (relabel=<mode> names the
+// input layout; under bfs the graph's own ids already are BFS positions).
 func TestEstimateBatchingBitIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
-		g := fam.gen(1000, 42)
+		base := fam.gen(1000, 42)
 		for _, tech := range estimateTechs {
 			for _, rel := range []graph.RelabelMode{graph.RelabelNone, graph.RelabelBFS} {
+				g, _ := graph.Relabel(base, rel, 0)
 				t.Run(fmt.Sprintf("%s/%s/relabel=%s", fam.name, tech, rel), func(t *testing.T) {
 					assertEnginesIdentical(t, batchingEngines, func(fraction float64, workers int) (*Result, error) {
-						return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 7, Relabel: rel})
+						return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 7})
 					})
 				})
 			}
@@ -204,14 +205,16 @@ func TestClusterOrder(t *testing.T) {
 		t.Fatal("one batch was reordered")
 	}
 	many := make([]graph.NodeID, bfs.MSBFSWidth+2)
+	pos := make([]graph.NodeID, len(many))
 	for i := range many {
-		many[i] = graph.NodeID(len(many) - 1 - i)
+		many[i] = graph.NodeID(i)
+		pos[i] = graph.NodeID(len(many) - 1 - i)
 	}
 	many[0] = many[1] // a tie: index order must break it
-	order := clusterOrder(many, func() []graph.NodeID { return nil })
+	order := clusterOrder(many, func() []graph.NodeID { return pos })
 	got := permuted(many, order)
 	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] || (got[i-1] == got[i] && order[i-1] > order[i]) {
+		if pos[got[i-1]] > pos[got[i]] || (got[i-1] == got[i] && order[i-1] > order[i]) {
 			t.Fatalf("not sorted by position then index at %d: %v", i, order)
 		}
 	}

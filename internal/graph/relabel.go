@@ -23,9 +23,7 @@ import (
 //     then touches near-contiguous index ranges.
 //
 // Orderings are pure permutations: the relabeled graph is isomorphic to the
-// input, so BFS/SSSP distances are invariant under the renumbering and every
-// estimator that maps its sources through Perm and its distance rows back
-// through Inv produces bit-identical output to an unrelabeled run.
+// input, so BFS/SSSP distances are invariant under the renumbering.
 //
 // The rebuild (offset scatter, prefix sum, adjacency fill + per-node sort)
 // is data-parallel over the par helpers with deterministic block schedules.
@@ -34,7 +32,7 @@ import (
 // because the visit order *is* the output.
 
 // RelabelMode selects the vertex ordering used to rebuild a CSR for memory
-// locality before the traversal phase.
+// locality.
 type RelabelMode int
 
 const (
@@ -61,19 +59,6 @@ func (m RelabelMode) String() string {
 	default:
 		return fmt.Sprintf("RelabelMode(%d)", int(m))
 	}
-}
-
-// ParseRelabelMode parses a flag/query spelling of a relabel mode.
-func ParseRelabelMode(s string) (RelabelMode, error) {
-	switch s {
-	case "", "none", "off":
-		return RelabelNone, nil
-	case "degree", "deg", "hub":
-		return RelabelDegree, nil
-	case "bfs", "rcm", "cm":
-		return RelabelBFS, nil
-	}
-	return RelabelNone, fmt.Errorf("graph: unknown relabel mode %q (want none, degree or bfs)", s)
 }
 
 // Relabeling is a vertex renumbering: Perm[old] = new, Inv[new] = old.

@@ -28,36 +28,6 @@ func randomWGraph(rng *rand.Rand, n int) *WGraph {
 	return b.Build()
 }
 
-func TestParseRelabelMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want RelabelMode
-		ok   bool
-	}{
-		{"", RelabelNone, true},
-		{"none", RelabelNone, true},
-		{"off", RelabelNone, true},
-		{"degree", RelabelDegree, true},
-		{"deg", RelabelDegree, true},
-		{"hub", RelabelDegree, true},
-		{"bfs", RelabelBFS, true},
-		{"rcm", RelabelBFS, true},
-		{"bogus", RelabelNone, false},
-	}
-	for _, c := range cases {
-		got, err := ParseRelabelMode(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseRelabelMode(%q) = (%v, %v), want (%v, ok=%v)", c.in, got, err, c.want, c.ok)
-		}
-	}
-	for _, m := range []RelabelMode{RelabelNone, RelabelDegree, RelabelBFS} {
-		back, err := ParseRelabelMode(m.String())
-		if err != nil || back != m {
-			t.Errorf("round trip %v via %q failed: (%v, %v)", m, m.String(), back, err)
-		}
-	}
-}
-
 // checkPermutation asserts Perm and Inv are inverse permutations of [0, n).
 func checkPermutation(t *testing.T, r *Relabeling, n int) {
 	t.Helper()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -61,23 +60,20 @@ func ForBlocksCtx(ctx context.Context, n, workers int, fn func(block, lo, hi int
 		}
 		return CtxErr(ctx)
 	}
-	var wg sync.WaitGroup
+	var g group
 	for b := 0; b*chunk < n; b++ {
 		lo := b * chunk
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			if Interrupted(done) {
-				return
+		g.spawn(func() {
+			if !Interrupted(done) {
+				fn(b, lo, hi)
 			}
-			fn(b, lo, hi)
-		}(b, lo, hi)
+		})
 	}
-	wg.Wait()
+	g.wait()
 	return CtxErr(ctx)
 }
 
@@ -116,11 +112,9 @@ func ForDynamicCtx(ctx context.Context, n, workers, chunk int, fn func(worker, i
 		return CtxErr(ctx)
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
+	var g group
+	for worker := 0; worker < workers; worker++ {
+		g.spawn(func() {
 			for {
 				if Interrupted(done) {
 					return
@@ -137,8 +131,8 @@ func ForDynamicCtx(ctx context.Context, n, workers, chunk int, fn func(worker, i
 					fn(worker, i)
 				}
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
+	g.wait()
 	return CtxErr(ctx)
 }

@@ -10,6 +10,39 @@ import (
 	"sync/atomic"
 )
 
+// group joins the worker goroutines of one par call. Like a
+// sync.WaitGroup, except that it keeps the first panic any worker raises and
+// re-raises it from wait on the caller's goroutine: an unrecovered panic on
+// a worker goroutine would end the process, while on the caller it unwinds
+// to whatever recover the caller has (bricsd answers 500).
+type group struct {
+	wg    sync.WaitGroup
+	once  sync.Once
+	first any
+}
+
+// spawn runs fn on a new worker goroutine.
+func (g *group) spawn(fn func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			if v := recover(); v != nil {
+				g.once.Do(func() { g.first = v })
+			}
+		}()
+		fn()
+	}()
+}
+
+// wait joins every worker, then re-raises the first worker panic, if any.
+func (g *group) wait() {
+	g.wg.Wait()
+	if g.first != nil {
+		panic(g.first)
+	}
+}
+
 // Workers normalises a worker-count option: values < 1 mean "use
 // GOMAXPROCS".
 func Workers(requested int) int {
@@ -22,7 +55,9 @@ func Workers(requested int) int {
 // For runs fn(i) for every i in [0, n) using the given number of workers.
 // Iterations are distributed in contiguous static blocks, which is the right
 // schedule for uniform per-item cost (e.g. per-node post-processing).
-// workers < 1 selects GOMAXPROCS. For is a no-op when n <= 0.
+// workers < 1 selects GOMAXPROCS. For is a no-op when n <= 0. A panic in fn
+// is re-raised on the caller once every worker has returned; the same holds
+// for every other helper in this package.
 func For(n, workers int, fn func(i int)) {
 	workers = Workers(workers)
 	if n <= 0 {
@@ -37,7 +72,7 @@ func For(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	var g group
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -48,15 +83,13 @@ func For(n, workers int, fn func(i int)) {
 		if lo >= hi {
 			break
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
+		g.spawn(func() {
 			for i := lo; i < hi; i++ {
 				fn(i)
 			}
-		}(lo, hi)
+		})
 	}
-	wg.Wait()
+	g.wait()
 }
 
 // blockSize returns the contiguous block length of the static schedule
@@ -101,20 +134,16 @@ func ForBlocks(n, workers int, fn func(block, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var g group
 	for b := 0; b*chunk < n; b++ {
 		lo := b * chunk
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			fn(b, lo, hi)
-		}(b, lo, hi)
+		g.spawn(func() { fn(b, lo, hi) })
 	}
-	wg.Wait()
+	g.wait()
 }
 
 // FillInt32 sets every element of a to v across workers — the memset idiom
@@ -194,11 +223,9 @@ func ForDynamic(n, workers, chunk int, fn func(worker, i int)) {
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
+	var g group
+	for worker := 0; worker < workers; worker++ {
+		g.spawn(func() {
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
@@ -212,9 +239,9 @@ func ForDynamic(n, workers, chunk int, fn func(worker, i int)) {
 					fn(worker, i)
 				}
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
+	g.wait()
 }
 
 // AddFloat64 atomically adds delta to *addr using a CAS loop. Farness

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -53,6 +54,67 @@ func TestForDynamicWorkerIndexInRange(t *testing.T) {
 	if bad.Load() {
 		t.Fatal("worker index out of range")
 	}
+}
+
+// assertRepanics runs call over an item function that panics on item 37 of
+// [0, 100) and requires call to re-raise that panic on the calling
+// goroutine, after every worker has returned.
+func assertRepanics(t *testing.T, call func(item func(i int))) {
+	t.Helper()
+	type boom struct{}
+	var running atomic.Int32
+	item := func(i int) {
+		running.Add(1)
+		defer running.Add(-1)
+		if i == 37 {
+			panic(boom{})
+		}
+	}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		call(item)
+		return nil
+	}()
+	if got != (boom{}) {
+		t.Fatalf("recovered %v on the caller, want the worker's panic", got)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("re-raised with %d workers still running", n)
+	}
+}
+
+func TestForRepanicsOnCaller(t *testing.T) {
+	assertRepanics(t, func(item func(int)) { For(100, 4, item) })
+}
+
+func TestForBlocksRepanicsOnCaller(t *testing.T) {
+	assertRepanics(t, func(item func(int)) {
+		ForBlocks(100, 4, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				item(i)
+			}
+		})
+	})
+}
+
+func TestForDynamicRepanicsOnCaller(t *testing.T) {
+	assertRepanics(t, func(item func(int)) { ForDynamic(100, 4, 3, func(_, i int) { item(i) }) })
+}
+
+func TestForBlocksCtxRepanicsOnCaller(t *testing.T) {
+	assertRepanics(t, func(item func(int)) {
+		_ = ForBlocksCtx(context.Background(), 100, 4, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				item(i)
+			}
+		})
+	})
+}
+
+func TestForDynamicCtxRepanicsOnCaller(t *testing.T) {
+	assertRepanics(t, func(item func(int)) {
+		_ = ForDynamicCtx(context.Background(), 100, 4, 3, func(_, i int) { item(i) })
+	})
 }
 
 func TestWorkersNormalisation(t *testing.T) {

@@ -42,12 +42,6 @@ type Options struct {
 	// The result is bit-identical for every worker count (Timings aside) —
 	// the sequential pipeline is simply Workers=1.
 	Workers int
-	// Relabel, when not RelabelNone, additionally produces a cache-aware
-	// reordering of the reduced graph (Reduction.Relabeled/Relab) for the
-	// traversal phase. The canonical G/ToOld/ToNew/Events are unaffected —
-	// estimators traverse the relabeled copy and map rows back through the
-	// permutation, so sampling and results stay in canonical ids.
-	Relabel graph.RelabelMode
 }
 
 // All enables every stage — the paper's "Cumulative" configuration before
@@ -243,18 +237,6 @@ type Reduction struct {
 	Stats Stats
 	// Timings holds per-stage wall-clock times (informational only).
 	Timings Timings
-	// Relabeled is G rebuilt under the cache-aware ordering requested by
-	// Options.Relabel (nil when RelabelNone): an isomorphic copy whose node
-	// ids are Relab.Perm[reduced id]. Traversal-only — every other field
-	// stays in canonical reduced ids.
-	Relabeled *graph.WGraph
-	// Relab is the permutation that produced Relabeled (nil when
-	// RelabelNone): Perm[canonical reduced id] = relabeled id, Inv inverse.
-	Relab *graph.Relabeling
-	// scatterT composes Relab.Inv with ToOld (scatterT[relabeled id] =
-	// original id) so ScatterPerm reads the traversal row sequentially
-	// instead of gathering through the permutation per node.
-	scatterT []graph.NodeID
 }
 
 // NumRemoved returns the number of removed original nodes.
@@ -304,13 +286,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, iterate bool, maxRou
 		}
 	}
 	p.finish(n)
-	if opts.Relabel != graph.RelabelNone {
-		p.red.Relabeled, p.red.Relab = graph.RelabelW(p.red.G, opts.Relabel, p.workers)
-		p.red.scatterT = make([]graph.NodeID, len(p.red.ToOld))
-		for j, canon := range p.red.Relab.Inv {
-			p.red.scatterT[j] = p.red.ToOld[canon]
-		}
-	}
 	return p.red, nil
 }
 
@@ -562,20 +537,6 @@ func classifyIdentical(g *graph.Graph, cs []chains.Chain) []bool {
 	return out
 }
 
-// TraversalGraph returns the graph the traversal phase should run over and
-// the canonical→traversal id permutation: (Relabeled, Relab.Perm) when the
-// reduction carries a cache-aware reordering, (G, nil) otherwise. Callers
-// map sources through the permutation on the way in and read distance rows
-// through it on the way out (ScatterPerm); everything else — sampling,
-// events, block decomposition — stays in canonical reduced ids, which is
-// what keeps relabeled runs bit-identical to unrelabeled ones.
-func (r *Reduction) TraversalGraph() (*graph.WGraph, []graph.NodeID) {
-	if r.Relabeled != nil {
-		return r.Relabeled, r.Relab.Perm
-	}
-	return r.G, nil
-}
-
 // Scatter copies reduced-graph distances into an original-id distance
 // array, leaving removed entries untouched. Callers usually follow with
 // Extend. distOrig must be pre-filled with -1 (or stale values that Extend
@@ -583,21 +544,6 @@ func (r *Reduction) TraversalGraph() (*graph.WGraph, []graph.NodeID) {
 func (r *Reduction) Scatter(distReduced, distOrig []int32) {
 	for newID, old := range r.ToOld {
 		distOrig[old] = distReduced[newID]
-	}
-}
-
-// ScatterPerm is Scatter for a distance row computed on the relabeled
-// traversal graph (perm must be this reduction's own canonical→relabeled
-// permutation, i.e. the one TraversalGraph returned). A nil perm is plain
-// Scatter. The copy walks the precomputed Inv∘ToOld composition so the
-// traversal row is read sequentially.
-func (r *Reduction) ScatterPerm(distReduced []int32, perm []graph.NodeID, distOrig []int32) {
-	if perm == nil {
-		r.Scatter(distReduced, distOrig)
-		return
-	}
-	for j, old := range r.scatterT {
-		distOrig[old] = distReduced[j]
 	}
 }
 

@@ -132,7 +132,7 @@ func TestSingleflightDedup(t *testing.T) {
 // queuing behind the running estimate.
 func TestShedLoadWith429(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 2, MaxInflight: 1})
-	entered := make(chan struct{})
+	entered := make(chan struct{}, 1) // buffered: the hook may fire before the test waits
 	restore := fault.Set("server.estimate", func(ctx context.Context) error {
 		select {
 		case entered <- struct{}{}:

@@ -8,8 +8,7 @@
 //	GET    /healthz                           liveness (never blocks)
 //	GET    /readyz                            readiness (503 while draining)
 //	GET    /v1/graph                          node/edge counts
-//	POST   /v1/estimate                       {"techniques":"BRIC","fraction":0.2,"seed":1,
-//	                                           "relabel":"none"}
+//	POST   /v1/estimate                       {"techniques":"BRIC","fraction":0.2,"seed":1}
 //	GET    /v1/farness/{node}?...             one node's estimate (same query params)
 //	GET    /v1/topk?k=10&sketch=1&...         verified top-k (exact values)
 //	GET    /v1/distance?from=1&to=2&mode=auto point-to-point distance
@@ -29,12 +28,13 @@
 // canceled/draining 503, deadline 504, crash 500.
 //
 // Traversal engines. Requests choose what to estimate (techniques,
-// fraction, seed) and the perf-only relabel ordering, never how to traverse:
-// every run uses the estimators' one traversal policy, which picks batched,
-// frontier-parallel or per-source traversals per traversal unit from its
-// sampled source count, the server's worker bound and the unit's size. The
-// retired "traversal" and "batching" parameters are ignored like any unknown
-// field, so such requests share the cache entry of the bare request.
+// fraction, seed), never how to traverse: every run traverses the canonical
+// reduced graph under the estimators' one traversal policy, which picks
+// batched, frontier-parallel or per-source traversals per traversal unit
+// from its sampled source count, the server's worker bound and the unit's
+// size. The retired "traversal", "batching" and "relabel" parameters are
+// ignored like any unknown field, so such requests share the cache entry of
+// the bare request.
 package server
 
 import (
@@ -402,25 +402,21 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // estimateParams are shared by /v1/estimate, /v1/farness and /v1/topk.
-// Relabel ("none", "degree", "bfs") is a perf-only knob: it participates in
-// the cache key — so a client sweeping orderings actually re-runs — but
-// never changes farness values. The traversal engine is not a parameter: the
-// estimators pick it from the input (see core's engineFor), and unknown
-// fields or query parameters — such as the retired "traversal" and
-// "batching" — are ignored.
+// They say what to estimate, never how: the estimators pick the traversal
+// engine from the input (see core's engineFor), and unknown fields or query
+// parameters — such as the retired "traversal", "batching" and "relabel" —
+// are ignored.
 type estimateParams struct {
 	Techniques string  `json:"techniques"`
 	Fraction   float64 `json:"fraction"`
 	Seed       int64   `json:"seed"`
-	Relabel    string  `json:"relabel"`
 }
 
 // resolve validates the params and returns the canonical cache key plus the
 // fully-populated estimation options. The key is derived from the parsed
-// values, not the raw strings, so "bric", "BRIC" and "CIRB" (and relabel
-// aliases like "rcm" for "bfs") all dedup onto one cache entry; the server's
-// worker bound is plumbed into the options so estimation parallelism follows
-// the -workers flag.
+// values, not the raw strings, so "bric", "BRIC" and "CIRB" all dedup onto
+// one tech/fraction/seed cache entry; the server's worker bound is plumbed
+// into the options so estimation parallelism follows the -workers flag.
 func (s *Server) resolve(p estimateParams) (string, core.Options, error) {
 	tech, err := ParseTechniques(p.Techniques)
 	if err != nil {
@@ -429,17 +425,12 @@ func (s *Server) resolve(p estimateParams) (string, core.Options, error) {
 	if p.Fraction <= 0 || p.Fraction > 1 {
 		return "", core.Options{}, fmt.Errorf("fraction %g out of range (0,1]", p.Fraction)
 	}
-	relab, err := graph.ParseRelabelMode(p.Relabel)
-	if err != nil {
-		return "", core.Options{}, err
-	}
-	key := fmt.Sprintf("%s/%g/%d/%s", tech, p.Fraction, p.Seed, relab)
+	key := fmt.Sprintf("%s/%g/%d", tech, p.Fraction, p.Seed)
 	return key, core.Options{
 		Techniques:     tech,
 		SampleFraction: p.Fraction,
 		Seed:           p.Seed,
 		Workers:        s.cfg.Workers,
-		Relabel:        relab,
 	}, nil
 }
 
@@ -461,9 +452,6 @@ func paramsFromQuery(q map[string][]string) (estimateParams, error) {
 			return p, fmt.Errorf("bad seed: %v", err)
 		}
 		p.Seed = sd
-	}
-	if v, ok := q["relabel"]; ok && len(v) > 0 {
-		p.Relabel = v[0]
 	}
 	return p, nil
 }

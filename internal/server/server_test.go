@@ -225,10 +225,10 @@ func TestDistanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestRetiredEngineParamsIgnored: the traversal engine is not a parameter.
-// Clients that still send the retired traversal/batching knobs — as query
-// params or JSON fields, valid names or not — get a 200 from the same cache
-// entry as the bare request: /v1/status keeps one cache entry throughout, so
+// TestRetiredEngineParamsIgnored: neither the traversal engine nor the node
+// ordering is a parameter. Clients that still send the retired
+// traversal/batching/relabel knobs — as query params or JSON fields, valid
+// names or not — get a 200 from the same cache entry as the bare request: /v1/status keeps one cache entry throughout, so
 // no request after the first started a run.
 func TestRetiredEngineParamsIgnored(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -246,7 +246,7 @@ func TestRetiredEngineParamsIgnored(t *testing.T) {
 	if n := cacheEntries(); n != 1 {
 		t.Fatalf("cache entries after the bare request: %d, want 1", n)
 	}
-	for _, q := range []string{"traversal=frontier", "traversal=per-source&batching=arbitrary", "traversal=bogus"} {
+	for _, q := range []string{"traversal=frontier", "traversal=per-source&batching=arbitrary", "traversal=bogus", "relabel=bfs", "relabel=bogus"} {
 		var got farnessBody
 		if resp := getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3&"+q, &got); resp.StatusCode != 200 {
 			t.Fatalf("%s: %d", q, resp.StatusCode)
@@ -258,17 +258,21 @@ func TestRetiredEngineParamsIgnored(t *testing.T) {
 			t.Fatalf("%s started a new run: %d cache entries", q, n)
 		}
 	}
-	body := bytes.NewBufferString(`{"fraction":0.3,"traversal":"per-source","batching":"clustered"}`)
-	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("estimate with retired fields: %d", resp.StatusCode)
-	}
-	if n := cacheEntries(); n != 1 {
-		t.Fatalf("estimate with retired fields started a new run: %d cache entries", n)
+	for _, body := range []string{
+		`{"fraction":0.3,"traversal":"per-source","batching":"clustered"}`,
+		`{"fraction":0.3,"relabel":"degree"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("estimate %s: %d", body, resp.StatusCode)
+		}
+		if n := cacheEntries(); n != 1 {
+			t.Fatalf("estimate %s started a new run: %d cache entries", body, n)
+		}
 	}
 }
 
