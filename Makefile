@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet check chaos bench bench-reduction bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
+.PHONY: build test vet check e2e-check chaos bench bench-reduction bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
 
 build:
 	go build ./...
@@ -17,6 +17,13 @@ test:
 check:
 	go vet ./...
 	go test -race ./...
+
+# The end-to-end benchmark (e2ebench/) is its own Go module, so the root
+# `go build/vet/test ./...` never compiles it: a signature change in core,
+# reduce, bicc or server could break the benchmark unnoticed. This target
+# vets and tests it against the working tree (about a minute, offline).
+e2e-check:
+	cd e2ebench && go vet ./... && go test ./...
 
 # Chaos suite: a live server under overload with seeded fault injection
 # (stalled flights, crashed traversals, refused mutations, forced drain),

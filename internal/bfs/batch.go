@@ -18,74 +18,8 @@ import (
 // worker's scratch and are only valid for the duration of the call.
 type BatchHandler func(worker, base int, batch []graph.NodeID, rows [][]int32)
 
-// batchScratch is the per-worker reusable state of the batch drivers: one
-// multi-source scratch plus a 64-row distance slab, allocated once per
-// worker and reused for every batch the worker claims.
-type batchScratch struct {
-	ms   *MSScratch
-	slab []int32
-	rows [][]int32
-}
-
-func newBatchScratch(n int, maxWeight int32) *batchScratch {
-	b := &batchScratch{
-		ms:   NewMSScratch(n, maxWeight),
-		slab: make([]int32, MSBFSWidth*n),
-		rows: make([][]int32, MSBFSWidth),
-	}
-	for i := range b.rows {
-		b.rows[i] = b.slab[i*n : (i+1)*n : (i+1)*n]
-	}
-	return b
-}
-
 // numBatches returns how many ≤64-wide batches k sources split into.
 func numBatches(k int) int { return (k + MSBFSWidth - 1) / MSBFSWidth }
-
-// runBatches is the shared fan-out: split sources into ≤64-wide batches,
-// hand batches to workers with dynamic scheduling (batch costs vary with
-// how much the lanes' frontiers overlap), and run sweep+handle per batch
-// on the worker's own scratch. Cancellation lands at two granularities:
-// workers stop claiming batches once ctx is done, and the running sweep's
-// kernel bails at its next frontier level (the scratch carries ctx.Done()).
-// A non-nil error means the handler may have seen only a subset of batches
-// and the caller must discard its accumulation.
-func runBatches(ctx context.Context, n int, sources []graph.NodeID, workers int, maxWeight int32,
-	sweep func(s *batchScratch, batch []graph.NodeID, rows [][]int32),
-	handle BatchHandler) error {
-	if len(sources) == 0 {
-		return par.CtxErr(ctx)
-	}
-	if err := fault.Checkpoint(ctx, "bfs.batch"); err != nil {
-		return err
-	}
-	nb := numBatches(len(sources))
-	workers = par.Workers(workers)
-	if workers > nb {
-		workers = nb
-	}
-	done := ctx.Done()
-	scratch := make([]*batchScratch, workers)
-	for i := range scratch {
-		scratch[i] = newBatchScratch(n, maxWeight)
-		scratch[i].ms.SetDone(done)
-	}
-	return par.ForDynamicCtx(ctx, nb, workers, 1, func(worker, bi int) {
-		base := bi * MSBFSWidth
-		hi := base + MSBFSWidth
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		batch := sources[base:hi]
-		s := scratch[worker]
-		rows := s.rows[:len(batch)]
-		sweep(s, batch, rows)
-		if par.Interrupted(done) {
-			return // rows are partial; don't hand them to the accumulator
-		}
-		handle(worker, base, batch, rows)
-	})
-}
 
 // RunBatches traverses the unweighted graph g from every source using
 // bit-parallel 64-wide multi-source sweeps fanned out across a worker
@@ -122,19 +56,51 @@ func fullMask(k int) uint64 {
 	return uint64(1)<<uint(k) - 1
 }
 
-// RunBatchesCtx is RunBatches with cooperative cancellation: workers stop
-// claiming batches once ctx is done and in-flight sweeps bail at their next
-// frontier level. On a non-nil (par.ErrCanceled-wrapping) return the handler
-// may have seen only a subset of batches; callers discard their
-// accumulation.
+// RunBatchesCtx is RunBatches with cooperative cancellation. Batches go to
+// workers with dynamic scheduling (batch costs vary with how much the lanes'
+// frontiers overlap), each sweep running on the worker's own scratch.
+// Cancellation lands at two granularities: workers stop claiming batches
+// once ctx is done, and the running sweep bails at its next frontier level
+// (the scratch carries ctx.Done()). On a non-nil (par.ErrCanceled-wrapping)
+// return the handler may have seen only a subset of batches; callers
+// discard their accumulation.
 func RunBatchesCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, workers int, handle BatchHandler) error {
+	if len(sources) == 0 {
+		return par.CtxErr(ctx)
+	}
+	if err := fault.Checkpoint(ctx, "bfs.batch"); err != nil {
+		return err
+	}
 	n := g.NumNodes()
-	return runBatches(ctx, n, sources, workers, 1, func(s *batchScratch, batch []graph.NodeID, rows [][]int32) {
+	nb := numBatches(len(sources))
+	workers = min(par.Workers(workers), nb)
+	done := ctx.Done()
+	// Per-worker scratch: one multi-source scratch plus a 64-row distance
+	// slab, reused for every batch the worker claims.
+	ms := make([]*MSScratch, workers)
+	slabs := make([][][]int32, workers)
+	for i := range ms {
+		ms[i] = NewMSScratch(n, 1)
+		ms[i].SetDone(done)
+		slab := make([]int32, MSBFSWidth*n)
+		slabs[i] = make([][]int32, MSBFSWidth)
+		for j := range slabs[i] {
+			slabs[i][j] = slab[j*n : (j+1)*n : (j+1)*n]
+		}
+	}
+	return par.ForDynamicCtx(ctx, nb, workers, 1, func(worker, bi int) {
+		base := bi * MSBFSWidth
+		batch := sources[base:min(base+MSBFSWidth, len(sources))]
+		rows := slabs[worker][:len(batch)]
 		for lane := range batch {
 			Fill(rows[lane])
 		}
-		MultiSourceMasksInto(g, batch, s.ms, maskRowFill(rows, len(batch)))
-	}, handle)
+		MultiSourceMasksInto(g, batch, ms[worker], maskRowFill(rows, len(batch)))
+		if par.Interrupted(done) {
+			return // rows are partial; don't hand them to the accumulator
+		}
+		handle(worker, base, batch, rows)
+	})
 }
 
 // MaskHandler consumes the visit stream of a mask-granularity batch run:
@@ -178,25 +144,4 @@ func RunBatchesMaskCtx(ctx context.Context, g *graph.Graph, sources []graph.Node
 			handle(worker, base, batch, v, mask, d)
 		})
 	})
-}
-
-// RunBatchesW is RunBatches over an integer-weighted graph (the reduced
-// graphs chain contraction produces). Kernel selection follows
-// MultiSourceWRows: level-synchronous sweeps when all weights are 1, the
-// lane-masked Dial when the maximum weight is bucketable, and a per-source
-// Dial fallback beyond MSMaxBucketWeight — the handler sees identical
-// batch/rows shapes either way.
-func RunBatchesW(g *graph.WGraph, sources []graph.NodeID, workers int, handle BatchHandler) {
-	_ = RunBatchesWCtx(context.Background(), g, sources, workers, handle)
-}
-
-// RunBatchesWCtx is RunBatchesW with cooperative cancellation (see
-// RunBatchesCtx for the contract).
-func RunBatchesWCtx(ctx context.Context, g *graph.WGraph, sources []graph.NodeID, workers int, handle BatchHandler) error {
-	n := g.NumNodes()
-	unweighted := g.Unweighted()
-	maxW := g.MaxWeight()
-	return runBatches(ctx, n, sources, workers, maxW, func(s *batchScratch, batch []graph.NodeID, rows [][]int32) {
-		MultiSourceWRows(g, unweighted, batch, s.ms, rows)
-	}, handle)
 }

@@ -183,20 +183,4 @@ func TestRunBatchesMatchesPerSource(t *testing.T) {
 		}
 	}
 
-	wg := reweight(g, 1, 5, rng)
-	gotW := make([][]int32, len(sources))
-	RunBatchesW(wg, sources, 3, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			gotW[base+lane] = append([]int32(nil), rows[lane]...)
-		}
-	})
-	bq := queue.NewBucket(wg.MaxWeight())
-	for i, s := range sources {
-		WDistances(wg, s, want, bq)
-		for v := 0; v < n; v++ {
-			if gotW[i][v] != want[v] {
-				t.Fatalf("weighted source %d node %d: driver %d, per-source %d", i, v, gotW[i][v], want[v])
-			}
-		}
-	}
 }

@@ -74,7 +74,7 @@ type Scratch struct {
 	// Direction-optimising frontier state (bitset words + two frontier
 	// buffers), allocated lazily on first hybrid traversal and pooled across
 	// sources like the rest of the scratch.
-	front          []uint64
+	front           []uint64
 	frontier, spare []graph.NodeID
 }
 
@@ -150,10 +150,6 @@ func wDistancesDone(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bu
 // WDistancesBFS runs plain BFS over a weighted graph whose weights are all
 // 1; callers guarantee the precondition (see graph.WGraph.Unweighted).
 func WDistancesBFS(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue.FIFO) {
-	wDistancesBFSDone(g, src, dist, q, nil)
-}
-
-func wDistancesBFSDone(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue.FIFO, done <-chan struct{}) {
 	Fill(dist)
 	if q == nil {
 		q = queue.NewFIFO(g.NumNodes())
@@ -162,14 +158,7 @@ func wDistancesBFSDone(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue
 	}
 	dist[src] = 0
 	q.Push(src)
-	budget := interruptEvery
 	for !q.Empty() {
-		if budget--; budget == 0 {
-			if par.Interrupted(done) {
-				return
-			}
-			budget = interruptEvery
-		}
 		u := q.Pop()
 		du := dist[u]
 		for _, v := range g.Neighbors(u) {
@@ -184,14 +173,10 @@ func wDistancesBFSDone(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue
 // WDistancesAuto dispatches to BFS when the graph is unweighted (detected
 // once by the caller and passed in) and Dial otherwise.
 func WDistancesAuto(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) {
-	wDistancesAutoDone(g, unweighted, src, s, nil)
-}
-
-func wDistancesAutoDone(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch, done <-chan struct{}) {
 	if unweighted {
-		wDistancesBFSDone(g, src, s.Dist, s.Q, done)
+		WDistancesBFS(g, src, s.Dist, s.Q)
 	} else {
-		wDistancesDone(g, src, s.Dist, s.B, done)
+		WDistances(g, src, s.Dist, s.B)
 	}
 }
 

@@ -26,15 +26,3 @@ func WDistancesCtx(ctx context.Context, g *graph.WGraph, src graph.NodeID, dist 
 	wDistancesDone(g, src, dist, b, ctx.Done())
 	return par.CtxErr(ctx)
 }
-
-// WDistancesBFSCtx is WDistancesBFS with cooperative cancellation.
-func WDistancesBFSCtx(ctx context.Context, g *graph.WGraph, src graph.NodeID, dist []int32, q *queue.FIFO) error {
-	wDistancesBFSDone(g, src, dist, q, ctx.Done())
-	return par.CtxErr(ctx)
-}
-
-// WDistancesAutoCtx is WDistancesAuto with cooperative cancellation.
-func WDistancesAutoCtx(ctx context.Context, g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) error {
-	wDistancesAutoDone(g, unweighted, src, s, ctx.Done())
-	return par.CtxErr(ctx)
-}

@@ -138,46 +138,3 @@ func TestRunBatchesCtxCanceledMidRun(t *testing.T) {
 		t.Fatalf("cancellation did not stop the driver (handled %d batches)", handled.Load())
 	}
 }
-
-func TestRunBatchesWCtxMatchesPlain(t *testing.T) {
-	g := cancelTestWGraph(t)
-	sources := []graph.NodeID{0, 17, 99, 1033, 2048}
-	plain := make([]int64, len(sources))
-	RunBatchesW(g, sources, 2, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			s, _ := Sum(rows[lane])
-			plain[base+lane] = s
-		}
-	})
-	withCtx := make([]int64, len(sources))
-	err := RunBatchesWCtx(context.Background(), g, sources, 2, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			s, _ := Sum(rows[lane])
-			withCtx[base+lane] = s
-		}
-	})
-	if err != nil {
-		t.Fatalf("live ctx run: %v", err)
-	}
-	for i := range plain {
-		if plain[i] != withCtx[i] {
-			t.Fatalf("farness[%d]: plain %d vs ctx %d", i, plain[i], withCtx[i])
-		}
-	}
-}
-
-func TestRunBatchesWCtxPreCanceled(t *testing.T) {
-	g := cancelTestWGraph(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	handled := 0
-	err := RunBatchesWCtx(ctx, g, []graph.NodeID{0, 1, 2}, 2, func(_, _ int, _ []graph.NodeID, _ [][]int32) {
-		handled++
-	})
-	if !errors.Is(err, par.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if handled != 0 {
-		t.Fatalf("pre-canceled run still handled %d batches", handled)
-	}
-}

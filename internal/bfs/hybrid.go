@@ -45,16 +45,10 @@ func HybridDistancesCtx(ctx context.Context, g *graph.Graph, src graph.NodeID, d
 	return par.CtxErr(ctx)
 }
 
-// WHybridDistancesBFS is HybridDistances over a weighted graph whose weights
-// are all 1; callers guarantee the precondition (graph.WGraph.Unweighted).
-func WHybridDistancesBFS(g *graph.WGraph, src graph.NodeID, dist []int32, s *Scratch) {
-	offsets, adj, _ := g.CSR()
-	hybridDone(offsets, adj, src, dist, s, nil)
-}
-
-// WHybridDistancesBFSCtx is WHybridDistancesBFS with cooperative
-// cancellation, the form the block-local drivers use: the caller picks the
-// dist row (typically a prefix of pooled scratch sized to the block).
+// WHybridDistancesBFSCtx is HybridDistancesCtx over a weighted graph whose
+// weights are all 1; callers guarantee the precondition
+// (graph.WGraph.Unweighted). The caller picks the dist row (typically a
+// prefix of pooled scratch sized to the traversal unit).
 func WHybridDistancesBFSCtx(ctx context.Context, g *graph.WGraph, src graph.NodeID, dist []int32, s *Scratch) error {
 	offsets, adj, _ := g.CSR()
 	hybridDone(offsets, adj, src, dist, s, ctx.Done())
@@ -67,23 +61,12 @@ func WHybridDistancesBFSCtx(ctx context.Context, g *graph.WGraph, src graph.Node
 // unit-weight guarantee (a pulled edge must close exactly one level), so
 // weighted graphs keep the bucket queue.
 func WHybridDistancesAuto(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) {
-	wHybridAutoDone(g, unweighted, src, s, nil)
-}
-
-// WHybridDistancesAutoCtx is WHybridDistancesAuto with cooperative
-// cancellation.
-func WHybridDistancesAutoCtx(ctx context.Context, g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) error {
-	wHybridAutoDone(g, unweighted, src, s, ctx.Done())
-	return par.CtxErr(ctx)
-}
-
-func wHybridAutoDone(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch, done <-chan struct{}) {
 	if unweighted {
 		offsets, adj, _ := g.CSR()
-		hybridDone(offsets, adj, src, s.Dist, s, done)
+		hybridDone(offsets, adj, src, s.Dist, s, nil)
 		return
 	}
-	wDistancesDone(g, src, s.Dist, s.B, done)
+	WDistances(g, src, s.Dist, s.B)
 }
 
 // hybridDone is the direction-optimising kernel over raw CSR arrays with an
@@ -100,7 +83,7 @@ func hybridDone(offsets []int64, adj []graph.NodeID, src graph.NodeID, dist []in
 	dist[src] = 0
 	frontier = append(frontier, src)
 	mf := offsets[src+1] - offsets[src] // out-edges of the current frontier
-	mu := int64(len(adj)) - mf         // directed edges not yet explored
+	mu := int64(len(adj)) - mf          // directed edges not yet explored
 	bottomUp := false
 
 	for d := int32(1); len(frontier) > 0; d++ {

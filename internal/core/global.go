@@ -7,22 +7,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bfs"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 	"repro/internal/reduce"
 )
 
 // estimateGlobal runs the reduction-based estimator without the
 // biconnected decomposition (the paper's C+R and I+C+R configurations):
-// sample kept nodes of the reduced graph, traverse it per source, extend
-// distances over the removal log, and accumulate. Cancellation lands before
-// the traversal fan-out ("core.traverse"), at every source boundary inside
-// it, within the kernels themselves, and before aggregation
-// ("core.aggregate"); on a non-nil error the partially filled accumulators
-// are discarded with the rest of the run.
+// sample kept nodes of the reduced graph, traverse it as one unit (see
+// traverse), extend distances over the removal log, and accumulate.
+// Cancellation lands before the traversal fan-out ("core.traverse"), at
+// every row boundary inside it, within the kernels themselves, and before
+// aggregation ("core.aggregate"); on a non-nil error the partially filled
+// accumulators are discarded with the rest of the run.
 func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (*Result, error) {
 	n := red.Orig.NumNodes()
 	nR := red.G.NumNodes()
@@ -70,10 +68,7 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		return nil, err
 	}
 	start := time.Now()
-	done := ctx.Done()
 	workers := par.Workers(opts.Workers)
-	unweighted := red.G.Unweighted()
-	maxW := red.G.MaxWeight()
 
 	acc := make([]int64, n)      // Σ over sources of d(s, ·), original ids
 	exactFar := make([]int64, n) // exact farness of sampled nodes
@@ -93,22 +88,14 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	// samples to other samples vs to non-samples.
 	var s2s, s2n int64
 
-	type ws struct {
-		s        *bfs.Scratch
-		distOrig []int32
-		origQ    *queue.FIFO
-	}
-	scratch := make([]ws, workers)
-	for i := range scratch {
-		scratch[i] = ws{s: bfs.NewScratch(nR, maxW), distOrig: make([]int32, n), origQ: queue.NewFIFO(n)}
-	}
-
-	accumulateRow := func(w *ws, srcOrig graph.NodeID) {
+	// accumulateRow consumes one source's whole distance row over original
+	// ids.
+	accumulateRow := func(row []int32, srcOrig graph.NodeID) {
 		if any != nil {
 			any.mu.RLock()
 		}
 		var own, toSamples int64
-		for v, d := range w.distOrig {
+		for v, d := range row {
 			own += int64(d)
 			atomic.AddInt64(&acc[v], int64(d))
 			if sumSq != nil {
@@ -122,7 +109,7 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		atomic.AddInt64(&s2s, toSamples)
 		atomic.AddInt64(&s2n, own-toSamples)
 		if any != nil {
-			any.markDone(srcOrig, w.distOrig)
+			any.markDone(srcOrig, row)
 			any.mu.RUnlock()
 			any.advance()
 		}
@@ -149,86 +136,26 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		return nil, err
 	}
 
-	switch chooseEngine(kEff, workers, nR) {
-	case batched:
-		// 64-wide multi-source sweeps over the reduced graph; each lane's
-		// row is scattered and extended exactly like a per-source traversal,
-		// so the accumulated integers are identical. Sources are reordered so
-		// each batch covers one neighbourhood; accumulation stays keyed by
-		// each lane's own source id.
-		sources := permuted(samplesReduced, clusterOrder(samplesReduced, func() []graph.NodeID {
-			return graph.OrderW(red.G, graph.RelabelBFS, workers).Perm
-		}))
-		err := bfs.RunBatchesWCtx(ctx, red.G, sources, workers, func(worker, _ int, batch []graph.NodeID, rows [][]int32) {
-			w := &scratch[worker]
-			for lane, srcR := range batch {
-				if par.Interrupted(done) {
-					return // canceled: bank no more rows; the fan-out returns the ctx error
-				}
-				red.Scatter(rows[lane], w.distOrig)
-				red.Extend(w.distOrig)
-				accumulateRow(w, red.ToOld[srcR])
-			}
+	// Reduced-graph rows are scattered to original ids and extended over
+	// the removal log; augmentation rows already cover the original graph.
+	distOrig := make([][]int32, workers)
+	for i := range distOrig {
+		distOrig[i] = make([]int32, n)
+	}
+	err := traverse(ctx, []unit{{red.G, red.G.Unweighted(), samplesReduced}}, workers, nil,
+		func(worker, _ int, srcR graph.NodeID, dist []int32) {
+			row := distOrig[worker]
+			red.Scatter(dist, row)
+			red.Extend(row)
+			accumulateRow(row, red.ToOld[srcR])
 		})
-		if err != nil {
-			return partialOr(err)
-		}
-		err = par.ForDynamicCtx(ctx, len(extraOrig), workers, 1, func(worker, i int) {
-			w := &scratch[worker]
-			src := extraOrig[i]
-			bfs.Distances(red.Orig, src, w.distOrig, w.origQ)
-			accumulateRow(w, src)
+	if err == nil {
+		err = plainRows(ctx, red.Orig, extraOrig, workers, func(_, i int, dist []int32) {
+			accumulateRow(dist, extraOrig[i])
 		})
-		if err != nil {
-			return partialOr(err)
-		}
-	case frontier:
-		// Sources run one after another, each traversal splitting its
-		// levels across the worker pool. Per-row post-processing is
-		// identical to the per-source path, so the accumulated integers are
-		// too.
-		w := &scratch[0]
-		fs := bfs.NewFrontierScratch()
-		for i := 0; i < kEff; i++ {
-			if i < k {
-				srcR := samplesReduced[i]
-				if err := bfs.WFrontierDistancesCtx(ctx, red.G, unweighted, srcR, w.s.Dist, workers, fs); err != nil {
-					return partialOr(err)
-				}
-				red.Scatter(w.s.Dist, w.distOrig)
-				red.Extend(w.distOrig)
-				accumulateRow(w, red.ToOld[srcR])
-				continue
-			}
-			// Augmentation source: frontier BFS on the original graph.
-			src := extraOrig[i-k]
-			if err := bfs.FrontierDistancesCtx(ctx, red.Orig, src, w.distOrig, workers, fs); err != nil {
-				return partialOr(err)
-			}
-			accumulateRow(w, src)
-		}
-	default:
-		err := par.ForDynamicCtx(ctx, kEff, workers, 1, func(worker, i int) {
-			w := &scratch[worker]
-			if i < k {
-				srcR := samplesReduced[i]
-				_ = bfs.WHybridDistancesAutoCtx(ctx, red.G, unweighted, srcR, w.s)
-				if par.Interrupted(done) {
-					return // partial row; the whole run is about to error out
-				}
-				red.Scatter(w.s.Dist, w.distOrig)
-				red.Extend(w.distOrig)
-				accumulateRow(w, red.ToOld[srcR])
-				return
-			}
-			// Augmentation source: plain BFS on the original graph.
-			src := extraOrig[i-k]
-			bfs.Distances(red.Orig, src, w.distOrig, w.origQ)
-			accumulateRow(w, src)
-		})
-		if err != nil {
-			return partialOr(err)
-		}
+	}
+	if err != nil {
+		return partialOr(err)
 	}
 	res.Stats.Traverse = time.Since(start)
 

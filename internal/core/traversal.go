@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
+	"repro/internal/par"
+	"repro/internal/queue"
 )
 
 // engine is the traversal engine one traversal unit runs its sampled sources
@@ -21,8 +24,8 @@ const (
 	// bucket queue on weighted ones (pull sweeps need unit weights).
 	perSource engine = iota
 	// batched packs sources into ≤64-wide bit-parallel sweeps that share
-	// edge scans (bfs.RunBatches*, bfs.MultiSourceW*) and fans the batches
-	// out across the workers.
+	// edge scans (bfs.MultiSourceWRows) and fans the batches out across the
+	// workers.
 	batched
 	// frontier runs the sources one after another and splits each
 	// traversal's frontier levels (BFS) or bucket relaxations (Dial) across
@@ -125,4 +128,159 @@ func permuted(xs []graph.NodeID, order []int) []graph.NodeID {
 		out[i] = xs[j]
 	}
 	return out
+}
+
+// unit is one traversal unit: a graph, its cached Unweighted(), and the
+// sources to traverse it from, in that graph's ids.
+type unit struct {
+	g          *graph.WGraph
+	unweighted bool
+	sources    []graph.NodeID
+}
+
+// traversalTask is one entry of the driver's task pool: a single source
+// (per-source and frontier engines) or a ≤64-wide batch (batched engine),
+// all in unit u.
+type traversalTask struct {
+	u    int
+	e    engine
+	srcs []graph.NodeID
+}
+
+// traverse is the one traversal driver of the reduction estimators. Per
+// unit it asks the policy for an engine, clusters and cuts batched sources
+// into ≤64-wide sweeps, and queues the work on one dynamic task pool; tasks
+// holding a source for which first reports true (first may be nil) run
+// before the others. Every (unit, source) distance row, in the unit's ids,
+// reaches row exactly once from a stable worker index in [0, workers); dist
+// aliases the worker's scratch and is valid only during the call. Rows are
+// whole: once ctx is done no further row is delivered (checked before every
+// lane), and the ErrCanceled-wrapping error tells the caller to discard or
+// degrade what it accumulated. Callers key their accumulation by source, so
+// the engine and the task order change no output integer.
+func traverse(ctx context.Context, units []unit, workers int,
+	first func(u int, src graph.NodeID) bool,
+	row func(worker, u int, src graph.NodeID, dist []int32)) error {
+	workers = par.Workers(workers)
+	var tasks, rest []traversalTask
+	var uses [3]bool // indexed by engine
+	maxN, maxW := 0, int32(1)
+	for ui, un := range units {
+		if len(un.sources) == 0 {
+			continue
+		}
+		n := un.g.NumNodes()
+		maxN, maxW = max(maxN, n), max(maxW, un.g.MaxWeight())
+		e := chooseEngine(len(un.sources), workers, n)
+		uses[e] = true
+		srcs, width := un.sources, 1
+		if e == batched {
+			srcs = permuted(srcs, clusterOrder(srcs, func() []graph.NodeID {
+				return graph.OrderW(un.g, graph.RelabelBFS, workers).Perm
+			}))
+			width = bfs.MSBFSWidth
+		}
+		for base := 0; base < len(srcs); base += width {
+			t := traversalTask{ui, e, srcs[base:min(base+width, len(srcs))]}
+			if first != nil && holdsFirst(t, first) {
+				tasks = append(tasks, t)
+			} else {
+				rest = append(rest, t)
+			}
+		}
+	}
+	tasks = append(tasks, rest...)
+
+	done := ctx.Done()
+	scratch := make([]traversalScratch, min(workers, len(tasks)))
+	for i := range scratch {
+		scratch[i] = newTraversalScratch(maxN, maxW, uses, done)
+	}
+	return par.ForDynamicCtx(ctx, len(tasks), len(scratch), 1, func(worker, ti int) {
+		t, s := tasks[ti], &scratch[worker]
+		un := units[t.u]
+		n := un.g.NumNodes()
+		if t.e == batched {
+			rows := s.rows[:len(t.srcs)]
+			for i := range rows {
+				rows[i] = s.slab[i*n : (i+1)*n]
+			}
+			bfs.MultiSourceWRows(un.g, un.unweighted, t.srcs, s.ms, rows)
+			for lane, src := range t.srcs {
+				if par.Interrupted(done) {
+					return // canceled: rows may be partial; deliver no more
+				}
+				row(worker, t.u, src, rows[lane])
+			}
+			return
+		}
+		src, dist := t.srcs[0], s.s.Dist[:n]
+		switch {
+		case t.e == frontier:
+			_ = bfs.WFrontierDistancesCtx(ctx, un.g, un.unweighted, src, dist, workers, s.fs)
+		case un.unweighted:
+			_ = bfs.WHybridDistancesBFSCtx(ctx, un.g, src, dist, s.s)
+		default:
+			_ = bfs.WDistancesCtx(ctx, un.g, src, dist, s.s.B)
+		}
+		if par.Interrupted(done) {
+			return // partial row
+		}
+		row(worker, t.u, src, dist)
+	})
+}
+
+// holdsFirst reports whether any source of t is one the caller wants first.
+func holdsFirst(t traversalTask, first func(u int, src graph.NodeID) bool) bool {
+	for _, s := range t.srcs {
+		if first(t.u, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// traversalScratch is one worker's reusable traversal state, sized to the
+// largest unit and allocated only for the engines the run uses.
+type traversalScratch struct {
+	s    *bfs.Scratch         // per-source and frontier distance row and queues
+	fs   *bfs.FrontierScratch // frontier engine
+	ms   *bfs.MSScratch       // batched engine: lane masks and frontiers
+	slab []int32              // batched engine: 64 distance rows
+	rows [][]int32
+}
+
+func newTraversalScratch(maxN int, maxW int32, uses [3]bool, done <-chan struct{}) traversalScratch {
+	var s traversalScratch
+	if uses[perSource] || uses[frontier] {
+		s.s = bfs.NewScratch(maxN, maxW)
+	}
+	if uses[frontier] {
+		s.fs = bfs.NewFrontierScratch()
+	}
+	if uses[batched] {
+		s.ms = bfs.NewMSScratch(maxN, maxW)
+		s.ms.SetDone(done)
+		s.slab = make([]int32, bfs.MSBFSWidth*maxN)
+		s.rows = make([][]int32, bfs.MSBFSWidth)
+	}
+	return s
+}
+
+// plainRows runs one plain BFS per source over the unreduced graph g,
+// parallel across sources, and hands row the i-th source's whole distance
+// row (valid only during the call). It serves the traversals that have no
+// reduced-graph unit: the global estimator's augmentation sources and the
+// landmark rows of a partial cumulative run.
+func plainRows(ctx context.Context, g *graph.Graph, sources []graph.NodeID, workers int, row func(worker, i int, dist []int32)) error {
+	n := g.NumNodes()
+	dist := make([][]int32, min(par.Workers(workers), len(sources)))
+	qs := make([]*queue.FIFO, len(dist))
+	for i := range dist {
+		dist[i], qs[i] = make([]int32, n), queue.NewFIFO(n)
+	}
+	return par.ForDynamicCtx(ctx, len(sources), len(dist), 1, func(worker, i int) {
+		bfs.Distances(g, sources[i], dist[worker], qs[worker])
+		row(worker, i, dist[worker])
+	})
 }

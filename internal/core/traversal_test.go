@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bfs"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -216,6 +221,106 @@ func TestClusterOrder(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if pos[got[i-1]] > pos[got[i]] || (got[i-1] == got[i] && order[i-1] > order[i]) {
 			t.Fatalf("not sorted by position then index at %d: %v", i, order)
+		}
+	}
+}
+
+// traverseTestUnits returns an unweighted and a weighted unit, each with
+// more than one batch of distinct sources.
+func traverseTestUnits() []unit {
+	rng := rand.New(rand.NewSource(3))
+	social := gen.Social(600, 2).ToWeighted()
+	road := gen.Road(700, 4)
+	wb := graph.NewWBuilder(road.NumNodes())
+	for u := 0; u < road.NumNodes(); u++ {
+		for _, v := range road.Neighbors(graph.NodeID(u)) {
+			if graph.NodeID(u) < v {
+				_ = wb.AddEdge(graph.NodeID(u), v, 1+rng.Int31n(6))
+			}
+		}
+	}
+	weighted := wb.Build()
+	units := []unit{{g: social, unweighted: true}, {g: weighted}}
+	for i, k := range []int{100, 70} {
+		for _, j := range rng.Perm(units[i].g.NumNodes())[:k] {
+			units[i].sources = append(units[i].sources, graph.NodeID(j))
+		}
+	}
+	return units
+}
+
+// TestTraverseRowsMatchKernels pins each engine at workers {1,2,4} and
+// requires the driver to deliver every (unit, source) row exactly once,
+// equal to the plain Dial kernel; a pre-canceled context to deliver nothing
+// and return ErrCanceled; and, at one worker, every row of a first source to
+// arrive before any other row.
+func TestTraverseRowsMatchKernels(t *testing.T) {
+	units := traverseTestUnits()
+	want := make([]map[graph.NodeID][]int32, len(units))
+	for u, un := range units {
+		want[u] = map[graph.NodeID][]int32{}
+		for _, src := range un.sources {
+			row := make([]int32, un.g.NumNodes())
+			bfs.WDistances(un.g, src, row, nil)
+			want[u][src] = row
+		}
+	}
+	// first picks every third source of each unit.
+	first := func(u int, src graph.NodeID) bool { return int(src)%3 == u }
+	for _, e := range []engine{perSource, batched, frontier} {
+		for _, workers := range []int{1, 2, 4} {
+			pinEngine(t, e, nil)
+			label := fmt.Sprintf("%s workers=%d", e, workers)
+			var mu sync.Mutex
+			seen := make([]map[graph.NodeID]bool, len(units))
+			for u := range seen {
+				seen[u] = map[graph.NodeID]bool{}
+			}
+			var order []bool // whether each delivered row was a first source
+			err := traverse(context.Background(), units, workers, first, func(_, u int, src graph.NodeID, dist []int32) {
+				mu.Lock()
+				defer mu.Unlock()
+				if seen[u][src] {
+					t.Errorf("%s: unit %d source %d delivered twice", label, u, src)
+				}
+				seen[u][src] = true
+				order = append(order, first(u, src))
+				for v, d := range dist {
+					if d != want[u][src][v] {
+						t.Errorf("%s: unit %d source %d node %d: %d, want %d", label, u, src, v, d, want[u][src][v])
+						return
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for u, un := range units {
+				if len(seen[u]) != len(un.sources) {
+					t.Fatalf("%s: unit %d delivered %d of %d rows", label, u, len(seen[u]), len(un.sources))
+				}
+			}
+			// A batch mixes first and other sources, so only single-source
+			// tasks pin the row order.
+			if workers == 1 && e != batched {
+				for i := 1; i < len(order); i++ {
+					if order[i] && !order[i-1] {
+						t.Fatalf("%s: a first-source row arrived after another row (row %d)", label, i)
+					}
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			rows := 0
+			err = traverse(ctx, units, workers, first, func(_, _ int, _ graph.NodeID, _ []int32) {
+				mu.Lock()
+				rows++
+				mu.Unlock()
+			})
+			if !errors.Is(err, ErrCanceled) || rows != 0 {
+				t.Fatalf("%s pre-canceled: err %v, %d rows; want ErrCanceled and none", label, err, rows)
+			}
 		}
 	}
 }

@@ -222,18 +222,23 @@ func (e *regEntry) load(cfg RegistryConfig) {
 	e.mapped, e.srv = m, srv
 }
 
-// release drops one reference.
+// release drops one reference and evicts down to the budget: a load that
+// ran while every other resident graph was referenced could evict nothing,
+// and the graph going idle here is the first chance to catch up.
 func (r *Registry) release(e *regEntry) {
 	r.mu.Lock()
 	e.refs--
+	if !r.closed {
+		r.evictLocked(nil)
+	}
 	r.mu.Unlock()
 }
 
 // evictLocked evicts idle graphs LRU-first until the resident total fits the
-// budget. keep (the entry that just loaded) is never evicted — evicting the
-// graph a request is about to use would thrash. Entries with live references
-// or still loading are skipped; if only those remain, the registry runs over
-// budget rather than breaking them.
+// budget. keep (the entry that just loaded; nil on release) is never
+// evicted — evicting the graph a request is about to use would thrash.
+// Entries with live references or still loading are skipped; if only those
+// remain, the registry runs over budget until the next release.
 func (r *Registry) evictLocked(keep *regEntry) {
 	max := r.cfg.MaxResidentBytes
 	if max <= 0 {

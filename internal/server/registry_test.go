@@ -202,6 +202,52 @@ func TestRegistryEvictionAndReload(t *testing.T) {
 	}
 }
 
+// TestRegistryEvictsOnRelease: a graph that loads while every other
+// resident graph is referenced can evict nothing, so the registry runs over
+// budget. The first release must bring it back under: three graphs held on a
+// budget that fits any two, then released, end with exactly one eviction.
+func TestRegistryEvictsOnRelease(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	paths := writeArtifacts(t, t.TempDir(), 300, names...)
+	var total, smallest int64
+	for _, id := range names {
+		sz := artifactSize(t, paths[id])
+		total += sz
+		if smallest == 0 || sz < smallest {
+			smallest = sz
+		}
+	}
+	r, err := NewRegistry(paths, RegistryConfig{MaxResidentBytes: total - smallest/2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	held := make([]*regEntry, 0, len(names))
+	for _, id := range names {
+		e, err := r.acquire(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, e)
+	}
+	if st := r.status(); st.Evictions != 0 || st.ResidentBytes != total {
+		t.Fatalf("while held: evictions %d, resident %d; want 0, %d", st.Evictions, st.ResidentBytes, total)
+	}
+	for _, e := range held {
+		r.release(e)
+	}
+	st := r.status()
+	if st.Evictions != 1 {
+		t.Fatalf("evictions after release = %d, want 1; status %+v", st.Evictions, st)
+	}
+	if st.ResidentBytes > st.MaxResidentBytes {
+		t.Fatalf("resident %d still over budget %d", st.ResidentBytes, st.MaxResidentBytes)
+	}
+	if got := loadedIDs(r); len(got) != 2 || got[0] != "b" || got[1] != "c" {
+		t.Fatalf("loaded %v, want [b c] (a was released first, so it is evicted)", got)
+	}
+}
+
 func artifactSize(t *testing.T, path string) int64 {
 	t.Helper()
 	st, err := os.Stat(path)
