@@ -90,8 +90,9 @@ fuzz:
 	go test ./internal/core -fuzz FuzzEstimatePipeline -fuzztime 60s
 
 # Short fuzz smoke for CI: a few seconds per target catches parser panics
-# introduced by a loader change (and decomposition-invariant breaks from a
-# bicc engine change) without the full fuzz budget.
+# introduced by a loader change, decomposition-invariant breaks from a bicc
+# engine change, and oracle mismatches from an estimator change, without the
+# full fuzz budget.
 fuzz-smoke:
 	go test ./internal/io -fuzz FuzzReadEdgeList -fuzztime 5s
 	go test ./internal/io -fuzz FuzzReadMatrixMarket -fuzztime 5s
@@ -99,6 +100,7 @@ fuzz-smoke:
 	go test ./internal/io -fuzz FuzzReadEdgeListTruncated -fuzztime 5s
 	go test ./internal/bincsr -fuzz FuzzReadBinCSR -fuzztime 5s
 	go test ./internal/bicc -fuzz FuzzDecompose -fuzztime 5s
+	go test ./internal/core -fuzz FuzzEstimatePipeline -fuzztime 5s
 
 cover:
 	go test -coverprofile=cover.out ./...

@@ -10,6 +10,7 @@
 package brics_test
 
 import (
+	"context"
 	"testing"
 
 	brics "repro"
@@ -227,8 +228,9 @@ func BenchmarkTraversalKernels(b *testing.B) {
 	})
 	b.Run("direction-optimizing", func(b *testing.B) {
 		s := &bfs.Scratch{}
+		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			bfs.HybridDistances(g, graph.NodeID(i%n), dist, s)
+			_ = bfs.WHybridDistancesBFSCtx(ctx, wg, graph.NodeID(i%n), dist, s)
 		}
 	})
 	b.Run("dial", func(b *testing.B) {
@@ -245,7 +247,9 @@ func BenchmarkEndToEnd(b *testing.B) {
 	g := webGraph(b)
 	b.Run("random30", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			brics.RandomSampling(g, 0.3, 0, 1)
+			if _, err := brics.RandomSampling(g, 0.3, 0, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("brics20", func(b *testing.B) {

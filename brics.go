@@ -165,9 +165,12 @@ func EstimateContext(ctx context.Context, g *Graph, opts Options) (*Result, erro
 func ExactFarness(g *Graph, workers int) []float64 { return core.ExactFarness(g, workers) }
 
 // RandomSampling is the baseline estimator (the paper's Algorithm 1):
-// uniform sources on the unreduced graph, traversal engine chosen
-// automatically.
-func RandomSampling(g *Graph, fraction float64, workers int, seed int64) *Result {
+// uniform sources on the unreduced graph, exact farness for them and the
+// (n−1)/k-scaled distance sum for everyone else. It is Estimate with no
+// technique and EstimatorPaper, so it shares BRICS's traversal and
+// accumulation code and its preconditions: a disconnected graph is an
+// error, and paths and cycles are answered in closed form.
+func RandomSampling(g *Graph, fraction float64, workers int, seed int64) (*Result, error) {
 	return core.RandomSampling(g, fraction, workers, seed)
 }
 

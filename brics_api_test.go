@@ -80,7 +80,10 @@ func TestCloseness(t *testing.T) {
 
 func TestRandomSamplingPublic(t *testing.T) {
 	g := brics.GenerateRoad(600, 2)
-	res := brics.RandomSampling(g, 0.5, 0, 9)
+	res, err := brics.RandomSampling(g, 0.5, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Farness) != g.NumNodes() {
 		t.Fatal("result size mismatch")
 	}

@@ -104,7 +104,10 @@ func main() {
 		}
 		fmt.Printf("exact farness in %v\n", time.Since(start).Round(time.Millisecond))
 	case *baseline:
-		res := core.RandomSampling(g, *fraction, *workers, *seed)
+		res, err := core.RandomSampling(g, *fraction, *workers, *seed)
+		if err != nil {
+			fatal(err)
+		}
 		farness, exactFlags = res.Farness, res.Exact
 		fmt.Printf("random sampling (%d sources) in %v\n", res.Stats.Samples, time.Since(start).Round(time.Millisecond))
 	default:

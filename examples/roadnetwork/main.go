@@ -30,7 +30,10 @@ func main() {
 
 	// Baseline: uniform sampling at 30%.
 	start = time.Now()
-	baseline := brics.RandomSampling(g, 0.3, 0, 1)
+	baseline, err := brics.RandomSampling(g, 0.3, 0, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	baselineTime := time.Since(start)
 
 	// BRICS, chain-contraction only (CS), 30% of the *reduced* graph.

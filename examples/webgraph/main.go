@@ -24,7 +24,10 @@ func main() {
 	exact := brics.ExactFarness(g, 0)
 
 	start := time.Now()
-	baseline := brics.RandomSampling(g, 0.4, 0, 1)
+	baseline, err := brics.RandomSampling(g, 0.4, 0, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	baseTime := time.Since(start)
 	fmt.Printf("%-22s %10v  quality %.4f  speedup  1.00x\n",
 		"random sampling", baseTime.Round(time.Millisecond), quality(baseline.Farness, exact))

@@ -83,20 +83,6 @@ func AllPairs(g *graph.Graph) [][]int32 {
 	return out
 }
 
-// AllPairsFrontier is AllPairs computed row by row with the frontier-parallel
-// engine; tests use it to cross-check the edge-map kernel against the
-// sequential matrix. Memory is Θ(n²) like AllPairs.
-func AllPairsFrontier(g *graph.Graph, workers int) [][]int32 {
-	n := g.NumNodes()
-	out := make([][]int32, n)
-	fs := NewFrontierScratch()
-	for v := 0; v < n; v++ {
-		out[v] = make([]int32, n)
-		FrontierDistances(g, graph.NodeID(v), out[v], workers, fs)
-	}
-	return out
-}
-
 // AllPairsW is AllPairs on a weighted graph; tests only.
 func AllPairsW(g *graph.WGraph) [][]int32 {
 	n := g.NumNodes()

@@ -62,7 +62,7 @@ func TestMultiSourceMatchesDistancesOnFamilies(t *testing.T) {
 					rows[i] = make([]int32, n)
 					Fill(rows[i])
 				}
-				MultiSource(g, batch, func(v graph.NodeID, lane int, d int32) {
+				multiSource(g, batch, func(v graph.NodeID, lane int, d int32) {
 					if rows[lane][v] != Unreached {
 						t.Fatalf("duplicate visit lane %d node %d", lane, v)
 					}
@@ -138,13 +138,14 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 	wg := reweight(g, 1, 9, rng)
 	batch := randomBatch(rng, wg.NumNodes())
 	seen := make(map[[2]int32]bool)
-	MultiSourceW(wg, batch, func(v graph.NodeID, lane int, d int32) {
+	s := NewMSScratch(wg.NumNodes(), wg.MaxWeight())
+	MultiSourceWMasksInto(wg, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
 		key := [2]int32{int32(lane), v}
 		if seen[key] {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
 		}
 		seen[key] = true
-	})
+	}))
 	dist := make([]int32, wg.NumNodes())
 	bq := queue.NewBucket(wg.MaxWeight())
 	for lane, src := range batch {
@@ -157,8 +158,26 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 	}
 }
 
-// TestRunBatchesMatchesPerSource exercises the parallel drivers end to end:
-// many batches, several workers, scratch reuse across batches.
+// runBatches runs sources through MultiSourceWRows in ≤64-wide batches on
+// one reused scratch, the way each worker of core's traversal driver runs
+// its batches, and returns every source's distance row.
+func runBatches(g *graph.WGraph, sources []graph.NodeID, done <-chan struct{}) [][]int32 {
+	n := g.NumNodes()
+	s := NewMSScratch(n, g.MaxWeight())
+	s.SetDone(done)
+	out := make([][]int32, len(sources))
+	for i := range out {
+		out[i] = make([]int32, n)
+	}
+	for base := 0; base < len(sources); base += MSBFSWidth {
+		hi := min(base+MSBFSWidth, len(sources))
+		MultiSourceWRows(g, g.Unweighted(), sources[base:hi], s, out[base:hi])
+	}
+	return out
+}
+
+// TestRunBatchesMatchesPerSource runs many batches through one reused
+// scratch and checks every row against per-source BFS.
 func TestRunBatchesMatchesPerSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := gen.Social(900, 3)
@@ -167,20 +186,14 @@ func TestRunBatchesMatchesPerSource(t *testing.T) {
 	for i := range sources {
 		sources[i] = graph.NodeID(rng.Intn(n))
 	}
-	got := make([][]int32, len(sources))
-	RunBatches(g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			got[base+lane] = append([]int32(nil), rows[lane]...)
-		}
-	})
+	got := runBatches(g.ToWeighted(), sources, nil)
 	want := make([]int32, n)
 	for i, s := range sources {
 		Distances(g, s, want, nil)
 		for v := 0; v < n; v++ {
 			if got[i][v] != want[v] {
-				t.Fatalf("source %d node %d: driver %d, per-source %d", i, v, got[i][v], want[v])
+				t.Fatalf("source %d node %d: batched %d, per-source %d", i, v, got[i][v], want[v])
 			}
 		}
 	}
-
 }

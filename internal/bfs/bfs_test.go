@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,15 @@ func TestWDistancesAgainstBellmanFord(t *testing.T) {
 	}
 }
 
+// hybridDistances runs the direction-optimising BFS the way the per-source
+// engine does on a unit-weight traversal unit.
+func hybridDistances(t testing.TB, g *graph.Graph, src graph.NodeID, dist []int32, s *Scratch) {
+	t.Helper()
+	if err := WHybridDistancesBFSCtx(context.Background(), g.ToWeighted(), src, dist, s); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: direction-optimising BFS agrees with plain BFS, with the
 // scratch reused across traversals the way the per-source drivers reuse it.
 func TestHybridDistancesMatchesBFS(t *testing.T) {
@@ -159,7 +169,7 @@ func TestHybridDistancesMatchesBFS(t *testing.T) {
 		d1 := make([]int32, n)
 		d2 := make([]int32, n)
 		Distances(g, src, d1, nil)
-		HybridDistances(g, src, d2, s)
+		hybridDistances(t, g, src, d2, s)
 		for i := range d1 {
 			if d1[i] != d2[i] {
 				return false
@@ -188,7 +198,7 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	Distances(g, 0, d1, nil)
-	HybridDistances(g, 0, d2, nil)
+	hybridDistances(t, g, 0, d2, &Scratch{})
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatalf("dist[%d]: BFS=%d hybrid=%d", i, d1[i], d2[i])
@@ -196,21 +206,31 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	}
 }
 
-// WHybridDistancesAuto matches WDistancesAuto on both unweighted and
-// weighted graphs (the latter shares the Dial path).
+// The per-source engine's kernels — the hybrid BFS on unit weights, Dial
+// otherwise — match WDistancesAuto on both unweighted and weighted graphs.
 func TestWHybridAutoMatchesWAuto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 90
 	g := randomConnected(rng, n)
-	wg := g.ToWeighted()
-	s1 := NewScratch(n, wg.MaxWeight())
-	s2 := NewScratch(n, wg.MaxWeight())
-	for src := int32(0); src < 10; src++ {
-		WDistancesAuto(wg, true, src, s1)
-		WHybridDistancesAuto(wg, true, src, s2)
-		for i := range s1.Dist {
-			if s1.Dist[i] != s2.Dist[i] {
-				t.Fatalf("src %d dist[%d]: auto=%d hybrid=%d", src, i, s1.Dist[i], s2.Dist[i])
+	for _, wg := range []*graph.WGraph{g.ToWeighted(), reweight(g, 1, 9, rng)} {
+		unweighted := wg.Unweighted()
+		s1 := NewScratch(n, wg.MaxWeight())
+		s2 := NewScratch(n, wg.MaxWeight())
+		for src := int32(0); src < 10; src++ {
+			WDistancesAuto(wg, unweighted, src, s1)
+			var err error
+			if unweighted {
+				err = WHybridDistancesBFSCtx(context.Background(), wg, src, s2.Dist, s2)
+			} else {
+				err = WDistancesCtx(context.Background(), wg, src, s2.Dist, s2.B)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range s1.Dist {
+				if s1.Dist[i] != s2.Dist[i] {
+					t.Fatalf("unweighted=%v src %d dist[%d]: auto=%d engine=%d", unweighted, src, i, s1.Dist[i], s2.Dist[i])
+				}
 			}
 		}
 	}

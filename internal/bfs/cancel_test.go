@@ -3,7 +3,6 @@ package bfs
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -85,6 +84,8 @@ func TestWDistancesCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// TestRunBatchesCtxMatchesPlain: batched sweeps polling a live done channel
+// produce the same rows as sweeps without one.
 func TestRunBatchesCtxMatchesPlain(t *testing.T) {
 	g := cancelTestGraph(t)
 	n := g.NumNodes()
@@ -92,49 +93,48 @@ func TestRunBatchesCtxMatchesPlain(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sources = append(sources, graph.NodeID((i*37)%n))
 	}
-	// Accumulate per-lane farness with plain and ctx drivers; they must agree.
-	plain := make([]int64, len(sources))
-	RunBatches(g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			s, _ := Sum(rows[lane])
-			plain[base+lane] = s
-		}
-	})
-	withCtx := make([]int64, len(sources))
-	err := RunBatchesCtx(context.Background(), g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			s, _ := Sum(rows[lane])
-			withCtx[base+lane] = s
-		}
-	})
-	if err != nil {
-		t.Fatalf("live ctx run: %v", err)
-	}
+	wg := g.ToWeighted()
+	plain := runBatches(wg, sources, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx := runBatches(wg, sources, ctx.Done())
 	for i := range plain {
-		if plain[i] != withCtx[i] {
-			t.Fatalf("farness[%d]: plain %d vs ctx %d", i, plain[i], withCtx[i])
+		p, _ := Sum(plain[i])
+		c, _ := Sum(withCtx[i])
+		if p != c {
+			t.Fatalf("farness[%d]: plain %d vs ctx %d", i, p, c)
 		}
 	}
 }
 
+// TestRunBatchesCtxCanceledMidRun: once the scratch's done channel fires, the
+// next batched sweep stops at a frontier-level boundary and leaves its rows
+// partial, on the unit-weight and the masked-Dial kernel alike.
 func TestRunBatchesCtxCanceledMidRun(t *testing.T) {
-	g := cancelTestGraph(t)
-	n := g.NumNodes()
-	var sources []graph.NodeID
-	for i := 0; i < 64*20; i++ {
-		sources = append(sources, graph.NodeID(i%n))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var handled atomic.Int64 // the handler runs concurrently from both workers
-	err := RunBatchesCtx(ctx, g, sources, 2, func(_, _ int, _ []graph.NodeID, _ [][]int32) {
-		if handled.Add(1) == 2 {
-			cancel()
+	for name, g := range map[string]*graph.WGraph{
+		"unit":     cancelTestGraph(t).ToWeighted(),
+		"weighted": cancelTestWGraph(t),
+	} {
+		n := g.NumNodes()
+		batch := make([]graph.NodeID, MSBFSWidth)
+		for i := range batch {
+			batch[i] = graph.NodeID(i * 7 % n)
 		}
-	})
-	if !errors.Is(err, par.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if int(handled.Load()) >= len(sources)/MSBFSWidth {
-		t.Fatalf("cancellation did not stop the driver (handled %d batches)", handled.Load())
+		rows := make([][]int32, len(batch))
+		for i := range rows {
+			rows[i] = make([]int32, n)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		s := NewMSScratch(n, g.MaxWeight())
+		s.SetDone(ctx.Done())
+		MultiSourceWRows(g, g.Unweighted(), batch, s, rows) // live: whole rows
+		if _, reached := Sum(rows[0]); reached != n {
+			t.Fatalf("%s: live sweep reached %d of %d nodes", name, reached, n)
+		}
+		cancel()
+		MultiSourceWRows(g, g.Unweighted(), batch, s, rows)
+		if _, reached := Sum(rows[0]); reached == n {
+			t.Fatalf("%s: cancellation did not stop the sweep", name)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/gen"
@@ -51,9 +53,10 @@ func BenchmarkEngineOrderingMatrix(b *testing.B) {
 			})
 			b.Run(name("hybrid"), func(b *testing.B) {
 				s := NewScratch(g.NumNodes(), 0)
+				wg := g.ToWeighted()
 				for i := 0; i < b.N; i++ {
 					for _, src := range sources {
-						HybridDistances(g, src, s.Dist, s)
+						_ = WHybridDistancesBFSCtx(context.Background(), wg, src, s.Dist, s)
 					}
 				}
 			})
@@ -61,8 +64,8 @@ func BenchmarkEngineOrderingMatrix(b *testing.B) {
 				s := NewMSScratch(g.NumNodes(), 1)
 				var sink int64
 				for i := 0; i < b.N; i++ {
-					MultiSourceInto(g, sources, s, func(v graph.NodeID, lane int, d int32) {
-						sink += int64(d)
+					MultiSourceMasksInto(g, sources, s, func(v graph.NodeID, mask uint64, d int32) {
+						sink += int64(d) * int64(bits.OnesCount64(mask))
 					})
 				}
 				_ = sink

@@ -125,16 +125,11 @@ func FrontierDistancesCtx(ctx context.Context, g *graph.Graph, src graph.NodeID,
 	return par.CtxErr(ctx)
 }
 
-// WFrontierDistances is the weighted-graph entry point of the frontier
+// WFrontierDistancesCtx is the weighted-graph entry point of the frontier
 // engine: the level-synchronous edge-map when every weight is 1 (unweighted
 // is the caller's cached g.Unweighted()), the parallel bucketed Dial
-// otherwise. dist must have length g.NumNodes().
-func WFrontierDistances(g *graph.WGraph, unweighted bool, src graph.NodeID, dist []int32, workers int, fs *FrontierScratch) {
-	wFrontierAutoDone(g, unweighted, src, dist, workers, fs, nil)
-}
-
-// WFrontierDistancesCtx is WFrontierDistances with cooperative cancellation,
-// polled at level (BFS) or bucket (Dial) boundaries.
+// otherwise. dist must have length g.NumNodes(). Cancellation is polled at
+// level (BFS) or bucket (Dial) boundaries.
 func WFrontierDistancesCtx(ctx context.Context, g *graph.WGraph, unweighted bool, src graph.NodeID, dist []int32, workers int, fs *FrontierScratch) error {
 	if err := fault.Checkpoint(ctx, "bfs.frontier"); err != nil {
 		return err

@@ -184,7 +184,9 @@ func TestWFrontierMatchesWDistances(t *testing.T) {
 					src := graph.NodeID(rng.Intn(n))
 					WDistances(wg, src, want, bq)
 					for _, w := range workerSweep {
-						WFrontierDistances(wg, unweighted, src, got, w, fs)
+						if err := WFrontierDistancesCtx(context.Background(), wg, unweighted, src, got, w, fs); err != nil {
+							t.Fatal(err)
+						}
 						for v := 0; v < n; v++ {
 							if got[v] != want[v] {
 								t.Fatalf("%s/%s workers=%d src=%d node %d: frontier %d, dial %d",
@@ -214,16 +216,19 @@ func TestExactFarnessFrontierMatchesExactFarness(t *testing.T) {
 	}
 }
 
-// TestAllPairsFrontierMatchesAllPairs cross-checks the full distance matrix
-// on a small community graph (dense enough to exercise the pull path).
+// TestAllPairsFrontierMatchesAllPairs cross-checks the full distance matrix,
+// row by row from the frontier engine, on a small community graph (dense
+// enough to exercise the pull path).
 func TestAllPairsFrontierMatchesAllPairs(t *testing.T) {
 	g := gen.Community(300, 7)
 	want := AllPairs(g)
-	got := AllPairsFrontier(g, 4)
+	got := make([]int32, g.NumNodes())
+	fs := NewFrontierScratch()
 	for v := range want {
+		FrontierDistances(g, graph.NodeID(v), got, 4, fs)
 		for w := range want[v] {
-			if got[v][w] != want[v][w] {
-				t.Fatalf("d(%d,%d): frontier %d, sequential %d", v, w, got[v][w], want[v][w])
+			if got[w] != want[v][w] {
+				t.Fatalf("d(%d,%d): frontier %d, sequential %d", v, w, got[w], want[v][w])
 			}
 		}
 	}
@@ -348,7 +353,7 @@ func TestMultiSourceFarnessMatchesExact(t *testing.T) {
 			g := fam.build(600, 47)
 			n := g.NumNodes()
 			batch := randomBatch(rng, n)
-			_, far := MultiSourceFarness(g, batch)
+			_, far := multiSourceFarness(g, batch)
 			dist := make([]int32, n)
 			for lane, src := range batch {
 				Distances(g, src, dist, nil)

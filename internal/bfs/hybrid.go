@@ -28,45 +28,17 @@ import (
 // tuning.go (DirectionTuning / DefaultTuning / pullLevel), shared with the
 // msbfs pull path and the frontier-parallel engine.
 
-// HybridDistances runs a direction-optimising BFS from src, filling dist
-// like Distances (hop counts, Unreached for unreachable nodes). s may be
-// nil, in which case scratch is allocated; the per-source drivers pass a
-// pooled per-worker Scratch.
-func HybridDistances(g *graph.Graph, src graph.NodeID, dist []int32, s *Scratch) {
-	offsets, adj := g.CSR()
-	hybridDone(offsets, adj, src, dist, s, nil)
-}
-
-// HybridDistancesCtx is HybridDistances with cooperative cancellation,
-// polled at frontier-level boundaries.
-func HybridDistancesCtx(ctx context.Context, g *graph.Graph, src graph.NodeID, dist []int32, s *Scratch) error {
-	offsets, adj := g.CSR()
-	hybridDone(offsets, adj, src, dist, s, ctx.Done())
-	return par.CtxErr(ctx)
-}
-
-// WHybridDistancesBFSCtx is HybridDistancesCtx over a weighted graph whose
-// weights are all 1; callers guarantee the precondition
+// WHybridDistancesBFSCtx runs a direction-optimising BFS from src over a
+// weighted graph whose weights are all 1, filling dist with hop counts
+// (Unreached for unreachable nodes); callers guarantee the precondition
 // (graph.WGraph.Unweighted). The caller picks the dist row (typically a
-// prefix of pooled scratch sized to the traversal unit).
+// prefix of pooled scratch sized to the traversal unit). Cancellation is
+// polled at frontier-level boundaries; a non-nil return means dist is
+// partial.
 func WHybridDistancesBFSCtx(ctx context.Context, g *graph.WGraph, src graph.NodeID, dist []int32, s *Scratch) error {
 	offsets, adj, _ := g.CSR()
 	hybridDone(offsets, adj, src, dist, s, ctx.Done())
 	return par.CtxErr(ctx)
-}
-
-// WHybridDistancesAuto dispatches to the hybrid BFS when the graph is
-// unweighted (cached by the caller) and Dial otherwise — the
-// direction-optimising counterpart of WDistancesAuto. Pull sweeps need the
-// unit-weight guarantee (a pulled edge must close exactly one level), so
-// weighted graphs keep the bucket queue.
-func WHybridDistancesAuto(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) {
-	if unweighted {
-		offsets, adj, _ := g.CSR()
-		hybridDone(offsets, adj, src, s.Dist, s, nil)
-		return
-	}
-	WDistances(g, src, s.Dist, s.B)
 }
 
 // hybridDone is the direction-optimising kernel over raw CSR arrays with an

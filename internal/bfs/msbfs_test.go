@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,12 +9,46 @@ import (
 	"repro/internal/graph"
 )
 
+// multiSource runs the unweighted multi-source kernel with fresh scratch and
+// expands its lane masks into one visit per (lane, node) pair.
+func multiSource(g *graph.Graph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
+	MultiSourceMasksInto(g, sources, NewMSScratch(g.NumNodes(), 1), expandMask(visit))
+}
+
+// expandMask adapts a per-lane visitor to the mask-level kernel interface:
+// expanding every mask bit by bit recovers the per-lane visit sequence.
+func expandMask(visit func(v graph.NodeID, lane int, d int32)) func(v graph.NodeID, mask uint64, d int32) {
+	return func(v graph.NodeID, mask uint64, d int32) {
+		for m := mask; m != 0; m &= m - 1 {
+			visit(v, bits.TrailingZeros64(m), d)
+		}
+	}
+}
+
+// multiSourceFarness is the mask-granularity accumulation topk's prefetch
+// runs, over ≤64-wide batches of sources: acc[v] = Σ_s d(s, v) (one
+// d·popcount per visit) and far[i] = farness(sources[i]) via AccumulateLanes.
+func multiSourceFarness(g *graph.Graph, sources []graph.NodeID) (acc, far []int64) {
+	n := g.NumNodes()
+	acc, far = make([]int64, n), make([]int64, len(sources))
+	s := NewMSScratch(n, 1)
+	for base := 0; base < len(sources); base += MSBFSWidth {
+		hi := min(base+MSBFSWidth, len(sources))
+		laneFar := far[base:hi]
+		MultiSourceMasksInto(g, sources[base:hi], s, func(v graph.NodeID, mask uint64, d int32) {
+			acc[v] += int64(d) * int64(bits.OnesCount64(mask))
+			AccumulateLanes(laneFar, mask, int64(d))
+		})
+	}
+	return acc, far
+}
+
 func TestMultiSourceMatchesSequentialBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnected(rng, 200)
 	sources := []graph.NodeID{0, 5, 17, 42, 199}
 	got := make(map[[2]int32]int32)
-	MultiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
+	multiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
 		key := [2]int32{int32(lane), v}
 		if _, dup := got[key]; dup {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
@@ -42,7 +77,7 @@ func TestMultiSourceMatchesSequentialBFS(t *testing.T) {
 func TestMultiSourceDuplicateSources(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
 	counts := map[int]int{}
-	MultiSource(g, []graph.NodeID{1, 1}, func(v graph.NodeID, lane int, d int32) {
+	multiSource(g, []graph.NodeID{1, 1}, func(v graph.NodeID, lane int, d int32) {
 		counts[lane]++
 	})
 	if counts[0] != 3 || counts[1] != 3 {
@@ -52,7 +87,7 @@ func TestMultiSourceDuplicateSources(t *testing.T) {
 
 func TestMultiSourceEmptyAndLimits(t *testing.T) {
 	g := graph.FromEdges(2, [][2]int32{{0, 1}})
-	MultiSource(g, nil, func(graph.NodeID, int, int32) {
+	multiSource(g, nil, func(graph.NodeID, int, int32) {
 		t.Fatal("no sources should mean no visits")
 	})
 	defer func() {
@@ -61,10 +96,10 @@ func TestMultiSourceEmptyAndLimits(t *testing.T) {
 		}
 	}()
 	many := make([]graph.NodeID, 65)
-	MultiSource(g, many, func(graph.NodeID, int, int32) {})
+	multiSource(g, many, func(graph.NodeID, int, int32) {})
 }
 
-// Property: MultiSourceFarness equals per-source BFS sums on random graphs
+// Property: multiSourceFarness equals per-source BFS sums on random graphs
 // with random batch sizes (crossing the 64-lane boundary).
 func TestMultiSourceFarnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -79,7 +114,7 @@ func TestMultiSourceFarnessProperty(t *testing.T) {
 		for i := range sources {
 			sources[i] = graph.NodeID(rng.Intn(n))
 		}
-		acc, far := MultiSourceFarness(g, sources)
+		acc, far := multiSourceFarness(g, sources)
 
 		wantAcc := make([]int64, n)
 		dist := make([]int32, n)
@@ -117,7 +152,7 @@ func BenchmarkMultiSourceVsSequential(b *testing.B) {
 	b.Run("ms64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var total int64
-			MultiSource(g, sources, func(_ graph.NodeID, _ int, d int32) { total += int64(d) })
+			multiSource(g, sources, func(_ graph.NodeID, _ int, d int32) { total += int64(d) })
 		}
 	})
 	b.Run("seq64", func(b *testing.B) {
@@ -156,7 +191,7 @@ func TestMultiSourceDenseBottomUp(t *testing.T) {
 		rows[i] = make([]int32, n)
 		Fill(rows[i])
 	}
-	MultiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
+	multiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
 		if rows[lane][v] != Unreached {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
 		}

@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/queue"
@@ -15,10 +17,14 @@ import (
 // every graph family the paper evaluates.
 const MSMaxBucketWeight = 512
 
-// MultiSourceW runs a lane-masked Dial (bucket-queue) shortest-path sweep
-// from up to 64 sources simultaneously over an integer-weighted graph. Like
-// MultiSource it calls visit(v, lane, d) exactly once per reached
-// (source, node) pair, with d the weighted shortest-path distance.
+// MultiSourceWMasksInto runs a lane-masked Dial (bucket-queue)
+// shortest-path sweep from up to 64 sources simultaneously over an
+// integer-weighted graph; the scratch must have been created with at least
+// the graph's maximum edge weight. visit receives the lanes newly settled at
+// v for weighted distance d as a bitmask. Unlike the unweighted kernel, the
+// same (v, d) pair may be reported across several calls — bucket entries
+// arriving from different predecessors settle disjoint lane subsets — but
+// each (source, node) pair is still covered exactly once over the sweep.
 //
 // The kernel generalises Dial's monotone bucket ring to lane masks: each
 // bucket holds (node, mask) entries meaning "the lanes in mask may reach
@@ -27,30 +33,12 @@ const MSMaxBucketWeight = 512
 // per-node seen mask. Entries landing on the same node at the same distance
 // are coalesced before edge relaxation, so lanes whose frontiers coincide
 // share one edge scan — the same win the unweighted kernel gets per level.
-func MultiSourceW(g *graph.WGraph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
-	MultiSourceWInto(g, sources, NewMSScratch(g.NumNodes(), g.MaxWeight()), visit)
-}
-
-// MultiSourceWInto is MultiSourceW with caller-provided scratch. The
-// scratch must have been created with at least the graph's maximum edge
-// weight.
-func MultiSourceWInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, lane int, d int32)) {
-	MultiSourceWMasksInto(g, sources, s, expandMask(visit))
-}
-
-// MultiSourceWMasksInto is MultiSourceWInto at mask granularity: visit
-// receives the lanes newly settled at v for distance d as a bitmask. Unlike
-// the unweighted kernel, the same (v, d) pair may be reported across several
-// calls — bucket entries arriving from different predecessors settle
-// disjoint lane subsets — but each (source, node) pair is still covered
-// exactly once over the whole sweep, so expanding every mask bit-by-bit
-// recovers the per-lane visit sequence of MultiSourceWInto.
 func MultiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
 	if len(sources) == 0 {
 		return
 	}
 	if len(sources) > MSBFSWidth {
-		panic("bfs: MultiSourceW supports at most 64 sources per batch")
+		panic("bfs: a multi-source sweep supports at most 64 sources per batch")
 	}
 	n := g.NumNodes()
 	s.reset(n)
@@ -161,4 +149,30 @@ func MultiSourceWRows(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s 
 			wDistancesDone(g, src, rows[lane], s.fb, s.done)
 		}
 	}
+}
+
+// maskRowFill returns a mask-level visitor that scatters distances into the
+// per-lane rows, with a fast path for the fully merged mask (all k lanes
+// arriving together) that walks the rows directly instead of decoding bits.
+func maskRowFill(rows [][]int32, k int) func(v graph.NodeID, mask uint64, d int32) {
+	full := fullMask(k)
+	return func(v graph.NodeID, mask uint64, d int32) {
+		if mask == full {
+			for lane := 0; lane < k; lane++ {
+				rows[lane][v] = d
+			}
+			return
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			rows[bits.TrailingZeros64(m)][v] = d
+		}
+	}
+}
+
+// fullMask is the bitmask with the low k lanes set.
+func fullMask(k int) uint64 {
+	if k >= MSBFSWidth {
+		return ^uint64(0)
+	}
+	return uint64(1)<<uint(k) - 1
 }

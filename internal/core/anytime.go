@@ -57,7 +57,7 @@ func (p *Progress) Snapshot() *Result { return p.snap.Load() }
 // accumulation of one source's row (so shared accumulators only ever move
 // between snapshots by whole sources), and the snapshot assembler holds
 // mu.Lock while copying them. After the fan-out has returned (ForDynamicCtx
-// and the batch drivers join their workers before returning an error), the
+// and the traversal driver join their workers before returning an error), the
 // accumulators are quiescent and assembly needs no lock at all — but takes
 // it anyway for simplicity.
 type anyState struct {

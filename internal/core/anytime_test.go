@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -42,69 +43,81 @@ func cancelAt(cancel context.CancelFunc, target int64) *Progress {
 // a partial result's confidence interval [Low, High] must contain the true
 // farness of every vertex, on all four generator families, for the plain
 // sampling estimator, the ICR-reduced estimator and the cumulative method.
+// At 4 workers the partial result sums every worker's accumulators.
 func TestAnytimePartialBoundsContainExact(t *testing.T) {
 	pinEngine(t, perSource, nil) // one row per advance: the cancel lands exactly
 	for name, g := range anytimeFamilies(t) {
 		exact := ExactFarness(g, 4)
-		n := g.NumNodes()
 		for _, tech := range []Technique{0, TechICR, TechCumulative} {
-			ctx, cancel := context.WithCancel(context.Background())
-			prog := &Progress{}
-			opts := Options{
-				Techniques:     tech,
-				SampleFraction: 0.5,
-				Seed:           11,
-				Workers:        1,
-				Anytime:        true,
-				Progress:       prog,
+			for _, workers := range []int{1, 4} {
+				checkPartialBounds(t, fmt.Sprintf("%s/%v/w%d", name, tech, workers), g, exact, tech, workers)
 			}
-			// The cumulative path can only degrade once every cut traversal
-			// has completed (cuts-first ordering banks those first), so it is
-			// interrupted near the end; the global paths halfway through.
-			prog.OnAdvance = func(completed, planned int64) {
-				var target int64
-				if tech == TechCumulative {
-					target = planned - 2
-				} else {
-					target = planned / 2
-				}
-				if target < 1 {
-					target = 1
-				}
-				if completed == target {
-					cancel()
-				}
-			}
-			res, err := EstimateContext(ctx, g, opts)
+		}
+	}
+}
+
+// checkPartialBounds interrupts one anytime run partway and checks its
+// progress, bound sizes and bounds against the exact farness.
+func checkPartialBounds(t *testing.T, name string, g *graph.Graph, exact []float64, tech Technique, workers int) {
+	t.Helper()
+	n := g.NumNodes()
+	ctx, cancel := context.WithCancel(context.Background())
+	prog := &Progress{}
+	opts := Options{
+		Techniques:     tech,
+		SampleFraction: 0.5,
+		Seed:           11,
+		Workers:        workers,
+		Anytime:        true,
+		Progress:       prog,
+	}
+	// The cumulative path can only degrade once every cut traversal
+	// has completed (cuts-first ordering banks those first), so it is
+	// interrupted near the end; the global paths halfway through.
+	// After the cancel each other worker may still bank the row it is
+	// accumulating, so the cumulative target leaves room for them.
+	prog.OnAdvance = func(completed, planned int64) {
+		var target int64
+		if tech == TechCumulative {
+			target = planned - 1 - int64(workers)
+		} else {
+			target = planned / 2
+		}
+		if target < 1 {
+			target = 1
+		}
+		if completed == target {
 			cancel()
-			if err != nil {
-				t.Fatalf("%s/%v: want partial result, got error %v", name, tech, err)
-			}
-			if !res.Partial {
-				t.Fatalf("%s/%v: interrupted run not marked Partial", name, tech)
-			}
-			if res.Completed <= 0 || res.Completed >= res.Planned {
-				t.Fatalf("%s/%v: implausible progress %d/%d", name, tech, res.Completed, res.Planned)
-			}
-			if len(res.Low) != n || len(res.High) != n || len(res.Farness) != n {
-				t.Fatalf("%s/%v: bound slices sized %d/%d (farness %d), want %d",
-					name, tech, len(res.Low), len(res.High), len(res.Farness), n)
-			}
-			const eps = 1e-9
-			for v := 0; v < n; v++ {
-				if res.Low[v] > exact[v]+eps || res.High[v] < exact[v]-eps {
-					t.Fatalf("%s/%v: vertex %d exact farness %v outside CI [%v, %v] (exact flag %v)",
-						name, tech, v, exact[v], res.Low[v], res.High[v], res.Exact[v])
-				}
-				if res.Farness[v] < res.Low[v]-eps || res.Farness[v] > res.High[v]+eps {
-					t.Fatalf("%s/%v: vertex %d estimate %v outside its own CI [%v, %v]",
-						name, tech, v, res.Farness[v], res.Low[v], res.High[v])
-				}
-				if res.Exact[v] && math.Abs(res.Farness[v]-exact[v]) > eps {
-					t.Fatalf("%s/%v: vertex %d flagged exact but farness %v != %v",
-						name, tech, v, res.Farness[v], exact[v])
-				}
-			}
+		}
+	}
+	res, err := EstimateContext(ctx, g, opts)
+	cancel()
+	if err != nil {
+		t.Fatalf("%s: want partial result, got error %v", name, err)
+	}
+	if !res.Partial {
+		t.Fatalf("%s: interrupted run not marked Partial", name)
+	}
+	if res.Completed <= 0 || res.Completed >= res.Planned {
+		t.Fatalf("%s: implausible progress %d/%d", name, res.Completed, res.Planned)
+	}
+	if len(res.Low) != n || len(res.High) != n || len(res.Farness) != n {
+		t.Fatalf("%s: bound slices sized %d/%d (farness %d), want %d",
+			name, len(res.Low), len(res.High), len(res.Farness), n)
+	}
+	const eps = 1e-9
+	for v := 0; v < n; v++ {
+		if res.Low[v] > exact[v]+eps || res.High[v] < exact[v]-eps {
+			t.Fatalf("%s: vertex %d exact farness %v outside CI [%v, %v] (exact flag %v)",
+				name, v, exact[v], res.Low[v], res.High[v], res.Exact[v])
+		}
+		if res.Farness[v] < res.Low[v]-eps || res.Farness[v] > res.High[v]+eps {
+			t.Fatalf("%s: vertex %d estimate %v outside its own CI [%v, %v]",
+				name, v, res.Farness[v], res.Low[v], res.High[v])
+		}
+		if res.Exact[v] && math.Abs(res.Farness[v]-exact[v]) > eps {
+			t.Fatalf("%s: vertex %d flagged exact but farness %v != %v",
+				name, v, res.Farness[v], exact[v])
 		}
 	}
 }
@@ -203,26 +216,32 @@ func TestAnytimeNothingCompleted(t *testing.T) {
 	}
 }
 
-// TestRandomSamplingAnytime covers the standalone random-sampling driver:
-// partial runs carry bounds containing the truth, full runs stay
+// randomOpts are the options RandomSampling runs Estimate with: no
+// reduction technique and the paper's extrapolation.
+func randomOpts(fraction float64, workers int, seed int64) Options {
+	return Options{SampleFraction: fraction, Workers: workers, Seed: seed, Estimator: EstimatorPaper}
+}
+
+// TestRandomSamplingAnytime covers the random-sampling baseline's anytime
+// runs: partial runs carry bounds containing the truth, full runs stay
 // bit-identical to the plain run on every traversal engine.
 func TestRandomSamplingAnytime(t *testing.T) {
 	g := gen.Community(400, 8)
 	exact := ExactFarness(g, 4)
 	n := g.NumNodes()
 
-	// Bit-identity of the uninterrupted run, per engine and worker count —
-	// the anytime batched path swaps the mask-streaming sweep for whole-row
-	// batches, which must not change a single accumulated integer.
+	// Bit-identity of the uninterrupted run, per engine and worker count:
+	// the anytime bookkeeping must not change a single accumulated integer.
 	for _, e := range []engine{perSource, batched, frontier} {
 		pinEngine(t, e, nil)
 		for _, workers := range []int{1, 3} {
-			want, err := randomSampling(context.Background(), g, 0.3, workers, 5, false, nil)
+			want, err := EstimateContext(context.Background(), g, randomOpts(0.3, workers, 5))
 			if err != nil {
 				t.Fatalf("%v w%d: %v", e, workers, err)
 			}
-			prog := &Progress{}
-			got, err := randomSampling(context.Background(), g, 0.3, workers, 5, true, prog)
+			opts := randomOpts(0.3, workers, 5)
+			opts.Anytime, opts.Progress = true, &Progress{}
+			got, err := EstimateContext(context.Background(), g, opts)
 			if err != nil {
 				t.Fatalf("%v w%d anytime: %v", e, workers, err)
 			}
@@ -243,7 +262,9 @@ func TestRandomSamplingAnytime(t *testing.T) {
 		}
 	}
 	pinEngine(t, perSource, nil)
-	res, err := randomSampling(ctx, g, 0.4, 1, 5, true, prog)
+	opts := randomOpts(0.4, 1, 5)
+	opts.Anytime, opts.Progress = true, prog
+	res, err := EstimateContext(ctx, g, opts)
 	cancel()
 	if err != nil {
 		t.Fatalf("want partial result, got %v", err)

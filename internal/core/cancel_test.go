@@ -135,7 +135,7 @@ func TestRandomSamplingContextCanceled(t *testing.T) {
 	g := gen.Community(800, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := randomSampling(ctx, g, 0.3, 2, 1, false, nil)
+	res, err := EstimateContext(ctx, g, randomOpts(0.3, 2, 1))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -154,21 +154,50 @@ func TestEstimateAdaptiveContextCanceled(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicReachesCaller: a panic on a traversal worker goroutine (the
-// frontier checkpoint fires inside the cumulative task fan-out at 2 workers)
-// is re-raised by EstimateContext on the calling goroutine, where a server's
-// recover can answer 500, instead of ending the process.
+// TestWorkerPanicReachesCaller: a panic on a traversal worker goroutine is
+// re-raised by EstimateContext on the calling goroutine, where a server's
+// recover can answer 500, instead of ending the process. It covers both
+// in-pool fault points: the frontier kernel's checkpoint and the one at the
+// start of every batched task, each inside the cumulative task fan-out at 2
+// workers.
 func TestWorkerPanicReachesCaller(t *testing.T) {
+	for _, c := range []struct {
+		e     engine
+		point string
+	}{
+		{frontier, "bfs.frontier"},
+		{batched, "bfs.batch"},
+	} {
+		t.Run(c.e.String(), func(t *testing.T) {
+			pinEngine(t, c.e, nil)
+			restore := fault.Set(c.point, fault.Panic("worker crashed"))
+			defer restore()
+			g := gen.Road(900, 5) // keeps several biconnected blocks after reduction
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				_, _ = EstimateContext(context.Background(), g, Options{Techniques: TechCumulative, SampleFraction: 0.2, Seed: 1, Workers: 2})
+				return nil
+			}()
+			if got != "fault: worker crashed" {
+				t.Fatalf("recovered %v, want the worker's panic", got)
+			}
+		})
+	}
+}
+
+// TestTraverseKernelErrorAbortsRun: an error a traversal kernel returns (a
+// fault hook's, here) aborts the run with that error instead of delivering
+// the kernel's stale scratch row as an exact farness.
+func TestTraverseKernelErrorAbortsRun(t *testing.T) {
 	pinEngine(t, frontier, nil)
-	restore := fault.Set("bfs.frontier", fault.Panic("frontier crashed"))
+	boom := errors.New("frontier kernel failed")
+	restore := fault.Set("bfs.frontier", func(context.Context) error { return boom })
 	defer restore()
-	g := gen.Road(900, 5) // keeps several biconnected blocks after reduction
-	got := func() (v any) {
-		defer func() { v = recover() }()
-		_, _ = EstimateContext(context.Background(), g, Options{Techniques: TechCumulative, SampleFraction: 0.2, Seed: 1, Workers: 2})
-		return nil
-	}()
-	if got != "fault: frontier crashed" {
-		t.Fatalf("recovered %v, want the worker's panic", got)
+	res, err := EstimateContext(context.Background(), gen.Road(900, 5), Options{Techniques: TechICR, SampleFraction: 0.2, Seed: 1, Workers: 2})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want the kernel's error, got %v", err)
+	}
+	if res != nil {
+		t.Fatal("a failed run must not return a Result")
 	}
 }

@@ -139,7 +139,10 @@ func TestClosedFormCycle(t *testing.T) {
 func TestRandomSamplingFullFractionIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomMixed(rng, 15)
-	res := RandomSampling(g, 1.0, 2, 7)
+	res, err := RandomSampling(g, 1.0, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := ExactFarness(g, 2)
 	for i := range want {
 		if res.Farness[i] != want[i] || !res.Exact[i] {

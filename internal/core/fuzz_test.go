@@ -8,7 +8,9 @@ import (
 
 // FuzzEstimatePipeline: any connected graph decoded from fuzz bytes must
 // run the full cumulative pipeline without panicking, with exact-flagged
-// values matching the oracle.
+// values matching the oracle; and the random-sampling baseline (no
+// technique, the paper's estimator) at fraction 1 samples every node, so
+// every one of its values must be exact and equal the oracle.
 func FuzzEstimatePipeline(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 4, 0, 5, 0})
@@ -41,6 +43,16 @@ func FuzzEstimatePipeline(f *testing.F) {
 			}
 			if res.Farness[v] < 0 {
 				t.Fatalf("node %d: negative farness %v", v, res.Farness[v])
+			}
+		}
+		rnd, err := Estimate(g, Options{SampleFraction: 1.0, Seed: 1, Estimator: EstimatorPaper})
+		if err != nil {
+			t.Fatalf("random sampling: %v", err)
+		}
+		for v := range want {
+			if !rnd.Exact[v] || rnd.Farness[v] != want[v] {
+				t.Fatalf("node %d: random sampling at fraction 1 gave %v (exact %v), oracle %v",
+					v, rnd.Farness[v], rnd.Exact[v], want[v])
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -14,9 +13,10 @@ import (
 )
 
 // estimateGlobal runs the reduction-based estimator without the
-// biconnected decomposition (the paper's C+R and I+C+R configurations):
-// sample kept nodes of the reduced graph, traverse it as one unit (see
-// traverse), extend distances over the removal log, and accumulate.
+// biconnected decomposition (the paper's C+R and I+C+R configurations, and
+// with no technique the random-sampling baseline): sample kept nodes of the
+// reduced graph, traverse it as one unit (see traverse), extend distances
+// over the removal log, and accumulate.
 // Cancellation lands before the traversal fan-out ("core.traverse"), at
 // every row boundary inside it, within the kernels themselves, and before
 // aggregation ("core.aggregate"); on a non-nil error the partially filled
@@ -70,44 +70,54 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	start := time.Now()
 	workers := par.Workers(opts.Workers)
 
-	acc := make([]int64, n)      // Σ over sources of d(s, ·), original ids
-	exactFar := make([]int64, n) // exact farness of sampled nodes
-	var sumSq []int64
-	if opts.ComputeStdErr {
-		sumSq = make([]int64, n)
-	}
-	isSample := make([]bool, n)
+	// Every source in original ids, reduced-graph samples and augmentation
+	// alike.
+	samples := make([]graph.NodeID, 0, k+len(extraOrig))
 	for _, sR := range samplesReduced {
-		isSample[red.ToOld[sR]] = true
+		samples = append(samples, red.ToOld[sR])
 	}
-	for _, s := range extraOrig {
-		isSample[s] = true
-	}
-	kEff := k + len(extraOrig)
-	// Calibration accumulators for the ratio estimator: distances from
-	// samples to other samples vs to non-samples.
-	var s2s, s2n int64
+	samples = append(samples, extraOrig...)
+	kEff := len(samples)
+
+	// Rows accumulate into per-worker sums, added up once the traversals
+	// have joined (or, for a snapshot, under the anytime write lock): no
+	// atomic per visited node, and integer sums do not depend on the order.
+	// Each worker's arrays are allocated on its first row, so idle workers
+	// cost nothing. exactFar is shared, since every source writes only its
+	// own cell.
+	sums := make([]workerSums, workers)
+	exactFar := make([]int64, n) // exact farness of sampled nodes
 
 	// accumulateRow consumes one source's whole distance row over original
 	// ids.
-	accumulateRow := func(row []int32, srcOrig graph.NodeID) {
+	accumulateRow := func(worker int, row []int32, srcOrig graph.NodeID) {
 		if any != nil {
 			any.mu.RLock()
 		}
-		var own, toSamples int64
-		for v, d := range row {
-			own += int64(d)
-			atomic.AddInt64(&acc[v], int64(d))
-			if sumSq != nil {
-				atomic.AddInt64(&sumSq[v], int64(d)*int64(d))
-			}
-			if isSample[v] {
-				toSamples += int64(d)
+		ws := &sums[worker]
+		if ws.acc == nil {
+			ws.acc = make([]int64, n)
+			if opts.ComputeStdErr {
+				ws.sumSq = make([]int64, n)
 			}
 		}
-		atomic.StoreInt64(&exactFar[srcOrig], own)
-		atomic.AddInt64(&s2s, toSamples)
-		atomic.AddInt64(&s2n, own-toSamples)
+		var own, toSamples int64
+		acc := ws.acc[:len(row)]
+		for v, d := range row {
+			own += int64(d)
+			acc[v] += int64(d)
+		}
+		if sq := ws.sumSq; sq != nil {
+			for v, d := range row {
+				sq[v] += int64(d) * int64(d)
+			}
+		}
+		for _, s := range samples {
+			toSamples += int64(row[s])
+		}
+		exactFar[srcOrig] = own
+		ws.s2s += toSamples
+		ws.s2n += own - toSamples
 		if any != nil {
 			any.markDone(srcOrig, row)
 			any.mu.RUnlock()
@@ -117,7 +127,7 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	if any != nil && opts.Anytime {
 		any.assemble = func() *Result {
 			any.mu.Lock()
-			accC := append([]int64(nil), acc...)
+			accC, _, _, _ := addSums(sums, n, false)
 			exC := append([]int64(nil), exactFar...)
 			doneC := append([]bool(nil), any.doneSrc...)
 			any.mu.Unlock()
@@ -138,35 +148,41 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 
 	// Reduced-graph rows are scattered to original ids and extended over
 	// the removal log; augmentation rows already cover the original graph.
-	distOrig := make([][]int32, workers)
-	for i := range distOrig {
-		distOrig[i] = make([]int32, n)
+	// A reduction that removed nothing (random sampling) keeps the input's
+	// ids, so its rows are accumulated as they are.
+	var distOrig [][]int32
+	if !keepsIDs(red) {
+		distOrig = make([][]int32, workers)
+		for i := range distOrig {
+			distOrig[i] = make([]int32, n)
+		}
 	}
 	err := traverse(ctx, []unit{{red.G, red.G.Unweighted(), samplesReduced}}, workers, nil,
 		func(worker, _ int, srcR graph.NodeID, dist []int32) {
-			row := distOrig[worker]
-			red.Scatter(dist, row)
-			red.Extend(row)
-			accumulateRow(row, red.ToOld[srcR])
+			row := dist
+			if distOrig != nil {
+				row = distOrig[worker]
+				red.Scatter(dist, row)
+				red.Extend(row)
+			}
+			accumulateRow(worker, row, red.ToOld[srcR])
 		})
 	if err == nil {
-		err = plainRows(ctx, red.Orig, extraOrig, workers, func(_, i int, dist []int32) {
-			accumulateRow(dist, extraOrig[i])
+		err = plainRows(ctx, red.Orig, extraOrig, workers, func(worker, i int, dist []int32) {
+			accumulateRow(worker, dist, extraOrig[i])
 		})
 	}
 	if err != nil {
 		return partialOr(err)
 	}
+	acc, sumSq, s2s, s2n := addSums(sums, n, opts.ComputeStdErr)
 	res.Stats.Traverse = time.Since(start)
 
 	if err := fault.Checkpoint(ctx, "core.aggregate"); err != nil {
 		return partialOr(err)
 	}
 	aggStart := time.Now()
-	for _, sR := range samplesReduced {
-		res.Exact[red.ToOld[sR]] = true
-	}
-	for _, s := range extraOrig {
+	for _, s := range samples {
 		res.Exact[s] = true
 	}
 	k = kEff
@@ -244,4 +260,48 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	}
 	res.Stats.Aggregate = time.Since(aggStart)
 	return res, nil
+}
+
+// keepsIDs reports whether red removed nothing and kept every node's id, so
+// reduced-graph rows already are original-id rows.
+func keepsIDs(red *reduce.Reduction) bool {
+	if len(red.Events) > 0 || len(red.ToOld) != red.Orig.NumNodes() {
+		return false
+	}
+	for i, o := range red.ToOld {
+		if int(o) != i {
+			return false
+		}
+	}
+	return true
+}
+
+// workerSums is one traversal worker's share of the global estimator's
+// accumulators: Σ d(s, ·) (and Σ d² under ComputeStdErr) over the rows the
+// worker consumed, plus its sample-to-sample and sample-to-non-sample
+// calibration sums.
+type workerSums struct {
+	acc, sumSq []int64
+	s2s, s2n   int64
+}
+
+// addSums adds up the per-worker accumulators; sumSq is nil unless withSq.
+func addSums(sums []workerSums, n int, withSq bool) (acc, sumSq []int64, s2s, s2n int64) {
+	acc = make([]int64, n)
+	if withSq {
+		sumSq = make([]int64, n)
+	}
+	for _, ws := range sums {
+		for v, a := range ws.acc {
+			acc[v] += a
+		}
+		if withSq {
+			for v, q := range ws.sumSq {
+				sumSq[v] += q
+			}
+		}
+		s2s += ws.s2s
+		s2n += ws.s2n
+	}
+	return acc, sumSq, s2s, s2n
 }

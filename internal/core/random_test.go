@@ -115,3 +115,34 @@ func TestSamplesForRounding(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomSamplingDisconnected: the baseline shares Estimate's
+// precondition, so a disconnected graph is an error rather than a sum of
+// Unreached distances.
+func TestRandomSamplingDisconnected(t *testing.T) {
+	g := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
+	if res, err := RandomSampling(g, 0.5, 2, 1); err == nil || res != nil {
+		t.Fatalf("disconnected graph: got result %v, err %v; want an error", res, err)
+	}
+}
+
+// TestRandomSamplingCycle: a pure cycle is answered in closed form, every
+// value exact and equal to the oracle, whatever the fraction.
+func TestRandomSamplingCycle(t *testing.T) {
+	const n = 11
+	edges := make([][2]int32, n)
+	for i := range edges {
+		edges[i] = [2]int32{int32(i), int32((i + 1) % n)}
+	}
+	g := graph.FromEdges(n, edges)
+	res, err := RandomSampling(g, 0.2, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ExactFarness(g, 2)
+	for v := range want {
+		if !res.Exact[v] || res.Farness[v] != want[v] {
+			t.Fatalf("node %d: %v (exact %v), oracle %v", v, res.Farness[v], res.Exact[v], want[v])
+		}
+	}
+}

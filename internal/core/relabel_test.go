@@ -152,7 +152,10 @@ func TestRandomSamplingHybridMatches(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(600, 11))
 		oracle := ExactFarness(g, 2)
-		res := RandomSampling(g, 1, 2, 5)
+		res, err := RandomSampling(g, 1, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range oracle {
 			if !res.Exact[v] || res.Farness[v] != oracle[v] {
 				t.Fatalf("%s node %d: per-source %v (exact %v), oracle %v", fam.name, v, res.Farness[v], res.Exact[v], oracle[v])

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/bfs"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/queue"
@@ -147,7 +149,7 @@ type traversalTask struct {
 	srcs []graph.NodeID
 }
 
-// traverse is the one traversal driver of the reduction estimators. Per
+// traverse is the one traversal driver of every estimator. Per
 // unit it asks the policy for an engine, clusters and cuts batched sources
 // into ≤64-wide sweeps, and queues the work on one dynamic task pool; tasks
 // holding a source for which first reports true (first may be nil) run
@@ -156,8 +158,11 @@ type traversalTask struct {
 // aliases the worker's scratch and is valid only during the call. Rows are
 // whole: once ctx is done no further row is delivered (checked before every
 // lane), and the ErrCanceled-wrapping error tells the caller to discard or
-// degrade what it accumulated. Callers key their accumulation by source, so
-// the engine and the task order change no output integer.
+// degrade what it accumulated. An error from a kernel or from the "bfs.batch"
+// fault point at the start of every batched task aborts the run: the first
+// one is returned, its task delivers no row, and tasks not yet started are
+// skipped. Callers key their accumulation by source, so the engine and the
+// task order change no output integer.
 func traverse(ctx context.Context, units []unit, workers int,
 	first func(u int, src graph.NodeID) bool,
 	row func(worker, u int, src graph.NodeID, dist []int32)) error {
@@ -191,16 +196,30 @@ func traverse(ctx context.Context, units []unit, workers int,
 	}
 	tasks = append(tasks, rest...)
 
+	var kernelErr atomic.Pointer[error] // the first kernel or fault-point error
+	failed := func(err error) bool {
+		if err == nil {
+			return false
+		}
+		kernelErr.CompareAndSwap(nil, &err)
+		return true
+	}
 	done := ctx.Done()
 	scratch := make([]traversalScratch, min(workers, len(tasks)))
 	for i := range scratch {
 		scratch[i] = newTraversalScratch(maxN, maxW, uses, done)
 	}
-	return par.ForDynamicCtx(ctx, len(tasks), len(scratch), 1, func(worker, ti int) {
+	err := par.ForDynamicCtx(ctx, len(tasks), len(scratch), 1, func(worker, ti int) {
+		if kernelErr.Load() != nil {
+			return
+		}
 		t, s := tasks[ti], &scratch[worker]
 		un := units[t.u]
 		n := un.g.NumNodes()
 		if t.e == batched {
+			if failed(fault.Checkpoint(ctx, "bfs.batch")) {
+				return
+			}
 			rows := s.rows[:len(t.srcs)]
 			for i := range rows {
 				rows[i] = s.slab[i*n : (i+1)*n]
@@ -215,19 +234,24 @@ func traverse(ctx context.Context, units []unit, workers int,
 			return
 		}
 		src, dist := t.srcs[0], s.s.Dist[:n]
+		var err error
 		switch {
 		case t.e == frontier:
-			_ = bfs.WFrontierDistancesCtx(ctx, un.g, un.unweighted, src, dist, workers, s.fs)
+			err = bfs.WFrontierDistancesCtx(ctx, un.g, un.unweighted, src, dist, workers, s.fs)
 		case un.unweighted:
-			_ = bfs.WHybridDistancesBFSCtx(ctx, un.g, src, dist, s.s)
+			err = bfs.WHybridDistancesBFSCtx(ctx, un.g, src, dist, s.s)
 		default:
-			_ = bfs.WDistancesCtx(ctx, un.g, src, dist, s.s.B)
+			err = bfs.WDistancesCtx(ctx, un.g, src, dist, s.s.B)
 		}
-		if par.Interrupted(done) {
+		if failed(err) || par.Interrupted(done) {
 			return // partial row
 		}
 		row(worker, t.u, src, dist)
 	})
+	if kerr := kernelErr.Load(); kerr != nil {
+		return *kerr
+	}
+	return err
 }
 
 // holdsFirst reports whether any source of t is one the caller wants first.

@@ -148,7 +148,7 @@ func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
 		g := fam.gen(1000, 5)
 		t.Run(fam.name, func(t *testing.T) {
 			assertEnginesIdentical(t, traversalEngines, func(fraction float64, workers int) (*Result, error) {
-				return RandomSampling(g, fraction, workers, 7), nil
+				return RandomSampling(g, fraction, workers, 7)
 			})
 		})
 	}
@@ -176,7 +176,7 @@ func TestRandomSamplingBatchingBitIdentical(t *testing.T) {
 		g := fam.gen(1000, 11)
 		t.Run(fam.name, func(t *testing.T) {
 			assertEnginesIdentical(t, batchingEngines, func(fraction float64, workers int) (*Result, error) {
-				return RandomSampling(g, fraction, workers, 5), nil
+				return RandomSampling(g, fraction, workers, 5)
 			})
 		})
 	}

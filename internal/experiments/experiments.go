@@ -155,7 +155,10 @@ func compareOne(cfg Config, ds gen.Dataset, g *graph.Graph, cumFraction, randFra
 	actual := exactFor(cfg, ds, g)
 
 	start := time.Now()
-	rnd := core.RandomSampling(g, randFraction, cfg.Workers, cfg.Seed)
+	rnd, err := core.RandomSampling(g, randFraction, cfg.Workers, cfg.Seed)
+	if err != nil {
+		return CompareRow{}, fmt.Errorf("%s random: %v", ds.Name, err)
+	}
 	randTime := time.Since(start)
 
 	start = time.Now()
@@ -225,7 +228,10 @@ func Fig5(cfg Config, fraction float64) (*Fig5Result, error) {
 	}
 	g := ds.Build()
 	actual := exactFor(cfg, ds, g)
-	rnd := core.RandomSampling(g, fraction, cfg.Workers, cfg.Seed)
+	rnd, err := core.RandomSampling(g, fraction, cfg.Workers, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	cum, err := core.Estimate(g, core.Options{
 		Techniques:     core.TechCumulative,
 		SampleFraction: fraction,
@@ -318,7 +324,10 @@ func FigClass(cfg Config, class gen.Class, fraction float64) ([]ConfigResult, er
 		actual := exactFor(cfg, ds, g)
 
 		start := time.Now()
-		rnd := core.RandomSampling(g, fraction, cfg.Workers, cfg.Seed)
+		rnd, err := core.RandomSampling(g, fraction, cfg.Workers, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s random: %v", ds.Name, err)
+		}
 		randTime := time.Since(start)
 		out = append(out, ConfigResult{
 			Dataset: ds, Config: 0, Label: "random",
@@ -502,7 +511,10 @@ func FractionSweep(cfg Config, class gen.Class, fractions []float64) ([]SweepPoi
 	var out []SweepPoint
 	for _, f := range fractions {
 		start := time.Now()
-		rnd := core.RandomSampling(g, f, cfg.Workers, cfg.Seed)
+		rnd, err := core.RandomSampling(g, f, cfg.Workers, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s random @%g: %v", ds.Name, f, err)
+		}
 		randTime := time.Since(start)
 		start = time.Now()
 		cum, err := core.Estimate(g, core.Options{

@@ -10,7 +10,9 @@
 //
 //	reduce.twins, reduce.chains, reduce.redundant, reduce.round
 //	core.reduce, core.decompose, core.traverse, core.aggregate
-//	server.estimate, server.handle
+//	bfs.batch, bfs.frontier
+//	topk.verify
+//	server.estimate, server.handle, server.mutate
 package fault
 
 import (

@@ -79,8 +79,9 @@ func ForBlocksCtx(ctx context.Context, n, workers int, fn func(block, lo, hi int
 
 // ForDynamicCtx is ForDynamic with cooperative cancellation: workers check
 // the context before claiming each chunk and stop claiming once it is done,
-// which makes every chunk boundary a preemption point (the batch drivers
-// pass chunk = 1, so one traversal task is the cancellation granularity).
+// which makes every chunk boundary a preemption point (the traversal
+// drivers pass chunk = 1, so one traversal task is the cancellation
+// granularity).
 // It returns CtxErr(ctx); on a non-nil return the loop's output is partial
 // and must be discarded. For a live context the schedule is identical to
 // ForDynamic.

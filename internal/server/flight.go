@@ -211,7 +211,6 @@ func (s *Server) estimate(ctx context.Context, key string, opts core.Options, de
 func (s *Server) run(fctx context.Context, gen *generation, key string, f *flight, opts core.Options) {
 	defer s.runWG.Done()
 	defer func() { <-s.sem }()
-	defer s.untrackRun(f)
 	defer f.cancel()
 	res, err := func() (res *core.Result, err error) {
 		defer func() {
@@ -234,6 +233,9 @@ func (s *Server) run(fctx context.Context, gen *generation, key string, f *fligh
 		s.recordRunDuration(time.Since(f.started))
 	}
 	gen.mu.Unlock()
+	// Retire the flight from the status registry before waking its waiters,
+	// so a status read after the response never lists the finished run.
+	s.untrackRun(f)
 	close(f.done)
 }
 
