@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet check e2e-check chaos bench bench-reduction bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
+.PHONY: build test vet check e2e-check chaos bench bench-layers experiments fuzz fuzz-smoke cover
 
 build:
 	go build ./...
@@ -33,48 +33,16 @@ chaos:
 	go test -race -count=1 -run 'TestChaos' -timeout 120s ./internal/server/
 
 # Benchmarks: one per paper table/figure plus kernel/ablation benches.
-bench: bench-reduction
+bench:
 	go test -bench=. -benchmem ./...
 
-# Preprocessing-pipeline benchmark: per-stage wall-clock at 1/2/4/GOMAXPROCS
-# workers for one dataset per generator family, recorded machine-readably in
-# BENCH_reduction.json (see EXPERIMENTS.md for the discussion).
-bench-reduction:
-	go run ./cmd/experiments -only reduction -json BENCH_reduction.json
-
-# Frontier scaling study: per-source vs frontier-parallel (edge-map) engine
-# across worker counts {1,2,4,8} through one full exact farness run, one
-# dataset per generator family, every cell verified bit-identical to the
-# sequential baseline, recorded machine-readably in BENCH_frontier.json (see
-# EXPERIMENTS.md and DESIGN.md section 10 for the discussion).
-bench-frontier:
-	go run ./cmd/experiments -only frontier -frontier-json BENCH_frontier.json
-
-# Distance-sketch query study: point-to-point throughput of the three
-# /v1/distance answering modes (exact bidirectional BFS vs O(k) sketch bound
-# lookup vs auto), plus the sketch's one-time build cost and footprint, one
-# dataset per generator family, bounds verified against the exact oracle on
-# every benchmark pair, recorded machine-readably in BENCH_sketch.json (see
-# EXPERIMENTS.md and DESIGN.md section 11 for the discussion).
-bench-sketch:
-	go run ./cmd/experiments -only sketch -sketch-json BENCH_sketch.json
-
-# BiCC decomposition scaling study: sequential Hopcroft-Tarjan vs the
-# parallel FAST-BCC engine across worker counts {1,2,4,8} on each class's
-# reduced graph, every cell verified bit-identical to the sequential
-# baseline, recorded machine-readably in BENCH_bicc.json (see EXPERIMENTS.md
-# and DESIGN.md section 13 for the discussion).
-bench-bicc:
-	go run ./cmd/experiments -only bicc -bicc-json BENCH_bicc.json
-
-# Artifact load-path study: time-to-first-query (load + one BFS) of text
-# edge-list parse vs buffered binary CSR read vs mmap zero-copy open, with
-# the mmap cell split into map+verify and first-traversal (page-fault) cost,
-# one dataset per generator family, the CSR verified word-identical across
-# paths before timing, recorded machine-readably in BENCH_load.json (see
-# EXPERIMENTS.md and DESIGN.md section 14 for the discussion).
-bench-load:
-	go run ./cmd/experiments -only load -load-json BENCH_load.json
+# Layer studies: the reduction pipeline, the exact-farness traversal engines,
+# the BiCC engines, the distance sketch and the artifact load paths, one
+# dataset per generator family, each cell checked against its reference
+# before a warm-up and five timed reps, written as BENCH_<study>.json (see
+# EXPERIMENTS.md and DESIGN.md sections 10, 11, 13 and 14).
+bench-layers:
+	go run ./cmd/experiments -only reduction,frontier,bicc,sketch,load -bench-dir .
 
 # Regenerate every table and figure of the paper (about 4 CPU-minutes).
 experiments:

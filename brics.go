@@ -35,7 +35,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/betweenness"
 	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -295,17 +294,4 @@ func EstimateAdaptive(g *Graph, opts AdaptiveOptions) (*AdaptiveResult, error) {
 // escalation round.
 func EstimateAdaptiveContext(ctx context.Context, g *Graph, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	return core.EstimateAdaptiveContext(ctx, g, opts)
-}
-
-// Betweenness computes exact betweenness centrality (Brandes) for every
-// node — the companion metric the paper's related work targets with the
-// same structural toolbox.
-func Betweenness(g *Graph, workers int) []float64 {
-	return betweenness.Exact(g, workers)
-}
-
-// BetweennessSampled estimates betweenness from k random sources
-// (Brandes–Pich), scaled to the full-graph convention.
-func BetweennessSampled(g *Graph, k, workers int, seed int64) []float64 {
-	return betweenness.Sampled(g, k, workers, seed)
 }

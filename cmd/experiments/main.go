@@ -1,31 +1,23 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation section on the synthetic dataset stand-ins.
+// evaluation section on the synthetic dataset stand-ins, and runs the layer
+// studies.
 //
 // Usage:
 //
-//	experiments [-scale 1.0] [-workers N] [-seed S] [-only table1,fig4a,...]
+//	experiments [-scale 1.0] [-workers N] [-seed S] [-only table1,fig4a,...] [-bench-dir DIR]
 //	experiments -list
 //
-// Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9,
-// reduction (default: all, in order). See EXPERIMENTS.md
-// for the recorded paper-vs-measured comparison. The reduction experiment
-// times the parallel preprocessing pipeline; -json additionally writes its
-// rows as a machine-readable report (used by `make bench-reduction`). The
-// frontier experiment runs the
-// exact-farness engine × worker-count scaling study; -frontier-json writes it
-// as BENCH_frontier.json (used by `make bench-frontier`). The sketch
-// experiment measures point-to-point distance throughput of the three
-// /v1/distance answering modes (exact vs sketch vs auto); -sketch-json writes
-// it as BENCH_sketch.json (used by `make bench-sketch`). The bicc experiment
-// runs the biconnected-decomposition engine × worker-count scaling study on
-// each class's reduced graph; -bicc-json writes it as BENCH_bicc.json (used
-// by `make bench-bicc`). The load experiment measures time-to-first-query of
-// the three graph load paths (text parse vs buffered binary read vs mmap
-// zero-copy); -load-json writes it as BENCH_load.json (used by
-// `make bench-load`).
-// -cpuprofile/-memprofile capture pprof profiles of
-// whatever subset runs — the intended workflow for chasing kernel
-// regressions spotted in the matrix.
+// Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9, sweep,
+// the layer studies reduction, frontier, bicc, sketch and load, and
+// ablations (default: all, in order). See EXPERIMENTS.md for the recorded
+// paper-vs-measured comparison. Each layer study times one layer (the
+// reduction pipeline, the exact-farness traversal engines, the BiCC
+// engines, the distance sketch, the artifact load paths) cell by cell,
+// after checking each cell against its reference; -bench-dir writes each
+// study that ran as DIR/BENCH_<study>.json (used by `make bench-layers`).
+// -cpuprofile/-memprofile capture pprof profiles of whatever subset runs —
+// the intended workflow for chasing kernel regressions spotted in the
+// matrix.
 package main
 
 import (
@@ -46,12 +38,8 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default stand-in sizes)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "sampling seed")
-		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,frontier,sketch,bicc,load,reduction,ablations,sweep")
-		jsonOut    = flag.String("json", "", "write the reduction benchmark rows to this JSON file")
-		frontOut   = flag.String("frontier-json", "", "write the frontier scaling study to this JSON file")
-		sketchOut  = flag.String("sketch-json", "", "write the distance-sketch query study to this JSON file")
-		biccOut    = flag.String("bicc-json", "", "write the BiCC decomposition scaling study to this JSON file")
-		loadOut    = flag.String("load-json", "", "write the artifact load-path study to this JSON file")
+		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,sweep,reduction,frontier,bicc,sketch,load,ablations")
+		benchDir   = flag.String("bench-dir", "", "write each layer study that runs to BENCH_<study>.json in this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		charts     = flag.Bool("charts", false, "render text bar charts in addition to the tables")
@@ -158,55 +146,10 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if run("frontier") {
-		rows, err := experiments.FrontierBench(cfg)
-		check(err)
-		experiments.FprintFrontier(os.Stdout, rows)
-		if *frontOut != "" {
-			check(experiments.WriteFrontierJSON(*frontOut, cfg, rows))
-			fmt.Printf("wrote %s\n", *frontOut)
+	for _, name := range experiments.LayerStudies {
+		if run(name) {
+			check(experiments.RunLayer(cfg, name, *benchDir, os.Stdout))
 		}
-		fmt.Println()
-	}
-	if run("sketch") {
-		rows, err := experiments.SketchBench(cfg)
-		check(err)
-		experiments.FprintSketch(os.Stdout, rows)
-		if *sketchOut != "" {
-			check(experiments.WriteSketchJSON(*sketchOut, cfg, rows))
-			fmt.Printf("wrote %s\n", *sketchOut)
-		}
-		fmt.Println()
-	}
-	if run("bicc") {
-		rows, err := experiments.BiCCBench(cfg)
-		check(err)
-		experiments.FprintBiCC(os.Stdout, rows)
-		if *biccOut != "" {
-			check(experiments.WriteBiCCJSON(*biccOut, cfg, rows))
-			fmt.Printf("wrote %s\n", *biccOut)
-		}
-		fmt.Println()
-	}
-	if run("load") {
-		rows, err := experiments.LoadBench(cfg)
-		check(err)
-		experiments.FprintLoad(os.Stdout, rows)
-		if *loadOut != "" {
-			check(experiments.WriteLoadJSON(*loadOut, cfg, rows))
-			fmt.Printf("wrote %s\n", *loadOut)
-		}
-		fmt.Println()
-	}
-	if run("reduction") {
-		rows, err := experiments.ReductionBench(cfg)
-		check(err)
-		experiments.FprintReduction(os.Stdout, rows)
-		if *jsonOut != "" {
-			check(experiments.WriteReductionJSON(*jsonOut, cfg, rows))
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		fmt.Println()
 	}
 	if run("ablations") {
 		// Beyond the paper: estimator/propagation/fixpoint comparisons.

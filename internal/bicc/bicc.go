@@ -108,20 +108,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm converts an engine name (as produced by String, with a few
-// aliases) into an Algorithm; the empty string is Auto.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "", "auto":
-		return AlgoAuto, nil
-	case "hopcroft-tarjan", "sequential", "dfs":
-		return AlgoSequential, nil
-	case "fastbcc", "parallel", "fast-bcc":
-		return AlgoParallel, nil
-	}
-	return 0, fmt.Errorf("bicc: unknown algorithm %q (want auto, hopcroft-tarjan or fastbcc)", s)
-}
-
 // parallel reports whether the decomposition should run the parallel engine
 // for a graph with the given edge count at the given worker count.
 func (a Algorithm) parallel(workers, edges int) bool {

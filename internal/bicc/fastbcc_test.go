@@ -153,27 +153,14 @@ func TestAutoPolicy(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Algorithm
-	}{
-		{"", AlgoAuto}, {"auto", AlgoAuto},
-		{"hopcroft-tarjan", AlgoSequential}, {"sequential", AlgoSequential}, {"dfs", AlgoSequential},
-		{"fastbcc", AlgoParallel}, {"parallel", AlgoParallel}, {"fast-bcc", AlgoParallel},
+// TestAlgorithmNames pins the engine names RunStats.BiCC and the bicc layer
+// study's rows report.
+func TestAlgorithmNames(t *testing.T) {
+	for a, want := range map[Algorithm]string{
+		AlgoAuto: "auto", AlgoSequential: "hopcroft-tarjan", AlgoParallel: "fastbcc",
 	} {
-		got, err := ParseAlgorithm(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseAlgorithm("bogus"); err == nil {
-		t.Error("ParseAlgorithm(bogus) must fail")
-	}
-	for _, a := range []Algorithm{AlgoAuto, AlgoSequential, AlgoParallel} {
-		back, err := ParseAlgorithm(a.String())
-		if err != nil || back != a {
-			t.Errorf("round-trip %v via %q failed: %v, %v", a, a.String(), back, err)
+		if got := a.String(); got != want {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", a, got, want)
 		}
 	}
 }

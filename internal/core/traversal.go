@@ -54,10 +54,11 @@ func (e engine) String() string {
 const batchMinSources = 8
 
 // frontierMinNodes is the floor below which a traversal's levels are too
-// small for a per-level fan-out to pay. BENCH_frontier.json (num_cpu=1)
-// has the frontier engine at 1.20–1.24x of per-source on the community and
-// social stand-ins and 0.84–0.85x on web and road, all far above this
-// floor; no host with more than one CPU has measured the floor itself.
+// small for a per-level fan-out to pay. BENCH_frontier.json (num_cpu=2)
+// has the frontier engine at 1.03–1.06x of per-source at one worker on the
+// community and social stand-ins, 0.79–0.80x on web and road, and below
+// its one-worker time at two workers on all but road, all far above this
+// floor; no cell measures the floor itself.
 const frontierMinNodes = 1 << 12
 
 // engineFor is the traversal policy: the engine for a unit of n nodes that

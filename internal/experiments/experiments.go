@@ -11,6 +11,8 @@
 //	Fig5    — per-node approximation-ratio distribution, random vs BiCC
 //	FigClass — Fig. 6/7/8/9: per-class relative speedup of C+R, I+C+R,
 //	           Cumulative
+//	RunLayer — the layer studies (reduction, frontier, bicc, sketch, load),
+//	           one runner and one row schema (layers.go, scenarios.go)
 package experiments
 
 import (
@@ -58,6 +60,19 @@ func (c Config) scale() float64 {
 		return 1
 	}
 	return c.Scale
+}
+
+// classDatasets returns the first dataset of each graph class.
+func classDatasets(cfg Config) []gen.Dataset {
+	var out []gen.Dataset
+	seen := map[gen.Class]bool{}
+	for _, ds := range gen.Datasets(cfg.scale()) {
+		if !seen[ds.Class] {
+			seen[ds.Class] = true
+			out = append(out, ds)
+		}
+	}
+	return out
 }
 
 // TableIRow mirrors one row of the paper's Table I.
@@ -436,12 +451,7 @@ type AblationRow struct {
 // on/off, and single-pass vs fixpoint reduction.
 func Ablations(cfg Config, fraction float64) ([]AblationRow, error) {
 	var out []AblationRow
-	seen := map[gen.Class]bool{}
-	for _, ds := range gen.Datasets(cfg.scale()) {
-		if seen[ds.Class] {
-			continue
-		}
-		seen[ds.Class] = true
+	for _, ds := range classDatasets(cfg) {
 		g := ds.Build()
 		actual := exactFor(cfg, ds, g)
 		variants := []struct {

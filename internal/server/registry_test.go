@@ -8,12 +8,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/bincsr"
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -160,6 +163,58 @@ func TestRegistryEstimateAndMutatePerGraph(t *testing.T) {
 	}
 	if sa.CacheEntries != 1 {
 		t.Fatalf("graph a cache entries %d, want 1 (per-graph cache)", sa.CacheEntries)
+	}
+}
+
+// TestKernelPanicFailsOneRequest: a panic inside a traversal kernel, raised
+// on a par pool worker rather than the request's goroutine, answers that one
+// request 500; the next request, on another graph, is answered in full. At
+// fraction 1 with no reduction every node is a source of one traversal
+// unit, so the batched engine runs and two workers share its batches.
+func TestKernelPanicFailsOneRequest(t *testing.T) {
+	paths := writeArtifacts(t, t.TempDir(), 300, "a", "b")
+	r, err := NewRegistry(paths, RegistryConfig{Server: Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(r)
+	t.Cleanup(func() { ts.Close(); r.Close() })
+	t.Cleanup(fault.Clear)
+	const params = `{"techniques":"S","fraction":1,"seed":1}`
+
+	restore := fault.Set("bfs.batch", fault.Panic("batched kernel crashed"))
+	code, body := httpDo(t, ts.Client(), http.MethodPost, ts.URL+"/graphs/a/v1/estimate", params)
+	restore()
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "batched kernel crashed") {
+		t.Fatalf("estimate with a crashing kernel: %d %s, want 500 naming the panic", code, body)
+	}
+
+	art, err := bincsr.ReadFile(paths["b"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bfs.ExactFarness(art.G, 1)
+	code, body = httpDo(t, ts.Client(), http.MethodPost, ts.URL+"/graphs/b/v1/estimate", params)
+	if code != http.StatusOK {
+		t.Fatalf("estimate on graph b after the crash: %d %s", code, body)
+	}
+	var est estimateBody
+	if err := json.Unmarshal(body, &est); err != nil {
+		t.Fatal(err)
+	}
+	if est.Nodes != len(want) || est.ExactCount != len(want) {
+		t.Fatalf("graph b: %d nodes, %d exact; want all %d exact", est.Nodes, est.ExactCount, len(want))
+	}
+	for v := range want {
+		code, body := httpDo(t, ts.Client(), http.MethodGet,
+			fmt.Sprintf("%s/graphs/b/v1/farness/%d?techniques=S&fraction=1&seed=1", ts.URL, v), "")
+		var fb farnessBody
+		if code != http.StatusOK || json.Unmarshal(body, &fb) != nil {
+			t.Fatalf("farness %d: %d %s", v, code, body)
+		}
+		if fb.Farness != want[v] || !fb.Exact {
+			t.Fatalf("farness[%d] = %v (exact %v), oracle %v", v, fb.Farness, fb.Exact, want[v])
+		}
 	}
 }
 
