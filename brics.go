@@ -115,9 +115,8 @@ const (
 // paper's default 20% fraction. The traversal engine is not an option: every
 // traversal unit (the reduced graph, or one biconnected block) batches its
 // sources into 64-wide bit-parallel sweeps when at least 8 of them share it,
-// switches to the frontier-parallel engine when it carries fewer sources
-// than half the workers, and otherwise runs one direction-optimising
-// traversal per source. All engines produce identical farness values.
+// and otherwise runs one direction-optimising traversal per source. Both
+// engines produce identical farness values.
 type Options = core.Options
 
 // Result of an estimation run: per-node farness, exactness flags and run

@@ -8,13 +8,13 @@
 //	experiments -list
 //
 // Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9, sweep,
-// the layer studies reduction, frontier, bicc, sketch and load, and
-// ablations (default: all, in order). See EXPERIMENTS.md for the recorded
+// the layer studies reduction, bicc, sketch and load, and ablations
+// (default: all, in order). See EXPERIMENTS.md for the recorded
 // paper-vs-measured comparison. Each layer study times one layer (the
-// reduction pipeline, the exact-farness traversal engines, the BiCC
-// engines, the distance sketch, the artifact load paths) cell by cell,
-// after checking each cell against its reference; -bench-dir writes each
-// study that ran as DIR/BENCH_<study>.json (used by `make bench-layers`).
+// reduction pipeline, the BiCC engines, the distance sketch, the artifact
+// load paths) cell by cell, after checking each cell against its
+// reference; -bench-dir writes each study that ran as
+// DIR/BENCH_<study>.json (used by `make bench-layers`).
 // -cpuprofile/-memprofile capture pprof profiles of whatever subset runs —
 // the intended workflow for chasing kernel regressions spotted in the
 // matrix.
@@ -38,7 +38,7 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default stand-in sizes)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "sampling seed")
-		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,sweep,reduction,frontier,bicc,sketch,load,ablations")
+		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,sweep,reduction,bicc,sketch,load,ablations")
 		benchDir   = flag.String("bench-dir", "", "write each layer study that runs to BENCH_<study>.json in this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")

@@ -52,24 +52,6 @@ func ExactFarnessW(g *graph.WGraph, workers int) []float64 {
 	return farness
 }
 
-// ExactFarnessFrontier is ExactFarness with the traversal-level parallelism
-// transposed: sources run sequentially and each BFS fans its frontier out
-// across the workers (the edge-map engine). Peak memory is one distance row
-// regardless of worker count, and farness is bit-identical to ExactFarness —
-// the two are interchangeable oracles.
-func ExactFarnessFrontier(g *graph.Graph, workers int) []float64 {
-	n := g.NumNodes()
-	farness := make([]float64, n)
-	dist := make([]int32, n)
-	fs := NewFrontierScratch()
-	for v := 0; v < n; v++ {
-		FrontierDistances(g, graph.NodeID(v), dist, workers, fs)
-		sum, _ := Sum(dist)
-		farness[v] = float64(sum)
-	}
-	return farness
-}
-
 // AllPairs computes the full distance matrix of a small graph. Intended for
 // tests only: memory is Θ(n²).
 func AllPairs(g *graph.Graph) [][]int32 {

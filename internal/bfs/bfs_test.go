@@ -284,3 +284,24 @@ func TestAllPairsSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelExactFarness: the all-sources oracle, parallel across sources,
+// equals one plain BFS sum per source at every worker count.
+func TestParallelExactFarness(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomConnected(rng, 200)
+	want := make([]float64, g.NumNodes())
+	dist := make([]int32, g.NumNodes())
+	for v := range want {
+		Distances(g, graph.NodeID(v), dist, nil)
+		sum, _ := Sum(dist)
+		want[v] = float64(sum)
+	}
+	for _, w := range []int{1, 2, 3} {
+		for v, got := range ExactFarness(g, w) {
+			if got != want[v] {
+				t.Fatalf("workers=%d node %d: %v, want %v", w, v, got, want[v])
+			}
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 // This file holds the direction-optimising (Beamer-style push/pull hybrid)
 // per-source BFS. Top-down ("push") levels expand the frontier through its
 // out-edges; once the frontier's out-edge count mf exceeds a fraction of the
-// unexplored edges mu (the DefaultTuning rule, see tuning.go), the kernel
+// unexplored edges mu (the pullLevel rule, see tuning.go), the kernel
 // flips to bottom-up ("pull") levels, where every unvisited node scans its
 // own neighbours for a frontier member and stops at the first hit — on
 // low-diameter graphs the one or two widest levels dominate the edge scans,
@@ -25,8 +25,7 @@ import (
 // graphs.
 
 // The push/pull switching rule and its alpha/beta/floor constants live in
-// tuning.go (DirectionTuning / DefaultTuning / pullLevel), shared with the
-// msbfs pull path and the frontier-parallel engine.
+// tuning.go (pullLevel), shared with the msbfs pull path.
 
 // WHybridDistancesBFSCtx runs a direction-optimising BFS from src over a
 // weighted graph whose weights are all 1, filling dist with hop counts

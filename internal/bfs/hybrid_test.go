@@ -1,0 +1,134 @@
+package bfs
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/par"
+)
+
+var relabelModes = []graph.RelabelMode{graph.RelabelNone, graph.RelabelDegree, graph.RelabelBFS}
+
+// TestFrontierMatchesDistancesOnFamilies cross-checks the direction-optimising
+// frontier kernel, which runs every single-source traversal of an
+// unweighted unit, against the plain queue BFS on all four generator
+// families under every relabel mode: distances bit-identical per node, and
+// therefore the farness sums too. One Scratch is reused across every
+// traversal, as the per-source engine reuses it. The 5000-node road case
+// drives long, thin push-only frontiers; the social case drives the pull
+// levels.
+func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
+	modes := relabelModes
+	if testing.Short() {
+		modes = relabelModes[:1]
+	}
+	s := &Scratch{}
+	for _, fam := range genFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			sizes := []int{60, 400, 5000}
+			if testing.Short() {
+				sizes = sizes[:2]
+			}
+			for _, size := range sizes {
+				base := fam.build(size, int64(size))
+				for _, mode := range modes {
+					g, _ := graph.Relabel(base, mode, 2)
+					n := g.NumNodes()
+					want := make([]int32, n)
+					got := make([]int32, n)
+					for trial := 0; trial < 4; trial++ {
+						src := graph.NodeID(rng.Intn(n))
+						Distances(g, src, want, nil)
+						hybridDistances(t, g, src, got, s)
+						for v := range want {
+							if got[v] != want[v] {
+								t.Fatalf("%s n=%d relabel=%v src=%d node %d: hybrid %d, sequential %d",
+									fam.name, n, mode, src, v, got[v], want[v])
+							}
+						}
+						wantSum, _ := Sum(want)
+						if gotSum, _ := Sum(got); gotSum != wantSum {
+							t.Fatalf("%s n=%d relabel=%v src=%d: farness %d, want %d", fam.name, n, mode, src, gotSum, wantSum)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWFrontierMatchesWDistances cross-checks the per-source engine's
+// weighted-unit kernels against a fresh sequential Dial on randomly weighted
+// versions of the four families: the direction-optimising BFS over the
+// WGraph CSR on the unit-weight range, Dial otherwise. As in the engine, one
+// Scratch sized to the largest unit and weight serves every traversal, each
+// writing a prefix of its distance row.
+func TestWFrontierMatchesWDistances(t *testing.T) {
+	const maxN, maxW = 4096, 60 // above every generated size and weight
+	weightRanges := []struct {
+		name   string
+		lo, hi int32
+	}{
+		{"unit", 1, 1},
+		{"small", 1, 7},
+		{"wide", 1, maxW},
+	}
+	for _, fam := range genFamilies {
+		for _, wr := range weightRanges {
+			t.Run(fam.name+"/"+wr.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(29))
+				trials := 4
+				if testing.Short() {
+					trials = 2
+				}
+				s := NewScratch(maxN, maxW)
+				for trial := 0; trial < trials; trial++ {
+					g := fam.build(rng.Intn(900)+80, int64(trial)+17)
+					wg := reweight(g, wr.lo, wr.hi, rng)
+					n := wg.NumNodes()
+					want := make([]int32, n)
+					src := graph.NodeID(rng.Intn(n))
+					WDistances(wg, src, want, nil)
+					got := s.Dist[:n]
+					var err error
+					if wg.Unweighted() {
+						err = WHybridDistancesBFSCtx(context.Background(), wg, src, got, s)
+					} else {
+						err = WDistancesCtx(context.Background(), wg, src, got, s.B)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%s/%s src=%d node %d: engine %d, dial %d",
+								fam.name, wr.name, src, v, got[v], want[v])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFrontierCtxCanceled: a pre-canceled context aborts both per-source
+// kernels, the frontier-level-polled hybrid BFS and Dial, with ErrCanceled
+// instead of finishing the traversal.
+func TestFrontierCtxCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := gen.Web(500, 3)
+	n := g.NumNodes()
+	if err := WHybridDistancesBFSCtx(ctx, g.ToWeighted(), 0, make([]int32, n), &Scratch{}); !errors.Is(err, par.ErrCanceled) {
+		t.Fatalf("WHybridDistancesBFSCtx: want ErrCanceled, got %v", err)
+	}
+	wg := reweight(g, 1, 9, rand.New(rand.NewSource(1)))
+	if err := WDistancesCtx(ctx, wg, 0, make([]int32, n), nil); !errors.Is(err, par.ErrCanceled) {
+		t.Fatalf("WDistancesCtx: want ErrCanceled, got %v", err)
+	}
+}

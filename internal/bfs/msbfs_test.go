@@ -207,3 +207,27 @@ func TestMultiSourceDenseBottomUp(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiSourceFarnessMatchesExact runs the branchless multi-source kernel
+// end to end against per-source BFS sums on each family — the equivalence
+// test for the branch-avoiding visit-loop rewrites.
+func TestMultiSourceFarnessMatchesExact(t *testing.T) {
+	for _, fam := range genFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(61))
+			g := fam.build(600, 47)
+			n := g.NumNodes()
+			batch := randomBatch(rng, n)
+			_, far := multiSourceFarness(g, batch)
+			dist := make([]int32, n)
+			for lane, src := range batch {
+				Distances(g, src, dist, nil)
+				sum, _ := Sum(dist)
+				if far[lane] != sum {
+					t.Fatalf("%s lane %d (src %d): batched farness %d, per-source %d",
+						fam.name, lane, src, far[lane], sum)
+				}
+			}
+		})
+	}
+}

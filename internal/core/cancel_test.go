@@ -114,7 +114,7 @@ func TestEstimateContextCanceledDuringTraversal(t *testing.T) {
 	// Cancel while traversals are in flight (not just at a checkpoint): the
 	// fan-out must stop claiming sources and return ErrCanceled.
 	g := gen.Community(1500, 3)
-	for _, e := range []engine{perSource, batched, frontier} {
+	for _, e := range []engine{perSource, batched} {
 		pinEngine(t, e, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		restore := fault.Set("core.traverse", func(context.Context) error {
@@ -156,16 +156,14 @@ func TestEstimateAdaptiveContextCanceled(t *testing.T) {
 
 // TestWorkerPanicReachesCaller: a panic on a traversal worker goroutine is
 // re-raised by EstimateContext on the calling goroutine, where a server's
-// recover can answer 500, instead of ending the process. It covers both
-// in-pool fault points: the frontier kernel's checkpoint and the one at the
-// start of every batched task, each inside the cumulative task fan-out at 2
-// workers.
+// recover can answer 500, instead of ending the process. It covers the
+// in-pool fault point at the start of every batched task, inside the
+// cumulative task fan-out at 2 workers.
 func TestWorkerPanicReachesCaller(t *testing.T) {
 	for _, c := range []struct {
 		e     engine
 		point string
 	}{
-		{frontier, "bfs.frontier"},
 		{batched, "bfs.batch"},
 	} {
 		t.Run(c.e.String(), func(t *testing.T) {
@@ -185,13 +183,14 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// TestTraverseKernelErrorAbortsRun: an error a traversal kernel returns (a
-// fault hook's, here) aborts the run with that error instead of delivering
-// the kernel's stale scratch row as an exact farness.
+// TestTraverseKernelErrorAbortsRun: an error returned inside a traversal
+// task (the "bfs.batch" fault hook's, here, with the batched engine pinned)
+// aborts the run with that error instead of delivering the task's stale
+// scratch rows as exact farness.
 func TestTraverseKernelErrorAbortsRun(t *testing.T) {
-	pinEngine(t, frontier, nil)
-	boom := errors.New("frontier kernel failed")
-	restore := fault.Set("bfs.frontier", func(context.Context) error { return boom })
+	pinEngine(t, batched, nil)
+	boom := errors.New("batched kernel failed")
+	restore := fault.Set("bfs.batch", func(context.Context) error { return boom })
 	defer restore()
 	res, err := EstimateContext(context.Background(), gen.Road(900, 5), Options{Techniques: TechICR, SampleFraction: 0.2, Seed: 1, Workers: 2})
 	if !errors.Is(err, boom) {

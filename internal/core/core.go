@@ -133,7 +133,7 @@ type Options struct {
 }
 
 func (o *Options) fraction() float64 {
-	if o.SampleFraction <= 0 {
+	if !(o.SampleFraction > 0) { // ≤ 0 or NaN: unset
 		return 0.2
 	}
 	if o.SampleFraction > 1 {

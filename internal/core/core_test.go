@@ -342,6 +342,10 @@ func TestSampleFractionDefaults(t *testing.T) {
 	if o.fraction() != 1 {
 		t.Errorf("clamped fraction = %v, want 1", o.fraction())
 	}
+	o.SampleFraction = math.NaN()
+	if o.fraction() != 0.2 {
+		t.Errorf("NaN fraction = %v, want the 0.2 default", o.fraction())
+	}
 }
 
 // Lower sampling keeps reasonable quality on structured graphs (smoke-level

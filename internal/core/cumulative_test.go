@@ -90,9 +90,9 @@ func TestCumulativePass2CacheIdentical(t *testing.T) {
 					units := 0
 					old := cutCacheBudget
 					cutCacheBudget = budget
-					chooseEngine = func(k, w, n int) engine {
+					chooseEngine = func(k int) engine {
 						units++
-						return engineFor(k, w, n)
+						return engineFor(k)
 					}
 					defer func() { cutCacheBudget, chooseEngine = old, engineFor }()
 					res, err := Estimate(tc.g, Options{Techniques: TechCumulative, SampleFraction: 0.2,

@@ -100,7 +100,7 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 						t.Fatalf("%s/%s/%s node %d: exact farness %v, oracle %v", fam.name, mode, tech.name, v, base.Farness[v], oracle[v])
 					}
 				}
-				for _, trav := range []engine{perSource, batched, frontier} {
+				for _, trav := range []engine{perSource, batched} {
 					pinEngine(t, trav, nil)
 					for _, w := range relabelWorkerSweep() {
 						label := fmt.Sprintf("%s/%s/%s/%s workers=%d", fam.name, mode, tech.name, trav, w)

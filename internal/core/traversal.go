@@ -29,22 +29,13 @@ const (
 	// edge scans (bfs.MultiSourceWRows) and fans the batches out across the
 	// workers.
 	batched
-	// frontier runs the sources one after another and splits each
-	// traversal's frontier levels (BFS) or bucket relaxations (Dial) across
-	// the workers: the transposed fan-out, for units with fewer sources
-	// than workers.
-	frontier
 )
 
 func (e engine) String() string {
-	switch e {
-	case batched:
+	if e == batched {
 		return "batched"
-	case frontier:
-		return "frontier"
-	default:
-		return "per-source"
 	}
+	return "per-source"
 }
 
 // batchMinSources is the batching threshold: below 8 sources in a unit a
@@ -53,26 +44,12 @@ func (e engine) String() string {
 // four families at 20% sampling; the value 8 itself was not swept.
 const batchMinSources = 8
 
-// frontierMinNodes is the floor below which a traversal's levels are too
-// small for a per-level fan-out to pay. BENCH_frontier.json (num_cpu=2)
-// has the frontier engine at 1.03–1.06x of per-source at one worker on the
-// community and social stand-ins, 0.79–0.80x on web and road, and below
-// its one-worker time at two workers on all but road, all far above this
-// floor; no cell measures the floor itself.
-const frontierMinNodes = 1 << 12
-
-// engineFor is the traversal policy: the engine for a unit of n nodes that
-// carries k sampled sources, at the given worker count. Batching wins as
-// soon as enough sources share the unit. Otherwise the frontier engine runs
-// when fewer than half the workers would have a source under per-source
-// parallelism and the unit is large enough to amortise the per-level
-// fan-out. Everything else runs per-source.
-func engineFor(k, workers, n int) engine {
-	switch {
-	case k >= batchMinSources:
+// engineFor is the traversal policy: the engine for a unit that carries k
+// sampled sources. Batching wins as soon as enough sources share the unit;
+// everything else runs per-source.
+func engineFor(k int) engine {
+	if k >= batchMinSources {
 		return batched
-	case workers > 1 && k > 0 && 2*k <= workers && n >= frontierMinNodes:
-		return frontier
 	}
 	return perSource
 }
@@ -80,14 +57,6 @@ func engineFor(k, workers, n int) engine {
 // chooseEngine is what every estimator calls. It is engineFor; tests swap
 // it to pin one engine and restore it afterwards.
 var chooseEngine = engineFor
-
-// SingleSourceFrontier reports whether one traversal at a time over an
-// n-node graph should use the frontier-parallel engine at the given worker
-// count. It is the traversal policy with k = 1, for callers outside this
-// package that verify candidates one BFS at a time (topk).
-func SingleSourceFrontier(workers, n int) bool {
-	return chooseEngine(1, workers, n) == frontier
-}
 
 // clusterOrder returns the order in which the batched engine should take
 // sources, or nil to keep sample-draw order. Sources are clustered only when
@@ -142,8 +111,7 @@ type unit struct {
 }
 
 // traversalTask is one entry of the driver's task pool: a single source
-// (per-source and frontier engines) or a ≤64-wide batch (batched engine),
-// all in unit u.
+// (per-source engine) or a ≤64-wide batch (batched engine), all in unit u.
 type traversalTask struct {
 	u    int
 	e    engine
@@ -169,15 +137,14 @@ func traverse(ctx context.Context, units []unit, workers int,
 	row func(worker, u int, src graph.NodeID, dist []int32)) error {
 	workers = par.Workers(workers)
 	var tasks, rest []traversalTask
-	var uses [3]bool // indexed by engine
+	var uses [2]bool // indexed by engine
 	maxN, maxW := 0, int32(1)
 	for ui, un := range units {
 		if len(un.sources) == 0 {
 			continue
 		}
-		n := un.g.NumNodes()
-		maxN, maxW = max(maxN, n), max(maxW, un.g.MaxWeight())
-		e := chooseEngine(len(un.sources), workers, n)
+		maxN, maxW = max(maxN, un.g.NumNodes()), max(maxW, un.g.MaxWeight())
+		e := chooseEngine(len(un.sources))
 		uses[e] = true
 		srcs, width := un.sources, 1
 		if e == batched {
@@ -236,12 +203,9 @@ func traverse(ctx context.Context, units []unit, workers int,
 		}
 		src, dist := t.srcs[0], s.s.Dist[:n]
 		var err error
-		switch {
-		case t.e == frontier:
-			err = bfs.WFrontierDistancesCtx(ctx, un.g, un.unweighted, src, dist, workers, s.fs)
-		case un.unweighted:
+		if un.unweighted {
 			err = bfs.WHybridDistancesBFSCtx(ctx, un.g, src, dist, s.s)
-		default:
+		} else {
 			err = bfs.WDistancesCtx(ctx, un.g, src, dist, s.s.B)
 		}
 		if failed(err) || par.Interrupted(done) {
@@ -268,20 +232,16 @@ func holdsFirst(t traversalTask, first func(u int, src graph.NodeID) bool) bool 
 // traversalScratch is one worker's reusable traversal state, sized to the
 // largest unit and allocated only for the engines the run uses.
 type traversalScratch struct {
-	s    *bfs.Scratch         // per-source and frontier distance row and queues
-	fs   *bfs.FrontierScratch // frontier engine
-	ms   *bfs.MSScratch       // batched engine: lane masks and frontiers
-	slab []int32              // batched engine: 64 distance rows
+	s    *bfs.Scratch   // per-source engine: distance row and queues
+	ms   *bfs.MSScratch // batched engine: lane masks and frontiers
+	slab []int32        // batched engine: 64 distance rows
 	rows [][]int32
 }
 
-func newTraversalScratch(maxN int, maxW int32, uses [3]bool, done <-chan struct{}) traversalScratch {
+func newTraversalScratch(maxN int, maxW int32, uses [2]bool, done <-chan struct{}) traversalScratch {
 	var s traversalScratch
-	if uses[perSource] || uses[frontier] {
+	if uses[perSource] {
 		s.s = bfs.NewScratch(maxN, maxW)
-	}
-	if uses[frontier] {
-		s.fs = bfs.NewFrontierScratch()
 	}
 	if uses[batched] {
 		s.ms = bfs.NewMSScratch(maxN, maxW)

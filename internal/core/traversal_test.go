@@ -18,7 +18,7 @@ import (
 // decision was asked about.
 func pinEngine(t *testing.T, e engine, maxK *int) {
 	t.Cleanup(func() { chooseEngine = engineFor })
-	chooseEngine = func(k, _, _ int) engine {
+	chooseEngine = func(k int) engine {
 		if maxK != nil && k > *maxK {
 			*maxK = k
 		}
@@ -26,52 +26,25 @@ func pinEngine(t *testing.T, e engine, maxK *int) {
 	}
 }
 
-// TestTraversalAutoPolicy pins the batching side of the traversal policy:
-// batching from batchMinSources sources up, whatever the workers and unit
-// size, and per-source below that when the frontier rule does not apply.
+// TestTraversalAutoPolicy pins the traversal policy: batching from
+// batchMinSources sources up, per-source below that, whatever the worker
+// count or unit size.
 func TestTraversalAutoPolicy(t *testing.T) {
-	big := frontierMinNodes
 	cases := []struct {
-		k, workers, n int
-		want          engine
+		k    int
+		want engine
 	}{
-		{1, 1, 10, perSource},
-		{batchMinSources - 1, 1, big, perSource},
-		{batchMinSources, 1, 10, batched},
-		{1000, 64, big, batched},
-		{batchMinSources, 2 * batchMinSources, big, batched}, // batching wins over frontier
-		{0, 1, 10, perSource},
+		{0, perSource},
+		{1, perSource},
+		{4, perSource},
+		{batchMinSources - 1, perSource},
+		{batchMinSources, batched},
+		{1000, batched},
 	}
 	for _, c := range cases {
-		if got := engineFor(c.k, c.workers, c.n); got != c.want {
-			t.Errorf("engineFor(%d, %d, %d) = %v, want %v", c.k, c.workers, c.n, got, c.want)
+		if got := engineFor(c.k); got != c.want {
+			t.Errorf("engineFor(%d) = %v, want %v", c.k, got, c.want)
 		}
-	}
-}
-
-// TestTraversalFrontierPolicy pins when the policy picks the frontier
-// engine: only when the unit's sources cannot fill half the worker pool
-// (2k ≤ workers) on a unit big enough to amortise the per-level fan-out.
-func TestTraversalFrontierPolicy(t *testing.T) {
-	big := frontierMinNodes
-	cases := []struct {
-		k, workers, n int
-		want          engine
-	}{
-		{1, 8, big, frontier},  // one source, many workers
-		{4, 8, big, frontier},  // 2k == workers: boundary in
-		{5, 8, big, perSource}, // sources can fill the pool
-		{1, 1, big, perSource}, // no parallelism to exploit
-		{0, 8, big, perSource},
-		{1, 8, big - 1, perSource}, // too small to amortise
-	}
-	for _, c := range cases {
-		if got := engineFor(c.k, c.workers, c.n); got != c.want {
-			t.Errorf("engineFor(%d, %d, %d) = %v, want %v", c.k, c.workers, c.n, got, c.want)
-		}
-	}
-	if !SingleSourceFrontier(8, big) || SingleSourceFrontier(1, big) || SingleSourceFrontier(8, big-1) {
-		t.Error("SingleSourceFrontier disagrees with engineFor(1, workers, n)")
 	}
 }
 
@@ -92,7 +65,6 @@ const loFraction, hiFraction = 0.04, 0.5
 var (
 	traversalEngines = []forcedEngine{
 		{"batched", batched, loFraction, false},
-		{"frontier", frontier, loFraction, false},
 	}
 	batchingEngines = []forcedEngine{
 		{"batched", batched, loFraction, false},
@@ -140,8 +112,8 @@ func assertEnginesIdentical(t *testing.T, engines []forcedEngine, est func(fract
 // estimators, where engines run on the reduced graph and inside blocks.
 var estimateTechs = []Technique{TechCR, TechICR, TechCumulative}
 
-// TestRandomSamplingTraversalModesIdentical: the batched and frontier
-// engines reproduce the per-source engine in the unreduced random-sampling
+// TestRandomSamplingTraversalModesIdentical: the batched engine reproduces
+// the per-source engine in the unreduced random-sampling
 // baseline on the four generator families.
 func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
@@ -267,7 +239,7 @@ func TestTraverseRowsMatchKernels(t *testing.T) {
 	}
 	// first picks every third source of each unit.
 	first := func(u int, src graph.NodeID) bool { return int(src)%3 == u }
-	for _, e := range []engine{perSource, batched, frontier} {
+	for _, e := range []engine{perSource, batched} {
 		for _, workers := range []int{1, 2, 4} {
 			pinEngine(t, e, nil)
 			label := fmt.Sprintf("%s workers=%d", e, workers)

@@ -11,7 +11,7 @@
 //	Fig5    — per-node approximation-ratio distribution, random vs BiCC
 //	FigClass — Fig. 6/7/8/9: per-class relative speedup of C+R, I+C+R,
 //	           Cumulative
-//	RunLayer — the layer studies (reduction, frontier, bicc, sketch, load),
+//	RunLayer — the layer studies (reduction, bicc, sketch, load),
 //	           one runner and one row schema (layers.go, scenarios.go)
 package experiments
 

@@ -103,11 +103,10 @@ type cell struct {
 }
 
 // LayerStudies names the layer studies in run order.
-var LayerStudies = []string{"reduction", "frontier", "bicc", "sketch", "load"}
+var LayerStudies = []string{"reduction", "bicc", "sketch", "load"}
 
 var layerStudies = map[string]study{
 	"reduction": reductionStudy,
-	"frontier":  frontierStudy,
 	"bicc":      biccStudy,
 	"sketch":    sketchStudy,
 	"load":      loadStudy,

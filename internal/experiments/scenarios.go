@@ -64,41 +64,6 @@ var reductionStudy = study{
 	},
 }
 
-// frontierStudy times the two exact-farness engines, which parallelise
-// across sources (per-source) or across each BFS's levels (frontier).
-var frontierStudy = study{
-	name:     "frontier",
-	baseline: "engine=per-source workers=1",
-	note: "One op is a full exact farness run (one BFS per node) on the generated graph. Gate: " +
-		"every cell's farness is bit-identical to the per-source engine at 1 worker.",
-	setup: func(cfg Config, ds gen.Dataset) (dataset, error) {
-		g := ds.Build()
-		d := dataset{nodes: g.NumNodes(), edges: g.NumEdges()}
-		var want []float64 // the baseline cell's farness
-		for _, engine := range []string{"per-source", "frontier"} {
-			exact := bfs.ExactFarness
-			if engine == "frontier" {
-				exact = bfs.ExactFarnessFrontier
-			}
-			for _, w := range workerSweep() {
-				d.cells = append(d.cells, cell{
-					config: map[string]any{"engine": engine, "workers": w},
-					gate: func() error {
-						if far := exact(g, w); want == nil {
-							want = far
-						} else if !slices.Equal(far, want) {
-							return errors.New("farness differs from per-source at 1 worker")
-						}
-						return nil
-					},
-					op: func() (map[string]int64, error) { exact(g, w); return nil, nil },
-				})
-			}
-		}
-		return d, nil
-	},
-}
-
 // biccStudy times both decomposition engines on the reduced graph, the
 // graph the estimator's BiCC stage sees.
 var biccStudy = study{

@@ -10,7 +10,7 @@
 //
 //	reduce.twins, reduce.chains, reduce.redundant, reduce.round
 //	core.reduce, core.decompose, core.traverse, core.aggregate
-//	bfs.batch, bfs.frontier
+//	bfs.batch
 //	topk.verify
 //	server.estimate, server.handle, server.mutate
 package fault

@@ -243,49 +243,3 @@ func ForDynamic(n, workers, chunk int, fn func(worker, i int)) {
 	}
 	g.wait()
 }
-
-// AddFloat64 atomically adds delta to *addr using a CAS loop. Farness
-// accumulators are shared across BFS workers; this is the contention-safe
-// update they use.
-func AddFloat64(addr *uint64, delta float64) {
-	for {
-		old := atomic.LoadUint64(addr)
-		nw := mathFloat64bits(mathFloat64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(addr, old, nw) {
-			return
-		}
-	}
-}
-
-// Float64Slice is a slice of float64 values supporting atomic accumulation.
-// It is stored as raw bits so that AddFloat64's CAS loop applies.
-type Float64Slice struct {
-	bits []uint64
-}
-
-// NewFloat64Slice returns an atomically addressable zeroed slice of length n.
-func NewFloat64Slice(n int) *Float64Slice {
-	return &Float64Slice{bits: make([]uint64, n)}
-}
-
-// Len returns the slice length.
-func (s *Float64Slice) Len() int { return len(s.bits) }
-
-// Add atomically adds delta to element i.
-func (s *Float64Slice) Add(i int, delta float64) { AddFloat64(&s.bits[i], delta) }
-
-// Get loads element i.
-func (s *Float64Slice) Get(i int) float64 {
-	return mathFloat64frombits(atomic.LoadUint64(&s.bits[i]))
-}
-
-// Snapshot copies the current values into a plain []float64. Only safe to
-// call once all writers are done (it does non-atomic-consistent reads per
-// element, which is fine element-wise).
-func (s *Float64Slice) Snapshot() []float64 {
-	out := make([]float64, len(s.bits))
-	for i := range s.bits {
-		out[i] = s.Get(i)
-	}
-	return out
-}

@@ -125,29 +125,3 @@ func TestWorkersNormalisation(t *testing.T) {
 		t.Error("non-positive should map to at least 1")
 	}
 }
-
-func TestFloat64SliceConcurrentAdds(t *testing.T) {
-	s := NewFloat64Slice(4)
-	const per = 1000
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func() {
-			for i := 0; i < per; i++ {
-				s.Add(i%4, 0.5)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-	snap := s.Snapshot()
-	for i, v := range snap {
-		if v != 4*per/4*0.5 {
-			t.Errorf("slot %d = %v, want %v", i, v, 4*per/4*0.5)
-		}
-	}
-	if s.Len() != 4 {
-		t.Errorf("Len = %d, want 4", s.Len())
-	}
-}

@@ -249,9 +249,12 @@ func TestValidation400(t *testing.T) {
 		{http.MethodPost, "/v1/estimate?timeout=nonsense", `{}`},
 		{http.MethodPost, "/v1/estimate?timeout=-5s", `{}`},
 		{http.MethodGet, "/v1/farness/0?fraction=2", ""},
+		{http.MethodGet, "/v1/farness/0?fraction=NaN", ""},
 		{http.MethodGet, "/v1/topk?k=0", ""},
 		{http.MethodGet, "/v1/topk?k=-3", ""},
 		{http.MethodGet, "/v1/topk?fraction=0", ""},
+		{http.MethodGet, "/v1/topk?k=3&fraction=nan", ""},
+		{http.MethodGet, "/v1/topk?fraction=NaN", ""},
 	}
 	for _, c := range cases {
 		if w := doJSON(s, c.method, c.target, c.body); w.Code != http.StatusBadRequest {

@@ -30,9 +30,8 @@
 // Traversal engines. Requests choose what to estimate (techniques,
 // fraction, seed), never how to traverse: every run traverses the canonical
 // reduced graph under the estimators' one traversal policy, which picks
-// batched, frontier-parallel or per-source traversals per traversal unit
-// from its sampled source count, the server's worker bound and the unit's
-// size. The retired "traversal", "batching" and "relabel" parameters are
+// batched or per-source traversals per traversal unit from its sampled
+// source count alone. The retired "traversal", "batching" and "relabel" parameters are
 // ignored like any unknown field, so such requests share the cache entry of
 // the bare request.
 package server
@@ -422,7 +421,7 @@ func (s *Server) resolve(p estimateParams) (string, core.Options, error) {
 	if err != nil {
 		return "", core.Options{}, err
 	}
-	if p.Fraction <= 0 || p.Fraction > 1 {
+	if !(p.Fraction > 0 && p.Fraction <= 1) { // also rejects NaN
 		return "", core.Options{}, fmt.Errorf("fraction %g out of range (0,1]", p.Fraction)
 	}
 	key := fmt.Sprintf("%s/%g/%d", tech, p.Fraction, p.Seed)

@@ -131,18 +131,10 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	// computed counts against MaxVerify — groups are clipped to the remaining
 	// budget, never exceeding it — and per-lane sums are bit-identical to
 	// bfs.Sum over a per-source row, so results match the per-source path
-	// exactly. A candidate the prefetch did not cover gets one traversal of
-	// its own, on the engine the traversal policy picks for one source at a
-	// time.
+	// exactly. A candidate the prefetch did not cover gets one plain BFS of
+	// its own.
 	workers := par.Workers(opts.Estimate.Workers)
-	useFrontier := core.SingleSourceFrontier(workers, n)
-	var q *queue.FIFO
-	var frontierScratch *bfs.FrontierScratch
-	if useFrontier {
-		frontierScratch = bfs.NewFrontierScratch()
-	} else {
-		q = queue.NewFIFO(n)
-	}
+	q := queue.NewFIFO(n)
 	exactCache := make([]float64, n)
 	haveExact := make([]bool, n)
 	// Sketch filter: proven farness lower bounds let the loop below discard
@@ -229,13 +221,7 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 		if err := fault.Checkpoint(ctx, "topk.verify"); err != nil {
 			return 0, err
 		}
-		var err error
-		if useFrontier {
-			err = bfs.FrontierDistancesCtx(ctx, g, v, dist, workers, frontierScratch)
-		} else {
-			err = bfs.DistancesCtx(ctx, g, v, dist, q)
-		}
-		if err != nil {
+		if err := bfs.DistancesCtx(ctx, g, v, dist, q); err != nil {
 			return 0, err
 		}
 		sum, _ := bfs.Sum(dist)
