@@ -11,7 +11,10 @@
 //	farness(v) = inBlock(v) + Σ_{cuts c of B} ( W(B,c)·d(v,c) + D(B,c) )
 //
 // with every term beyond the in-block one exact, because cut vertices are
-// always sampled and so in-block distances from cuts are exact.
+// always sampled and so in-block distances from cuts are exact. The weight
+// W depends on block populations only (Tree.Weights), so a caller can add
+// the W·d(v,c) term while a cut's traversal row is in hand; only D needs
+// the distance sums (Tree.Aggregate).
 //
 // The package is deliberately independent of how per-block populations and
 // cut-to-node distance sums were computed: core feeds it Inputs assembled
@@ -169,96 +172,103 @@ type Inputs struct {
 // the cut vertex.
 type Contrib struct {
 	Wout, Dout [][]int64
-	TotalPop   int64
 }
 
-// Aggregate runs the bottom-up and top-down passes.
-func (t *Tree) Aggregate(in *Inputs) *Contrib {
+// Weights returns Wout, the population half of the aggregation: for block
+// b and its i-th cut, the number of nodes that live beyond that cut. It
+// reads populations only, so it is known before any distance is.
+func (t *Tree) Weights(pop []int64) [][]int64 {
 	nb := t.D.NumBlocks()
-	nc := len(t.Cuts)
-	// Bottom-up state.
-	wsub := make([]int64, nb) // population of the subtree hanging below block b (incl. b)
-	dsub := make([]int64, nb) // Σ distances from b's parent cut to that population
-	wdown := make([]int64, nc)
-	ddown := make([]int64, nc)
-
+	wsub := make([]int64, nb)           // population of the subtree below block b (incl. b)
+	wdown := make([]int64, len(t.Cuts)) // population below cut c
 	var total int64
-	for _, p := range in.Pop {
+	for _, p := range pop {
 		total += p
 	}
-
 	// Bottom-up: reverse BFS order guarantees children before parents.
 	for i := len(t.Order) - 1; i >= 0; i-- {
 		b := t.Order[i]
-		cuts := t.BlockCuts[b]
-		pc := t.ParentCut[b]
-		w := in.Pop[b]
-		for li, ci := range cuts {
-			if ci == pc || t.ParentBlock[ci] != b {
-				continue
+		w := pop[b]
+		for _, ci := range t.BlockCuts[b] {
+			if ci != t.ParentCut[b] && t.ParentBlock[ci] == b {
+				w += wdown[ci]
 			}
-			_ = li
-			w += wdown[ci]
 		}
 		wsub[b] = w
-		if pc >= 0 {
-			pi := t.CutPos(b, pc)
-			d := in.SumDist[b][pi]
-			for li, ci := range cuts {
-				if ci == pc || t.ParentBlock[ci] != b {
-					continue
-				}
-				d += wdown[ci]*int64(in.CutDist[b][pi][li]) + ddown[ci]
-			}
-			dsub[b] = d
-			wdown[pc] += wsub[b]
-			ddown[pc] += dsub[b]
+		if pc := t.ParentCut[b]; pc >= 0 {
+			wdown[pc] += w
 		}
 	}
-
-	out := &Contrib{
-		Wout:     make([][]int64, nb),
-		Dout:     make([][]int64, nb),
-		TotalPop: total,
-	}
-	for b := 0; b < nb; b++ {
-		out.Wout[b] = make([]int64, len(t.BlockCuts[b]))
-		out.Dout[b] = make([]int64, len(t.BlockCuts[b]))
-	}
-
-	// Top-down in BFS order: parents finished before children.
+	wout := make([][]int64, nb)
 	for _, b := range t.Order {
-		cuts := t.BlockCuts[b]
-		pc := t.ParentCut[b]
-		for li, ci := range cuts {
+		wout[b] = make([]int64, len(t.BlockCuts[b]))
+		for li, ci := range t.BlockCuts[b] {
 			switch {
-			case ci == pc:
+			case ci == t.ParentCut[b]:
 				// Everything outside this block's subtree.
-				out.Wout[b][li] = total - wsub[b]
-				p := t.ParentBlock[ci]
-				ppos := t.CutPos(p, ci)
-				// Through the parent block: its assigned nodes plus
-				// everything beyond its *other* cuts.
-				d := in.SumDist[p][ppos]
-				for lj, cj := range t.BlockCuts[p] {
-					if cj == ci {
-						continue
-					}
-					d += out.Wout[p][lj]*int64(in.CutDist[p][ppos][lj]) + out.Dout[p][lj]
-				}
-				// Sibling blocks hanging off the same cut.
-				d += ddown[ci] - dsub[b]
-				out.Dout[b][li] = d
+				wout[b][li] = total - wsub[b]
 			case t.ParentBlock[ci] == b:
-				// A child cut: its subtree, precomputed bottom-up.
-				out.Wout[b][li] = wdown[ci]
-				out.Dout[b][li] = ddown[ci]
+				// A child cut: its subtree.
+				wout[b][li] = wdown[ci]
 			default:
 				// A cut of b whose parent block is another block: can
 				// only happen for disconnected inputs; Validate rejects
 				// them.
 				panic("bct: cut parented outside block")
 			}
+		}
+	}
+	return wout
+}
+
+// Aggregate runs the bottom-up and top-down passes: Weights for Wout, then
+// the same two passes over the distance sums for Dout.
+func (t *Tree) Aggregate(in *Inputs) *Contrib {
+	out := &Contrib{Wout: t.Weights(in.Pop), Dout: make([][]int64, t.D.NumBlocks())}
+	dsub := make([]int64, t.D.NumBlocks()) // Σ distances from b's parent cut to its subtree
+	ddown := make([]int64, len(t.Cuts))    // Σ distances from a cut to the population below it
+
+	// Bottom-up: reverse BFS order guarantees children before parents. A
+	// child cut's Wout is the population below it.
+	for i := len(t.Order) - 1; i >= 0; i-- {
+		b := t.Order[i]
+		pc := t.ParentCut[b]
+		if pc < 0 {
+			continue
+		}
+		pi := t.CutPos(b, pc)
+		d := in.SumDist[b][pi]
+		for li, ci := range t.BlockCuts[b] {
+			if ci != pc && t.ParentBlock[ci] == b {
+				d += out.Wout[b][li]*int64(in.CutDist[b][pi][li]) + ddown[ci]
+			}
+		}
+		dsub[b] = d
+		ddown[pc] += d
+	}
+
+	// Top-down in BFS order: parents finished before children.
+	for _, b := range t.Order {
+		cuts := t.BlockCuts[b]
+		out.Dout[b] = make([]int64, len(cuts))
+		for li, ci := range cuts {
+			if ci != t.ParentCut[b] {
+				// A child cut: its subtree, precomputed bottom-up.
+				out.Dout[b][li] = ddown[ci]
+				continue
+			}
+			p := t.ParentBlock[ci]
+			ppos := t.CutPos(p, ci)
+			// Through the parent block: its assigned nodes plus
+			// everything beyond its *other* cuts.
+			d := in.SumDist[p][ppos]
+			for lj, cj := range t.BlockCuts[p] {
+				if cj != ci {
+					d += out.Wout[p][lj]*int64(in.CutDist[p][ppos][lj]) + out.Dout[p][lj]
+				}
+			}
+			// Sibling blocks hanging off the same cut.
+			out.Dout[b][li] = d + ddown[ci] - dsub[b]
 		}
 	}
 	return out

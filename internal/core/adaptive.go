@@ -53,16 +53,18 @@ func EstimateAdaptive(g *graph.Graph, opts AdaptiveOptions) (*AdaptiveResult, er
 // aborts the current round at its next checkpoint and the loop returns the
 // ErrCanceled-wrapping error.
 func EstimateAdaptiveContext(ctx context.Context, g *graph.Graph, opts AdaptiveOptions) (*AdaptiveResult, error) {
-	if opts.TargetError <= 0 {
+	// Negated comparisons treat NaN as unset: a NaN fraction or factor
+	// would keep the escalation NaN and the loop would never stop.
+	if !(opts.TargetError > 0) {
 		opts.TargetError = 0.01
 	}
-	if opts.InitialFraction <= 0 {
+	if !(opts.InitialFraction > 0) {
 		opts.InitialFraction = 0.05
 	}
-	if opts.MaxFraction <= 0 || opts.MaxFraction > 1 {
+	if !(opts.MaxFraction > 0 && opts.MaxFraction <= 1) {
 		opts.MaxFraction = 0.5
 	}
-	if opts.GrowthFactor <= 1 {
+	if !(opts.GrowthFactor > 1) {
 		opts.GrowthFactor = 2
 	}
 	var prev *Result

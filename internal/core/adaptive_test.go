@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/gen"
 )
 
 func TestEstimateAdaptiveConverges(t *testing.T) {
@@ -63,6 +67,39 @@ func TestEstimateAdaptiveDefaults(t *testing.T) {
 	g := randomMixed(rng, 30)
 	if _, err := EstimateAdaptive(g, AdaptiveOptions{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEstimateAdaptiveNaNOptions sets each float option to NaN in turn and
+// requires the escalation to treat it as unset: an answer before the
+// deadline, every round at a real fraction no larger than the cap.
+func TestEstimateAdaptiveNaNOptions(t *testing.T) {
+	g := gen.Community(400, 3)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		set  func(*AdaptiveOptions)
+	}{
+		{"TargetError", func(o *AdaptiveOptions) { o.TargetError = nan }},
+		{"InitialFraction", func(o *AdaptiveOptions) { o.InitialFraction = nan }},
+		{"MaxFraction", func(o *AdaptiveOptions) { o.MaxFraction = nan }},
+		{"GrowthFactor", func(o *AdaptiveOptions) { o.GrowthFactor = nan }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := AdaptiveOptions{Base: Options{Techniques: TechCumulative, Seed: 1}}
+			tc.set(&opts)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			res, err := EstimateAdaptiveContext(ctx, g, opts)
+			if err != nil {
+				t.Fatalf("no answer: %v", err)
+			}
+			for _, f := range res.Rounds {
+				if !(f > 0 && f <= 0.5) {
+					t.Fatalf("rounds %v: want fractions in (0, 0.5]", res.Rounds)
+				}
+			}
+		})
 	}
 }
 

@@ -114,7 +114,11 @@ func (a *anyState) markDone(srcOrig graph.NodeID, row []int32) {
 func (a *anyState) advance() {
 	c := a.completed.Add(1)
 	if a.prog != nil {
-		a.prog.completed.Store(c)
+		// Workers get here out of order: publish c only if it is larger, so
+		// a late smaller count never overwrites the final one.
+		for old := a.prog.completed.Load(); c > old && !a.prog.completed.CompareAndSwap(old, c); {
+			old = a.prog.completed.Load()
+		}
 		if f := a.prog.OnAdvance; f != nil {
 			f(c, a.planned)
 		}

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"repro/internal/gen"
-
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -185,33 +185,46 @@ func TestGlobalFullFractionExactOnKept(t *testing.T) {
 
 // The strongest end-to-end property: with only the BiCC decomposition (no
 // reductions) and 100% sampling, every node's farness is exact — this
-// exercises the full block/cut-tree aggregation machinery.
+// exercises the full block/cut-tree aggregation machinery, on random
+// 15-node graphs and on web and road stand-ins with hundreds of blocks.
 func TestCumulativeBiCCOnlyFullFractionIsExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomMixed(rng, 15)
-		want := ExactFarness(g, 2)
+	mismatch := func(g *graph.Graph, want []float64, workers int, seed int64) string {
 		res, err := Estimate(g, Options{
 			Techniques:     TechBiCC,
 			SampleFraction: 1.0,
-			Workers:        2,
+			Workers:        workers,
 			Seed:           seed,
 		})
 		if err != nil {
-			return false
+			return err.Error()
 		}
 		for v := range want {
-			if res.Farness[v] != want[v] {
-				return false
-			}
-			if !res.Exact[v] {
-				return false
+			if res.Farness[v] != want[v] || !res.Exact[v] {
+				return fmt.Sprintf("node %d: farness %v (exact %v), want %v", v, res.Farness[v], res.Exact[v], want[v])
 			}
 		}
-		return true
+		return ""
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomMixed(rng, 15)
+		return mismatch(g, ExactFarness(g, 2), 2, seed) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"web", gen.Web(2000, 3)}, {"road", gen.Road(2000, 3)}} {
+		want := ExactFarness(tc.g, 2)
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				if msg := mismatch(tc.g, want, workers, 3); msg != "" {
+					t.Fatal(msg)
+				}
+			})
+		}
 	}
 }
 

@@ -17,22 +17,17 @@ import (
 	"repro/internal/reduce"
 )
 
-// cutCacheBudget caps, in int32 entries (64 MiB), the pass-1 cut rows kept
-// for pass 2: one row per (block, cut) over the block's assigned
-// population. Above it pass 2 re-traverses from the cut vertices instead
-// (memory-bounded mode). Tests lower it to force that path.
-var cutCacheBudget int64 = 16 << 20
-
 // estimateCumulative is the full BRICS pipeline (the paper's Algorithm 5),
 // run as five named phases: assignEvents homes every original node in one
 // block, plan samples inside each block with every cut vertex always
-// sampled, pass1 traverses the blocks, aggregate combines cross-block
-// contributions over the block cut-vertex tree (Algorithm 6) and runs pass
-// 2, and assemble produces per-node farness. Cancellation checkpoints sit
-// before the decomposition ("core.decompose"), before pass 1
-// ("core.traverse", with per-row and in-kernel checks inside it), and before
-// the tree aggregation + pass 2 ("core.aggregate"); a non-nil error discards
-// all partial accumulation.
+// sampled, pass1 traverses every (block, source) pair once and adds each
+// cut's cross-block W·d term on the way, aggregate combines the cross-block
+// distance constants over the block cut-vertex tree (Algorithm 6), and
+// assemble produces per-node farness. Cancellation checkpoints sit before
+// the decomposition ("core.decompose"), before pass 1 ("core.traverse",
+// with per-row and in-kernel checks inside it), and before the tree
+// aggregation ("core.aggregate"); a non-nil error discards all partial
+// accumulation.
 func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Options) (*Result, error) {
 	if red.G.NumNodes() <= 2 {
 		return estimateGlobal(ctx, red, opts)
@@ -82,9 +77,7 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		}
 	}
 	aggStart := time.Now()
-	if err := c.aggregate(ctx); err != nil {
-		return nil, err
-	}
+	c.aggregate()
 	res := c.assemble()
 	res.Stats = RunStats{
 		Blocks:              d.Summarize(),
@@ -270,6 +263,7 @@ type cumulative struct {
 	isSample     []bool
 	localG       []*graph.WGraph
 	localUnw     []bool
+	wout         [][]int64 // [b][cut pos] nodes beyond the cut (Algorithm 6's W)
 
 	// Anytime bookkeeping (nil/zero unless Anytime or Progress is set).
 	any          *anyState
@@ -280,21 +274,22 @@ type cumulative struct {
 	// run is whole.
 	cause error
 
-	// Pass 1: in-block sums over each block's assigned population.
-	sumAll, sumAssigned, sumRand, exactIn, sumSqA []int64
-	aS2S, aS2N                                    []int64 // per-block ratio calibration (see estimateGlobal)
-	sumDist                                       [][]int64
-	cutDist                                       [][][]int32
-	cutRows                                       [][][]int32 // [b][cut pos] pass-1 row in assigned order; nil when over budget
+	// Pass 1: in-block sums over each block's assigned population, and
+	// crossAcc[o] = Σ_cuts W(B,c)·d(c,o) for o assigned to block B.
+	sumAll, sumAssigned, sumRand, exactIn, sumSqA, crossAcc []int64
+	aS2S, aS2N                                              []int64 // per-block ratio calibration (see estimateGlobal)
+	sumDist                                                 [][]int64
+	cutDist                                                 [][][]int32
 
-	// Tree aggregation and pass 2.
-	crossAcc, crossConst []int64
+	// Tree aggregation: Σ_cuts D(B,c) per block.
+	crossConst []int64
 }
 
 // plan is the sampling phase (Algorithm 5, lines 7–10): every cut vertex,
 // plus a per-block share of the global budget drawn uniformly among the
-// block's non-cut members. It also builds the block-local graphs and sizes
-// the anytime and cut-row bookkeeping.
+// block's non-cut members. It also builds the block-local graphs, sizes the
+// anytime bookkeeping and computes the cross-block weights, which depend on
+// the assigned populations alone.
 func (c *cumulative) plan(ctx context.Context) error {
 	d, tree := c.d, c.tree
 	nR, nb := c.red.G.NumNodes(), d.NumBlocks()
@@ -341,20 +336,11 @@ func (c *cumulative) plan(ctx context.Context) error {
 		c.completed = newBlockCounts(nb)
 	}
 
-	// Cut-row cache: pass 2 needs, per (block, cut), the distances from the
-	// cut to every node assigned to the block — exactly what the cut's
-	// pass-1 traversal computes. When the total fits the budget pass 1
-	// keeps those rows and pass 2 is a pure accumulation loop.
-	var cacheTotal int64
-	for b := range c.assigned {
-		cacheTotal += int64(len(tree.BlockCuts[b])) * int64(len(c.assigned[b]))
+	pop, total := c.pops()
+	if total != int64(c.n) {
+		return fmt.Errorf("core: population accounting mismatch: %d != %d", total, c.n)
 	}
-	if cacheTotal <= cutCacheBudget {
-		c.cutRows = make([][][]int32, nb)
-		for b := range c.cutRows {
-			c.cutRows[b] = make([][]int32, len(tree.BlockCuts[b]))
-		}
-	}
+	c.wout = tree.Weights(pop)
 
 	c.localG = make([]*graph.WGraph, nb)
 	c.localUnw = make([]bool, nb)
@@ -364,28 +350,6 @@ func (c *cumulative) plan(ctx context.Context) error {
 			c.localUnw[b] = c.localG[b].Unweighted()
 		}
 	})
-}
-
-// units returns one traversal unit per block, over all of its sources or
-// over its cut vertices only (the sources' prefix).
-func (c *cumulative) units(cutsOnly bool) []unit {
-	us := make([]unit, len(c.sources))
-	for b, src := range c.sources {
-		if cutsOnly {
-			src = src[:len(c.tree.BlockCuts[b])]
-		}
-		us[b] = unit{c.localG[b], c.localUnw[b], src}
-	}
-	return us
-}
-
-// distRows returns one original-id distance row per worker.
-func (c *cumulative) distRows() [][]int32 {
-	rows := make([][]int32, c.workers)
-	for i := range rows {
-		rows[i] = make([]int32, c.n)
-	}
-	return rows
 }
 
 // extendBlock scatters a block-local distance row to original ids and
@@ -401,13 +365,14 @@ func (c *cumulative) extendBlock(distOrig []int32, b int32, dist []int32) {
 	}
 }
 
-// pass1 traverses every block from every one of its sources, cut sources
-// first: the tree aggregation needs all of them, so an interrupted anytime
-// run has usually banked them.
+// pass1 traverses every block once from every one of its sources, cut
+// sources first: the cross-block terms need all of them, so an interrupted
+// anytime run has usually banked them.
 func (c *cumulative) pass1(ctx context.Context) error {
 	n, nb := c.n, c.d.NumBlocks()
 	c.sumAll, c.sumAssigned = make([]int64, n), make([]int64, n)
 	c.sumRand, c.exactIn = make([]int64, n), make([]int64, n)
+	c.crossAcc = make([]int64, n)
 	if c.opts.ComputeStdErr {
 		c.sumSqA = make([]int64, n)
 	}
@@ -422,8 +387,15 @@ func (c *cumulative) pass1(ctx context.Context) error {
 			c.cutDist[b][i] = make([]int32, k)
 		}
 	}
-	distOrig := c.distRows()
-	return traverse(ctx, c.units(false), c.workers,
+	units := make([]unit, nb)
+	for b, src := range c.sources {
+		units[b] = unit{c.localG[b], c.localUnw[b], src}
+	}
+	distOrig := make([][]int32, c.workers) // one original-id row per worker
+	for i := range distOrig {
+		distOrig[i] = make([]int32, n)
+	}
+	return traverse(ctx, units, c.workers,
 		func(b int, src graph.NodeID) bool { return c.tree.CutIndex[c.d.BlockNodes[b][src]] >= 0 },
 		func(worker, b int, src graph.NodeID, dist []int32) {
 			c.accumulate(distOrig[worker], int32(b), src, dist)
@@ -432,7 +404,8 @@ func (c *cumulative) pass1(ctx context.Context) error {
 
 // accumulate consumes one source's block-local distance row: extend it to
 // the removed nodes, then feed every in-block accumulator over the block's
-// assigned population. Under anytime the whole consumption runs inside the
+// assigned population and, for a cut source c, add W(B,c)·d(c,o) to every
+// o's cross-block sum. Under anytime the whole consumption runs inside the
 // read lock and ends by recording the completed traversal unit.
 func (c *cumulative) accumulate(distOrig []int32, b int32, src graph.NodeID, dist []int32) {
 	rid := c.d.BlockNodes[b][src]
@@ -443,23 +416,23 @@ func (c *cumulative) accumulate(distOrig []int32, b int32, src graph.NodeID, dis
 		defer c.bankSource(b, rid, srcAssigned, srcCut >= 0)
 	}
 	c.extendBlock(distOrig, b, dist)
-	var row []int32
-	if c.cutRows != nil && srcCut >= 0 {
-		row = make([]int32, len(c.assigned[b]))
+	li, w := -1, int64(0) // the cut's position in the block and its weight
+	if srcCut >= 0 {
+		li = c.tree.CutPos(b, srcCut)
+		w = c.wout[b][li]
 	}
 	var inSum, toSamples int64
-	for i, o := range c.assigned[b] {
+	for _, o := range c.assigned[b] {
 		dd := int64(distOrig[o])
 		inSum += dd
 		if c.isSample[o] {
 			toSamples += dd
 		}
-		if row != nil {
-			row[i] = distOrig[o]
-		}
 		atomic.AddInt64(&c.sumAll[o], dd)
 		if srcCut < 0 {
 			atomic.AddInt64(&c.sumRand[o], dd)
+		} else {
+			atomic.AddInt64(&c.crossAcc[o], w*dd)
 		}
 		if srcAssigned {
 			atomic.AddInt64(&c.sumAssigned[o], dd)
@@ -474,13 +447,9 @@ func (c *cumulative) accumulate(distOrig []int32, b int32, src graph.NodeID, dis
 		atomic.AddInt64(&c.aS2N[b], inSum-toSamples)
 	}
 	if srcCut >= 0 {
-		li := c.tree.CutPos(b, srcCut)
 		c.sumDist[b][li] = inSum
 		for lj := range c.tree.BlockCuts[b] {
 			c.cutDist[b][li][lj] = dist[c.sources[b][lj]]
-		}
-		if row != nil {
-			c.cutRows[b][li] = row
 		}
 	}
 }
@@ -502,14 +471,13 @@ func (c *cumulative) bankSource(b int32, rid graph.NodeID, assigned, cut bool) {
 	c.any.advance()
 }
 
-// degrade gates graceful degradation: the tree aggregation and pass 2 are
+// degrade gates graceful degradation: the cross-block terms are
 // all-or-nothing over the cut traversals, so a partial cumulative result
-// exists only when every (block, cut) traversal completed and pass 2 can
-// replay cached cut rows rather than re-traverse under a dead context.
-// Otherwise the run fails over to nil + ErrCanceled. degrade reports
-// whether err may be degraded, and records the first such err as the cause.
+// exists only when every (block, cut) traversal completed. Otherwise the
+// run fails over to nil + ErrCanceled. degrade reports whether err may be
+// degraded, and records the first such err as the cause.
 func (c *cumulative) degrade(err error) bool {
-	ok := c.any != nil && c.opts.Anytime && canceledErr(err) && c.cutRows != nil &&
+	ok := c.any != nil && c.opts.Anytime && canceledErr(err) &&
 		c.cutPairs > 0 && int(c.cutPairsDone.Load()) == c.cutPairs
 	if ok && c.cause == nil {
 		c.cause = err
@@ -544,76 +512,28 @@ func (c *cumulative) correctTwinCuts() {
 	}
 }
 
-// aggregate runs the tree aggregation and pass 2, which adds every cut's
-// in-block row scaled by the population beyond it.
-func (c *cumulative) aggregate(ctx context.Context) error {
-	contrib := c.tree.Aggregate(&bct.Inputs{Pop: c.pops(), SumDist: c.sumDist, CutDist: c.cutDist})
-	if contrib.TotalPop != int64(c.n) {
-		return fmt.Errorf("core: population accounting mismatch: %d != %d", contrib.TotalPop, c.n)
-	}
-	c.crossAcc = make([]int64, c.n)
+// aggregate runs the tree aggregation (Algorithm 6) and sums every block's
+// cross-block distance constant Σ_cuts D(B,c); pass 1 already added the
+// W·d terms.
+func (c *cumulative) aggregate() {
+	pop, _ := c.pops()
+	contrib := c.tree.Aggregate(&bct.Inputs{Pop: pop, SumDist: c.sumDist, CutDist: c.cutDist})
 	c.crossConst = make([]int64, len(c.sources))
 	for b, dout := range contrib.Dout {
 		for _, x := range dout {
 			c.crossConst[b] += x
 		}
 	}
-	// A partial run replays pass 2 under a fresh context (ctx is already
-	// dead, and degrade guarantees the cached-row path). A whole run whose
-	// context dies *during* pass 2 leaves crossAcc torn: zero it and replay
-	// cleanly if the gate allows, else abandon.
-	p2ctx := ctx
-	if c.cause != nil {
-		p2ctx = context.Background()
-	}
-	if err := c.pass2(p2ctx, contrib.Wout); err != nil {
-		if !c.degrade(err) {
-			return err
-		}
-		clear(c.crossAcc)
-		return c.pass2(context.Background(), contrib.Wout)
-	}
-	return nil
 }
 
-// pops returns every block's assigned population.
-func (c *cumulative) pops() []int64 {
-	pop := make([]int64, len(c.assigned))
+// pops returns every block's assigned population and their total.
+func (c *cumulative) pops() (pop []int64, total int64) {
+	pop = make([]int64, len(c.assigned))
 	for b, a := range c.assigned {
 		pop[b] = int64(len(a))
+		total += pop[b]
 	}
-	return pop
-}
-
-// pass2 adds wout[b][cut]·d(cut, o) to crossAcc for every cut of every block
-// and every o assigned to the block: from the cached pass-1 rows when
-// pass 1 kept them, otherwise by traversing each block from its cuts again.
-func (c *cumulative) pass2(ctx context.Context, wout [][]int64) error {
-	if c.cutRows == nil {
-		distOrig := c.distRows()
-		return traverse(ctx, c.units(true), c.workers, nil, func(worker, b int, src graph.NodeID, dist []int32) {
-			li := c.tree.CutPos(int32(b), c.tree.CutIndex[c.d.BlockNodes[b][src]])
-			w, row := wout[b][li], distOrig[worker]
-			c.extendBlock(row, int32(b), dist)
-			for _, o := range c.assigned[b] {
-				atomic.AddInt64(&c.crossAcc[o], w*int64(row[o]))
-			}
-		})
-	}
-	type cutRef struct{ b, li int }
-	var refs []cutRef
-	for b, rows := range c.cutRows {
-		for li := range rows {
-			refs = append(refs, cutRef{b, li})
-		}
-	}
-	return par.ForDynamicCtx(ctx, len(refs), c.workers, 1, func(_, i int) {
-		b, li := refs[i].b, refs[i].li
-		w, row := wout[b][li], c.cutRows[b][li]
-		for j, o := range c.assigned[b] {
-			atomic.AddInt64(&c.crossAcc[o], w*int64(row[j]))
-		}
-	})
+	return pop, total
 }
 
 // assemble is the last phase: exact in-block farness plus the cross-block

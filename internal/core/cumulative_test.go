@@ -72,48 +72,43 @@ func TestAssignEventsHomesEveryNode(t *testing.T) {
 	}
 }
 
-// TestCumulativePass2CacheIdentical forces pass 2 off the cut-row cache and
-// onto re-traversal (a budget no run fits) and requires Farness, Exact and
-// StdErr to equal the cached run bit for bit, on multi-block web and road
-// stand-ins at workers {1,2,4}. The decision hook counts traversal units,
-// proving the forced run traversed the blocks a second time.
-func TestCumulativePass2CacheIdentical(t *testing.T) {
+// TestCumulativeTraversesEachBlockOnce runs the cumulative estimator on
+// multi-block web and road stand-ins with ComputeStdErr and counts the
+// traversal units through the decision hook: every block of a multi-block
+// decomposition holds at least one cut vertex, which is always sampled, so
+// the run must ask for exactly one engine per block. Farness, Exact and
+// StdErr at workers 2 and 4 must equal workers 1 bit for bit.
+func TestCumulativeTraversesEachBlockOnce(t *testing.T) {
+	run := func(t *testing.T, g *graph.Graph, workers int) (res *Result, units int) {
+		t.Helper()
+		chooseEngine = func(k int) engine {
+			units++
+			return engineFor(k)
+		}
+		defer func() { chooseEngine = engineFor }()
+		res, err := Estimate(g, Options{Techniques: TechCumulative, SampleFraction: 0.2,
+			Workers: workers, Seed: 11, ComputeStdErr: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, units
+	}
 	graphs := []struct {
 		name string
 		g    *graph.Graph
 	}{{"web", gen.Web(2000, 3)}, {"road", gen.Road(2000, 3)}}
 	for _, tc := range graphs {
+		ref, _ := run(t, tc.g, 1)
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				run := func(budget int64) (*Result, int) {
-					t.Helper()
-					units := 0
-					old := cutCacheBudget
-					cutCacheBudget = budget
-					chooseEngine = func(k int) engine {
-						units++
-						return engineFor(k)
-					}
-					defer func() { cutCacheBudget, chooseEngine = old, engineFor }()
-					res, err := Estimate(tc.g, Options{Techniques: TechCumulative, SampleFraction: 0.2,
-						Workers: workers, Seed: 11, ComputeStdErr: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, units
+				res, units := run(t, tc.g, workers)
+				if blocks := res.Stats.Blocks.Count; blocks < 2 || units != blocks {
+					t.Fatalf("%d traversal units over %d blocks: want one per block of a multi-block stand-in", units, blocks)
 				}
-				cached, cachedUnits := run(cutCacheBudget)
-				forced, forcedUnits := run(-1)
-				if cached.Stats.Blocks.Count < 2 {
-					t.Fatalf("%d block(s): need a multi-block stand-in", cached.Stats.Blocks.Count)
-				}
-				if forcedUnits <= cachedUnits {
-					t.Fatalf("forced run traversed %d units, cached %d: pass 2 did not re-traverse", forcedUnits, cachedUnits)
-				}
-				assertSameResult(t, "re-traversed pass 2", cached, forced)
-				for v := range cached.StdErr {
-					if cached.StdErr[v] != forced.StdErr[v] {
-						t.Fatalf("stderr[%d]: cached %v, re-traversed %v", v, cached.StdErr[v], forced.StdErr[v])
+				assertSameResult(t, fmt.Sprintf("workers=%d vs 1", workers), ref, res)
+				for v := range ref.StdErr {
+					if ref.StdErr[v] != res.StdErr[v] {
+						t.Fatalf("stderr[%d]: workers=1 %v, workers=%d %v", v, ref.StdErr[v], workers, res.StdErr[v])
 					}
 				}
 			})
