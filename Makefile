@@ -36,40 +36,41 @@ chaos:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Layer studies: the reduction pipeline, the BiCC engines, the distance
-# sketch and the artifact load paths, one dataset per generator family, each
-# cell checked against its reference before a warm-up and five timed reps,
-# written as BENCH_<study>.json (see EXPERIMENTS.md and DESIGN.md sections
-# 11, 13 and 14). BENCH_frontier.json is frozen evidence of the retired
-# frontier engine (DESIGN.md section 10); no target rewrites it.
+# Layer studies: the reduction pipeline, the distance sketch and the
+# artifact load paths, one dataset per generator family, each cell checked
+# against its reference before a warm-up and five timed reps, written as
+# BENCH_<study>.json (see EXPERIMENTS.md and DESIGN.md sections 11 and 14).
+# BENCH_frontier.json and BENCH_bicc.json are frozen evidence of the retired
+# frontier and FAST-BCC engines (DESIGN.md sections 10 and 13); no target
+# rewrites them.
 bench-layers:
-	go run ./cmd/experiments -only reduction,bicc,sketch,load -bench-dir .
+	go run ./cmd/experiments -only reduction,sketch,load -bench-dir .
 
 # Regenerate every table and figure of the paper (about 4 CPU-minutes).
 experiments:
 	go run ./cmd/experiments -charts
 
 fuzz:
-	go test ./internal/io -fuzz FuzzReadEdgeList -fuzztime 30s
-	go test ./internal/io -fuzz FuzzReadMatrixMarket -fuzztime 30s
-	go test ./internal/io -fuzz FuzzReadDIMACS -fuzztime 30s
-	go test ./internal/io -fuzz FuzzReadEdgeListTruncated -fuzztime 30s
-	go test ./internal/bincsr -fuzz FuzzReadBinCSR -fuzztime 30s
-	go test ./internal/bicc -fuzz FuzzDecompose -fuzztime 30s
-	go test ./internal/core -fuzz FuzzEstimatePipeline -fuzztime 60s
+	go test ./internal/io -fuzz '^FuzzReadEdgeList$$' -fuzztime 30s
+	go test ./internal/io -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 30s
+	go test ./internal/io -fuzz '^FuzzReadDIMACS$$' -fuzztime 30s
+	go test ./internal/io -fuzz '^FuzzReadEdgeListTruncated$$' -fuzztime 30s
+	go test ./internal/bincsr -fuzz '^FuzzReadBinCSR$$' -fuzztime 30s
+	go test ./internal/bicc -fuzz '^FuzzDecompose$$' -fuzztime 30s
+	go test ./internal/core -fuzz '^FuzzEstimatePipeline$$' -fuzztime 60s
 
 # Short fuzz smoke for CI: a few seconds per target catches parser panics
-# introduced by a loader change, decomposition-invariant breaks from a bicc
-# engine change, and oracle mismatches from an estimator change, without the
-# full fuzz budget.
+# introduced by a loader change, decompositions a bicc change breaks against
+# the brute-force block oracle, and oracle mismatches from an estimator
+# change, without the full fuzz budget.
 fuzz-smoke:
-	go test ./internal/io -fuzz FuzzReadEdgeList -fuzztime 5s
-	go test ./internal/io -fuzz FuzzReadMatrixMarket -fuzztime 5s
-	go test ./internal/io -fuzz FuzzReadDIMACS -fuzztime 5s
-	go test ./internal/io -fuzz FuzzReadEdgeListTruncated -fuzztime 5s
-	go test ./internal/bincsr -fuzz FuzzReadBinCSR -fuzztime 5s
-	go test ./internal/bicc -fuzz FuzzDecompose -fuzztime 5s
-	go test ./internal/core -fuzz FuzzEstimatePipeline -fuzztime 5s
+	go test ./internal/io -fuzz '^FuzzReadEdgeList$$' -fuzztime 5s
+	go test ./internal/io -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 5s
+	go test ./internal/io -fuzz '^FuzzReadDIMACS$$' -fuzztime 5s
+	go test ./internal/io -fuzz '^FuzzReadEdgeListTruncated$$' -fuzztime 5s
+	go test ./internal/bincsr -fuzz '^FuzzReadBinCSR$$' -fuzztime 5s
+	go test ./internal/bicc -fuzz '^FuzzDecompose$$' -fuzztime 5s
+	go test ./internal/core -fuzz '^FuzzEstimatePipeline$$' -fuzztime 5s
 
 cover:
 	go test -coverprofile=cover.out ./...

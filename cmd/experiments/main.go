@@ -8,12 +8,12 @@
 //	experiments -list
 //
 // Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9, sweep,
-// the layer studies reduction, bicc, sketch and load, and ablations
-// (default: all, in order). See EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison. Each layer study times one layer (the
-// reduction pipeline, the BiCC engines, the distance sketch, the artifact
-// load paths) cell by cell, after checking each cell against its
-// reference; -bench-dir writes each study that ran as
+// the layer studies reduction, sketch and load, and ablations (default:
+// all, in order); an unknown -only name is an error. See EXPERIMENTS.md for
+// the recorded paper-vs-measured comparison. Each layer study times one
+// layer (the reduction pipeline, the distance sketch, the artifact load
+// paths) cell by cell, after checking each cell against its reference;
+// -bench-dir writes each study that ran as
 // DIR/BENCH_<study>.json (used by `make bench-layers`).
 // -cpuprofile/-memprofile capture pprof profiles of whatever subset runs —
 // the intended workflow for chasing kernel regressions spotted in the
@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,7 +39,7 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default stand-in sizes)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "sampling seed")
-		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,sweep,reduction,bicc,sketch,load,ablations")
+		only       = flag.String("only", "", "comma-separated subset: "+strings.Join(targets(), ","))
 		benchDir   = flag.String("bench-dir", "", "write each layer study that runs to BENCH_<study>.json in this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -46,6 +47,8 @@ func main() {
 		list       = flag.Bool("list", false, "list datasets and exit")
 	)
 	flag.Parse()
+	want, err := parseOnly(*only)
+	check(err)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -75,12 +78,6 @@ func main() {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Workers: *workers, Seed: *seed}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(s))] = true
-		}
-	}
 	run := func(name string) bool { return len(want) == 0 || want[name] }
 	start := time.Now()
 
@@ -159,6 +156,33 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("total time %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// paperTargets are the paper's tables and figures, in run order.
+var paperTargets = []string{"table1", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8", "fig9", "sweep"}
+
+// targets lists every name main runs, in run order.
+func targets() []string {
+	return slices.Concat(paperTargets, experiments.LayerStudies, []string{"ablations"})
+}
+
+// parseOnly turns the -only list into the set of targets to run (empty:
+// all). An unknown name is an error, so a stale or mistyped name cannot
+// silently skip a study.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	valid := targets()
+	for _, s := range strings.Split(only, ",") {
+		name := strings.TrimSpace(strings.ToLower(s))
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown -only target %q; valid: %s", name, strings.Join(valid, ","))
+		}
+		want[name] = true
+	}
+	return want, nil
 }
 
 func check(err error) {

@@ -3,27 +3,14 @@
 // cut-vertex tree (BCT) of the paper's Fig. 2. The decomposition runs on
 // the weighted reduced graph — edge weights play no role in biconnectivity.
 //
-// Two engines produce the decomposition:
-//
-//   - A sequential iterative Hopcroft–Tarjan DFS with an explicit edge
-//     stack (deep road-network-like graphs cannot overflow the goroutine
-//     stack), fanned out across connected components.
-//   - A FAST-BCC-style parallel algorithm (fastbcc.go) in the spirit of
-//     Dong/Wang/Gu/Sun, built from a parallel BFS spanning forest,
-//     Euler-tour first/last/low/high tags and a fence-condition edge
-//     classification resolved by parallel connectivity on a skeleton graph.
-//     It parallelizes *inside* one component, which is what matters on
-//     realistic inputs with one giant component.
-//
-// Both engines funnel their raw blocks through the same canonical
-// assembler, so the Decomposition is bit-identical for every engine and
-// every worker count: blocks are numbered in ascending order of their two
-// smallest nodes (two distinct blocks share at most one vertex, so that
-// key is unique), each block's edges are oriented U < V and sorted, and
-// cut flags derive from block membership. AlgoAuto picks the engine the
-// way core's traversal policy picks engines: parallel when the worker
-// budget and the edge count justify the tag/label passes, the DFS below
-// that.
+// One engine produces the decomposition: an iterative Hopcroft–Tarjan DFS
+// with an explicit edge stack (deep road-network-like graphs cannot
+// overflow the goroutine stack), fanned out across connected components.
+// Its raw blocks go through a canonical assembler, so the Decomposition is
+// bit-identical for every worker count: blocks are numbered in ascending
+// order of their two smallest nodes (two distinct blocks share at most one
+// vertex, so that key is unique), each block's edges are oriented U < V and
+// sorted, and cut flags derive from block membership.
 package bicc
 
 import (
@@ -46,7 +33,7 @@ type Edge struct {
 // canonical form: blocks ascend by their (smallest, second-smallest) node
 // pair, block edges ascend by (U, V) with U < V, and node lists are sorted.
 // The canonical form is what makes the decomposition bit-identical across
-// engines and worker counts.
+// worker counts.
 type Decomposition struct {
 	// BlockEdges lists the edges of each block. Every graph edge belongs
 	// to exactly one block.
@@ -75,115 +62,52 @@ func (d *Decomposition) CutVertices() []graph.NodeID {
 	return out
 }
 
-// Algorithm selects the decomposition engine.
+// Algorithm is the engine argument of DecomposeTimed. AlgoAuto is its only
+// value and selects nothing: Hopcroft–Tarjan decomposes every graph.
 type Algorithm int
 
-const (
-	// AlgoAuto (default) runs the parallel engine whenever more than one
-	// worker is available and the graph carries at least parallelMinEdges
-	// edges — below that the spanning-forest/tagging passes cost more than
-	// the DFS they replace — and the sequential DFS otherwise.
-	AlgoAuto Algorithm = iota
-	// AlgoSequential forces the iterative Hopcroft–Tarjan DFS (one DFS per
-	// connected component, components fanned across workers).
-	AlgoSequential
-	// AlgoParallel forces the FAST-BCC-style spanning-forest engine.
-	AlgoParallel
-)
+// AlgoAuto is the one Algorithm value.
+const AlgoAuto Algorithm = 0
 
-// parallelMinEdges is the Auto threshold: under ~8k edges the parallel
-// engine's extra passes (forest, tags, skeleton connectivity) dominate and
-// the sequential DFS wins outright.
-const parallelMinEdges = 1 << 13
-
-// String names the engine for logs and benchmark tables.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoSequential:
-		return "hopcroft-tarjan"
-	case AlgoParallel:
-		return "fastbcc"
-	default:
-		return "auto"
-	}
-}
-
-// parallel reports whether the decomposition should run the parallel engine
-// for a graph with the given edge count at the given worker count.
-func (a Algorithm) parallel(workers, edges int) bool {
-	switch a {
-	case AlgoSequential:
-		return false
-	case AlgoParallel:
-		return true
-	default:
-		return workers > 1 && edges >= parallelMinEdges
-	}
-}
-
-// Timings reports which engine a decomposition ran and the wall-clock of
-// its substages. Purely informational — it varies run to run while the
-// Decomposition itself is bit-identical — which is why it is returned
-// beside the Decomposition instead of stored inside it.
+// Timings reports the wall-clock of a decomposition. Purely informational
+// — it varies run to run while the Decomposition itself is bit-identical —
+// which is why it is returned beside the Decomposition instead of stored
+// inside it.
 type Timings struct {
-	// Algorithm is the engine that ran ("hopcroft-tarjan" or "fastbcc").
-	Algorithm string `json:"algorithm"`
-	// SpanningForest, Tagging and Labeling split the parallel engine's
-	// phases (BFS forest; first/last/low/high tags; skeleton connectivity
-	// plus per-edge block labels). Zero under the sequential engine.
-	SpanningForest time.Duration `json:"spanning_forest_ns"`
-	Tagging        time.Duration `json:"tagging_ns"`
-	Labeling       time.Duration `json:"labeling_ns"`
-	// Assemble covers the canonical post-pass shared by both engines.
+	// Assemble covers the canonical post-pass.
 	Assemble time.Duration `json:"assemble_ns"`
 	// Total is the whole decomposition.
 	Total time.Duration `json:"total_ns"`
 }
 
-// Decompose computes the biconnected components of g with the sequential
-// engine. Isolated nodes yield no blocks; disconnected inputs are processed
-// per component, so callers that guarantee connectivity get the classic
-// single-tree BCT. Decompose is DecomposeWorkers at one worker — every
-// worker count and engine yields the same Decomposition.
+// Decompose computes the biconnected components of g. Isolated nodes yield
+// no blocks; disconnected inputs are processed per component, so callers
+// that guarantee connectivity get the classic single-tree BCT. Decompose is
+// DecomposeWorkers at one worker — every worker count yields the same
+// Decomposition.
 func Decompose(g *graph.WGraph) *Decomposition { return DecomposeWorkers(g, 1) }
 
-// DecomposeWorkers decomposes g under the AlgoAuto engine policy at the
-// given worker count (<1 means GOMAXPROCS). The output is bit-identical
-// for every worker count.
+// DecomposeWorkers decomposes g at the given worker count (<1 means
+// GOMAXPROCS). The output is bit-identical for every worker count.
 func DecomposeWorkers(g *graph.WGraph, workers int) *Decomposition {
 	d, _ := DecomposeTimed(g, AlgoAuto, workers)
 	return d
 }
 
-// DecomposeAlgo decomposes g with an explicit engine choice.
-func DecomposeAlgo(g *graph.WGraph, algo Algorithm, workers int) *Decomposition {
-	d, _ := DecomposeTimed(g, algo, workers)
-	return d
-}
-
-// DecomposeTimed is DecomposeAlgo returning the per-substage wall-clock
-// split alongside the decomposition.
-func DecomposeTimed(g *graph.WGraph, algo Algorithm, workers int) (*Decomposition, Timings) {
-	workers = par.Workers(workers)
+// DecomposeTimed is DecomposeWorkers returning the wall-clock split
+// alongside the decomposition.
+func DecomposeTimed(g *graph.WGraph, _ Algorithm, workers int) (*Decomposition, Timings) {
 	start := time.Now()
-	var d *Decomposition
-	var t Timings
-	if algo.parallel(workers, g.NumEdges()) {
-		d, t = decomposeParallel(g, workers)
-		t.Algorithm = AlgoParallel.String()
-	} else {
-		d, t = decomposeSequential(g, workers)
-		t.Algorithm = AlgoSequential.String()
-	}
+	d, t := decompose(g, par.Workers(workers))
 	t.Total = time.Since(start)
 	return d, t
 }
 
 // assemble canonicalises raw per-block edge lists (any edge orientation and
-// order, any block order) into the final Decomposition. Both engines end
-// here, which is what pins the bit-identical contract: the engines only
-// have to agree on the *partition* of edges into blocks — a property of the
-// graph — and the assembler derives everything else deterministically.
+// order, any block order) into the final Decomposition. This is what pins
+// the bit-identical contract: the per-component DFS runs only have to agree
+// on the *partition* of edges into blocks — a property of the graph — and
+// the assembler derives everything else deterministically.
 // Blocks are keyed by their two smallest nodes; two distinct blocks share
 // at most one vertex, so the key is unique and the order total.
 func assemble(n int, blocks [][]Edge, workers int) *Decomposition {

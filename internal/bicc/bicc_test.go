@@ -1,11 +1,13 @@
 package bicc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -113,8 +115,77 @@ func bruteCuts(g *graph.WGraph) []bool {
 	return out
 }
 
-// Property: articulation points match brute force and every edge lands in
-// exactly one block, on random connected graphs.
+// blockSurvivesDeletion reports whether the edges of blk keep its nodes
+// connected after node x and its edges are deleted.
+func blockSurvivesDeletion(blk []Edge, nodes []graph.NodeID, x graph.NodeID) bool {
+	parent := make(map[graph.NodeID]graph.NodeID, len(nodes))
+	var find func(v graph.NodeID) graph.NodeID
+	find = func(v graph.NodeID) graph.NodeID {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	for _, v := range nodes {
+		parent[v] = v
+	}
+	sets := len(nodes) - 1
+	for _, e := range blk {
+		if e.U == x || e.V == x {
+			continue
+		}
+		if ru, rv := find(e.U), find(e.V); ru != rv {
+			parent[ru] = rv
+			sets--
+		}
+	}
+	return sets == 1
+}
+
+// checkOracle decomposes g at one worker and checks the result against brute
+// force: Validate (every edge in exactly one block, canonical order), cut
+// flags equal to bruteCuts, and every block of three or more nodes staying
+// connected when any one of its nodes is deleted. Together these pin the
+// block partition: two blocks merged at a cut form a block the cut
+// disconnects, and a block split in two puts a non-cut node in two blocks.
+// Every further worker count must reproduce the decomposition bit for bit.
+func checkOracle(g *graph.WGraph, workers ...int) error {
+	d := DecomposeWorkers(g, 1)
+	if err := d.Validate(g); err != nil {
+		return err
+	}
+	want := bruteCuts(g)
+	for v := range want {
+		if d.IsCut[v] != want[v] {
+			return fmt.Errorf("IsCut[%d] = %v, brute force says %v", v, d.IsCut[v], want[v])
+		}
+	}
+	for b, nodes := range d.BlockNodes {
+		if len(nodes) < 3 {
+			continue
+		}
+		for _, x := range nodes {
+			if !blockSurvivesDeletion(d.BlockEdges[b], nodes, x) {
+				return fmt.Errorf("block %d falls apart without node %d", b, x)
+			}
+		}
+	}
+	for _, w := range workers {
+		if !reflect.DeepEqual(DecomposeWorkers(g, w), d) {
+			return fmt.Errorf("workers=%d decomposition differs from workers=1", w)
+		}
+	}
+	return nil
+}
+
+// oracleWorkers are the worker counts every oracle input is decomposed at
+// beside one worker.
+var oracleWorkers = []int{2, 4, 8}
+
+// TestDecomposeMatchesBruteForce checks the decomposition against the
+// brute-force oracle on random connected graphs and on random
+// multi-component graphs with bridges, cycles and isolated nodes.
 func TestDecomposeMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,21 +198,85 @@ func TestDecomposeMatchesBruteForce(t *testing.T) {
 		for i := 0; i < extra; i++ {
 			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), 1)
 		}
-		g := b.Build()
-		d := Decompose(g)
-		if d.Validate(g) != nil {
+		if err := checkOracle(b.Build(), oracleWorkers...); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		want := bruteCuts(g)
-		for v := 0; v < n; v++ {
-			if d.IsCut[v] != want[v] {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+
+	t.Run("random-multi-component", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(97))
+		for trial := 0; trial < 40; trial++ {
+			n := 10 + rng.Intn(300)
+			b := graph.NewWBuilder(n)
+			m := rng.Intn(3 * n)
+			for i := 0; i < m; i++ {
+				u := int32(rng.Intn(n))
+				v := int32(rng.Intn(n))
+				if u != v {
+					_ = b.AddEdge(u, v, int32(1+rng.Intn(4)))
+				}
+			}
+			if err := checkOracle(b.Build(), oracleWorkers...); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	})
+}
+
+// TestParallelMatchesSequentialDegenerate runs degenerate shapes (empty,
+// isolated nodes, a single edge, a path, a bridges-only tree, Fig. 2, a
+// disconnected mix) through the brute-force oracle and checks that several
+// workers reproduce one worker bit for bit.
+func TestParallelMatchesSequentialDegenerate(t *testing.T) {
+	shapes := []struct {
+		name  string
+		build func() *graph.WGraph
+	}{
+		{"empty", func() *graph.WGraph { return graph.NewWBuilder(0).Build() }},
+		{"isolated-nodes", func() *graph.WGraph { return graph.NewWBuilder(9).Build() }},
+		{"single-edge", func() *graph.WGraph {
+			return graph.FromWeightedEdges(2, [][3]int32{{0, 1, 3}})
+		}},
+		{"single-edge-with-isolated", func() *graph.WGraph {
+			return graph.FromWeightedEdges(6, [][3]int32{{2, 4, 1}})
+		}},
+		{"path", func() *graph.WGraph {
+			b := graph.NewWBuilder(64)
+			for i := 1; i < 64; i++ {
+				_ = b.AddEdge(int32(i-1), int32(i), 1)
+			}
+			return b.Build()
+		}},
+		{"bridges-only-tree", func() *graph.WGraph {
+			rng := rand.New(rand.NewSource(11))
+			n := 600
+			b := graph.NewWBuilder(n)
+			for i := 1; i < n; i++ {
+				_ = b.AddEdge(int32(rng.Intn(i)), int32(i), int32(1+rng.Intn(5)))
+			}
+			return b.Build()
+		}},
+		{"fig2", paperFig2},
+		{"disconnected-mixed", func() *graph.WGraph {
+			// Triangle, path, star and isolated nodes in one graph.
+			return graph.FromWeightedEdges(14, [][3]int32{
+				{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, // triangle
+				{4, 5, 1}, {5, 6, 1}, // path
+				{8, 9, 1}, {8, 10, 1}, {8, 11, 1}, // star
+			})
+		}},
+	}
+	for _, c := range shapes {
+		t.Run(c.name, func(t *testing.T) {
+			if err := checkOracle(c.build(), oracleWorkers...); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -175,9 +310,39 @@ func TestDeepGraphNoOverflow(t *testing.T) {
 	}
 }
 
-// TestDecomposeWorkersDeterministic checks the DecomposeWorkers contract:
-// multi-component random graphs decompose bit-identically for every worker
-// count, including counts beyond GOMAXPROCS.
+// TestParallelMatchesSequentialFamilies checks that the four generator
+// families of Table I decompose validly and bit-identically for several
+// worker counts, including counts beyond GOMAXPROCS.
+func TestParallelMatchesSequentialFamilies(t *testing.T) {
+	families := []struct {
+		name  string
+		build func(n int, seed int64) *graph.Graph
+	}{
+		{"web", gen.Web},
+		{"social", gen.Social},
+		{"community", gen.Community},
+		{"road", gen.Road},
+	}
+	for _, f := range families {
+		t.Run(f.name, func(t *testing.T) {
+			t.Parallel()
+			g := f.build(4000, 7).ToWeighted()
+			base := DecomposeWorkers(g, 1)
+			if err := base.Validate(g); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{2, 4, 8} {
+				if !reflect.DeepEqual(DecomposeWorkers(g, w), base) {
+					t.Fatalf("workers=%d decomposition differs from workers=1", w)
+				}
+			}
+		})
+	}
+}
+
+// TestDecomposeWorkersDeterministic checks the DecomposeWorkers contract on
+// multi-component random graphs: every worker count decomposes
+// bit-identically to one worker.
 func TestDecomposeWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
@@ -205,4 +370,30 @@ func TestDecomposeWorkersDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecompose feeds arbitrary edge lists through the decomposition and
+// checks it against the brute-force oracle, checks that four workers
+// reproduce one worker bit for bit, and that nothing panics.
+func FuzzDecompose(f *testing.F) {
+	f.Add([]byte{8, 0, 1, 1, 2, 0, 2, 2, 3})
+	f.Add([]byte{3})
+	f.Add([]byte{16, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0]%64)
+		b := graph.NewWBuilder(n)
+		for i := 1; i+1 < len(data); i += 2 {
+			u := int32(int(data[i]) % n)
+			v := int32(int(data[i+1]) % n)
+			if u != v {
+				_ = b.AddEdge(u, v, int32(1+int(data[i])%3))
+			}
+		}
+		if err := checkOracle(b.Build(), 4); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -13,16 +13,16 @@ type frame struct {
 	nextEdge  int32 // index into v's adjacency to resume from
 }
 
-// decomposeSequential runs the Hopcroft–Tarjan decomposition with one DFS
-// per connected component, components fanned out across workers. Components
+// decompose runs the Hopcroft–Tarjan decomposition with one DFS per
+// connected component, components fanned out across workers. Components
 // are node-disjoint, so the workers share the disc/low arrays without
 // conflict; each component keeps a local timer and local stacks, and the
 // per-component block lists are concatenated in ascending order of the
 // component's smallest node before the shared canonical assembler numbers
 // them. A connected input (the pipeline's guarantee) has one component and
-// degenerates to a single sequential DFS — which is why realistic inputs
-// need the parallel engine in fastbcc.go.
-func decomposeSequential(g *graph.WGraph, workers int) (*Decomposition, Timings) {
+// degenerates to a single sequential DFS; DESIGN.md section 13 records why
+// no intra-component parallel engine earns its place.
+func decompose(g *graph.WGraph, workers int) (*Decomposition, Timings) {
 	n := g.NumNodes()
 	var t Timings
 	if n == 0 {

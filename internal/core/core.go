@@ -151,9 +151,8 @@ type RunStats struct {
 	// Blocks summarises the biconnected decomposition (zero unless
 	// TechBiCC ran).
 	Blocks bicc.Stats
-	// BiCC reports which decomposition engine ran (sequential
-	// Hopcroft–Tarjan vs parallel FAST-BCC under the auto policy) and its
-	// per-substage wall clock; zero unless the decomposition ran.
+	// BiCC reports the wall clock of the Hopcroft–Tarjan decomposition and
+	// its canonical assembly; zero unless the decomposition ran.
 	BiCC bicc.Timings
 	// Samples is the number of BFS/Dial sources actually used.
 	Samples int

@@ -35,7 +35,7 @@ func TestAssignEventsHomesEveryNode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := bicc.DecomposeAlgo(red.G, bicc.AlgoAuto, 2)
+				d := bicc.DecomposeWorkers(red.G, 2)
 				if d.NumBlocks() > 1 {
 					multiBlock++
 				}

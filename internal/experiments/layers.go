@@ -26,7 +26,7 @@ import (
 const timedReps = 5
 
 // minRepTime is the shortest timed rep. An op faster than this (a sweep of
-// sketch lookups, the BiCC decomposition of a small road graph) runs several
+// sketch lookups, the reduction of a small road graph) runs several
 // times per rep, the count sized from the warm-up; times are per op.
 const minRepTime = 10 * time.Millisecond
 
@@ -37,7 +37,7 @@ type Row struct {
 	Class   string `json:"class"`
 	Nodes   int    `json:"nodes"`
 	Edges   int    `json:"edges"`
-	// Config holds the axes the study varies, such as engine and workers.
+	// Config holds the axes the study varies, such as workers or mode.
 	Config    map[string]any `json:"config"`
 	Reps      int            `json:"reps"`
 	OpsPerRep int            `json:"ops_per_rep"`
@@ -103,11 +103,10 @@ type cell struct {
 }
 
 // LayerStudies names the layer studies in run order.
-var LayerStudies = []string{"reduction", "bicc", "sketch", "load"}
+var LayerStudies = []string{"reduction", "sketch", "load"}
 
 var layerStudies = map[string]study{
 	"reduction": reductionStudy,
-	"bicc":      biccStudy,
 	"sketch":    sketchStudy,
 	"load":      loadStudy,
 }

@@ -7,13 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"slices"
 	"time"
 
 	"repro/internal/bfs"
-	"repro/internal/bicc"
 	"repro/internal/bincsr"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -39,8 +37,7 @@ var reductionStudy = study{
 	baseline: "workers=1",
 	note: "One op is reduce.Run(g, reduce.All()), the pipeline core.Estimate runs for every " +
 		"request, on the generated graph. Its output is identical at every worker count. stages_ns " +
-		"is reduce.Timings; rounds (the iterative fixpoint) is zero because no request iterates. " +
-		"The BiCC decomposition that follows is the bicc study's.",
+		"is reduce.Timings; rounds (the iterative fixpoint) is zero because no request iterates.",
 	setup: func(cfg Config, ds gen.Dataset) (dataset, error) {
 		g := ds.Build()
 		d := dataset{nodes: g.NumNodes(), edges: g.NumEdges()}
@@ -59,50 +56,6 @@ var reductionStudy = study{
 						"redundant": int64(t.Redundant), "rounds": int64(t.Rounds)}, nil
 				},
 			})
-		}
-		return d, nil
-	},
-}
-
-// biccStudy times both decomposition engines on the reduced graph, the
-// graph the estimator's BiCC stage sees.
-var biccStudy = study{
-	name:     "bicc",
-	baseline: "engine=hopcroft-tarjan workers=1",
-	note: "One op is the biconnected decomposition of the reduced graph (nodes/edges are the " +
-		"reduced graph's). Hopcroft-Tarjan fans out only across connected components. Gate: every " +
-		"cell's Decomposition reflect.DeepEquals Hopcroft-Tarjan at 1 worker. stages_ns is " +
-		"bicc.Timings; the fastbcc phases are zero under hopcroft-tarjan.",
-	setup: func(cfg Config, ds gen.Dataset) (dataset, error) {
-		ropts := reduce.All()
-		ropts.Workers = cfg.Workers
-		red, err := reduce.Run(ds.Build(), ropts)
-		if err != nil {
-			return dataset{}, err
-		}
-		wg := red.G
-		want := bicc.DecomposeAlgo(wg, bicc.AlgoSequential, 1)
-		d := dataset{nodes: wg.NumNodes(), edges: wg.NumEdges()}
-		blocks := map[string]float64{"blocks": float64(want.NumBlocks())}
-		for _, algo := range []bicc.Algorithm{bicc.AlgoSequential, bicc.AlgoParallel} {
-			for _, w := range workerSweep() {
-				d.cells = append(d.cells, cell{
-					config: map[string]any{"engine": algo.String(), "workers": w},
-					gate: func() error {
-						if !reflect.DeepEqual(bicc.DecomposeAlgo(wg, algo, w), want) {
-							return errors.New("decomposition differs from hopcroft-tarjan at 1 worker")
-						}
-						return nil
-					},
-					op: func() (map[string]int64, error) {
-						_, t := bicc.DecomposeTimed(wg, algo, w)
-						return map[string]int64{"spanning_forest": int64(t.SpanningForest),
-							"tagging": int64(t.Tagging), "labeling": int64(t.Labeling),
-							"assemble": int64(t.Assemble)}, nil
-					},
-					metrics: blocks,
-				})
-			}
 		}
 		return d, nil
 	},
