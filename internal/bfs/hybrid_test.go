@@ -11,21 +11,33 @@ import (
 	"repro/internal/par"
 )
 
-var relabelModes = []graph.RelabelMode{graph.RelabelNone, graph.RelabelDegree, graph.RelabelBFS}
+// layouts returns g under three vertex numberings: the generator's own,
+// the Cuthill–McKee order of graph.BFSOrder and a seeded random shuffle.
+// Every traversal kernel must be layout-invariant.
+func layouts(g *graph.Graph, seed int64) []struct {
+	name string
+	perm []graph.NodeID // nil for the generator's own numbering
+} {
+	n := g.NumNodes()
+	shuffle := make([]graph.NodeID, n)
+	for i, p := range rand.New(rand.NewSource(seed)).Perm(n) {
+		shuffle[i] = graph.NodeID(p)
+	}
+	return []struct {
+		name string
+		perm []graph.NodeID
+	}{{"none", nil}, {"bfs", graph.BFSOrder(g.ToWeighted(), 2)}, {"random", shuffle}}
+}
 
 // TestFrontierMatchesDistancesOnFamilies cross-checks the direction-optimising
 // frontier kernel, which runs every single-source traversal of an
 // unweighted unit, against the plain queue BFS on all four generator
-// families under every relabel mode: distances bit-identical per node, and
+// families under every layout: distances bit-identical per node, and
 // therefore the farness sums too. One Scratch is reused across every
 // traversal, as the per-source engine reuses it. The 5000-node road case
 // drives long, thin push-only frontiers; the social case drives the pull
 // levels.
 func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
-	modes := relabelModes
-	if testing.Short() {
-		modes = relabelModes[:1]
-	}
 	s := &Scratch{}
 	for _, fam := range genFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -36,8 +48,15 @@ func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
 			}
 			for _, size := range sizes {
 				base := fam.build(size, int64(size))
+				modes := layouts(base, int64(size))
+				if testing.Short() {
+					modes = modes[:1]
+				}
 				for _, mode := range modes {
-					g, _ := graph.Relabel(base, mode, 2)
+					g := base
+					if mode.perm != nil {
+						g = graph.Permute(base, mode.perm)
+					}
 					n := g.NumNodes()
 					want := make([]int32, n)
 					got := make([]int32, n)
@@ -47,13 +66,13 @@ func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
 						hybridDistances(t, g, src, got, s)
 						for v := range want {
 							if got[v] != want[v] {
-								t.Fatalf("%s n=%d relabel=%v src=%d node %d: hybrid %d, sequential %d",
-									fam.name, n, mode, src, v, got[v], want[v])
+								t.Fatalf("%s n=%d layout=%s src=%d node %d: hybrid %d, sequential %d",
+									fam.name, n, mode.name, src, v, got[v], want[v])
 							}
 						}
 						wantSum, _ := Sum(want)
 						if gotSum, _ := Sum(got); gotSum != wantSum {
-							t.Fatalf("%s n=%d relabel=%v src=%d: farness %d, want %d", fam.name, n, mode, src, gotSum, wantSum)
+							t.Fatalf("%s n=%d layout=%s src=%d: farness %d, want %d", fam.name, n, mode.name, src, gotSum, wantSum)
 						}
 					}
 				}

@@ -9,11 +9,10 @@ import (
 	"repro/internal/queue"
 )
 
-// These tests compose the weighted 64-lane engine with cache-aware
-// relabeling — the exact pairing the estimators run in production (the
-// reduced graph is rebuilt under a permutation, sources map through Perm on
-// the way in, rows map back through it on the way out) — and pin that the
-// composition changes no distance. Three weight regimes force all three
+// These tests run the weighted 64-lane engine on a renumbered copy of the
+// graph (sources map through the permutation on the way in, rows map back
+// through it on the way out) and pin that the vertex layout changes no
+// distance. Three weight regimes force all three
 // kernels behind MultiSourceWRows: all-ones (level-synchronous sweep),
 // small weights (lane-masked Dial), and weights above MSMaxBucketWeight
 // (per-source Dial fallback).
@@ -32,25 +31,30 @@ func relabelWeightRegimes() []struct {
 	}
 }
 
-// TestMultiSourceWRowsUnderRelabeling: rows computed on the relabeled graph,
-// read back through the permutation, equal per-source Dial rows on the
-// original graph — for every family, weight regime and relabel ordering.
+// permuteW renumbers a weighted graph so that node v becomes perm[v];
+// weights travel with their edges.
+func permuteW(g *graph.WGraph, perm []graph.NodeID) *graph.WGraph {
+	var edges [][3]int32
+	g.Edges(func(u, v graph.NodeID, w int32) { edges = append(edges, [3]int32{perm[u], perm[v], w}) })
+	return graph.FromWeightedEdges(g.NumNodes(), edges)
+}
+
+// TestMultiSourceWRowsUnderRelabeling: rows computed on the renumbered
+// graph, read back through the permutation, equal per-source Dial rows on
+// the original graph — for every family, weight regime and layout.
 func TestMultiSourceWRowsUnderRelabeling(t *testing.T) {
 	for _, fam := range genFamilies {
 		for _, reg := range relabelWeightRegimes() {
-			for _, mode := range []graph.RelabelMode{graph.RelabelDegree, graph.RelabelBFS} {
-				rng := rand.New(rand.NewSource(29))
-				g := graph.Connect(fam.build(rng.Intn(300)+100, 17))
+			rng := rand.New(rand.NewSource(29))
+			g := graph.Connect(fam.build(rng.Intn(300)+100, 17))
+			for _, mode := range layouts(g, 29)[1:] {
 				wg := reweight(g, reg.lo, reg.hi, rng)
-				rg, r := graph.RelabelW(wg, mode, 2)
-				if r == nil {
-					t.Fatalf("%s/%s/%s: relabeling returned no permutation", fam.name, reg.name, mode)
-				}
+				rg := permuteW(wg, mode.perm)
 				n := wg.NumNodes()
 				batch := randomBatch(rng, n)
 				batchR := make([]graph.NodeID, len(batch))
 				for i, s := range batch {
-					batchR[i] = r.Perm[s]
+					batchR[i] = mode.perm[s]
 				}
 				rows := make([][]int32, len(batch))
 				for i := range rows {
@@ -64,9 +68,9 @@ func TestMultiSourceWRowsUnderRelabeling(t *testing.T) {
 				for lane, src := range batch {
 					WDistances(wg, src, want, b)
 					for v := 0; v < n; v++ {
-						if got := rows[lane][r.Perm[v]]; got != want[v] {
+						if got := rows[lane][mode.perm[v]]; got != want[v] {
 							t.Fatalf("%s/%s/%s lane %d node %d: got %d, want %d",
-								fam.name, reg.name, mode, lane, v, got, want[v])
+								fam.name, reg.name, mode.name, lane, v, got, want[v])
 						}
 					}
 				}
@@ -76,19 +80,20 @@ func TestMultiSourceWRowsUnderRelabeling(t *testing.T) {
 }
 
 // TestMultiSourceWMasksUnderRelabeling pins the mask-granularity contract on
-// a relabeled graph: masks may split one (node, distance) pair across calls,
+// a renumbered graph: masks may split one (node, distance) pair across calls,
 // but unioned over the sweep every (source, node) pair is covered exactly
 // once, at the per-source distance.
 func TestMultiSourceWMasksUnderRelabeling(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := graph.Connect(genFamilies[3].build(220, 13)) // road: long chains stress bucket reuse
 	wg := reweight(g, 1, 7, rng)
-	rg, r := graph.RelabelW(wg, graph.RelabelBFS, 1)
+	perm := graph.BFSOrder(wg, 1)
+	rg := permuteW(wg, perm)
 	n := wg.NumNodes()
 	batch := randomBatch(rng, n)
 	batchR := make([]graph.NodeID, len(batch))
 	for i, s := range batch {
-		batchR[i] = r.Perm[s]
+		batchR[i] = perm[s]
 	}
 	seen := make([][]int32, len(batch))
 	for i := range seen {
@@ -109,7 +114,7 @@ func TestMultiSourceWMasksUnderRelabeling(t *testing.T) {
 	for lane, src := range batch {
 		WDistances(wg, src, want, b)
 		for v := 0; v < n; v++ {
-			if got := seen[lane][r.Perm[v]]; got != want[v] {
+			if got := seen[lane][perm[v]]; got != want[v] {
 				t.Fatalf("lane %d node %d: got %d, want %d", lane, v, got, want[v])
 			}
 		}

@@ -96,16 +96,16 @@ type Result struct {
 // worker — every worker count yields the same Result.
 func Find(g *graph.Graph) *Result { return FindWorkers(g, 1) }
 
-// anchorScan fills interior flags for a graph given by degree lookup and
-// returns the ascending anchor list, or nil when the graph has no anchor
-// (a pure path/cycle input).
-func anchorScan(n, workers int, degree func(graph.NodeID) int, interior []bool) []graph.NodeID {
+// anchorScan fills interior flags for g and returns the ascending anchor
+// list, or nil when the graph has no anchor (a pure path/cycle input).
+func anchorScan(g *graph.Graph, workers int, interior []bool) []graph.NodeID {
+	n := g.NumNodes()
 	nb := par.NumBlocks(n, workers)
 	counts := make([]int64, nb)
 	par.ForBlocks(n, workers, func(b, lo, hi int) {
 		cnt := int64(0)
 		for v := lo; v < hi; v++ {
-			d := degree(graph.NodeID(v))
+			d := g.Degree(graph.NodeID(v))
 			interior[v] = d == 1 || d == 2
 			if !interior[v] {
 				cnt++
@@ -149,7 +149,7 @@ func FindWorkers(g *graph.Graph, workers int) *Result {
 	workers = par.Workers(workers)
 	res := &Result{}
 	interior := make([]bool, n)
-	anchors := anchorScan(n, workers, g.Degree, interior)
+	anchors := anchorScan(g, workers, interior)
 	if anchors == nil {
 		res.WholeGraph = n > 0
 		return res
@@ -243,51 +243,5 @@ func (c *Chain) InteriorDistance(du, dv int32, i int) int32 {
 			return b
 		}
 		return a
-	}
-}
-
-// SumInteriorDistances returns Σ_i d(s, Interior[i]) in O(1), used to add a
-// chain's contribution to the farness of a BFS source without touching each
-// interior node (the optimisation the paper describes for Type-1 chains,
-// generalised to all types).
-func (c *Chain) SumInteriorDistances(du, dv int32) int64 {
-	l := int64(len(c.Interior))
-	if l == 0 {
-		return 0
-	}
-	switch c.Type {
-	case Dangling:
-		// Σ_{o=1..ℓ} (du+o) = ℓ·du + ℓ(ℓ+1)/2
-		return l*int64(du) + l*(l+1)/2
-	case Cycle:
-		// Offsets min(o, ℓ+1-o) for o=1..ℓ form the ramp 1..⌈ℓ/2⌉..1;
-		// closed form: m(m+1) for ℓ=2m, (m+1)² for ℓ=2m+1.
-		m := l / 2
-		var s int64
-		if l%2 == 0 {
-			s = m * (m + 1)
-		} else {
-			s = (m + 1) * (m + 1)
-		}
-		return l*int64(du) + s
-	default:
-		// Split point: offsets o where du+o <= dv+L-o, i.e.
-		// o <= (dv-du+L)/2. Left side contributes du+o, right dv+L-o.
-		L := l + 1
-		t := (int64(dv) - int64(du) + L) / 2
-		if t < 0 {
-			t = 0
-		}
-		if t > l {
-			t = l
-		}
-		// left: o=1..t
-		left := t*int64(du) + t*(t+1)/2
-		// right: o=t+1..ℓ of dv+L-o; substitute r=L-o, r=L-ℓ..L-t-1=1..L-t-1
-		rcount := l - t
-		// Σ_{o=t+1..ℓ} (L-o) = Σ_{r=1..L-t-1} r − Σ_{r=1..L-ℓ-1} r, and L-ℓ-1 = 0
-		rsum := (L - t - 1) * (L - t) / 2
-		right := rcount*int64(dv) + rsum
-		return left + right
 	}
 }

@@ -102,15 +102,6 @@ type Options struct {
 	Seed int64
 	// Estimator selects the extrapolation rule.
 	Estimator EstimatorKind
-	// DisableExactPropagation turns off the closed-form farness
-	// propagation for twins, dangling chains and pendant cycles
-	// (Facts III.3/III.4 generalised); useful only for ablation.
-	DisableExactPropagation bool
-	// IterateReductions repeats the chain and redundant stages on the
-	// weighted reduced graph until a fixpoint, going beyond the paper's
-	// single pass (cascaded removals expose new chains and redundant
-	// neighbourhoods).
-	IterateReductions bool
 	// ComputeStdErr additionally estimates each unsampled node's standard
 	// error from the variance of its sampled distances (Cohen et al.'s
 	// adaptive error estimation, per node). Costs one extra accumulation
@@ -236,13 +227,7 @@ func EstimateContext(ctx context.Context, g *graph.Graph, opts Options) (*Result
 		Redundant: opts.Techniques&TechRedundant != 0,
 		Workers:   opts.Workers,
 	}
-	var red *reduce.Reduction
-	var err error
-	if opts.IterateReductions {
-		red, err = reduce.RunIterativeContext(ctx, g, ropts, 0)
-	} else {
-		red, err = reduce.RunContext(ctx, g, ropts)
-	}
+	red, err := reduce.RunContext(ctx, g, ropts)
 	if err != nil {
 		return nil, err
 	}
@@ -262,9 +247,7 @@ func EstimateContext(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	res.Stats.ReducedNodes = red.G.NumNodes()
 	res.Stats.ReducedEdges = red.G.NumEdges()
 
-	if !opts.DisableExactPropagation {
-		propagateExact(red, res)
-	}
+	propagateExact(red, res)
 	// Propagation may rewrite a partial run's values (closed forms for
 	// twins/chains); restore the bound invariants afterwards.
 	res.finishPartial()

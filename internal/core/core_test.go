@@ -384,58 +384,3 @@ func TestQualityAtModerateSampling(t *testing.T) {
 		t.Errorf("quality = %v, want within [0.85, 1.15]", quality)
 	}
 }
-
-// The iterative (fixpoint) reduction must preserve the exactness contract.
-func TestIterativeReductionExactFlags(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomMixed(rng, 15)
-		want := ExactFarness(g, 2)
-		for _, tech := range []Technique{TechICR, TechCumulative} {
-			res, err := Estimate(g, Options{
-				Techniques:        tech,
-				SampleFraction:    1.0,
-				Seed:              seed,
-				IterateReductions: true,
-			})
-			if err != nil {
-				return false
-			}
-			var quality float64
-			for v := range want {
-				if res.Exact[v] && math.Abs(res.Farness[v]-want[v]) > 1e-9 {
-					return false
-				}
-				denom := math.Max(want[v], 1)
-				if math.Abs(res.Farness[v]-want[v])/denom > 1.0 {
-					return false
-				}
-				quality += res.Farness[v] / denom
-			}
-			quality /= float64(len(want))
-			if quality < 0.75 || quality > 1.3 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIterativeReducesMore(t *testing.T) {
-	g := gen.Road(6000, 3)
-	single, err := Estimate(g, Options{Techniques: TechCR, SampleFraction: 0.2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iter, err := Estimate(g, Options{Techniques: TechCR, SampleFraction: 0.2, Seed: 1, IterateReductions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iter.Stats.ReducedNodes > single.Stats.ReducedNodes {
-		t.Fatalf("iterative kept more nodes (%d) than single pass (%d)",
-			iter.Stats.ReducedNodes, single.Stats.ReducedNodes)
-	}
-}

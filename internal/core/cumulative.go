@@ -164,17 +164,12 @@ func assignEvents(red *reduce.Reduction, d *bicc.Decomposition, tree *bct.Tree) 
 				b = a.blockOf(e.U)
 			}
 		case *reduce.RedundantEvent:
-			// All neighbours of a redundant node share a block. A neighbour
-			// removed by a *later* iterative round resolves to that event's
-			// block (already assigned in this reverse scan).
+			// All neighbours of a redundant node share a block. Redundant
+			// nodes form an independent set removed in the last stage, so
+			// every neighbour is kept in the reduced graph.
 			var cand []int32
 			for _, x := range e.Nbrs {
-				var blocks []int32
-				if rid := red.ToNew[x]; rid >= 0 {
-					blocks = d.BlocksOf[rid]
-				} else {
-					blocks = []int32{a.blockOf(x)}
-				}
+				blocks := d.BlocksOf[red.ToNew[x]]
 				if cand == nil {
 					cand = append(cand, blocks...)
 				} else {

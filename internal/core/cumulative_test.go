@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -13,59 +12,50 @@ import (
 )
 
 // TestAssignEventsHomesEveryNode checks the event→block phase on its own, on
-// the four generator families with and without iterated reductions: every
-// original node is homed in exactly one block's assigned list, every
-// removal event's anchors lie in the event's block, and no event needs the
-// fallback heuristic. Most families reduce to a single block; web and road
-// without iteration decompose into several.
+// the four generator families: every original node is homed in exactly one
+// block's assigned list, every removal event's anchors lie in the event's
+// block, and no event needs the fallback heuristic. At least two families
+// must decompose into several blocks.
 func TestAssignEventsHomesEveryNode(t *testing.T) {
 	ropts := reduce.Options{Twins: true, Chains: true, Redundant: true, Workers: 2}
 	multiBlock := 0
 	for _, fam := range relabelFamilies() {
 		g := fam.gen(1500, 9)
-		for _, iterate := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/iterate=%v", fam.name, iterate), func(t *testing.T) {
-				var red *reduce.Reduction
-				var err error
-				if iterate {
-					red, err = reduce.RunIterativeContext(context.Background(), g, ropts, 0)
-				} else {
-					red, err = reduce.RunContext(context.Background(), g, ropts)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := bicc.DecomposeWorkers(red.G, 2)
-				if d.NumBlocks() > 1 {
-					multiBlock++
-				}
-				a := assignEvents(red, d, bct.NewTree(d, largestBlock(d)))
-				homes := make([]int, g.NumNodes())
-				for b, assigned := range a.assigned {
-					for _, o := range assigned {
-						homes[o]++
-						if a.blockOf(o) != int32(b) {
-							t.Fatalf("node %d listed in block %d, homed in %d", o, b, a.blockOf(o))
-						}
+		t.Run(fam.name, func(t *testing.T) {
+			red, err := reduce.Run(g, ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := bicc.DecomposeWorkers(red.G, 2)
+			if d.NumBlocks() > 1 {
+				multiBlock++
+			}
+			a := assignEvents(red, d, bct.NewTree(d, largestBlock(d)))
+			homes := make([]int, g.NumNodes())
+			for b, assigned := range a.assigned {
+				for _, o := range assigned {
+					homes[o]++
+					if a.blockOf(o) != int32(b) {
+						t.Fatalf("node %d listed in block %d, homed in %d", o, b, a.blockOf(o))
 					}
 				}
-				for o, h := range homes {
-					if h != 1 {
-						t.Fatalf("node %d homed %d times", o, h)
+			}
+			for o, h := range homes {
+				if h != 1 {
+					t.Fatalf("node %d homed %d times", o, h)
+				}
+			}
+			for i, e := range red.Events {
+				for _, anchor := range e.Anchors() {
+					if !a.inBlock(a.eventBlock[i], anchor) {
+						t.Fatalf("event %d (%T): anchor %d not in its block %d", i, e, anchor, a.eventBlock[i])
 					}
 				}
-				for i, e := range red.Events {
-					for _, anchor := range e.Anchors() {
-						if !a.inBlock(a.eventBlock[i], anchor) {
-							t.Fatalf("event %d (%T): anchor %d not in its block %d", i, e, anchor, a.eventBlock[i])
-						}
-					}
-				}
-				if a.fallbacks != 0 {
-					t.Fatalf("%d fallback assignments", a.fallbacks)
-				}
-			})
-		}
+			}
+			if a.fallbacks != 0 {
+				t.Fatalf("%d fallback assignments", a.fallbacks)
+			}
+		})
 	}
 	if multiBlock < 2 {
 		t.Fatalf("only %d case(s) decomposed into several blocks", multiBlock)

@@ -28,9 +28,10 @@ func propagateExact(red *reduce.Reduction, res *Result) {
 	// chain whose *interior* contains such a node violates the
 	// "everything outside routes through the chain's own anchors"
 	// assumption (the hung structure attaches mid-chain), so it keeps its
-	// sampled estimate. In the paper's single pass only twin reps can
-	// occur inside interiors; the iterative pipeline's later rounds make
-	// the general check necessary.
+	// sampled estimate. In the single pass only twin representatives can
+	// occur inside interiors (chain anchors have degree ≥ 3 and redundant
+	// neighbours survive contraction), but checking every anchor costs no
+	// more.
 	anchorNodes := make(map[int32]bool)
 	// Twins of the chain's own anchor are correctable rather than unsafe:
 	// a twin t of u sits at d(a_i, t) = d(a_i, u), while the through-u
@@ -69,10 +70,6 @@ func propagateExact(red *reduce.Reduction, res *Result) {
 			}
 			switch e.Kind {
 			case chains.Dangling:
-				if e.Offsets != nil {
-					propagateWeightedDangling(e, res, n, anchorExcess[e.U])
-					continue
-				}
 				l := int64(len(e.Interior))
 				sumPos := l * (l + 1) / 2
 				fu := res.Farness[e.U]
@@ -87,12 +84,6 @@ func propagateExact(red *reduce.Reduction, res *Result) {
 					}
 				}
 			case chains.Cycle:
-				if e.Offsets != nil {
-					// Weighted pendant cycles keep their sampled
-					// estimates: the cyclic within-distance has no cheap
-					// closed form over arbitrary offsets.
-					continue
-				}
 				l := int64(len(e.Interior))
 				L := l + 1
 				fu := res.Farness[e.U]
@@ -110,31 +101,6 @@ func propagateExact(red *reduce.Reduction, res *Result) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// propagateWeightedDangling is the Offsets generalisation of the dangling
-// closed form: farness(a_i) = off_i·(n−ℓ) + f(u) − Σ_j off_j +
-// Σ_{j≠i} |off_i − off_j| − anchorExcess, computed with prefix sums over
-// the (increasing) offsets.
-func propagateWeightedDangling(e *reduce.ChainEvent, res *Result, n int64, excess int64) {
-	l := int64(len(e.Interior))
-	fu := res.Farness[e.U]
-	prefix := make([]int64, l+1)
-	for i, off := range e.Offsets {
-		prefix[i+1] = prefix[i] + int64(off)
-	}
-	total := prefix[l]
-	for idx, node := range e.Interior {
-		off := int64(e.Offsets[idx])
-		i := int64(idx)
-		// Offsets are strictly increasing along the chain.
-		within := (i*off - prefix[idx]) + ((total - prefix[idx+1]) - (l-i-1)*off)
-		res.Farness[node] = float64(off*(n-l)-total+within-excess) + fu
-		res.Exact[node] = res.Exact[e.U]
-		if res.StdErr != nil {
-			res.StdErr[node] = res.StdErr[e.U]
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // These tests run the estimators on inputs whose node ids were permuted by
-// graph.Relabel. Every traversal runs on the canonical reduced graph of its
+// graph.Permute. Every traversal runs on the canonical reduced graph of its
 // input, so a permuted input is just another layout: on it every engine and
 // worker count must agree bit for bit, and every exact value must match the
 // all-pairs oracle of that same permuted graph.
@@ -29,6 +30,16 @@ func relabelFamilies() []struct {
 		{"community", gen.Community},
 		{"road", gen.Road},
 	}
+}
+
+// relabelPerms returns two renumberings of g: its Cuthill–McKee order
+// (graph.BFSOrder) and a seeded random shuffle.
+func relabelPerms(g *graph.Graph) map[string][]graph.NodeID {
+	shuffle := make([]graph.NodeID, g.NumNodes())
+	for i, p := range rand.New(rand.NewSource(1)).Perm(g.NumNodes()) {
+		shuffle[i] = graph.NodeID(p)
+	}
+	return map[string][]graph.NodeID{"bfs": graph.BFSOrder(g.ToWeighted(), 0), "random": shuffle}
 }
 
 func relabelWorkerSweep() []int {
@@ -60,8 +71,8 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestEstimateRelabelBitIdentical estimates on degree- and BFS-relabeled
-// copies of all four families, through the global and cumulative
+// TestEstimateRelabelBitIdentical estimates on BFS-ordered and randomly
+// shuffled copies of all four families, through the global and cumulative
 // estimators. On each layout every traversal engine (pinned through the
 // decision hook) at 1/2/4/GOMAXPROCS workers must equal the pinned
 // per-source run at 1 worker, and every value flagged exact must equal
@@ -76,8 +87,8 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 	}
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(3000, 42))
-		for _, mode := range []graph.RelabelMode{graph.RelabelDegree, graph.RelabelBFS} {
-			pg, _ := graph.Relabel(g, mode, 0)
+		for mode, perm := range relabelPerms(g) {
+			pg := graph.Permute(g, perm)
 			oracle := bfs.ExactFarness(pg, 0)
 			for _, tech := range techs {
 				est := func(w int) *Result {
@@ -123,7 +134,7 @@ func TestEstimateHybridMatchesPerSource(t *testing.T) {
 		g := graph.Connect(fam.gen(600, 9))
 		oracle := ExactFarness(g, 2)
 		for _, tech := range []Technique{0, TechICR, TechCumulative} {
-			res, err := Estimate(g, Options{Techniques: tech, SampleFraction: 1, Seed: 3, DisableExactPropagation: true})
+			res, err := Estimate(g, Options{Techniques: tech, SampleFraction: 1, Seed: 3})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", fam.name, tech, err)
 			}

@@ -149,7 +149,7 @@ func traverse(ctx context.Context, units []unit, workers int,
 		srcs, width := un.sources, 1
 		if e == batched {
 			srcs = permuted(srcs, clusterOrder(srcs, func() []graph.NodeID {
-				return graph.OrderW(un.g, graph.RelabelBFS, workers).Perm
+				return graph.BFSOrder(un.g, workers)
 			}))
 			width = bfs.MSBFSWidth
 		}

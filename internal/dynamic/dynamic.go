@@ -74,15 +74,6 @@ func (ix *Index) HasEdge(u, v graph.NodeID) bool {
 // Farness returns the exact farness of v.
 func (ix *Index) Farness(v graph.NodeID) float64 { return float64(ix.farness[v]) }
 
-// FarnessAll returns a copy of all farness values.
-func (ix *Index) FarnessAll() []float64 {
-	out := make([]float64, len(ix.farness))
-	for i, f := range ix.farness {
-		out[i] = float64(f)
-	}
-	return out
-}
-
 // bfs runs a BFS over the current adjacency, filling dist.
 func (ix *Index) bfs(src graph.NodeID, dist []int32, q *queue.FIFO) {
 	for i := range dist {

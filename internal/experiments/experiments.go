@@ -446,9 +446,9 @@ type AblationRow struct {
 	Reduced  int
 }
 
-// Ablations runs the design-choice comparisons DESIGN.md calls out, on one
-// representative graph per class: estimator kinds, exact propagation
-// on/off, and single-pass vs fixpoint reduction.
+// Ablations runs the design-choice comparison DESIGN.md calls out, on one
+// representative graph per class: the weighted estimator against the
+// paper-literal scaling.
 func Ablations(cfg Config, fraction float64) ([]AblationRow, error) {
 	var out []AblationRow
 	for _, ds := range classDatasets(cfg) {
@@ -460,8 +460,6 @@ func Ablations(cfg Config, fraction float64) ([]AblationRow, error) {
 		}{
 			{"weighted-est", core.Options{Techniques: core.TechCumulative, SampleFraction: fraction}},
 			{"paper-est", core.Options{Techniques: core.TechCumulative, SampleFraction: fraction, Estimator: core.EstimatorPaper}},
-			{"no-propagation", core.Options{Techniques: core.TechCumulative, SampleFraction: fraction, DisableExactPropagation: true}},
-			{"iterative-red", core.Options{Techniques: core.TechCumulative, SampleFraction: fraction, IterateReductions: true}},
 		}
 		for _, v := range variants {
 			v.opts.Workers = cfg.Workers
@@ -486,7 +484,7 @@ func Ablations(cfg Config, fraction float64) ([]AblationRow, error) {
 
 // FprintAblations renders the ablation table.
 func FprintAblations(w io.Writer, rows []AblationRow) {
-	fmt.Fprintln(w, "Ablations (beyond the paper): estimator, propagation, fixpoint reduction")
+	fmt.Fprintln(w, "Ablations (beyond the paper): estimator")
 	fmt.Fprintf(w, "%-28s %-16s %10s %8s %8s %9s\n", "Graph", "variant", "time", "quality", "err%", "reduced")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-28s %-16s %10s %8.4f %8.2f %9d\n",

@@ -166,9 +166,9 @@ func TestAblationsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One representative per class, four variants each.
-	if len(rows) != 16 {
-		t.Fatalf("rows = %d, want 16", len(rows))
+	// One representative per class, two variants each.
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(rows))
 	}
 	byVariant := map[string][]AblationRow{}
 	for _, r := range rows {
@@ -187,15 +187,9 @@ func TestAblationsShapes(t *testing.T) {
 	if !(absf(wq/4-1) < absf(pq/4-1)) {
 		t.Errorf("weighted estimator (avg quality %.4f) should beat paper scaling (%.4f)", wq/4, pq/4)
 	}
-	// Iterative reduction never keeps more nodes than the single pass.
-	for i := range byVariant["iterative-red"] {
-		if byVariant["iterative-red"][i].Reduced > byVariant["weighted-est"][i].Reduced {
-			t.Errorf("%s: iterative kept more nodes", byVariant["iterative-red"][i].Dataset.Name)
-		}
-	}
 	var buf bytes.Buffer
 	FprintAblations(&buf, rows)
-	if !strings.Contains(buf.String(), "iterative-red") {
+	if !strings.Contains(buf.String(), "paper-est") {
 		t.Error("render missing variant")
 	}
 }

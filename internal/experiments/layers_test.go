@@ -17,7 +17,7 @@ import (
 // TestLayerStudies runs every layer study at a tiny scale through the one
 // runner and checks the written reports: every row is a timed, configured
 // cell, each dataset's first cell is its baseline, no row runs more workers
-// than the host has, and the reduction rows time no fixpoint rounds.
+// than the host has, and the reduction rows time exactly the three stages.
 func TestLayerStudies(t *testing.T) {
 	cfg := Config{Scale: 0.02, Seed: 5}
 	dir := t.TempDir()
@@ -56,8 +56,11 @@ func TestLayerStudies(t *testing.T) {
 				t.Errorf("%s %s: %v workers on gomaxprocs %d", name, r.Dataset, w, rep.GOMAXPROCS)
 			}
 			if name == "reduction" {
-				if _, ok := r.StagesNS["rounds"]; !ok || r.StagesNS["rounds"] != 0 {
-					t.Errorf("reduction %s: stages %v, want a zero rounds stage", r.Dataset, r.StagesNS)
+				_, tw := r.StagesNS["twins"]
+				_, ch := r.StagesNS["chains"]
+				_, rd := r.StagesNS["redundant"]
+				if len(r.StagesNS) != 3 || !tw || !ch || !rd {
+					t.Errorf("reduction %s: stages %v, want exactly twins, chains and redundant", r.Dataset, r.StagesNS)
 				}
 			}
 		}

@@ -37,7 +37,7 @@ var reductionStudy = study{
 	baseline: "workers=1",
 	note: "One op is reduce.Run(g, reduce.All()), the pipeline core.Estimate runs for every " +
 		"request, on the generated graph. Its output is identical at every worker count. stages_ns " +
-		"is reduce.Timings; rounds (the iterative fixpoint) is zero because no request iterates.",
+		"is reduce.Timings.",
 	setup: func(cfg Config, ds gen.Dataset) (dataset, error) {
 		g := ds.Build()
 		d := dataset{nodes: g.NumNodes(), edges: g.NumEdges()}
@@ -53,7 +53,7 @@ var reductionStudy = study{
 					}
 					t := red.Timings
 					return map[string]int64{"twins": int64(t.Twins), "chains": int64(t.Chains),
-						"redundant": int64(t.Redundant), "rounds": int64(t.Rounds)}, nil
+						"redundant": int64(t.Redundant)}, nil
 				},
 			})
 		}

@@ -8,7 +8,7 @@
 // Point names in use across the stack (grep for fault.Checkpoint /
 // fault.Inject to enumerate):
 //
-//	reduce.twins, reduce.chains, reduce.redundant, reduce.round
+//	reduce.twins, reduce.chains, reduce.redundant
 //	core.reduce, core.decompose, core.traverse, core.aggregate
 //	bfs.batch
 //	topk.verify

@@ -320,35 +320,3 @@ func ContractInto(g *Graph, keep []bool, toNew []NodeID, extra []WEdge, workers 
 	})
 	return &WGraph{offsets: offsets, adj: adj, weights: wts}
 }
-
-// WContractInto is ContractInto over an already-weighted graph: kept-kept
-// edges keep their weights and extra edges merge in under the min-weight
-// parallel rule.
-func WContractInto(g *WGraph, keep []bool, toNew []NodeID, extra []WEdge, workers int) *WGraph {
-	n := g.NumNodes()
-	kept := CompactIDs(keep, toNew, workers)
-	ents := buildExtEntries(extra, toNew)
-	offsets := make([]int64, kept+1)
-	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
-			}
-			offsets[nv+1] = mergeCount(g.Neighbors(NodeID(v)), toNew, extSegment(ents, nv))
-		}
-	})
-	total := par.PrefixSum(offsets, workers)
-	adj := make([]NodeID, total)
-	wts := make([]int32, total)
-	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
-			}
-			mergeFill(g.Neighbors(NodeID(v)), g.Weights(NodeID(v)), toNew, extSegment(ents, nv), adj, wts, offsets[nv])
-		}
-	})
-	return &WGraph{offsets: offsets, adj: adj, weights: wts}
-}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -28,44 +29,64 @@ func randomWGraph(rng *rand.Rand, n int) *WGraph {
 	return b.Build()
 }
 
-// checkPermutation asserts Perm and Inv are inverse permutations of [0, n).
-func checkPermutation(t *testing.T, r *Relabeling, n int) {
-	t.Helper()
-	if len(r.Perm) != n || len(r.Inv) != n {
-		t.Fatalf("permutation lengths (%d, %d), want %d", len(r.Perm), len(r.Inv), n)
+// degreePerm numbers nodes by descending degree, ties by ascending id.
+func degreePerm(g *Graph) []NodeID {
+	n := g.NumNodes()
+	byDeg := make([]NodeID, n)
+	for i := range byDeg {
+		byDeg[i] = NodeID(i)
 	}
-	for v := 0; v < n; v++ {
-		p := r.Perm[v]
-		if p < 0 || int(p) >= n {
-			t.Fatalf("Perm[%d] = %d out of range", v, p)
+	sort.SliceStable(byDeg, func(i, j int) bool { return g.Degree(byDeg[i]) > g.Degree(byDeg[j]) })
+	perm := make([]NodeID, n)
+	for p, v := range byDeg {
+		perm[v] = NodeID(p)
+	}
+	return perm
+}
+
+// checkPermutation asserts perm is a permutation of [0, n).
+func checkPermutation(t *testing.T, perm []NodeID, n int) {
+	t.Helper()
+	if len(perm) != n {
+		t.Fatalf("permutation length %d, want %d", len(perm), n)
+	}
+	seen := make([]bool, n)
+	for v, p := range perm {
+		if p < 0 || int(p) >= n || seen[p] {
+			t.Fatalf("perm[%d] = %d is out of range or repeated", v, p)
 		}
-		if r.Inv[p] != NodeID(v) {
-			t.Fatalf("Inv[Perm[%d]] = %d, want %d", v, r.Inv[p], v)
-		}
+		seen[p] = true
 	}
 }
 
-// Property: relabeling under either mode is a permutation round trip that
-// preserves the edge set (and passes Validate) on random graphs.
+// Property: BFSOrder and a degree ordering are permutations, and Permute
+// under either one preserves the edge set (and passes Validate) on random
+// graphs.
 func TestRelabelPreservesGraph(t *testing.T) {
-	for _, mode := range []RelabelMode{RelabelDegree, RelabelBFS} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		order func(*Graph) []NodeID
+	}{
+		{"degree", degreePerm},
+		{"bfs", func(g *Graph) []NodeID { return BFSOrder(g.ToWeighted(), 4) }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				n := rng.Intn(60) + 2
 				g := randomGraph(rng, n)
-				g2, r := Relabel(g, mode, 4)
-				checkPermutation(t, r, n)
+				perm := mode.order(g)
+				checkPermutation(t, perm, n)
+				g2 := Permute(g, perm)
 				if err := g2.Validate(); err != nil {
-					t.Fatalf("relabeled graph invalid: %v", err)
+					t.Fatalf("permuted graph invalid: %v", err)
 				}
-				if g2.NumEdges() != g.NumEdges() {
+				if g2.NumNodes() != n || g2.NumEdges() != g.NumEdges() {
 					return false
 				}
 				ok := true
 				g.Edges(func(u, v NodeID) {
-					if !g2.HasEdge(r.Perm[u], r.Perm[v]) {
+					if !g2.HasEdge(perm[u], perm[v]) {
 						ok = false
 					}
 				})
@@ -75,68 +96,6 @@ func TestRelabelPreservesGraph(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// Property: weighted relabeling carries each edge's weight through the
-// renumbering.
-func TestRelabelWPreservesWeights(t *testing.T) {
-	for _, mode := range []RelabelMode{RelabelDegree, RelabelBFS} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			f := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				n := rng.Intn(50) + 2
-				g := randomWGraph(rng, n)
-				g2, r := RelabelW(g, mode, 3)
-				checkPermutation(t, r, n)
-				if err := g2.Validate(); err != nil {
-					t.Fatalf("relabeled wgraph invalid: %v", err)
-				}
-				ok := true
-				g.Edges(func(u, v NodeID, w int32) {
-					got, has := g2.EdgeWeight(r.Perm[u], r.Perm[v])
-					if !has || got != w {
-						ok = false
-					}
-				})
-				return ok
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// RelabelNone is the identity and allocates nothing.
-func TestRelabelNoneIsIdentity(t *testing.T) {
-	g := pathGraph(5)
-	g2, r := Relabel(g, RelabelNone, 2)
-	if g2 != g || r != nil {
-		t.Fatalf("RelabelNone returned (%p, %v), want the input graph and nil", g2, r)
-	}
-	wg := g.ToWeighted()
-	wg2, wr := RelabelW(wg, RelabelNone, 2)
-	if wg2 != wg || wr != nil {
-		t.Fatalf("RelabelW none returned (%p, %v), want the input graph and nil", wg2, wr)
-	}
-}
-
-// The degree ordering sorts new ids by descending degree with ascending
-// old-id tie-breaks.
-func TestDegreeOrderSorts(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 80)
-	g2, r := Relabel(g, RelabelDegree, 4)
-	for nv := 1; nv < g2.NumNodes(); nv++ {
-		dPrev, d := g2.Degree(NodeID(nv-1)), g2.Degree(NodeID(nv))
-		if dPrev < d {
-			t.Fatalf("degree order violated at new id %d: deg %d before %d", nv, dPrev, d)
-		}
-		if dPrev == d && r.Inv[nv-1] >= r.Inv[nv] {
-			t.Fatalf("tie-break violated at new id %d: old %d before %d", nv, r.Inv[nv-1], r.Inv[nv])
-		}
 	}
 }
 
@@ -145,11 +104,11 @@ func TestDegreeOrderSorts(t *testing.T) {
 // consecutive new ids at most 2 apart, exactly the CM property).
 func TestBFSOrderOnPath(t *testing.T) {
 	g := pathGraph(10)
-	g2, r := Relabel(g, RelabelBFS, 1)
-	if r.Inv[0] != 0 && r.Inv[0] != 9 {
-		t.Fatalf("BFS root = %d, want an endpoint of the path", r.Inv[0])
+	pos := BFSOrder(g.ToWeighted(), 1)
+	if pos[0] != 0 && pos[9] != 0 {
+		t.Fatalf("BFS positions %v, want an endpoint of the path first", pos)
 	}
-	g2.Edges(func(u, v NodeID) {
+	Permute(g, pos).Edges(func(u, v NodeID) {
 		d := int(v - u)
 		if d < 0 {
 			d = -d
@@ -160,43 +119,30 @@ func TestBFSOrderOnPath(t *testing.T) {
 	})
 }
 
-// Property: the permutation and the rebuilt CSR are bit-identical at every
-// worker count.
+// Property: BFSOrder is bit-identical at every worker count, and it ignores
+// edge weights — a weighted graph orders exactly like its unit-weight copy.
 func TestRelabelWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(rng, 300)
+	g := randomGraph(rng, 300).ToWeighted()
 	wg := randomWGraph(rng, 300)
-	for _, mode := range []RelabelMode{RelabelDegree, RelabelBFS} {
-		ref, rRef := Relabel(g, mode, 1)
-		wRef, _ := RelabelW(wg, mode, 1)
+	b := NewWBuilder(wg.NumNodes())
+	wg.Edges(func(u, v NodeID, _ int32) { _ = b.AddEdge(u, v, 1) })
+	unit := b.Build()
+	for _, in := range []*WGraph{g, wg} {
+		ref := BFSOrder(in, 1)
 		for _, workers := range []int{2, 3, 4, 7, 8} {
-			got, r := Relabel(g, mode, workers)
-			for v := range rRef.Perm {
-				if r.Perm[v] != rRef.Perm[v] {
-					t.Fatalf("mode %v workers %d: Perm[%d] = %d, want %d", mode, workers, v, r.Perm[v], rRef.Perm[v])
+			got := BFSOrder(in, workers)
+			for v := range ref {
+				if got[v] != ref[v] {
+					t.Fatalf("workers %d: pos[%d] = %d, want %d", workers, v, got[v], ref[v])
 				}
 			}
-			for v := 0; v < ref.NumNodes(); v++ {
-				a, b := ref.Neighbors(NodeID(v)), got.Neighbors(NodeID(v))
-				if len(a) != len(b) {
-					t.Fatalf("mode %v workers %d: node %d degree differs", mode, workers, v)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("mode %v workers %d: adjacency of %d differs", mode, workers, v)
-					}
-				}
-			}
-			wGot, _ := RelabelW(wg, mode, workers)
-			for v := 0; v < wRef.NumNodes(); v++ {
-				a, b := wGot.Neighbors(NodeID(v)), wRef.Neighbors(NodeID(v))
-				wa, wb := wGot.Weights(NodeID(v)), wRef.Weights(NodeID(v))
-				for i := range a {
-					if a[i] != b[i] || wa[i] != wb[i] {
-						t.Fatalf("mode %v workers %d: weighted adjacency of %d differs", mode, workers, v)
-					}
-				}
-			}
+		}
+	}
+	ref, got := BFSOrder(unit, 1), BFSOrder(wg, 1)
+	for v := range ref {
+		if got[v] != ref[v] {
+			t.Fatalf("weighted pos[%d] = %d, unit-weight copy %d", v, got[v], ref[v])
 		}
 	}
 }

@@ -2,13 +2,24 @@
 // plain FIFO of node ids for BFS, and a monotone bucket queue (Dial's
 // structure) for single-source shortest paths on small-integer-weighted
 // graphs, which is what the chain-contracted reduced graph is.
+//
+// Every Push and Pop writes the queue's header, and traversal workers each
+// own a queue allocated back to back with the others'. Both headers are
+// therefore padded to headerBytes, two 64-byte cache lines (the pair an
+// adjacent-line prefetcher fetches together), so no two workers' headers
+// share a line; unpadded, that false sharing made two-worker exact farness
+// slower than one worker.
 package queue
+
+// headerBytes is the padded size of a FIFO or Bucket.
+const headerBytes = 128
 
 // FIFO is an allocation-friendly queue of int32 values. The zero value is
 // ready to use; Reset allows reuse across traversals without reallocating.
 type FIFO struct {
 	buf  []int32
 	head int
+	_    [headerBytes - 32]byte
 }
 
 // NewFIFO returns a FIFO with capacity pre-allocated for n pushes.
@@ -45,6 +56,7 @@ type Bucket struct {
 	buckets [][]int32
 	cur     int // current distance being drained
 	size    int // number of pending entries
+	_       [headerBytes - 40]byte
 }
 
 // NewBucket returns a bucket queue for edge weights up to maxWeight.

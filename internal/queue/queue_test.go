@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFIFOOrder(t *testing.T) {
@@ -142,5 +143,33 @@ func TestBucketReset(t *testing.T) {
 	v, d := q.Pop()
 	if v != 5 || d != 0 {
 		t.Fatalf("after Reset: Pop = %d,%d want 5,0", v, d)
+	}
+}
+
+// TestHeadersOwnCacheLines allocates eight FIFOs and eight Buckets back to
+// back, as per-worker set-up does, and requires that no two queue headers
+// (the fields every Push and Pop writes) touch the same 64-byte line.
+func TestHeadersOwnCacheLines(t *testing.T) {
+	const line = 64
+	owner := map[uintptr]int{}
+	claim := func(i int, p unsafe.Pointer, size uintptr) {
+		for l := uintptr(p) / line; l <= (uintptr(p)+size-1)/line; l++ {
+			if j, ok := owner[l]; ok {
+				t.Fatalf("headers %d and %d share cache line %#x", j, i, l*line)
+			}
+			owner[l] = i
+		}
+	}
+	var fifos [8]*FIFO
+	var buckets [8]*Bucket
+	for i := range fifos {
+		fifos[i] = NewFIFO(16)
+		buckets[i] = NewBucket(4)
+	}
+	for i, q := range fifos {
+		claim(i, unsafe.Pointer(q), unsafe.Offsetof(q.head)+unsafe.Sizeof(q.head))
+	}
+	for i, q := range buckets {
+		claim(len(fifos)+i, unsafe.Pointer(q), unsafe.Offsetof(q.size)+unsafe.Sizeof(q.size))
 	}
 }

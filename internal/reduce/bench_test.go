@@ -7,11 +7,11 @@ import (
 	"repro/internal/graph"
 )
 
-// BenchmarkReductionPipeline measures the full iterative pipeline per
-// generator family and worker count — the preprocessing cost the paper's
-// Table II amortises over the sampled traversals. Single-core hosts still
-// run the >1-worker cases (goroutines interleave); the speedup columns are
-// only meaningful with real cores.
+// BenchmarkReductionPipeline measures the pipeline's time and allocations
+// per generator family and worker count — the preprocessing cost the
+// paper's Table II amortises over the sampled traversals. Single-core
+// hosts still run the >1-worker cases (goroutines interleave); the speedup
+// columns are only meaningful with real cores.
 func BenchmarkReductionPipeline(b *testing.B) {
 	for _, fam := range generatorFamilies() {
 		g := graph.Connect(fam.gen(20000, 42))
@@ -20,30 +20,11 @@ func BenchmarkReductionPipeline(b *testing.B) {
 				b.ReportAllocs()
 				opts := Options{Twins: true, Chains: true, Redundant: true, Workers: w}
 				for i := 0; i < b.N; i++ {
-					if _, err := RunIterative(g, opts, 0); err != nil {
+					if _, err := Run(g, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkReductionAllocs isolates the allocation profile of the
-// single-pass pipeline at one worker — the pooled-scratch target of the
-// churn audit (identity maps, keep masks and remaps used to be rebuilt per
-// stage and per round; now they come from sync.Pool buffers).
-func BenchmarkReductionAllocs(b *testing.B) {
-	for _, fam := range generatorFamilies() {
-		g := graph.Connect(fam.gen(20000, 42))
-		b.Run(fam.name, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := Options{Twins: true, Chains: true, Redundant: true, Workers: 1}
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(g, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

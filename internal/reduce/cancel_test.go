@@ -64,24 +64,3 @@ func TestRunContextCanceledMidStage(t *testing.T) {
 		}
 	}
 }
-
-func TestRunIterativeContextCanceledAtRound(t *testing.T) {
-	g := gen.Road(400, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	restore := fault.Set("reduce.round", func(context.Context) error {
-		calls++
-		if calls == 1 {
-			cancel()
-		}
-		return nil
-	})
-	defer restore()
-	red, err := RunIterativeContext(ctx, g, All(), 0)
-	if !errors.Is(err, par.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if red != nil {
-		t.Fatal("canceled run must not return a Reduction")
-	}
-}

@@ -62,8 +62,7 @@ func assertSameReduction(t *testing.T, label string, want, got *Reduction) {
 
 // generatorFamilies are the paper's four graph classes at a size small
 // enough for CI but large enough to hit every stage (twins, chains,
-// redundant nodes, fixpoint rounds) and the parallel builders' block
-// thresholds.
+// redundant nodes) and the parallel builders' block thresholds.
 func generatorFamilies() []struct {
 	name string
 	gen  func(int, int64) *graph.Graph
@@ -95,26 +94,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", fam.name, w, err)
 			}
 			assertSameReduction(t, fmt.Sprintf("%s workers=%d", fam.name, w), base, got)
-		}
-	}
-}
-
-// TestRunIterativeDeterministicAcrossWorkers covers the fixpoint rounds
-// (weighted chains with direction-dependent offsets, repeated redundant
-// sweeps) under the same sweep.
-func TestRunIterativeDeterministicAcrossWorkers(t *testing.T) {
-	for _, fam := range generatorFamilies() {
-		g := graph.Connect(fam.gen(6000, 999))
-		base, err := RunIterative(g, Options{Twins: true, Chains: true, Redundant: true, Workers: 1}, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", fam.name, err)
-		}
-		for _, w := range workerSweep() {
-			got, err := RunIterative(g, Options{Twins: true, Chains: true, Redundant: true, Workers: w}, 0)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", fam.name, w, err)
-			}
-			assertSameReduction(t, fmt.Sprintf("%s iterative workers=%d", fam.name, w), base, got)
 		}
 	}
 }

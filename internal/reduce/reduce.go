@@ -65,9 +65,6 @@ type Stats struct {
 	TwinGroups int
 	// NumChains is the number of discovered chains.
 	NumChains int
-	// ExtraRounds counts the fixpoint rounds RunIterative performed
-	// beyond the paper's single pass (0 for Run).
-	ExtraRounds int
 }
 
 // Removed returns the total number of removed nodes.
@@ -81,8 +78,6 @@ type Timings struct {
 	Twins     time.Duration
 	Chains    time.Duration
 	Redundant time.Duration
-	// Rounds covers all RunIterative fixpoint rounds together.
-	Rounds time.Duration
 }
 
 // Event is one removal record. Extend recovers the distances of the
@@ -133,17 +128,12 @@ type ChainEvent struct {
 	// (Type-1) chains and equals U for pendant cycles (Type-2).
 	U, V graph.NodeID
 	// Interior lists the removed nodes in path order from U;
-	// Interior[i] is i+1 unit steps from U unless Offsets is set.
+	// Interior[i] is i+1 unit steps from U.
 	Interior []graph.NodeID
 	// Kind is the chain classification.
 	Kind chains.Type
 	// Identical marks Type-4 members (reporting only).
 	Identical bool
-	// Offsets (weighted chains from the iterative pipeline only) gives
-	// Interior[i]'s weighted distance from U; Total is the chain's full
-	// weighted length. Nil means unit steps.
-	Offsets []int32
-	Total   int32
 }
 
 // Removed implements Event.
@@ -161,45 +151,17 @@ func (e *ChainEvent) chain() chains.Chain {
 	return chains.Chain{U: e.U, V: e.V, Interior: e.Interior, Type: e.Kind}
 }
 
-func (e *ChainEvent) wchain() chains.WChain {
-	return chains.WChain{U: e.U, V: e.V, Interior: e.Interior, Offsets: e.Offsets, Total: e.Total, Type: e.Kind}
-}
-
-// Extend implements Event using the split formula of Algorithm 2 (its
-// weighted generalisation when Offsets is set).
+// Extend implements Event using the split formula of Algorithm 2.
 func (e *ChainEvent) Extend(dist []int32) {
 	du := dist[e.U]
 	var dv int32
 	if e.V >= 0 {
 		dv = dist[e.V]
 	}
-	if e.Offsets != nil {
-		c := e.wchain()
-		for i := range e.Interior {
-			dist[e.Interior[i]] = c.InteriorDistance(du, dv, i)
-		}
-		return
-	}
 	c := e.chain()
 	for i := range e.Interior {
 		dist[e.Interior[i]] = c.InteriorDistance(du, dv, i)
 	}
-}
-
-// SumDistances returns Σ_i d(s, Interior[i]) given anchor distances — O(1)
-// for unit chains, O(ℓ) for weighted ones.
-func (e *ChainEvent) SumDistances(dist []int32) int64 {
-	du := dist[e.U]
-	var dv int32
-	if e.V >= 0 {
-		dv = dist[e.V]
-	}
-	if e.Offsets != nil {
-		c := e.wchain()
-		return c.SumInteriorDistances(du, dv)
-	}
-	c := e.chain()
-	return c.SumInteriorDistances(du, dv)
 }
 
 // RedundantEvent removes one redundant 3/4-degree node (paper Algorithm 3).
@@ -244,7 +206,7 @@ func (r *Reduction) NumRemoved() int { return r.Orig.NumNodes() - len(r.ToOld) }
 
 // Run executes the pipeline on the connected simple graph g.
 func Run(g *graph.Graph, opts Options) (*Reduction, error) {
-	return run(context.Background(), g, opts, false, 0)
+	return RunContext(context.Background(), g, opts)
 }
 
 // RunContext is Run with cooperative cancellation: the pipeline checks ctx
@@ -253,13 +215,6 @@ func Run(g *graph.Graph, opts Options) (*Reduction, error) {
 // error once it is done. The pooled scratch is returned either way; a
 // non-nil error means no Reduction is produced.
 func RunContext(ctx context.Context, g *graph.Graph, opts Options) (*Reduction, error) {
-	return run(ctx, g, opts, false, 0)
-}
-
-// run is the shared driver behind Run and RunIterative. The fault
-// checkpoints double as the pipeline's cancellation points; the pooled
-// scratch is returned by the deferred putScratch on every path.
-func run(ctx context.Context, g *graph.Graph, opts Options, iterate bool, maxRounds int) (*Reduction, error) {
 	n := g.NumNodes()
 	p := &pipeline{
 		red:     &Reduction{Orig: g},
@@ -280,11 +235,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, iterate bool, maxRou
 		return nil, err
 	}
 	p.stageRedundant(opts)
-	if iterate && (opts.Chains || opts.Redundant) {
-		if err := p.rounds(ctx, opts, maxRounds); err != nil {
-			return nil, err
-		}
-	}
 	p.finish(n)
 	return p.red, nil
 }
@@ -443,16 +393,10 @@ func (p *pipeline) stageRedundant(opts Options) {
 	if len(rn.Nodes) == 0 {
 		return
 	}
-	p.red.Stats.RedundantNodes = len(rn.Nodes)
-	p.removeRedundant(rn)
-}
-
-// removeRedundant appends events for rn's nodes and rebuilds p.wg without
-// them; shared by the first pass and the fixpoint rounds. rn's Nbrs and
-// Weights slices are freshly allocated per node by redundant.Find, so the
-// events take ownership instead of re-copying.
-func (p *pipeline) removeRedundant(rn *redundant.Result) {
+	// rn's Nbrs and Weights slices are freshly allocated per node by
+	// redundant.Find, so the events take ownership instead of re-copying.
 	red := p.red
+	red.Stats.RedundantNodes = len(rn.Nodes)
 	stageN := p.wg.NumNodes()
 	keep := p.sc.keepAll(stageN, p.workers)
 	for i := range rn.Nodes {

@@ -9,8 +9,8 @@ import (
 
 // scratch pools the per-run working buffers of the pipeline — the keep
 // mask, the stage-local old→new renumbering, and the double-buffered
-// stage→original id maps — so Run/RunIterative stop allocating them per
-// stage and per fixpoint round. Buffers are sized for the input graph once
+// stage→original id maps — so Run stops allocating them per stage.
+// Buffers are sized for the input graph once
 // and sliced down as the stages shrink it; a sync.Pool recycles them across
 // runs. Only the final ToOld/ToNew and the Events (the caller-visible
 // output) are freshly allocated.
