@@ -36,15 +36,16 @@ chaos:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Layer studies: the reduction pipeline, the distance sketch and the
-# artifact load paths, one dataset per generator family, each cell checked
-# against its reference before a warm-up and five timed reps, written as
-# BENCH_<study>.json (see EXPERIMENTS.md and DESIGN.md sections 11 and 14).
+# Layer studies: the reduction pipeline, the distance sketch, the artifact
+# load paths and the estimators end to end, one dataset per generator
+# family, each cell checked against its reference before a warm-up and five
+# timed reps, written as BENCH_<study>.json (see EXPERIMENTS.md and DESIGN.md
+# sections 11 and 14).
 # BENCH_frontier.json and BENCH_bicc.json are frozen evidence of the retired
 # frontier and FAST-BCC engines (DESIGN.md sections 10 and 13); no target
 # rewrites them.
 bench-layers:
-	go run ./cmd/experiments -only reduction,sketch,load -bench-dir .
+	go run ./cmd/experiments -only reduction,sketch,load,estimators -bench-dir .
 
 # Regenerate every table and figure of the paper (about 4 CPU-minutes).
 experiments:

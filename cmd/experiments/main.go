@@ -8,11 +8,12 @@
 //	experiments -list
 //
 // Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9, sweep,
-// the layer studies reduction, sketch and load, and ablations (default:
-// all, in order); an unknown -only name is an error. See EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison. Each layer study times one
-// layer (the reduction pipeline, the distance sketch, the artifact load
-// paths) cell by cell, after checking each cell against its reference;
+// the layer studies reduction, sketch, load and estimators, and ablations
+// (default: all, in order); an unknown -only name is an error. See
+// EXPERIMENTS.md for the recorded paper-vs-measured comparison. Each layer
+// study times one layer (the reduction pipeline, the distance sketch, the
+// artifact load paths, the estimators end to end) cell by cell, after
+// checking each cell against its reference;
 // -bench-dir writes each study that ran as
 // DIR/BENCH_<study>.json (used by `make bench-layers`).
 // -cpuprofile/-memprofile capture pprof profiles of whatever subset runs —

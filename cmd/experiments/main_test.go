@@ -11,6 +11,7 @@ func TestParseOnly(t *testing.T) {
 	}{
 		{"", true},
 		{"reduction,sketch,load", true},
+		{"reduction,sketch,load,estimators", true},
 		{"table1, FIG4A,ablations", true},
 		{"frontier", false},
 		{"bicc", false},

@@ -53,13 +53,15 @@ func (p *Progress) Fraction() float64 {
 func (p *Progress) Snapshot() *Result { return p.snap.Load() }
 
 // anyState is the bookkeeping an anytime run threads through its traversal
-// fan-out. Consistency contract: workers hold mu.RLock for the whole
-// accumulation of one source's row (so shared accumulators only ever move
-// between snapshots by whole sources), and the snapshot assembler holds
-// mu.Lock while copying them. After the fan-out has returned (ForDynamicCtx
-// and the traversal driver join their workers before returning an error), the
+// fan-out. Consistency contract of a run that publishes snapshots (the
+// global estimator): workers hold mu.RLock for the whole accumulation of
+// one source's row (so shared accumulators only ever move between
+// snapshots by whole sources), and the snapshot assembler holds mu.Lock
+// while reading them. After the fan-out has returned (ForDynamicCtx and the
+// traversal driver join their workers before returning an error), the
 // accumulators are quiescent and assembly needs no lock at all — but takes
-// it anyway for simplicity.
+// it anyway for simplicity. The cumulative estimator publishes no snapshot
+// and reads its accumulators only after the join, so it takes no lock.
 type anyState struct {
 	mu      sync.RWMutex
 	n       int
@@ -94,17 +96,14 @@ func newAnyState(n int, planned int, prog *Progress) *anyState {
 	return a
 }
 
-// markDone records a completed source and captures its extended distance row
-// as a landmark while slots remain. Must be called under mu.RLock, with row
-// holding original-id distances (len n).
-func (a *anyState) markDone(srcOrig graph.NodeID, row []int32) {
+// markDone records a completed source and, while landmark slots remain,
+// captures row(), its distance row over all original ids. Must be called
+// under mu.RLock.
+func (a *anyState) markDone(srcOrig graph.NodeID, row func() []int32) {
 	a.doneSrc[srcOrig] = true
-	if len(row) != a.n {
-		return
-	}
 	a.lmMu.Lock()
 	if len(a.landmarks) < maxLandmarks {
-		a.landmarks = append(a.landmarks, append([]int32(nil), row...))
+		a.landmarks = append(a.landmarks, row())
 	}
 	a.lmMu.Unlock()
 }

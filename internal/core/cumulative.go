@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bct"
@@ -18,16 +17,18 @@ import (
 )
 
 // estimateCumulative is the full BRICS pipeline (the paper's Algorithm 5),
-// run as five named phases: assignEvents homes every original node in one
+// run as six named phases: assignEvents homes every original node in one
 // block, plan samples inside each block with every cut vertex always
-// sampled, pass1 traverses every (block, source) pair once and adds each
-// cut's cross-block W·d term on the way, aggregate combines the cross-block
-// distance constants over the block cut-vertex tree (Algorithm 6), and
-// assemble produces per-node farness. Cancellation checkpoints sit before
-// the decomposition ("core.decompose"), before pass 1 ("core.traverse",
-// with per-row and in-kernel checks inside it), and before the tree
-// aggregation ("core.aggregate"); a non-nil error discards all partial
-// accumulation.
+// sampled, pass1 traverses every (block, source) pair once, summing its row
+// over the block's kept nodes and adding each cut's cross-block W·d term on
+// the way, collect gives the removed nodes their sums once per run from the
+// sources' anchor rows (see reduce.Anchors), aggregate combines the
+// cross-block distance constants over the block cut-vertex tree (Algorithm
+// 6), and assemble produces per-node farness. Cancellation checkpoints sit
+// before the decomposition ("core.decompose"), before pass 1
+// ("core.traverse", with per-row and in-kernel checks inside it), and
+// before the tree aggregation ("core.aggregate"); a non-nil error discards
+// all partial accumulation.
 func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Options) (*Result, error) {
 	if red.G.NumNodes() <= 2 {
 		return estimateGlobal(ctx, red, opts)
@@ -69,6 +70,7 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 	if err := c.pass1(ctx); err != nil && !c.degrade(err) {
 		return nil, err
 	}
+	c.collect()
 	trav := time.Since(travStart)
 	c.correctTwinCuts()
 	if c.cause == nil {
@@ -108,7 +110,10 @@ type assignment struct {
 	// assigned[b] lists the original ids homed in block b: kept members
 	// first (in block order), then each of blockEvents[b]'s removed nodes.
 	// Every per-block row over the assigned population uses this order.
-	assigned  [][]graph.NodeID
+	assigned [][]graph.NodeID
+	// homed[b] lists the block-local ids of the members homed in b, the
+	// kept part of assigned[b] in the same order.
+	homed     [][]int32
 	fallbacks int // events whose block had to fall back to a heuristic
 }
 
@@ -191,13 +196,15 @@ func assignEvents(red *reduce.Reduction, d *bicc.Decomposition, tree *bct.Tree) 
 
 	a.blockEvents = make([][]int32, nb)
 	a.assigned = make([][]graph.NodeID, nb)
+	a.homed = make([][]int32, nb)
 	for i, b := range a.eventBlock {
 		a.blockEvents[b] = append(a.blockEvents[b], int32(i))
 	}
 	for b, members := range d.BlockNodes {
-		for _, m := range members {
+		for j, m := range members {
 			if a.homeOf[m] == int32(b) {
 				a.assigned[b] = append(a.assigned[b], red.ToOld[m])
+				a.homed[b] = append(a.homed[b], int32(j))
 			}
 		}
 		for _, ei := range a.blockEvents[b] {
@@ -261,17 +268,31 @@ type cumulative struct {
 	wout         [][]int64 // [b][cut pos] nodes beyond the cut (Algorithm 6's W)
 
 	// Anytime bookkeeping (nil/zero unless Anytime or Progress is set).
-	any          *anyState
-	completed    blockCounts
-	cutPairsDone atomic.Int64
-	cutPairs     int
+	any       *anyState
+	completed blockCounts
+	cutPairs  int
 	// cause is the cancellation a partial run degraded from; nil while the
 	// run is whole.
 	cause error
 
-	// Pass 1: in-block sums over each block's assigned population, and
-	// crossAcc[o] = Σ_cuts W(B,c)·d(c,o) for o assigned to block B.
-	sumAll, sumAssigned, sumRand, exactIn, sumSqA, crossAcc []int64
+	// Pass 1, per block b and source position i (the index into
+	// sources[b]; a cut's position is its position in tree.BlockCuts[b]).
+	anchors  []*reduce.Anchors // the removal events assigned to each block
+	cutRows  [][]int32         // [b]: the anchor rows of the cut sources
+	srcPos   [][]int32         // [b][local id]: source position, or -1
+	sampled  [][]int32         // [b]: the homed members that are samples, by local id
+	rowDone  [][]bool          // [b][i]: the source's row is accumulated
+	srcIn    [][]int64         // [b][i]: Σ d(s,·) over the assigned population
+	srcToS   [][]int64         // [b][i]: the part of srcIn over sampled nodes
+	workSums []cumSums         // per worker, over kept nodes by reduced id
+
+	// In-block sums over each block's assigned population, by original id,
+	// split by the kind of source: drawn (sumRand), cut (sumCut), cut
+	// weighted by W(B,c) (crossAcc, Σ_cuts W(B,c)·d(c,o)), and assigned
+	// (sumAssigned, the drawn sources and the cuts homed in the block, with
+	// the squares in sumSqA). exactIn holds every assigned source's own
+	// in-block sum.
+	sumRand, sumCut, crossAcc, sumAssigned, sumSqA, exactIn []int64
 	aS2S, aS2N                                              []int64 // per-block ratio calibration (see estimateGlobal)
 	sumDist                                                 [][]int64
 	cutDist                                                 [][][]int32
@@ -328,7 +349,6 @@ func (c *cumulative) plan(ctx context.Context) error {
 	// block it belongs to — matching totalSamples.
 	if c.opts.Anytime || c.opts.Progress != nil {
 		c.any = newAnyState(c.n, c.totalSamples, c.opts.Progress)
-		c.completed = newBlockCounts(nb)
 	}
 
 	pop, total := c.pops()
@@ -347,123 +367,268 @@ func (c *cumulative) plan(ctx context.Context) error {
 	})
 }
 
-// extendBlock scatters a block-local distance row to original ids and
-// replays the block's removal events, exactly as a whole-graph traversal
-// would for the block's assigned population.
-func (c *cumulative) extendBlock(distOrig []int32, b int32, dist []int32) {
-	for j, m := range c.d.BlockNodes[b] {
-		distOrig[c.red.ToOld[m]] = dist[j]
-	}
-	evs := c.blockEvents[b]
-	for i := len(evs) - 1; i >= 0; i-- {
-		c.red.Events[evs[i]].Extend(distOrig)
-	}
-}
-
 // pass1 traverses every block once from every one of its sources, cut
 // sources first: the cross-block terms need all of them, so an interrupted
 // anytime run has usually banked them.
 func (c *cumulative) pass1(ctx context.Context) error {
-	n, nb := c.n, c.d.NumBlocks()
-	c.sumAll, c.sumAssigned = make([]int64, n), make([]int64, n)
-	c.sumRand, c.exactIn = make([]int64, n), make([]int64, n)
-	c.crossAcc = make([]int64, n)
-	if c.opts.ComputeStdErr {
-		c.sumSqA = make([]int64, n)
-	}
-	c.aS2S, c.aS2N = make([]int64, nb), make([]int64, nb)
+	nb := c.d.NumBlocks()
+	c.exactIn = make([]int64, c.n)
+	c.anchors = make([]*reduce.Anchors, nb)
+	c.cutRows = make([][]int32, nb)
+	c.srcPos = make([][]int32, nb)
+	c.sampled = make([][]int32, nb)
+	c.rowDone = make([][]bool, nb)
+	c.srcIn, c.srcToS = make([][]int64, nb), make([][]int64, nb)
 	c.sumDist = make([][]int64, nb)
 	c.cutDist = make([][][]int32, nb)
-	for b := range c.sumDist {
-		k := len(c.tree.BlockCuts[b])
-		c.sumDist[b] = make([]int64, k)
-		c.cutDist[b] = make([][]int32, k)
-		for i := range c.cutDist[b] {
-			c.cutDist[b][i] = make([]int32, k)
+	err := par.ForBlocksCtx(ctx, nb, c.opts.Workers, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			members, src := c.d.BlockNodes[b], c.sources[b]
+			c.anchors[b] = reduce.NewAnchors(c.red, c.blockEvents[b], func(o graph.NodeID) int32 {
+				if j := localIndex(members, c.red.ToNew[o]); int(j) < len(members) && members[j] == c.red.ToNew[o] {
+					return int32(j)
+				}
+				return -1
+			}, nil)
+			c.cutRows[b] = make([]int32, len(c.tree.BlockCuts[b])*c.anchors[b].Width())
+			c.srcPos[b] = make([]int32, len(members))
+			for j := range c.srcPos[b] {
+				c.srcPos[b][j] = -1
+			}
+			for i, j := range src {
+				c.srcPos[b][j] = int32(i)
+			}
+			for _, j := range c.homed[b] {
+				if c.isSample[c.red.ToOld[members[j]]] {
+					c.sampled[b] = append(c.sampled[b], j)
+				}
+			}
+			c.rowDone[b] = make([]bool, len(src))
+			c.srcIn[b], c.srcToS[b] = make([]int64, len(src)), make([]int64, len(src))
+			k := len(c.tree.BlockCuts[b])
+			c.sumDist[b] = make([]int64, k)
+			c.cutDist[b] = make([][]int32, k)
+			for i := range c.cutDist[b] {
+				c.cutDist[b][i] = make([]int32, k)
+			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	units := make([]unit, nb)
 	for b, src := range c.sources {
 		units[b] = unit{c.localG[b], c.localUnw[b], src}
 	}
-	distOrig := make([][]int32, c.workers) // one original-id row per worker
-	for i := range distOrig {
-		distOrig[i] = make([]int32, n)
-	}
+	c.workSums = make([]cumSums, c.workers)
 	return traverse(ctx, units, c.workers,
 		func(b int, src graph.NodeID) bool { return c.tree.CutIndex[c.d.BlockNodes[b][src]] >= 0 },
 		func(worker, b int, src graph.NodeID, dist []int32) {
-			c.accumulate(distOrig[worker], int32(b), src, dist)
+			c.accumulate(&c.workSums[worker], int32(b), src, dist)
 		})
 }
 
-// accumulate consumes one source's block-local distance row: extend it to
-// the removed nodes, then feed every in-block accumulator over the block's
-// assigned population and, for a cut source c, add W(B,c)·d(c,o) to every
-// o's cross-block sum. Under anytime the whole consumption runs inside the
-// read lock and ends by recording the completed traversal unit.
-func (c *cumulative) accumulate(distOrig []int32, b int32, src graph.NodeID, dist []int32) {
-	rid := c.d.BlockNodes[b][src]
+// cumSums is one traversal worker's share of the cumulative in-block sums
+// over kept nodes, indexed by reduced id and split by source kind as the
+// run-wide sums are (see cumulative). Each array is allocated on the
+// worker's first row that feeds it, so idle workers and unused kinds cost
+// nothing.
+type cumSums struct {
+	rand, sqDrawn, cut, cross, homed, sqHomed []int64
+	drawnRows                                 []*reduce.RowSums // [b]: the drawn rows, for the removed nodes
+	cols                                      []int32           // the current source's anchor row
+}
+
+// lazy returns *a, allocating it with n zeros first.
+func lazy(a *[]int64, n int) []int64 {
+	if *a == nil {
+		*a = make([]int64, n)
+	}
+	return *a
+}
+
+// accumulate consumes one source's block-local distance row. It adds the
+// row over the block's homed kept members into the worker's own sums (no
+// shared write per node) and closes the source's own in-block sum over the
+// removed nodes from its anchor row, one closed form per removal event. A
+// drawn source's anchor row goes into the worker's row sums for the block;
+// a cut source's is kept for collect, which weighs it three ways, and the
+// cut also records its distance sum and its distances to the block's
+// other cuts. The removed nodes get their sums in collect.
+func (c *cumulative) accumulate(ws *cumSums, b int32, src graph.NodeID, dist []int32) {
+	members := c.d.BlockNodes[b]
+	rid := members[src]
+	pos := c.srcPos[b][src]
 	srcAssigned := c.homeOf[rid] == b
-	srcCut := c.tree.CutIndex[rid]
-	if c.any != nil {
-		c.any.mu.RLock()
-		defer c.bankSource(b, rid, srcAssigned, srcCut >= 0)
+	an, srcOrig := c.anchors[b], c.red.ToOld[rid]
+	if cap(ws.cols) < an.Width() {
+		ws.cols = make([]int32, an.Width())
 	}
-	c.extendBlock(distOrig, b, dist)
-	li, w := -1, int64(0) // the cut's position in the block and its weight
-	if srcCut >= 0 {
-		li = c.tree.CutPos(b, srcCut)
-		w = c.wout[b][li]
-	}
-	var inSum, toSamples int64
-	for _, o := range c.assigned[b] {
-		dd := int64(distOrig[o])
-		inSum += dd
-		if c.isSample[o] {
-			toSamples += dd
+	cols := ws.cols[:an.Width()]
+	an.Fill(dist, cols)
+	nR := c.red.G.NumNodes()
+	homed := c.homed[b]
+	var inSum int64
+	if int(pos) >= len(c.tree.BlockCuts[b]) {
+		if ws.drawnRows == nil {
+			ws.drawnRows = make([]*reduce.RowSums, c.d.NumBlocks())
 		}
-		atomic.AddInt64(&c.sumAll[o], dd)
-		if srcCut < 0 {
-			atomic.AddInt64(&c.sumRand[o], dd)
-		} else {
-			atomic.AddInt64(&c.crossAcc[o], w*dd)
+		if ws.drawnRows[b] == nil {
+			ws.drawnRows[b] = an.NewRowSums()
 		}
-		if srcAssigned {
-			atomic.AddInt64(&c.sumAssigned[o], dd)
-			if c.sumSqA != nil {
-				atomic.AddInt64(&c.sumSqA[o], dd*dd)
+		inSum = an.Account(cols, srcOrig, 1, ws.drawnRows[b])
+		rnd := lazy(&ws.rand, nR)
+		var sq []int64
+		if c.opts.ComputeStdErr {
+			sq = lazy(&ws.sqDrawn, nR)
+		}
+		for _, j := range homed {
+			d, r := int64(dist[j]), members[j]
+			inSum += d
+			rnd[r] += d
+			if sq != nil {
+				sq[r] += d * d
 			}
+		}
+	} else {
+		copy(c.cutRows[b][int(pos)*an.Width():], cols)
+		inSum = an.Account(cols, srcOrig, 0, nil)
+		w := c.wout[b][pos]
+		cs, cross := lazy(&ws.cut, nR), lazy(&ws.cross, nR)
+		var hs, sq []int64
+		if srcAssigned {
+			hs = lazy(&ws.homed, nR)
+			if c.opts.ComputeStdErr {
+				sq = lazy(&ws.sqHomed, nR)
+			}
+		}
+		for _, j := range homed {
+			d, r := int64(dist[j]), members[j]
+			inSum += d
+			cs[r] += d
+			cross[r] += w * d
+			if hs != nil {
+				hs[r] += d
+				if sq != nil {
+					sq[r] += d * d
+				}
+			}
+		}
+		c.sumDist[b][pos] = inSum
+		for lj := range c.tree.BlockCuts[b] {
+			c.cutDist[b][pos][lj] = dist[c.sources[b][lj]]
 		}
 	}
 	if srcAssigned {
-		atomic.StoreInt64(&c.exactIn[c.red.ToOld[rid]], inSum)
-		atomic.AddInt64(&c.aS2S[b], toSamples)
-		atomic.AddInt64(&c.aS2N[b], inSum-toSamples)
-	}
-	if srcCut >= 0 {
-		c.sumDist[b][li] = inSum
-		for lj := range c.tree.BlockCuts[b] {
-			c.cutDist[b][li][lj] = dist[c.sources[b][lj]]
+		var toSamples int64
+		for _, j := range c.sampled[b] {
+			toSamples += int64(dist[j])
 		}
+		c.exactIn[srcOrig] = inSum
+		c.srcIn[b][pos], c.srcToS[b][pos] = inSum, toSamples
+	}
+	c.rowDone[b][pos] = true
+	if c.any != nil {
+		if srcAssigned {
+			c.any.doneSrc[srcOrig] = true
+		}
+		c.any.advance()
 	}
 }
 
-// bankSource records one completed traversal unit for an anytime run and
-// releases the read lock accumulate took.
-func (c *cumulative) bankSource(b int32, rid graph.NodeID, assigned, cut bool) {
-	atomic.AddInt64(&c.completed.sources[b], 1)
-	if cut {
-		c.cutPairsDone.Add(1)
-	} else {
-		atomic.AddInt64(&c.completed.drawn[b], 1)
+// collect runs once the traversal has joined. It adds the workers' sums
+// into the run-wide ones, gives every removed node its sums per kind of
+// source (reduce.Anchors.AddSums over the workers' drawn-row sums, and over
+// the accumulated cut rows weighed once per kind), and derives the per-block
+// calibration sums and the completed counts from the accumulated rows.
+func (c *cumulative) collect() {
+	n, nb := c.n, c.d.NumBlocks()
+	c.sumRand, c.sumCut, c.crossAcc = make([]int64, n), make([]int64, n), make([]int64, n)
+	// The homed cuts' sums are kept apart until the removed nodes have
+	// theirs, since each rule reads its anchor's sums over exactly its own
+	// rows.
+	homed := make([]int64, n)
+	var sqHomed []int64
+	if c.opts.ComputeStdErr {
+		c.sumSqA, sqHomed = make([]int64, n), make([]int64, n)
 	}
-	if assigned {
-		atomic.AddInt64(&c.completed.assigned[b], 1)
-		c.any.doneSrc[c.red.ToOld[rid]] = true
+	toOld := c.red.ToOld
+	addKept := func(dst, src []int64) {
+		for r, x := range src {
+			dst[toOld[r]] += x
+		}
 	}
-	c.any.mu.RUnlock()
-	c.any.advance()
+	for i := range c.workSums {
+		ws := &c.workSums[i]
+		addKept(c.sumRand, ws.rand)
+		addKept(c.sumCut, ws.cut)
+		addKept(c.crossAcc, ws.cross)
+		addKept(homed, ws.homed)
+		if sqHomed != nil {
+			addKept(c.sumSqA, ws.sqDrawn)
+			addKept(sqHomed, ws.sqHomed)
+		}
+	}
+	c.aS2S, c.aS2N = make([]int64, nb), make([]int64, nb)
+	c.completed = newBlockCounts(nb)
+	for b := range nb {
+		an, members, nCut := c.anchors[b], c.d.BlockNodes[b], len(c.tree.BlockCuts[b])
+		for i, j := range c.sources[b] {
+			if !c.rowDone[b][i] {
+				continue
+			}
+			c.completed.sources[b]++
+			if i >= nCut {
+				c.completed.drawn[b]++
+			} else if c.homeOf[members[j]] != int32(b) {
+				continue
+			}
+			c.completed.assigned[b]++
+			c.aS2S[b] += c.srcToS[b][i]
+			c.aS2N[b] += c.srcIn[b][i] - c.srcToS[b][i]
+		}
+		var drawn *reduce.RowSums // the first worker's, with the others added
+		for i := range c.workSums {
+			switch rs := c.workSums[i].drawnRows; {
+			case rs == nil || rs[b] == nil:
+			case drawn == nil:
+				drawn = rs[b]
+			default:
+				drawn.Add(rs[b])
+			}
+		}
+		if drawn != nil {
+			an.AddSums(drawn, c.sumRand, c.sumSqA)
+		}
+		// The cut rows weighed as plain, W(B,c)-weighted and homed rows.
+		rs := an.NewRowSums()
+		cutRows := func(weight func(i int) int64, sum, sq []int64) {
+			rs.Reset()
+			for i := range nCut {
+				if w := weight(i); w != 0 && c.rowDone[b][i] {
+					width := an.Width()
+					an.Account(c.cutRows[b][i*width:(i+1)*width], toOld[members[c.sources[b][i]]], w, rs)
+				}
+			}
+			an.AddSums(rs, sum, sq)
+		}
+		cutRows(func(int) int64 { return 1 }, c.sumCut, nil)
+		cutRows(func(i int) int64 { return c.wout[b][i] }, c.crossAcc, nil)
+		cutRows(func(i int) int64 {
+			if c.homeOf[members[c.sources[b][i]]] == int32(b) {
+				return 1
+			}
+			return 0
+		}, homed, sqHomed)
+	}
+	c.workSums, c.cutRows = nil, nil
+	for o := range homed {
+		homed[o] += c.sumRand[o]
+		if sqHomed != nil {
+			c.sumSqA[o] += sqHomed[o]
+		}
+	}
+	c.sumAssigned = homed
 }
 
 // degrade gates graceful degradation: the cross-block terms are
@@ -473,11 +638,25 @@ func (c *cumulative) bankSource(b int32, rid graph.NodeID, assigned, cut bool) {
 // degraded, and records the first such err as the cause.
 func (c *cumulative) degrade(err error) bool {
 	ok := c.any != nil && c.opts.Anytime && canceledErr(err) &&
-		c.cutPairs > 0 && int(c.cutPairsDone.Load()) == c.cutPairs
+		c.cutPairs > 0 && c.cutRowsDone() == c.cutPairs
 	if ok && c.cause == nil {
 		c.cause = err
 	}
 	return ok
+}
+
+// cutRowsDone counts the (block, cut) traversals whose rows were
+// accumulated.
+func (c *cumulative) cutRowsDone() int {
+	done := 0
+	for b, cuts := range c.tree.BlockCuts {
+		for _, ok := range c.rowDone[b][:len(cuts)] {
+			if ok {
+				done++
+			}
+		}
+	}
+	return done
 }
 
 // correctTwinCuts fixes the tree inputs for twins of a cut vertex: a twin
@@ -592,7 +771,7 @@ func (c *cumulative) inBlockEstimate(o int, b int32, m int64, cnt *blockCounts, 
 	switch {
 	case c.opts.Estimator == EstimatorPaper:
 		if ns > 0 {
-			return float64(pop-1) / float64(ns) * float64(c.sumAll[o])
+			return float64(pop-1) / float64(ns) * float64(c.sumRand[o]+c.sumCut[o])
 		}
 		return 0
 	case !partial && ka > 1 && m > 0:
@@ -613,7 +792,7 @@ func (c *cumulative) inBlockEstimate(o int, b int32, m int64, cnt *blockCounts, 
 	if nr := cnt.drawn[b]; nr > 0 {
 		avg = float64(c.sumRand[o]) / float64(nr)
 	} else if ns > 0 {
-		avg = float64(c.sumAll[o]) / float64(ns)
+		avg = float64(c.sumRand[o]+c.sumCut[o]) / float64(ns)
 	}
 	return float64(c.sumAssigned[o]) + avg*float64(max(m-1, 0))
 }

@@ -15,8 +15,9 @@ import (
 // estimateGlobal runs the reduction-based estimator without the
 // biconnected decomposition (the paper's C+R and I+C+R configurations, and
 // with no technique the random-sampling baseline): sample kept nodes of the
-// reduced graph, traverse it as one unit (see traverse), extend distances
-// over the removal log, and accumulate.
+// reduced graph, traverse it as one unit (see traverse), and accumulate
+// (see globalRun): each row over the kept nodes, the removed nodes once
+// per run from the sources' anchor rows.
 // Cancellation lands before the traversal fan-out ("core.traverse"), at
 // every row boundary inside it, within the kernels themselves, and before
 // aggregation ("core.aggregate"); on a non-nil error the partially filled
@@ -68,67 +69,13 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		return nil, err
 	}
 	start := time.Now()
-	workers := par.Workers(opts.Workers)
-
-	// Every source in original ids, reduced-graph samples and augmentation
-	// alike.
-	samples := make([]graph.NodeID, 0, k+len(extraOrig))
-	for _, sR := range samplesReduced {
-		samples = append(samples, red.ToOld[sR])
-	}
-	samples = append(samples, extraOrig...)
-	kEff := len(samples)
-
-	// Rows accumulate into per-worker sums, added up once the traversals
-	// have joined (or, for a snapshot, under the anytime write lock): no
-	// atomic per visited node, and integer sums do not depend on the order.
-	// Each worker's arrays are allocated on its first row, so idle workers
-	// cost nothing. exactFar is shared, since every source writes only its
-	// own cell.
-	sums := make([]workerSums, workers)
-	exactFar := make([]int64, n) // exact farness of sampled nodes
-
-	// accumulateRow consumes one source's whole distance row over original
-	// ids.
-	accumulateRow := func(worker int, row []int32, srcOrig graph.NodeID) {
-		if any != nil {
-			any.mu.RLock()
-		}
-		ws := &sums[worker]
-		if ws.acc == nil {
-			ws.acc = make([]int64, n)
-			if opts.ComputeStdErr {
-				ws.sumSq = make([]int64, n)
-			}
-		}
-		var own, toSamples int64
-		acc := ws.acc[:len(row)]
-		for v, d := range row {
-			own += int64(d)
-			acc[v] += int64(d)
-		}
-		if sq := ws.sumSq; sq != nil {
-			for v, d := range row {
-				sq[v] += int64(d) * int64(d)
-			}
-		}
-		for _, s := range samples {
-			toSamples += int64(row[s])
-		}
-		exactFar[srcOrig] = own
-		ws.s2s += toSamples
-		ws.s2n += own - toSamples
-		if any != nil {
-			any.markDone(srcOrig, row)
-			any.mu.RUnlock()
-			any.advance()
-		}
-	}
+	run := newGlobalRun(red, opts, samplesReduced, extraOrig, any)
+	samples, kEff := run.samples, len(run.samples)
 	if any != nil && opts.Anytime {
 		any.assemble = func() *Result {
 			any.mu.Lock()
-			accC, _, _, _ := addSums(sums, n, false)
-			exC := append([]int64(nil), exactFar...)
+			accC, _, _, _ := run.fold()
+			exC := append([]int64(nil), run.exactFar...)
 			doneC := append([]bool(nil), any.doneSrc...)
 			any.mu.Unlock()
 			return assemblePartial(n, int(any.planned), accC, exC, doneC, any.landmarkRows())
@@ -146,36 +93,11 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		return nil, err
 	}
 
-	// Reduced-graph rows are scattered to original ids and extended over
-	// the removal log; augmentation rows already cover the original graph.
-	// A reduction that removed nothing (random sampling) keeps the input's
-	// ids, so its rows are accumulated as they are.
-	var distOrig [][]int32
-	if !keepsIDs(red) {
-		distOrig = make([][]int32, workers)
-		for i := range distOrig {
-			distOrig[i] = make([]int32, n)
-		}
-	}
-	err := traverse(ctx, []unit{{red.G, red.G.Unweighted(), samplesReduced}}, workers, nil,
-		func(worker, _ int, srcR graph.NodeID, dist []int32) {
-			row := dist
-			if distOrig != nil {
-				row = distOrig[worker]
-				red.Scatter(dist, row)
-				red.Extend(row)
-			}
-			accumulateRow(worker, row, red.ToOld[srcR])
-		})
-	if err == nil {
-		err = plainRows(ctx, red.Orig, extraOrig, workers, func(worker, i int, dist []int32) {
-			accumulateRow(worker, dist, extraOrig[i])
-		})
-	}
-	if err != nil {
+	if err := run.gather(ctx); err != nil {
 		return partialOr(err)
 	}
-	acc, sumSq, s2s, s2n := addSums(sums, n, opts.ComputeStdErr)
+	acc, sumSq, s2s, s2n := run.fold()
+	exactFar := run.exactFar
 	res.Stats.Traverse = time.Since(start)
 
 	if err := fault.Checkpoint(ctx, "core.aggregate"); err != nil {
@@ -262,46 +184,194 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	return res, nil
 }
 
-// keepsIDs reports whether red removed nothing and kept every node's id, so
-// reduced-graph rows already are original-id rows.
-func keepsIDs(red *reduce.Reduction) bool {
-	if len(red.Events) > 0 || len(red.ToOld) != red.Orig.NumNodes() {
-		return false
-	}
-	for i, o := range red.ToOld {
-		if int(o) != i {
-			return false
-		}
-	}
-	return true
+// globalRun is the accumulation state of one global-estimator run. Rows
+// accumulate into per-worker sums, added up once the traversals have joined
+// (or, for a snapshot, under the anytime write lock): no atomic per visited
+// node, and integer sums do not depend on the order. A reduced-graph row is
+// summed over the kept nodes only; the source's anchor row feeds its
+// worker's reduce.RowSums, from which fold gives the removed nodes their
+// sums. exactFar is shared, since every source writes only its own cell.
+type globalRun struct {
+	red            *reduce.Reduction
+	opts           *Options
+	any            *anyState
+	n, nR, workers int
+	// samplesReduced are the sources in reduced ids, extraOrig the
+	// augmentation sources in original ids, and samples both in original
+	// ids.
+	samplesReduced, extraOrig, samples []graph.NodeID
+
+	an       *reduce.Anchors
+	sums     []workerSums
+	exactFar []int64
 }
 
-// workerSums is one traversal worker's share of the global estimator's
-// accumulators: Σ d(s, ·) (and Σ d² under ComputeStdErr) over the rows the
-// worker consumed, plus its sample-to-sample and sample-to-non-sample
-// calibration sums.
-type workerSums struct {
-	acc, sumSq []int64
-	s2s, s2n   int64
+func newGlobalRun(red *reduce.Reduction, opts *Options, samplesReduced, extraOrig []graph.NodeID, any *anyState) *globalRun {
+	n, nR := red.Orig.NumNodes(), red.G.NumNodes()
+	g := &globalRun{
+		red: red, opts: opts, any: any,
+		n: n, nR: nR, workers: par.Workers(opts.Workers),
+		samplesReduced: samplesReduced, extraOrig: extraOrig,
+		an:       reduce.NewAnchors(red, allEvents(red), func(o graph.NodeID) int32 { return int32(red.ToNew[o]) }, extraOrig),
+		exactFar: make([]int64, n),
+	}
+	for _, sR := range samplesReduced {
+		g.samples = append(g.samples, red.ToOld[sR])
+	}
+	g.samples = append(g.samples, extraOrig...)
+	g.sums = make([]workerSums, g.workers)
+	return g
 }
 
-// addSums adds up the per-worker accumulators; sumSq is nil unless withSq.
-func addSums(sums []workerSums, n int, withSq bool) (acc, sumSq []int64, s2s, s2n int64) {
-	acc = make([]int64, n)
-	if withSq {
-		sumSq = make([]int64, n)
+// gather traverses the reduced graph from every reduced-graph source and
+// the original graph from every augmentation source, accumulating each row.
+func (g *globalRun) gather(ctx context.Context) error {
+	red := g.red
+	err := traverse(ctx, []unit{{red.G, red.G.Unweighted(), g.samplesReduced}}, g.workers, nil,
+		func(worker, _ int, srcR graph.NodeID, dist []int32) {
+			g.reducedRow(&g.sums[worker], srcR, dist)
+		})
+	if err != nil {
+		return err
 	}
-	for _, ws := range sums {
-		for v, a := range ws.acc {
-			acc[v] += a
+	return plainRows(ctx, red.Orig, g.extraOrig, g.workers, func(worker, i int, dist []int32) {
+		g.augRow(&g.sums[worker], dist, g.extraOrig[i])
+	})
+}
+
+// reducedRow consumes one reduced-graph source's row over the kept nodes.
+func (g *globalRun) reducedRow(ws *workerSums, srcR graph.NodeID, dist []int32) {
+	if g.any != nil {
+		g.any.mu.RLock()
+	}
+	an, srcOrig := g.an, g.red.ToOld[srcR]
+	if ws.rows == nil {
+		ws.rows, ws.cols = an.NewRowSums(), make([]int32, an.Width())
+	}
+	cols := ws.cols
+	an.Fill(dist, cols)
+	own := an.Account(cols, srcOrig, 1, ws.rows)
+	acc := lazy(&ws.acc, g.nR)[:len(dist)]
+	for v, d := range dist {
+		own += int64(d)
+		acc[v] += int64(d)
+	}
+	if g.opts.ComputeStdErr {
+		sq := lazy(&ws.sumSq, g.nR)[:len(dist)]
+		for v, d := range dist {
+			sq[v] += int64(d) * int64(d)
 		}
-		if withSq {
-			for v, q := range ws.sumSq {
-				sumSq[v] += q
-			}
+	}
+	var toSamples int64
+	for _, s := range g.samplesReduced {
+		toSamples += int64(dist[s])
+	}
+	for _, x := range g.extraOrig {
+		toSamples += int64(cols[an.Col(x)])
+	}
+	g.bank(ws, srcOrig, own, toSamples, func() []int32 {
+		// A full original-id row, built only for an anytime landmark.
+		row := make([]int32, g.n)
+		g.red.Scatter(dist, row)
+		g.red.Extend(row)
+		return row
+	})
+}
+
+// augRow consumes an augmentation source's row, which already covers the
+// original graph.
+func (g *globalRun) augRow(ws *workerSums, row []int32, srcOrig graph.NodeID) {
+	if g.any != nil {
+		g.any.mu.RLock()
+	}
+	var own, toSamples int64
+	acc := lazy(&ws.accOrig, g.n)[:len(row)]
+	for v, d := range row {
+		own += int64(d)
+		acc[v] += int64(d)
+	}
+	if g.opts.ComputeStdErr {
+		sq := lazy(&ws.sumSqOrig, g.n)[:len(row)]
+		for v, d := range row {
+			sq[v] += int64(d) * int64(d)
+		}
+	}
+	for _, s := range g.samples {
+		toSamples += int64(row[s])
+	}
+	g.bank(ws, srcOrig, own, toSamples, func() []int32 { return append([]int32(nil), row...) })
+}
+
+// bank records a source's own farness and calibration sums and, for an
+// anytime run, marks it done (capturing a landmark row while slots remain),
+// releases the read lock and reports progress.
+func (g *globalRun) bank(ws *workerSums, srcOrig graph.NodeID, own, toSamples int64, row func() []int32) {
+	g.exactFar[srcOrig] = own
+	ws.s2s += toSamples
+	ws.s2n += own - toSamples
+	if g.any != nil {
+		g.any.markDone(srcOrig, row)
+		g.any.mu.RUnlock()
+		g.any.advance()
+	}
+}
+
+// fold adds up the per-worker sums over original ids (sumSq is nil without
+// ComputeStdErr): the kept nodes' sums, then the removed nodes' sums from
+// the workers' row sums, then the augmentation rows, which already cover
+// the removed nodes.
+func (g *globalRun) fold() (acc, sumSq []int64, s2s, s2n int64) {
+	toOld := g.red.ToOld
+	acc = make([]int64, g.n)
+	if g.opts.ComputeStdErr {
+		sumSq = make([]int64, g.n)
+	}
+	rows := g.an.NewRowSums()
+	for i := range g.sums {
+		ws := &g.sums[i]
+		for r, x := range ws.acc {
+			acc[toOld[r]] += x
+		}
+		for r, x := range ws.sumSq {
+			sumSq[toOld[r]] += x
+		}
+		if ws.rows != nil {
+			rows.Add(ws.rows)
 		}
 		s2s += ws.s2s
 		s2n += ws.s2n
 	}
+	g.an.AddSums(rows, acc, sumSq)
+	for i := range g.sums {
+		ws := &g.sums[i]
+		for o, x := range ws.accOrig {
+			acc[o] += x
+		}
+		for o, x := range ws.sumSqOrig {
+			sumSq[o] += x
+		}
+	}
 	return acc, sumSq, s2s, s2n
+}
+
+// allEvents lists the indices of every removal event of red.
+func allEvents(red *reduce.Reduction) []int32 {
+	evs := make([]int32, len(red.Events))
+	for i := range evs {
+		evs[i] = int32(i)
+	}
+	return evs
+}
+
+// workerSums is one traversal worker's share of the global estimator's
+// accumulators: Σ d(s, ·) (and Σ d² under ComputeStdErr) over the
+// reduced-graph rows the worker consumed, by reduced id, and over its
+// augmentation rows, by original id, plus its sample-to-sample and
+// sample-to-non-sample calibration sums.
+type workerSums struct {
+	acc, sumSq         []int64
+	accOrig, sumSqOrig []int64
+	rows               *reduce.RowSums // the reduced-graph rows, for the removed nodes
+	s2s, s2n           int64
+	cols               []int32 // the current source's anchor row
 }

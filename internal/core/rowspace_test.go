@@ -1,0 +1,436 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/bct"
+	"repro/internal/bfs"
+	"repro/internal/bicc"
+	"repro/internal/chains"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/queue"
+	"repro/internal/reduce"
+)
+
+// The tests in this file check both estimators' accumulators against a
+// row-space reference: a sequential replay of the per-source accumulation
+// that scatters every traversal row to original ids, extends it over the
+// removal log (reduce.Reduction.Extend, or the block's events for the
+// cumulative estimator) and adds every original node's distance. The
+// estimators never build those rows; they sum the kept nodes per source and
+// give the removed nodes their sums once per run from the anchor rows.
+// Integer sums must agree bit for bit.
+
+// rowspaceGraph is one test input with the reduction features it must show.
+type rowspaceGraph struct {
+	name string
+	g    *graph.Graph
+	want func(red *reduce.Reduction) bool // nil: a generator family, no requirement
+}
+
+// withCube returns the graph of edges on n nodes plus a cube graph
+// (3-regular and triangle-free, so no reduction touches it) that shares
+// node at and adds seven new nodes. The shared node becomes a cut vertex,
+// so the cumulative estimator sees at least two blocks.
+func withCube(edges [][2]graph.NodeID, n int, at graph.NodeID) *graph.Graph {
+	id := func(c int) graph.NodeID {
+		if c == 0 {
+			return at
+		}
+		return graph.NodeID(n + c - 1)
+	}
+	out := append([][2]graph.NodeID(nil), edges...)
+	for c := 0; c < 8; c++ {
+		for bit := 1; bit < 8; bit <<= 1 {
+			if c&bit == 0 {
+				out = append(out, [2]graph.NodeID{id(c), id(c | bit)})
+			}
+		}
+	}
+	return graph.FromEdges(n+7, out)
+}
+
+// rowspaceGraphs returns the four generator families and hand-built graphs
+// that hold a dangling chain, a pendant cycle, a chain anchored on a twin
+// representative and a redundant node next to a chain anchor. Every
+// hand-built graph carries a cube block, so it decomposes into several
+// blocks.
+func rowspaceGraphs() []rowspaceGraph {
+	var out []rowspaceGraph
+	// Road needs 2000 nodes to keep several blocks after the reduction;
+	// social and community stand-ins of test size are one block, on which
+	// the cumulative estimator runs the global one.
+	for _, fam := range relabelFamilies() {
+		n := 700
+		if fam.name == "road" {
+			n = 2000
+		}
+		out = append(out, rowspaceGraph{name: fam.name, g: graph.Connect(fam.gen(n, 3))})
+	}
+	// A wheel (hub 0, rim 1..6) with a dangling tail 1-7-8-9 and a pendant
+	// cycle 2-10-11-12-13-2.
+	wheel := [][2]graph.NodeID{{1, 7}, {7, 8}, {8, 9}, {2, 10}, {10, 11}, {11, 12}, {12, 13}, {13, 2}}
+	for i := graph.NodeID(1); i <= 6; i++ {
+		wheel = append(wheel, [2]graph.NodeID{0, i}, [2]graph.NodeID{i, i%6 + 1})
+	}
+	wheelG := withCube(wheel, 14, 0)
+	out = append(out, rowspaceGraph{"dangling-chain-and-pendant-cycle", wheelG, func(red *reduce.Reduction) bool {
+		return hasChain(chains.Dangling)(red) && hasChain(chains.Cycle)(red)
+	}})
+	// Open twins 0 and 1 (both adjacent to 2, 3, 4). Once 1 is removed, 4
+	// has degree two, so 0-4-5-6 is a dangling chain anchored on the twin
+	// representative 0. Nodes 2 and 3 hang off the core 7..10.
+	twinChain := [][2]graph.NodeID{
+		{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {4, 5}, {5, 6},
+		{2, 7}, {2, 9}, {3, 8}, {3, 10},
+		{7, 8}, {7, 9}, {7, 10}, {8, 9}, {8, 10}, {9, 10}, {9, 11}, {10, 11}, {11, 12}, {12, 7},
+	}
+	twinG := withCube(twinChain, 13, 11)
+	out = append(out, rowspaceGraph{"chain-on-twin-rep", twinG, func(red *reduce.Reduction) bool {
+		reps := map[graph.NodeID]bool{}
+		for _, e := range red.Events {
+			if te, ok := e.(*reduce.TwinEvent); ok {
+				reps[te.Rep] = true
+			}
+		}
+		for _, e := range red.Events {
+			if ce, ok := e.(*reduce.ChainEvent); ok && (reps[ce.U] || reps[ce.V]) {
+				return true
+			}
+		}
+		return false
+	}})
+	// Node 4 is redundant (its neighbours 0, 1, 2 form a triangle); 0 also
+	// anchors the chain 0-5-6-3 to the core node 3.
+	redundantChain := [][2]graph.NodeID{
+		{0, 1}, {1, 2}, {2, 0}, {4, 0}, {4, 1}, {4, 2},
+		{0, 5}, {5, 6}, {6, 3},
+		{3, 7}, {3, 8}, {7, 8}, {7, 1}, {8, 2}, {7, 9}, {8, 9}, {9, 10}, {10, 1}, {10, 11}, {11, 2},
+	}
+	redG := withCube(redundantChain, 12, 9)
+	out = append(out, rowspaceGraph{"redundant-by-chain-anchor", redG, func(red *reduce.Reduction) bool {
+		anchors := map[graph.NodeID]bool{}
+		for _, e := range red.Events {
+			if ce, ok := e.(*reduce.ChainEvent); ok {
+				for _, a := range ce.Anchors() {
+					anchors[a] = true
+				}
+			}
+		}
+		for _, e := range red.Events {
+			if re, ok := e.(*reduce.RedundantEvent); ok {
+				for _, x := range re.Nbrs {
+					if anchors[x] {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}})
+	return out
+}
+
+func hasChain(kind chains.Type) func(*reduce.Reduction) bool {
+	return func(red *reduce.Reduction) bool {
+		for _, e := range red.Events {
+			if ce, ok := e.(*reduce.ChainEvent); ok && ce.Kind == kind {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestGlobalAccumulatorsMatchRowSpace runs the global estimator's
+// accumulation (every source of the reduced graph, plus two augmentation
+// sources that the reduction removed) and requires every accumulator to
+// equal the row-space replay, at workers 1, 2 and 4.
+func TestGlobalAccumulatorsMatchRowSpace(t *testing.T) {
+	for _, tc := range rowspaceGraphs() {
+		red, err := reduce.Run(tc.g, reduce.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.want != nil && !tc.want(red) {
+			t.Fatalf("%s: the reduction lacks the feature the graph was built for", tc.name)
+		}
+		for _, fraction := range []float64{0.3, 1} {
+			nR := red.G.NumNodes()
+			srcs := sampleK(nR, samplesFor(nR, fraction), rand.New(rand.NewSource(3)))
+			var extra []graph.NodeID
+			for o, r := range red.ToNew {
+				if r < 0 && len(extra) < 2 {
+					extra = append(extra, graph.NodeID(o))
+				}
+			}
+			want := refGlobal(red, srcs, extra)
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/f=%g/workers=%d", tc.name, fraction, workers), func(t *testing.T) {
+					opts := &Options{Workers: workers, ComputeStdErr: true}
+					run := newGlobalRun(red, opts, srcs, extra, nil)
+					if err := run.gather(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					acc, sumSq, s2s, s2n := run.fold()
+					sameInts(t, "acc", want.acc, acc)
+					sameInts(t, "sumSq", want.sumSq, sumSq)
+					sameInts(t, "exactFar", want.exactFar, run.exactFar)
+					sameInts(t, "s2s/s2n", []int64{want.s2s, want.s2n}, []int64{s2s, s2n})
+				})
+			}
+		}
+	}
+}
+
+// TestCumulativeAccumulatorsMatchRowSpace runs the cumulative estimator's
+// plan, traversal pass and collection, and requires every in-block
+// accumulator, per-source sum and cut row to equal the row-space replay of
+// the same plan, at workers 1, 2 and 4.
+func TestCumulativeAccumulatorsMatchRowSpace(t *testing.T) {
+	for _, tc := range rowspaceGraphs() {
+		red, err := reduce.Run(tc.g, reduce.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := bicc.Decompose(red.G)
+		if d.NumBlocks() <= 1 {
+			if tc.want != nil {
+				t.Fatalf("%s: one block; the cube should make several", tc.name)
+			}
+			continue // the estimator falls back to the global one
+		}
+		tree := bct.NewTree(d, largestBlock(d))
+		for _, fraction := range []float64{0.3, 1} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/f=%g/workers=%d", tc.name, fraction, workers), func(t *testing.T) {
+					c := &cumulative{
+						assignment: assignEvents(red, d, tree),
+						opts:       &Options{SampleFraction: fraction, Workers: workers, Seed: 5, ComputeStdErr: true},
+						tree:       tree,
+						n:          red.Orig.NumNodes(),
+						workers:    workers,
+					}
+					ctx := context.Background()
+					if err := c.plan(ctx); err != nil {
+						t.Fatal(err)
+					}
+					if err := c.pass1(ctx); err != nil {
+						t.Fatal(err)
+					}
+					c.collect()
+					want := refCumulative(c)
+					sumAll := make([]int64, c.n)
+					for o := range sumAll {
+						sumAll[o] = c.sumRand[o] + c.sumCut[o]
+					}
+					sameInts(t, "sumAll", want.sumAll, sumAll)
+					sameInts(t, "sumRand", want.sumRand, c.sumRand)
+					sameInts(t, "sumAssigned", want.sumAssigned, c.sumAssigned)
+					sameInts(t, "sumSqA", want.sumSqA, c.sumSqA)
+					sameInts(t, "crossAcc", want.crossAcc, c.crossAcc)
+					sameInts(t, "exactIn", want.exactIn, c.exactIn)
+					sameInts(t, "aS2S", want.aS2S, c.aS2S)
+					sameInts(t, "aS2N", want.aS2N, c.aS2N)
+					for b := range want.sumDist {
+						sameInts(t, fmt.Sprintf("sumDist[%d]", b), want.sumDist[b], c.sumDist[b])
+						for li := range want.cutDist[b] {
+							for lj, x := range want.cutDist[b][li] {
+								if c.cutDist[b][li][lj] != x {
+									t.Fatalf("cutDist[%d][%d][%d]: want %d, got %d", b, li, lj, x, c.cutDist[b][li][lj])
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func sameInts(t *testing.T, name string, want, got []int64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s[%d]: got %d, want %d", name, i, got[i], want[i])
+		}
+	}
+}
+
+// refGlobalSums are the global estimator's accumulators.
+type refGlobalSums struct {
+	acc, sumSq, exactFar []int64
+	s2s, s2n             int64
+}
+
+// refGlobal replays the global accumulation in row space: every
+// reduced-graph row is scattered and extended to all original nodes, every
+// augmentation row is a plain BFS of the original graph.
+func refGlobal(red *reduce.Reduction, srcs, extra []graph.NodeID) refGlobalSums {
+	n := red.Orig.NumNodes()
+	ref := refGlobalSums{acc: make([]int64, n), sumSq: make([]int64, n), exactFar: make([]int64, n)}
+	samples := make([]graph.NodeID, 0, len(srcs)+len(extra))
+	for _, sR := range srcs {
+		samples = append(samples, red.ToOld[sR])
+	}
+	samples = append(samples, extra...)
+	consume := func(row []int32, src graph.NodeID) {
+		var own, toSamples int64
+		for v, d := range row {
+			own += int64(d)
+			ref.acc[v] += int64(d)
+			ref.sumSq[v] += int64(d) * int64(d)
+		}
+		for _, s := range samples {
+			toSamples += int64(row[s])
+		}
+		ref.exactFar[src] = own
+		ref.s2s += toSamples
+		ref.s2n += own - toSamples
+	}
+	dist, row := make([]int32, red.G.NumNodes()), make([]int32, n)
+	for _, sR := range srcs {
+		bfs.WDistances(red.G, sR, dist, queue.NewBucket(red.G.MaxWeight()))
+		red.Scatter(dist, row)
+		red.Extend(row)
+		consume(row, red.ToOld[sR])
+	}
+	for _, x := range extra {
+		bfs.Distances(red.Orig, x, row, queue.NewFIFO(n))
+		consume(row, x)
+	}
+	return ref
+}
+
+// refCumulativeSums are the cumulative estimator's pass-1 accumulators.
+type refCumulativeSums struct {
+	sumAll, sumAssigned, sumRand, exactIn, sumSqA, crossAcc []int64
+	aS2S, aS2N                                              []int64
+	sumDist                                                 [][]int64
+	cutDist                                                 [][][]int32
+}
+
+// refCumulative replays the cumulative accumulation of c's plan in row
+// space: every block-local row is scattered to original ids and extended
+// over the block's removal events, then added over the block's assigned
+// population.
+func refCumulative(c *cumulative) refCumulativeSums {
+	n, nb := c.n, c.d.NumBlocks()
+	ref := refCumulativeSums{
+		sumAll: make([]int64, n), sumAssigned: make([]int64, n), sumRand: make([]int64, n),
+		exactIn: make([]int64, n), sumSqA: make([]int64, n), crossAcc: make([]int64, n),
+		aS2S: make([]int64, nb), aS2N: make([]int64, nb),
+		sumDist: make([][]int64, nb), cutDist: make([][][]int32, nb),
+	}
+	distOrig := make([]int32, n)
+	for b := range nb {
+		members, cuts := c.d.BlockNodes[b], c.tree.BlockCuts[b]
+		ref.sumDist[b] = make([]int64, len(cuts))
+		ref.cutDist[b] = make([][]int32, len(cuts))
+		lg := c.localG[b]
+		for i, src := range c.sources[b] {
+			dist := make([]int32, lg.NumNodes())
+			bfs.WDistances(lg, src, dist, queue.NewBucket(lg.MaxWeight()))
+			for j, m := range members {
+				distOrig[c.red.ToOld[m]] = dist[j]
+			}
+			evs := c.blockEvents[b]
+			for e := len(evs) - 1; e >= 0; e-- {
+				c.red.Events[evs[e]].Extend(distOrig)
+			}
+			rid := members[src]
+			srcAssigned := c.homeOf[rid] == int32(b)
+			cut := i < len(cuts)
+			var inSum, toSamples int64
+			for _, o := range c.assigned[b] {
+				dd := int64(distOrig[o])
+				inSum += dd
+				if c.isSample[o] {
+					toSamples += dd
+				}
+				ref.sumAll[o] += dd
+				if cut {
+					ref.crossAcc[o] += c.wout[b][i] * dd
+				} else {
+					ref.sumRand[o] += dd
+				}
+				if srcAssigned {
+					ref.sumAssigned[o] += dd
+					ref.sumSqA[o] += dd * dd
+				}
+			}
+			if srcAssigned {
+				ref.exactIn[c.red.ToOld[rid]] = inSum
+				ref.aS2S[b] += toSamples
+				ref.aS2N[b] += inSum - toSamples
+			}
+			if cut {
+				ref.sumDist[b][i] = inSum
+				ref.cutDist[b][i] = make([]int32, len(cuts))
+				for lj := range cuts {
+					ref.cutDist[b][i][lj] = dist[c.sources[b][lj]]
+				}
+			}
+		}
+	}
+	return ref
+}
+
+// TestCumulativeAnytimeAfterCutTraversals cancels a cumulative anytime run
+// as soon as every (block, cut) traversal has been accumulated, the
+// earliest point at which the run may degrade, and requires the partial
+// result to bracket the exact farness of every node. The per-source engine
+// and one worker make the cut traversals the first units to complete.
+func TestCumulativeAnytimeAfterCutTraversals(t *testing.T) {
+	for _, fam := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"web", graph.Connect(gen.Web(1500, 2))}, {"road", graph.Connect(gen.Road(1500, 2))}} {
+		t.Run(fam.name, func(t *testing.T) {
+			pinEngine(t, perSource, nil)
+			red, err := reduce.Run(fam.g, reduce.All())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := bicc.Decompose(red.G)
+			tree := bct.NewTree(d, largestBlock(d))
+			cutUnits := 0
+			for _, cuts := range tree.BlockCuts {
+				cutUnits += len(cuts)
+			}
+			if d.NumBlocks() < 2 || cutUnits == 0 {
+				t.Fatalf("%s: want a multi-block stand-in, got %d blocks", fam.name, d.NumBlocks())
+			}
+			exact := ExactFarness(fam.g, 2)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			prog := &Progress{OnAdvance: func(completed, _ int64) {
+				if completed == int64(cutUnits) {
+					cancel()
+				}
+			}}
+			res, err := EstimateContext(ctx, fam.g, Options{Techniques: TechCumulative, SampleFraction: 0.5,
+				Seed: 3, Workers: 1, Anytime: true, Progress: prog})
+			if err != nil {
+				t.Fatalf("want a partial result, got %v", err)
+			}
+			if !res.Partial || res.Completed != cutUnits {
+				t.Fatalf("partial %v after %d of %d units, want a partial after the %d cut units",
+					res.Partial, res.Completed, res.Planned, cutUnits)
+			}
+			const eps = 1e-9
+			for v, x := range exact {
+				if res.Low[v] > x+eps || res.High[v] < x-eps {
+					t.Fatalf("node %d: exact farness %v outside [%v, %v]", v, x, res.Low[v], res.High[v])
+				}
+			}
+		})
+	}
+}

@@ -103,12 +103,13 @@ type cell struct {
 }
 
 // LayerStudies names the layer studies in run order.
-var LayerStudies = []string{"reduction", "sketch", "load"}
+var LayerStudies = []string{"reduction", "sketch", "load", "estimators"}
 
 var layerStudies = map[string]study{
-	"reduction": reductionStudy,
-	"sketch":    sketchStudy,
-	"load":      loadStudy,
+	"reduction":  reductionStudy,
+	"sketch":     sketchStudy,
+	"load":       loadStudy,
+	"estimators": estimatorsStudy,
 }
 
 // RunLayer runs the named layer study, prints its table to w and, when dir

@@ -17,7 +17,8 @@ import (
 // TestLayerStudies runs every layer study at a tiny scale through the one
 // runner and checks the written reports: every row is a timed, configured
 // cell, each dataset's first cell is its baseline, no row runs more workers
-// than the host has, and the reduction rows time exactly the three stages.
+// than the host has, the reduction rows time exactly the three stages, and
+// every estimators row records its source count.
 func TestLayerStudies(t *testing.T) {
 	cfg := Config{Scale: 0.02, Seed: 5}
 	dir := t.TempDir()
@@ -54,6 +55,9 @@ func TestLayerStudies(t *testing.T) {
 			}
 			if w, ok := r.Config["workers"].(float64); ok && int(w) > rep.GOMAXPROCS {
 				t.Errorf("%s %s: %v workers on gomaxprocs %d", name, r.Dataset, w, rep.GOMAXPROCS)
+			}
+			if name == "estimators" && r.Metrics["sources"] < 1 {
+				t.Errorf("estimators %s %v: sources %v", r.Dataset, r.Config, r.Metrics["sources"])
 			}
 			if name == "reduction" {
 				_, tw := r.StagesNS["twins"]

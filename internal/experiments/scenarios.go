@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/bincsr"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	repro_io "repro/internal/io"
@@ -56,6 +57,80 @@ var reductionStudy = study{
 						"redundant": int64(t.Redundant)}, nil
 				},
 			})
+		}
+		return d, nil
+	},
+}
+
+// estimatorsFraction is the estimators study's sampling fraction, the
+// server's default.
+const estimatorsFraction = 0.2
+
+// estimatorsStudy times the estimators end to end against random sampling.
+var estimatorsStudy = study{
+	name:     "estimators",
+	baseline: "technique=random workers=1",
+	note: "One op is core.Estimate on the connected graph at fraction 0.2 and seed 1: random is " +
+		"core.RandomSampling (no reduction, the paper's scaling), RCS, RICS and BRICS are the " +
+		"reduction masks with the default estimator. sources is RunStats.Samples, the traversal " +
+		"units the run paid for; stages_ns is RunStats (preprocess, traverse, aggregate). Gate: " +
+		"Farness, Exact and StdErr (ComputeStdErr) at 2 workers equal those at 1 worker, bit for bit.",
+	setup: func(cfg Config, ds gen.Dataset) (dataset, error) {
+		g := graph.Connect(ds.Build())
+		d := dataset{nodes: g.NumNodes(), edges: g.NumEdges()}
+		techs := []struct {
+			name string
+			opts core.Options
+		}{
+			{"random", core.Options{Estimator: core.EstimatorPaper}},
+			{"RCS", core.Options{Techniques: core.TechCR}},
+			{"RICS", core.Options{Techniques: core.TechICR}},
+			{"BRICS", core.Options{Techniques: core.TechCumulative}},
+		}
+		for _, tech := range techs {
+			opts := tech.opts
+			opts.SampleFraction, opts.Seed = estimatorsFraction, 1
+			metrics := map[string]float64{}
+			gate := func() error {
+				var ref *core.Result
+				for _, w := range []int{1, 2} {
+					o := opts
+					o.Workers, o.ComputeStdErr = w, true
+					res, err := core.Estimate(g, o)
+					if err != nil {
+						return err
+					}
+					metrics["sources"] = float64(res.Stats.Samples)
+					if ref == nil {
+						ref = res
+					} else if !slices.Equal(ref.Farness, res.Farness) || !slices.Equal(ref.Exact, res.Exact) ||
+						!slices.Equal(ref.StdErr, res.StdErr) {
+						return fmt.Errorf("%s: 2 workers differ from 1", tech.name)
+					}
+				}
+				return nil
+			}
+			for _, w := range workerSweep() {
+				if w > 2 {
+					break
+				}
+				o := opts
+				o.Workers = w
+				d.cells = append(d.cells, cell{
+					config:  map[string]any{"technique": tech.name, "workers": w},
+					gate:    gate,
+					metrics: metrics,
+					op: func() (map[string]int64, error) {
+						res, err := core.Estimate(g, o)
+						if err != nil {
+							return nil, err
+						}
+						st := res.Stats
+						return map[string]int64{"preprocess": int64(st.Preprocess), "traverse": int64(st.Traverse),
+							"aggregate": int64(st.Aggregate)}, nil
+					},
+				})
+			}
 		}
 		return d, nil
 	},

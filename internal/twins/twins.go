@@ -7,14 +7,15 @@
 // be removed from the graph, with the representative carrying the group's
 // population weight.
 //
-// Detection hashes each node's sorted adjacency list (the paper: "by hashing
-// the neighbour list of each node, we can find all the groups of identical
+// Detection hashes each node's neighbour set (the paper: "by hashing the
+// neighbour list of each node, we can find all the groups of identical
 // nodes") and confirms candidate groups by exact list comparison, so hash
 // collisions cannot create false twins.
 package twins
 
 import (
-	"hash/maphash"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 
 	"repro/internal/graph"
@@ -77,40 +78,30 @@ type Result struct {
 // IsRemoved reports whether node v is a non-representative twin.
 func (r *Result) IsRemoved(v graph.NodeID) bool { return r.RepOf[v] != v }
 
-var seed = maphash.MakeSeed()
+// seed keys the neighbourhood hash per process, so no fixed input can force
+// every node into one candidate run.
+var seed = rand.Uint64()
 
-func hashList(nbrs []graph.NodeID, extra graph.NodeID) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	var buf [4]byte
-	write := func(v graph.NodeID) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		_, _ = h.Write(buf[:])
+// mix is the splitmix64 finaliser of v under the process seed.
+func mix(v graph.NodeID) uint64 {
+	x := uint64(v) + seed
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// hashSet hashes the set nbrs ∪ {extra} (extra < 0: nbrs alone) as the sum
+// of its mixed members. The sum does not depend on order, so equal closed
+// neighbourhoods hash equally although their adjacency lists differ.
+func hashSet(nbrs []graph.NodeID, extra graph.NodeID) uint64 {
+	var h uint64
+	for _, v := range nbrs {
+		h += mix(v)
 	}
-	// Adjacency is sorted; fold extra (the node itself, for closed
-	// neighbourhoods) into its sorted position so equal closed
-	// neighbourhoods hash equally.
-	if extra < 0 {
-		for _, v := range nbrs {
-			write(v)
-		}
-	} else {
-		placed := false
-		for _, v := range nbrs {
-			if !placed && extra < v {
-				write(extra)
-				placed = true
-			}
-			write(v)
-		}
-		if !placed {
-			write(extra)
-		}
+	if extra >= 0 {
+		h += mix(extra)
 	}
-	return h.Sum64()
+	return h
 }
 
 func sameOpen(g *graph.Graph, u, v graph.NodeID) bool {
@@ -172,12 +163,13 @@ func Find(g *graph.Graph) *Result { return FindWorkers(g, 1) }
 
 // FindWorkers is Find with the neighbourhood hashing and candidate
 // verification spread over the given number of workers (<1 means
-// GOMAXPROCS). Per-node hashes are computed in a data-parallel pass, the
-// hash space is sharded across workers (each shard buckets and verifies its
-// own candidates — groups are exact-equality classes, so their membership
-// does not depend on discovery order), and the merged groups are sorted by
-// representative. The output is bit-identical for every worker count:
-// groups listed open-pass first, each pass sorted by representative,
+// GOMAXPROCS). Per-node hashes are computed in a data-parallel pass, one
+// stable counting sort on the hashes' top bits puts the nodes of every
+// equal-hash run in one bucket in ascending id order, the buckets are
+// verified by exact list comparison in parallel (groups are exact-equality
+// classes, so their membership does not depend on discovery order), and the
+// merged groups are sorted by representative. The output is bit-identical for every worker
+// count: groups listed open-pass first, each pass sorted by representative,
 // members ascending.
 func FindWorkers(g *graph.Graph, workers int) *Result {
 	n := g.NumNodes()
@@ -194,74 +186,67 @@ func FindWorkers(g *graph.Graph, workers int) *Result {
 	})
 	assigned := make([]bool, n)
 	hashes := make([]uint64, n)
+	order, sorted := make([]graph.NodeID, 0, n), make([]graph.NodeID, n)
 
 	// collect finds the canonical equality groups of one pass: hash every
-	// live node, shard candidates by hash across workers, verify each
-	// bucket by exact list comparison, then order the discovered groups by
-	// representative. assigned is read-only here; apply() commits a pass.
+	// live node, bucket the nodes by hash, verify every bucket of two or
+	// more nodes, then order the discovered groups by representative.
+	// assigned is read-only here; apply() commits a pass.
 	collect := func(kind Kind) []Group {
+		live := func(v int) bool { return !assigned[v] && g.Degree(graph.NodeID(v)) > 0 }
 		par.ForBlocks(n, workers, func(_, lo, hi int) {
 			for v := lo; v < hi; v++ {
-				if assigned[v] || g.Degree(graph.NodeID(v)) == 0 {
+				if !live(v) {
 					continue
 				}
 				if kind == Open {
-					hashes[v] = hashList(g.Neighbors(graph.NodeID(v)), -1)
+					hashes[v] = hashSet(g.Neighbors(graph.NodeID(v)), -1)
 				} else {
-					hashes[v] = hashList(g.Neighbors(graph.NodeID(v)), graph.NodeID(v))
+					hashes[v] = hashSet(g.Neighbors(graph.NodeID(v)), graph.NodeID(v))
 				}
 			}
 		})
-		shards := workers
-		perShard := make([][]Group, shards)
-		par.For(shards, workers, func(s int) {
-			buckets := make(map[uint64][]graph.NodeID)
-			for v := 0; v < n; v++ {
-				if assigned[v] || g.Degree(graph.NodeID(v)) == 0 {
-					continue
-				}
-				h := hashes[v]
-				if int(h%uint64(shards)) != s {
-					continue
-				}
-				buckets[h] = append(buckets[h], graph.NodeID(v))
+		// Bucket the live nodes by the top bits of their hash (a stable
+		// counting sort over ascending ids, about one node per bucket): equal
+		// hashes share a bucket, so every equality class lies in one bucket
+		// of two or more nodes, listed in ascending id order.
+		order = order[:0]
+		for v := 0; v < n; v++ {
+			if live(v) {
+				order = append(order, graph.NodeID(v))
 			}
+		}
+		width := bits.Len(uint(len(order)))
+		start := make([]int32, 1<<width+1)
+		bucket := func(v graph.NodeID) uint64 { return hashes[v] >> (64 - width) }
+		for _, v := range order {
+			start[bucket(v)+1]++
+		}
+		for i := 1; i < len(start); i++ {
+			start[i] += start[i-1]
+		}
+		next := append([]int32(nil), start[:len(start)-1]...)
+		for _, v := range order {
+			b := bucket(v)
+			sorted[next[b]] = v
+			next[b]++
+		}
+		var cands [][2]int32 // [lo, hi) of every bucket holding two or more nodes
+		for b := 0; b+1 < len(start); b++ {
+			if start[b+1]-start[b] >= 2 {
+				cands = append(cands, [2]int32{start[b], start[b+1]})
+			}
+		}
+		perBlock := make([][]Group, par.NumBlocks(len(cands), workers))
+		par.ForBlocks(len(cands), workers, func(b, lo, hi int) {
 			var local []Group
-			for _, cand := range buckets {
-				if len(cand) < 2 {
-					continue
-				}
-				sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-				used := make([]bool, len(cand))
-				for i := 0; i < len(cand); i++ {
-					if used[i] {
-						continue
-					}
-					members := []graph.NodeID{cand[i]}
-					for j := i + 1; j < len(cand); j++ {
-						if used[j] {
-							continue
-						}
-						var eq bool
-						if kind == Open {
-							eq = sameOpen(g, cand[i], cand[j])
-						} else {
-							eq = sameClosed(g, cand[i], cand[j])
-						}
-						if eq {
-							members = append(members, cand[j])
-							used[j] = true
-						}
-					}
-					if len(members) >= 2 {
-						local = append(local, Group{Members: members, Kind: kind})
-					}
-				}
+			for _, r := range cands[lo:hi] {
+				local = verifyBucket(g, kind, hashes, sorted[r[0]:r[1]], local)
 			}
-			perShard[s] = local
+			perBlock[b] = local
 		})
 		var groups []Group
-		for _, local := range perShard {
+		for _, local := range perBlock {
 			groups = append(groups, local...)
 		}
 		sort.Slice(groups, func(i, j int) bool { return groups[i].Members[0] < groups[j].Members[0] })
@@ -284,4 +269,37 @@ func FindWorkers(g *graph.Graph, workers int) *Result {
 	apply(collect(Open))
 	apply(collect(Closed))
 	return res
+}
+
+// verifyBucket splits one bucket of candidates (ascending ids) into its
+// exact-equality groups of two or more members, each listed from its
+// smallest member, and appends them to out. Only candidates with equal
+// hashes are compared.
+func verifyBucket(g *graph.Graph, kind Kind, hashes []uint64, cand []graph.NodeID, out []Group) []Group {
+	used := make([]bool, len(cand))
+	for i := range cand {
+		if used[i] {
+			continue
+		}
+		members := []graph.NodeID{cand[i]}
+		for j := i + 1; j < len(cand); j++ {
+			if used[j] || hashes[cand[j]] != hashes[cand[i]] {
+				continue
+			}
+			var eq bool
+			if kind == Open {
+				eq = sameOpen(g, cand[i], cand[j])
+			} else {
+				eq = sameClosed(g, cand[i], cand[j])
+			}
+			if eq {
+				members = append(members, cand[j])
+				used[j] = true
+			}
+		}
+		if len(members) >= 2 {
+			out = append(out, Group{Members: members, Kind: kind})
+		}
+	}
+	return out
 }
