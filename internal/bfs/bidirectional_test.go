@@ -2,9 +2,11 @@ package bfs
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -94,6 +96,84 @@ func TestPointToPointMatchesBFS(t *testing.T) {
 	}
 }
 
+// p2pCase is a graph with BFS rows from a few sources, for checking
+// PointToPoint against the plain BFS.
+type p2pCase struct {
+	name string
+	g    *graph.Graph
+	src  []graph.NodeID
+	rows [][]int32
+}
+
+func p2pCases(rng *rand.Rand) []p2pCase {
+	fams := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"community", gen.Community(1200, 3)},
+		{"web", gen.Web(700, 3)},
+		{"social", gen.Social(1600, 3)},
+		{"road", gen.Road(500, 3)},
+	}
+	var cases []p2pCase
+	for _, f := range fams {
+		c := p2pCase{name: f.name, g: f.g}
+		for range 4 {
+			s := graph.NodeID(rng.Intn(f.g.NumNodes()))
+			row := make([]int32, f.g.NumNodes())
+			Distances(f.g, s, row, nil)
+			c.src, c.rows = append(c.src, s), append(c.rows, row)
+		}
+		cases = append(cases, c)
+	}
+	return cases
+}
+
+// TestPointToPointFamiliesMatchBFS: on the four generator families, of
+// different sizes and queried round-robin so the pooled scratch keeps
+// moving between graph sizes, every distance equals the plain BFS.
+func TestPointToPointFamiliesMatchBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := p2pCases(rng)
+	for q := range 400 {
+		c := cases[q%len(cases)]
+		i := rng.Intn(len(c.src))
+		tt := graph.NodeID(rng.Intn(c.g.NumNodes()))
+		if got, want := PointToPoint(c.g, c.src[i], tt), c.rows[i][tt]; got != want {
+			t.Fatalf("%s: d(%d,%d) = %d, BFS %d", c.name, c.src[i], tt, got, want)
+		}
+	}
+}
+
+// TestPointToPointConcurrent: concurrent searches over graphs of different
+// sizes each get their own scratch (run under -race).
+func TestPointToPointConcurrent(t *testing.T) {
+	cases := p2pCases(rand.New(rand.NewSource(6)))
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for q := range 200 {
+				c := cases[(q+w)%len(cases)]
+				i := rng.Intn(len(c.src))
+				tt := graph.NodeID(rng.Intn(c.g.NumNodes()))
+				if got, want := PointToPoint(c.g, c.src[i], tt), c.rows[i][tt]; got != want {
+					errs <- c.name
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for name := range errs {
+		t.Fatalf("%s: a concurrent search disagreed with the BFS", name)
+	}
+}
+
 func BenchmarkPointToPointVsBFS(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 30000)
@@ -109,4 +189,25 @@ func BenchmarkPointToPointVsBFS(b *testing.B) {
 			Distances(g, graph.NodeID(i%n), dist, nil)
 		}
 	})
+}
+
+// TestP2PScratchEpochWrap: when the epoch counter wraps, begin clears the
+// stamps, so no stamp from before the wrap reads as current.
+func TestP2PScratchEpochWrap(t *testing.T) {
+	var sc p2pScratch
+	sc.begin(4)
+	sc.epoch = ^uint32(0)
+	sc.side[0][2] = p2pCell{1, 7}
+	sc.side[1][3] = p2pCell{1, 9}
+	sc.begin(4)
+	if sc.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", sc.epoch)
+	}
+	for i := range sc.side {
+		for v, c := range sc.side[i] {
+			if c != (p2pCell{}) {
+				t.Fatalf("side %d node %d kept %+v across the wrap", i, v, c)
+			}
+		}
+	}
 }

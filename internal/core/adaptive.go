@@ -49,9 +49,11 @@ func EstimateAdaptive(g *graph.Graph, opts AdaptiveOptions) (*AdaptiveResult, er
 }
 
 // EstimateAdaptiveContext is EstimateAdaptive with cooperative cancellation:
-// ctx is threaded into every round's EstimateContext, so a cancellation
-// aborts the current round at its next checkpoint and the loop returns the
-// ErrCanceled-wrapping error.
+// ctx is threaded into Prepare and every round, so a cancellation aborts
+// the current stage at its next checkpoint and the loop returns the
+// ErrCanceled-wrapping error. The graph is prepared once and every round
+// runs on that plan; each round equals EstimateContext with its fraction
+// and seed, and the first round's Preprocess counts the plan's build.
 func EstimateAdaptiveContext(ctx context.Context, g *graph.Graph, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	// Negated comparisons treat NaN as unset: a NaN fraction or factor
 	// would keep the escalation NaN and the loop would never stop.
@@ -67,6 +69,10 @@ func EstimateAdaptiveContext(ctx context.Context, g *graph.Graph, opts AdaptiveO
 	if !(opts.GrowthFactor > 1) {
 		opts.GrowthFactor = 2
 	}
+	plan, err := Prepare(ctx, g, opts.Base.Techniques, opts.Base.Workers)
+	if err != nil {
+		return nil, err
+	}
 	var prev *Result
 	out := &AdaptiveResult{}
 	fraction := opts.InitialFraction
@@ -74,7 +80,10 @@ func EstimateAdaptiveContext(ctx context.Context, g *graph.Graph, opts AdaptiveO
 		o := opts.Base
 		o.SampleFraction = fraction
 		o.Seed = opts.Base.Seed + int64(round) // decorrelate rounds
-		res, err := EstimateContext(ctx, g, o)
+		res, err := plan.Estimate(ctx, o)
+		if round == 0 && err == nil {
+			res.Stats.Preprocess += plan.BuildTime()
+		}
 		if err != nil {
 			// Anytime degradation: a canceled round falls back to the last
 			// completed round's full result, re-marked Partial — it is a

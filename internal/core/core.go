@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/bicc"
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/reduce"
@@ -154,6 +153,12 @@ type RunStats struct {
 	// whole computation was answered in closed form.
 	ClosedForm bool
 	// Preprocess, Traverse and Aggregate partition the run time.
+	// Preprocess is the run's own sampling set-up plus, only on the run
+	// that built its Plan (every EstimateContext call, or the first run a
+	// server makes on a fresh plan), the plan's build time: runs served by
+	// an existing plan do not repeat the reduction or the decomposition,
+	// and do not count it. Reduction, ReducedNodes, ReducedEdges, Blocks
+	// and BiCC describe the plan on every run.
 	Preprocess, Traverse, Aggregate time.Duration
 }
 
@@ -201,56 +206,19 @@ func Estimate(g *graph.Graph, opts Options) (*Result, error) {
 // traversal fan-out, aggregation) and inside the traversal kernels, and
 // abandons the computation with an ErrCanceled-wrapping error once ctx is
 // done. All pooled scratch is returned on the abort path, and a run whose
-// context never fires produces farness bit-identical to Estimate.
+// context never fires produces farness bit-identical to Estimate. It is
+// Prepare followed by one Plan.Estimate, with the plan's build time counted
+// in RunStats.Preprocess.
 func EstimateContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return &Result{}, nil
-	}
-	if n == 1 {
-		return &Result{Farness: []float64{0}, Exact: []bool{true}}, nil
-	}
-	if !graph.IsConnected(g) {
-		return nil, fmt.Errorf("core: graph is disconnected; connect it first (graph.Connect)")
-	}
-	if res, ok := closedForm(g); ok {
-		return res, nil
-	}
-	if err := fault.Checkpoint(ctx, "core.reduce"); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	ropts := reduce.Options{
-		Twins:     opts.Techniques&TechIdentical != 0,
-		Chains:    opts.Techniques&TechChains != 0,
-		Redundant: opts.Techniques&TechRedundant != 0,
-		Workers:   opts.Workers,
-	}
-	red, err := reduce.RunContext(ctx, g, ropts)
+	p, err := Prepare(ctx, g, opts.Techniques, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	prep := time.Since(start)
-
-	var res *Result
-	if opts.Techniques&TechBiCC != 0 {
-		res, err = estimateCumulative(ctx, red, &opts)
-	} else {
-		res, err = estimateGlobal(ctx, red, &opts)
-	}
+	res, err := p.Estimate(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Preprocess += prep
-	res.Stats.Reduction = red.Stats
-	res.Stats.ReducedNodes = red.G.NumNodes()
-	res.Stats.ReducedEdges = red.G.NumEdges()
-
-	propagateExact(red, res)
-	// Propagation may rewrite a partial run's values (closed forms for
-	// twins/chains); restore the bound invariants afterwards.
-	res.finishPartial()
+	res.Stats.Preprocess += p.BuildTime()
 	return res, nil
 }
 

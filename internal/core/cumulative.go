@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -16,51 +15,23 @@ import (
 	"repro/internal/reduce"
 )
 
-// estimateCumulative is the full BRICS pipeline (the paper's Algorithm 5),
-// run as six named phases: assignEvents homes every original node in one
-// block, plan samples inside each block with every cut vertex always
-// sampled, pass1 traverses every (block, source) pair once, summing its row
+// estimateCumulative is the full BRICS pipeline (the paper's Algorithm 5) on
+// a plan that already homed every original node in one block (assignEvents)
+// and built the block graphs, run as five named phases: sample draws
+// sources inside each block with every cut vertex always sampled, pass1
+// traverses every (block, source) pair once, summing its row
 // over the block's kept nodes and adding each cut's cross-block W·d term on
 // the way, collect gives the removed nodes their sums once per run from the
 // sources' anchor rows (see reduce.Anchors), aggregate combines the
 // cross-block distance constants over the block cut-vertex tree (Algorithm
 // 6), and assemble produces per-node farness. Cancellation checkpoints sit
-// before the decomposition ("core.decompose"), before pass 1
-// ("core.traverse", with per-row and in-kernel checks inside it), and
-// before the tree aggregation ("core.aggregate"); a non-nil error discards
-// all partial accumulation.
-func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Options) (*Result, error) {
-	if red.G.NumNodes() <= 2 {
-		return estimateGlobal(ctx, red, opts)
-	}
-	if err := fault.Checkpoint(ctx, "core.decompose"); err != nil {
-		return nil, err
-	}
+// before pass 1 ("core.traverse", with per-row and in-kernel checks inside
+// it) and before the tree aggregation ("core.aggregate"); a non-nil error
+// discards all partial accumulation.
+func estimateCumulative(ctx context.Context, cp *cumPlan, opts *Options) (*Result, error) {
 	prepStart := time.Now()
-	d, biccT := bicc.DecomposeTimed(red.G, bicc.AlgoAuto, opts.Workers)
-	if d.NumBlocks() <= 1 {
-		// A single biconnected block degenerates to the global estimator.
-		res, err := estimateGlobal(ctx, red, opts)
-		if err == nil {
-			res.Stats.Blocks = d.Summarize()
-			res.Stats.BiCC = biccT
-		}
-		return res, err
-	}
-	tree := bct.NewTree(d, largestBlock(d))
-	if err := tree.Validate(); err != nil {
-		return nil, err
-	}
-	c := &cumulative{
-		assignment: assignEvents(red, d, tree),
-		opts:       opts,
-		tree:       tree,
-		n:          red.Orig.NumNodes(),
-		workers:    par.Workers(opts.Workers),
-	}
-	if err := c.plan(ctx); err != nil {
-		return nil, err
-	}
+	c := &cumulative{cumPlan: cp, opts: opts, workers: par.Workers(opts.Workers)}
+	c.sample()
 	prep := time.Since(prepStart)
 
 	if err := fault.Checkpoint(ctx, "core.traverse"); err != nil {
@@ -82,8 +53,6 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 	c.aggregate()
 	res := c.assemble()
 	res.Stats = RunStats{
-		Blocks:              d.Summarize(),
-		BiCC:                biccT,
 		Samples:             c.totalSamples,
 		FallbackAssignments: c.fallbacks,
 		Preprocess:          prep,
@@ -247,25 +216,20 @@ func newBlockCounts(nb int) blockCounts {
 	return blockCounts{make([]int64, nb), make([]int64, nb), make([]int64, nb)}
 }
 
-// cumulative is the state the phases of one cumulative run share. Per-node
-// arrays are indexed by original id, per-block ones by block id; a
-// block's sources and local graph use block-local ids (the index into the
+// cumulative is the state the phases of one cumulative run share, on top
+// of the plan's. Per-node arrays are indexed by original id, per-block ones
+// by block id; a block's sources use block-local ids (the index into the
 // block's sorted node list).
 type cumulative struct {
-	*assignment
+	*cumPlan
 	opts    *Options
-	tree    *bct.Tree
-	n       int
 	workers int
 
-	// Plan.
+	// Sampling.
 	sources      [][]graph.NodeID // per block: its cut vertices in block order, then the drawn members
 	planned      blockCounts
 	totalSamples int
 	isSample     []bool
-	localG       []*graph.WGraph
-	localUnw     []bool
-	wout         [][]int64 // [b][cut pos] nodes beyond the cut (Algorithm 6's W)
 
 	// Anytime bookkeeping (nil/zero unless Anytime or Progress is set).
 	any       *anyState
@@ -277,14 +241,13 @@ type cumulative struct {
 
 	// Pass 1, per block b and source position i (the index into
 	// sources[b]; a cut's position is its position in tree.BlockCuts[b]).
-	anchors  []*reduce.Anchors // the removal events assigned to each block
-	cutRows  [][]int32         // [b]: the anchor rows of the cut sources
-	srcPos   [][]int32         // [b][local id]: source position, or -1
-	sampled  [][]int32         // [b]: the homed members that are samples, by local id
-	rowDone  [][]bool          // [b][i]: the source's row is accumulated
-	srcIn    [][]int64         // [b][i]: Σ d(s,·) over the assigned population
-	srcToS   [][]int64         // [b][i]: the part of srcIn over sampled nodes
-	workSums []cumSums         // per worker, over kept nodes by reduced id
+	cutRows  [][]int32 // [b]: the anchor rows of the cut sources
+	srcPos   [][]int32 // [b][local id]: source position, or -1
+	sampled  [][]int32 // [b]: the homed members that are samples, by local id
+	rowDone  [][]bool  // [b][i]: the source's row is accumulated
+	srcIn    [][]int64 // [b][i]: Σ d(s,·) over the assigned population
+	srcToS   [][]int64 // [b][i]: the part of srcIn over sampled nodes
+	workSums []cumSums // per worker, over kept nodes by reduced id
 
 	// In-block sums over each block's assigned population, by original id,
 	// split by the kind of source: drawn (sumRand), cut (sumCut), cut
@@ -301,29 +264,19 @@ type cumulative struct {
 	crossConst []int64
 }
 
-// plan is the sampling phase (Algorithm 5, lines 7–10): every cut vertex,
-// plus a per-block share of the global budget drawn uniformly among the
-// block's non-cut members. It also builds the block-local graphs, sizes the
-// anytime bookkeeping and computes the cross-block weights, which depend on
-// the assigned populations alone.
-func (c *cumulative) plan(ctx context.Context) error {
-	d, tree := c.d, c.tree
+// sample is the sampling phase (Algorithm 5, lines 7–10): every cut
+// vertex, plus a per-block share of the global budget drawn uniformly among
+// the block's non-cut members. It also sizes the anytime bookkeeping.
+func (c *cumulative) sample() {
+	d := c.d
 	nR, nb := c.red.G.NumNodes(), d.NumBlocks()
 	kTotal := samplesFor(nR, c.opts.fraction())
 	c.sources = make([][]graph.NodeID, nb)
 	c.planned = newBlockCounts(nb)
 	c.isSample = make([]bool, c.n)
 	for b, members := range d.BlockNodes {
-		src := make([]graph.NodeID, 0, len(tree.BlockCuts[b]))
-		var nonCut []graph.NodeID
-		for j, v := range members {
-			if tree.CutIndex[v] >= 0 {
-				src = append(src, graph.NodeID(j))
-			} else {
-				nonCut = append(nonCut, graph.NodeID(j))
-			}
-		}
-		cuts := len(src)
+		cuts, nonCut := len(c.cuts[b]), c.other[b]
+		src := append(make([]graph.NodeID, 0, cuts), c.cuts[b]...)
 		kb := min(max((kTotal*len(members)+nR-1)/nR-cuts, 0), len(nonCut))
 		if kb > 0 {
 			rng := rand.New(rand.NewSource(c.opts.Seed + int64(b)*7919))
@@ -350,21 +303,6 @@ func (c *cumulative) plan(ctx context.Context) error {
 	if c.opts.Anytime || c.opts.Progress != nil {
 		c.any = newAnyState(c.n, c.totalSamples, c.opts.Progress)
 	}
-
-	pop, total := c.pops()
-	if total != int64(c.n) {
-		return fmt.Errorf("core: population accounting mismatch: %d != %d", total, c.n)
-	}
-	c.wout = tree.Weights(pop)
-
-	c.localG = make([]*graph.WGraph, nb)
-	c.localUnw = make([]bool, nb)
-	return par.ForBlocksCtx(ctx, nb, c.opts.Workers, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			c.localG[b] = buildBlockGraph(d, int32(b))
-			c.localUnw[b] = c.localG[b].Unweighted()
-		}
-	})
 }
 
 // pass1 traverses every block once from every one of its sources, cut
@@ -373,7 +311,6 @@ func (c *cumulative) plan(ctx context.Context) error {
 func (c *cumulative) pass1(ctx context.Context) error {
 	nb := c.d.NumBlocks()
 	c.exactIn = make([]int64, c.n)
-	c.anchors = make([]*reduce.Anchors, nb)
 	c.cutRows = make([][]int32, nb)
 	c.srcPos = make([][]int32, nb)
 	c.sampled = make([][]int32, nb)
@@ -384,12 +321,6 @@ func (c *cumulative) pass1(ctx context.Context) error {
 	err := par.ForBlocksCtx(ctx, nb, c.opts.Workers, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			members, src := c.d.BlockNodes[b], c.sources[b]
-			c.anchors[b] = reduce.NewAnchors(c.red, c.blockEvents[b], func(o graph.NodeID) int32 {
-				if j := localIndex(members, c.red.ToNew[o]); int(j) < len(members) && members[j] == c.red.ToNew[o] {
-					return int32(j)
-				}
-				return -1
-			}, nil)
 			c.cutRows[b] = make([]int32, len(c.tree.BlockCuts[b])*c.anchors[b].Width())
 			c.srcPos[b] = make([]int32, len(members))
 			for j := range c.srcPos[b] {
@@ -418,7 +349,7 @@ func (c *cumulative) pass1(ctx context.Context) error {
 	}
 	units := make([]unit, nb)
 	for b, src := range c.sources {
-		units[b] = unit{c.localG[b], c.localUnw[b], src}
+		units[b] = unit{c.units[b], src}
 	}
 	c.workSums = make([]cumSums, c.workers)
 	return traverse(ctx, units, c.workers,
@@ -690,24 +621,13 @@ func (c *cumulative) correctTwinCuts() {
 // cross-block distance constant Σ_cuts D(B,c); pass 1 already added the
 // W·d terms.
 func (c *cumulative) aggregate() {
-	pop, _ := c.pops()
-	contrib := c.tree.Aggregate(&bct.Inputs{Pop: pop, SumDist: c.sumDist, CutDist: c.cutDist})
+	contrib := c.tree.Aggregate(&bct.Inputs{Pop: c.pop, SumDist: c.sumDist, CutDist: c.cutDist})
 	c.crossConst = make([]int64, len(c.sources))
 	for b, dout := range contrib.Dout {
 		for _, x := range dout {
 			c.crossConst[b] += x
 		}
 	}
-}
-
-// pops returns every block's assigned population and their total.
-func (c *cumulative) pops() (pop []int64, total int64) {
-	pop = make([]int64, len(c.assigned))
-	for b, a := range c.assigned {
-		pop[b] = int64(len(a))
-		total += pop[b]
-	}
-	return pop, total
 }
 
 // assemble is the last phase: exact in-block farness plus the cross-block

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,9 +10,10 @@ import (
 
 // FuzzEstimatePipeline: any connected graph decoded from fuzz bytes must
 // run the full cumulative pipeline without panicking, with exact-flagged
-// values matching the oracle; and the random-sampling baseline (no
-// technique, the paper's estimator) at fraction 1 samples every node, so
-// every one of its values must be exact and equal the oracle.
+// values matching the oracle; one Prepare must serve two seeds bit-identical
+// to EstimateContext; and the random-sampling baseline (no technique, the
+// paper's estimator) at fraction 1 samples every node, so every one of its
+// values must be exact and equal the oracle.
 func FuzzEstimatePipeline(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 4, 0, 5, 0})
@@ -44,6 +47,22 @@ func FuzzEstimatePipeline(f *testing.F) {
 			if res.Farness[v] < 0 {
 				t.Fatalf("node %d: negative farness %v", v, res.Farness[v])
 			}
+		}
+		plan, err := Prepare(context.Background(), g, TechCumulative, 1)
+		if err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		for _, seed := range []int64{1, 2} {
+			opts := Options{Techniques: TechCumulative, SampleFraction: 0.5, Seed: seed, ComputeStdErr: true}
+			want, err := EstimateContext(context.Background(), g, opts)
+			if err != nil {
+				t.Fatalf("estimate seed %d: %v", seed, err)
+			}
+			got, err := plan.Estimate(context.Background(), opts)
+			if err != nil {
+				t.Fatalf("plan seed %d: %v", seed, err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("plan seed %d", seed), want, got)
 		}
 		rnd, err := Estimate(g, Options{SampleFraction: 1.0, Seed: 1, Estimator: EstimatorPaper})
 		if err != nil {

@@ -22,7 +22,8 @@ import (
 // every row boundary inside it, within the kernels themselves, and before
 // aggregation ("core.aggregate"); on a non-nil error the partially filled
 // accumulators are discarded with the rest of the run.
-func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (*Result, error) {
+func estimateGlobal(ctx context.Context, gp *globalPlan, opts *Options) (*Result, error) {
+	red := gp.red
 	n := red.Orig.NumNodes()
 	nR := red.G.NumNodes()
 	res := &Result{
@@ -69,7 +70,7 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		return nil, err
 	}
 	start := time.Now()
-	run := newGlobalRun(red, opts, samplesReduced, extraOrig, any)
+	run := newGlobalRun(gp, opts, samplesReduced, extraOrig, any)
 	samples, kEff := run.samples, len(run.samples)
 	if any != nil && opts.Anytime {
 		any.assemble = func() *Result {
@@ -184,7 +185,8 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 	return res, nil
 }
 
-// globalRun is the accumulation state of one global-estimator run. Rows
+// globalRun is the accumulation state of one global-estimator run on a
+// plan. Rows
 // accumulate into per-worker sums, added up once the traversals have joined
 // (or, for a snapshot, under the anytime write lock): no atomic per visited
 // node, and integer sums do not depend on the order. A reduced-graph row is
@@ -193,6 +195,7 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 // sums. exactFar is shared, since every source writes only its own cell.
 type globalRun struct {
 	red            *reduce.Reduction
+	unit           *unitGraph
 	opts           *Options
 	any            *anyState
 	n, nR, workers int
@@ -201,19 +204,25 @@ type globalRun struct {
 	// ids.
 	samplesReduced, extraOrig, samples []graph.NodeID
 
-	an       *reduce.Anchors
+	an       *reduce.Anchors // the plan's, or this run's when it has augmentation sources
 	sums     []workerSums
 	exactFar []int64
 }
 
-func newGlobalRun(red *reduce.Reduction, opts *Options, samplesReduced, extraOrig []graph.NodeID, any *anyState) *globalRun {
+func newGlobalRun(gp *globalPlan, opts *Options, samplesReduced, extraOrig []graph.NodeID, any *anyState) *globalRun {
+	red := gp.red
 	n, nR := red.Orig.NumNodes(), red.G.NumNodes()
 	g := &globalRun{
-		red: red, opts: opts, any: any,
+		red: red, unit: gp.unit, opts: opts, any: any,
 		n: n, nR: nR, workers: par.Workers(opts.Workers),
 		samplesReduced: samplesReduced, extraOrig: extraOrig,
-		an:       reduce.NewAnchors(red, allEvents(red), func(o graph.NodeID) int32 { return int32(red.ToNew[o]) }, extraOrig),
+		an:       gp.an,
 		exactFar: make([]int64, n),
+	}
+	if len(extraOrig) > 0 {
+		// The augmentation sources need columns of their own; the event
+		// columns come first and are the plan's.
+		g.an = globalAnchors(red, extraOrig)
 	}
 	for _, sR := range samplesReduced {
 		g.samples = append(g.samples, red.ToOld[sR])
@@ -227,7 +236,7 @@ func newGlobalRun(red *reduce.Reduction, opts *Options, samplesReduced, extraOri
 // the original graph from every augmentation source, accumulating each row.
 func (g *globalRun) gather(ctx context.Context) error {
 	red := g.red
-	err := traverse(ctx, []unit{{red.G, red.G.Unweighted(), g.samplesReduced}}, g.workers, nil,
+	err := traverse(ctx, []unit{{g.unit, g.samplesReduced}}, g.workers, nil,
 		func(worker, _ int, srcR graph.NodeID, dist []int32) {
 			g.reducedRow(&g.sums[worker], srcR, dist)
 		})
@@ -354,13 +363,14 @@ func (g *globalRun) fold() (acc, sumSq []int64, s2s, s2n int64) {
 	return acc, sumSq, s2s, s2n
 }
 
-// allEvents lists the indices of every removal event of red.
-func allEvents(red *reduce.Reduction) []int32 {
+// globalAnchors is the anchor plan of the reduced graph as one unit over
+// every removal event of red, with columns for the extra nodes.
+func globalAnchors(red *reduce.Reduction, extra []graph.NodeID) *reduce.Anchors {
 	evs := make([]int32, len(red.Events))
 	for i := range evs {
 		evs[i] = int32(i)
 	}
-	return evs
+	return reduce.NewAnchors(red, evs, func(o graph.NodeID) int32 { return int32(red.ToNew[o]) }, extra)
 }
 
 // workerSums is one traversal worker's share of the global estimator's

@@ -172,7 +172,7 @@ func TestGlobalAccumulatorsMatchRowSpace(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/f=%g/workers=%d", tc.name, fraction, workers), func(t *testing.T) {
 					opts := &Options{Workers: workers, ComputeStdErr: true}
-					run := newGlobalRun(red, opts, srcs, extra, nil)
+					run := newGlobalRun(newGlobalPlan(red), opts, srcs, extra, nil)
 					if err := run.gather(context.Background()); err != nil {
 						t.Fatal(err)
 					}
@@ -204,21 +204,20 @@ func TestCumulativeAccumulatorsMatchRowSpace(t *testing.T) {
 			}
 			continue // the estimator falls back to the global one
 		}
-		tree := bct.NewTree(d, largestBlock(d))
 		for _, fraction := range []float64{0.3, 1} {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/f=%g/workers=%d", tc.name, fraction, workers), func(t *testing.T) {
-					c := &cumulative{
-						assignment: assignEvents(red, d, tree),
-						opts:       &Options{SampleFraction: fraction, Workers: workers, Seed: 5, ComputeStdErr: true},
-						tree:       tree,
-						n:          red.Orig.NumNodes(),
-						workers:    workers,
-					}
 					ctx := context.Background()
-					if err := c.plan(ctx); err != nil {
+					cp, err := newCumPlan(ctx, red, d, workers)
+					if err != nil {
 						t.Fatal(err)
 					}
+					c := &cumulative{
+						cumPlan: cp,
+						opts:    &Options{SampleFraction: fraction, Workers: workers, Seed: 5, ComputeStdErr: true},
+						workers: workers,
+					}
+					c.sample()
 					if err := c.pass1(ctx); err != nil {
 						t.Fatal(err)
 					}
@@ -334,7 +333,7 @@ func refCumulative(c *cumulative) refCumulativeSums {
 		members, cuts := c.d.BlockNodes[b], c.tree.BlockCuts[b]
 		ref.sumDist[b] = make([]int64, len(cuts))
 		ref.cutDist[b] = make([][]int32, len(cuts))
-		lg := c.localG[b]
+		lg := c.units[b].g
 		for i, src := range c.sources[b] {
 			dist := make([]int32, lg.NumNodes())
 			bfs.WDistances(lg, src, dist, queue.NewBucket(lg.MaxWeight()))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bfs"
@@ -102,12 +103,33 @@ func permuted(xs []graph.NodeID, order []int) []graph.NodeID {
 	return out
 }
 
-// unit is one traversal unit: a graph, its cached Unweighted(), and the
-// sources to traverse it from, in that graph's ids.
-type unit struct {
+// unitGraph is a traversal unit's graph as a Plan holds it: the graph, its
+// cached Unweighted(), and its BFS positions (graph.BFSOrder), computed by
+// the first run that clusters the unit's sources and shared by every later
+// one.
+type unitGraph struct {
 	g          *graph.WGraph
 	unweighted bool
-	sources    []graph.NodeID
+	posOnce    sync.Once
+	pos        []graph.NodeID
+}
+
+func newUnitGraph(g *graph.WGraph) *unitGraph {
+	return &unitGraph{g: g, unweighted: g.Unweighted()}
+}
+
+// positions returns the unit's BFS positions, computing them on first use.
+// graph.BFSOrder is the same at every worker count.
+func (u *unitGraph) positions(workers int) []graph.NodeID {
+	u.posOnce.Do(func() { u.pos = graph.BFSOrder(u.g, workers) })
+	return u.pos
+}
+
+// unit is one traversal unit: a plan's graph and one run's sources to
+// traverse it from, in that graph's ids.
+type unit struct {
+	*unitGraph
+	sources []graph.NodeID
 }
 
 // traversalTask is one entry of the driver's task pool: a single source
@@ -149,7 +171,7 @@ func traverse(ctx context.Context, units []unit, workers int,
 		srcs, width := un.sources, 1
 		if e == batched {
 			srcs = permuted(srcs, clusterOrder(srcs, func() []graph.NodeID {
-				return graph.BFSOrder(un.g, workers)
+				return un.positions(workers)
 			}))
 			width = bfs.MSBFSWidth
 		}

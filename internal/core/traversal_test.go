@@ -215,7 +215,7 @@ func traverseTestUnits() []unit {
 		}
 	}
 	weighted := wb.Build()
-	units := []unit{{g: social, unweighted: true}, {g: weighted}}
+	units := []unit{{unitGraph: newUnitGraph(social)}, {unitGraph: newUnitGraph(weighted)}}
 	for i, k := range []int{100, 70} {
 		for _, j := range rng.Perm(units[i].g.NumNodes())[:k] {
 			units[i].sources = append(units[i].sources, graph.NodeID(j))

@@ -38,18 +38,21 @@ func (p *panicError) Error() string { return fmt.Sprintf("estimation run panicke
 const degradeGrace = 500 * time.Millisecond
 
 // generation is one immutable version of the served graph together with its
-// result cache and in-flight estimate runs. Readers load the current
-// generation from Server.gen with a single atomic pointer read — they never
-// contend with estimates — and edge mutations install a fresh generation,
-// which atomically invalidates the cache and detaches (but does not abort)
-// runs still computing against the old snapshot.
+// estimation plans, result cache and in-flight estimate runs. Readers load
+// the current generation from Server.gen with a single atomic pointer read —
+// they never contend with estimates — and edge mutations install a fresh
+// generation, which atomically invalidates the plans and the cache and
+// detaches (but does not abort) runs still computing against the old
+// snapshot.
 type generation struct {
 	g  *graph.Graph
 	id uint64 // monotone across mutations; reported by /v1/status
 
-	mu      sync.Mutex // guards cache and flights; held only for map ops
-	cache   map[string]*core.Result
-	flights map[string]*flight
+	mu         sync.Mutex // guards plans, cache, cacheBytes and flights; held only for map ops
+	plans      map[core.Technique]*planBuild
+	cache      map[string]*core.Result
+	cacheBytes int64 // Σ resultBytes over cache
+	flights    map[string]*flight
 
 	// sketch is the generation's cluster-BFS distance index, built lazily on
 	// the first sketch/auto distance (or sketch-filtered topk) request and
@@ -88,14 +91,115 @@ type distVal struct {
 // entries); see generation.distCache.
 const distCacheCap = 1 << 16
 
+// estimateCacheCap bounds the bytes of the results a generation caches (see
+// resultBytes): an insert that would pass it clears the cache first, the way
+// distCacheCap does. 32 MiB holds about 110 results of a 33.6k-node graph.
+// A variable only so that tests can lower it.
+var estimateCacheCap int64 = 32 << 20
+
+// resultBytes is what a cached result's per-node arrays take.
+func resultBytes(res *core.Result) int64 {
+	return int64(8*len(res.Farness) + len(res.Exact) + 8*len(res.StdErr))
+}
+
 func newGeneration(g *graph.Graph, id uint64) *generation {
 	return &generation{
 		g:         g,
 		id:        id,
+		plans:     make(map[core.Technique]*planBuild),
 		cache:     make(map[string]*core.Result),
 		flights:   make(map[string]*flight),
 		distCache: make(map[distKey]distVal),
 	}
+}
+
+// storeResult caches a full result under key, clearing the cache first when
+// it would pass estimateCacheCap. The caller holds gen.mu.
+func (gen *generation) storeResult(key string, res *core.Result) {
+	b := resultBytes(res)
+	if gen.cacheBytes+b > estimateCacheCap {
+		clear(gen.cache)
+		gen.cacheBytes = 0
+	}
+	if old, ok := gen.cache[key]; ok {
+		gen.cacheBytes -= resultBytes(old)
+	}
+	gen.cache[key] = res
+	gen.cacheBytes += b
+}
+
+// planBuild is one technique mask's plan in a generation: built by the
+// first run that needs it and shared by every later run, a singleflight per
+// mask. done is closed once plan or err is set.
+type planBuild struct {
+	done chan struct{}
+	plan *core.Plan
+	err  error
+}
+
+// planFor returns gen's plan for the mask, building it on first use (built
+// reports that this call did). A run that asks while another builds waits
+// for that build, or for its own ctx. A failed build is dropped from the
+// generation, so it is never served: when it failed by cancellation (the
+// builder's run was abandoned) a waiter whose own ctx is live builds afresh,
+// and any other failure is every waiter's.
+func (s *Server) planFor(ctx context.Context, gen *generation, tech core.Technique) (plan *core.Plan, built bool, err error) {
+	for {
+		gen.mu.Lock()
+		pb, ok := gen.plans[tech]
+		if !ok {
+			pb = &planBuild{done: make(chan struct{})}
+			gen.plans[tech] = pb
+		}
+		gen.mu.Unlock()
+		if !ok {
+			plan, err := s.buildPlan(ctx, gen, tech, pb)
+			return plan, err == nil, err
+		}
+		select {
+		case <-pb.done:
+		case <-ctx.Done():
+			return nil, false, par.CtxErr(ctx)
+		}
+		if pb.err == nil {
+			return pb.plan, false, nil
+		}
+		if !errors.Is(pb.err, core.ErrCanceled) {
+			return nil, false, pb.err
+		}
+	}
+}
+
+// buildPlan runs core.Prepare for pb and publishes the outcome, a panic
+// included, to pb's waiters.
+func (s *Server) buildPlan(ctx context.Context, gen *generation, tech core.Technique, pb *planBuild) (plan *core.Plan, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			plan, err = nil, &panicError{val: v}
+		}
+		gen.mu.Lock()
+		pb.plan, pb.err = plan, err
+		if err != nil && gen.plans[tech] == pb {
+			delete(gen.plans, tech)
+		}
+		gen.mu.Unlock()
+		close(pb.done)
+	}()
+	return core.Prepare(ctx, gen.g, tech, s.cfg.Workers)
+}
+
+// preparedPlans lists the masks of gen's finished plans, in letter order.
+func (gen *generation) preparedPlans() []string {
+	gen.mu.Lock()
+	defer gen.mu.Unlock()
+	out := []string{}
+	for tech, pb := range gen.plans {
+		if pb.plan != nil {
+			out = append(out, tech.String())
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // sketchFor returns gen's sketch, building it on first use. The build runs
@@ -161,15 +265,14 @@ type flight struct {
 	started time.Time
 }
 
-// estimate returns the cached result for key, joins an identical in-flight
+// estimate returns gen's cached result for key, joins an identical in-flight
 // run, or starts one (subject to admission control). ctx is the request's
 // context: its cancellation abandons only this caller's wait, aborting the
 // compute itself only when no other request still wants the result. degrade
 // selects the caller's deadline policy: an accepting waiter takes a partial
 // snapshot at its soft deadline instead of timing out, a rejecting waiter
 // insists on the exact result or an error.
-func (s *Server) estimate(ctx context.Context, key string, opts core.Options, degrade bool) (*core.Result, error) {
-	gen := s.gen.Load()
+func (s *Server) estimate(ctx context.Context, gen *generation, key string, opts core.Options, degrade bool) (*core.Result, error) {
 	gen.mu.Lock()
 	if res, ok := gen.cache[key]; ok {
 		gen.mu.Unlock()
@@ -203,14 +306,15 @@ func (s *Server) estimate(ctx context.Context, key string, opts core.Options, de
 	return s.wait(ctx, gen, key, f, degrade)
 }
 
-// run executes one estimation flight: panic-safe, cancellable, publishing
-// into the generation's cache on success. A partial result (the run was
-// interrupted and degraded) is handed to its waiters but never cached — the
-// next identical request starts a fresh run. Always releases the admission
-// slot and retires the flight from the status registry.
+// run executes one estimation flight on the generation's plan for its mask:
+// panic-safe, cancellable, publishing into the generation's cache on
+// success. A partial result (the run was interrupted and degraded) is handed
+// to its waiters but never cached — the next identical request starts a
+// fresh run. Always releases the admission slot, before waking the waiters
+// (one of them may want a slot next: a top-k's verification), and retires
+// the flight from the status registry.
 func (s *Server) run(fctx context.Context, gen *generation, key string, f *flight, opts core.Options) {
 	defer s.runWG.Done()
-	defer func() { <-s.sem }()
 	defer f.cancel()
 	res, err := func() (res *core.Result, err error) {
 		defer func() {
@@ -221,15 +325,23 @@ func (s *Server) run(fctx context.Context, gen *generation, key string, f *fligh
 		if err := fault.Checkpoint(fctx, "server.estimate"); err != nil {
 			return nil, err
 		}
-		return core.EstimateContext(fctx, gen.g, opts)
+		plan, built, err := s.planFor(fctx, gen, opts.Techniques)
+		if err != nil {
+			return nil, err
+		}
+		if res, err = plan.Estimate(fctx, opts); err == nil && built {
+			res.Stats.Preprocess += plan.BuildTime()
+		}
+		return res, err
 	}()
+	<-s.sem
 	gen.mu.Lock()
 	f.res, f.err = res, err
 	if gen.flights[key] == f {
 		delete(gen.flights, key)
 	}
 	if err == nil && res != nil && !res.Partial {
-		gen.cache[key] = res
+		gen.storeResult(key, res)
 		s.recordRunDuration(time.Since(f.started))
 	}
 	gen.mu.Unlock()

@@ -333,14 +333,17 @@ type runStatus struct {
 }
 
 type statusBody struct {
-	Ready           bool        `json:"ready"`
-	Generation      uint64      `json:"generation"`
-	Nodes           int         `json:"nodes"`
-	Edges           int         `json:"edges"`
-	Inflight        []runStatus `json:"inflight"`
-	CacheEntries    int         `json:"cacheEntries"`
-	MedianRunMillis int64       `json:"medianRunMillis"`
-	RetryAfter      int         `json:"retryAfter"`
+	Ready        bool        `json:"ready"`
+	Generation   uint64      `json:"generation"`
+	Nodes        int         `json:"nodes"`
+	Edges        int         `json:"edges"`
+	Inflight     []runStatus `json:"inflight"`
+	CacheEntries int         `json:"cacheEntries"`
+	// Plans lists the technique masks (e.g. "BRICS") whose plan the current
+	// generation has built; an edge mutation starts a generation with none.
+	Plans           []string `json:"plans"`
+	MedianRunMillis int64    `json:"medianRunMillis"`
+	RetryAfter      int      `json:"retryAfter"`
 }
 
 // statusSnapshot assembles the server's live state; handleStatus serves it
@@ -357,6 +360,7 @@ func (s *Server) statusSnapshot() statusBody {
 		Edges:           gen.g.NumEdges(),
 		Inflight:        []runStatus{},
 		CacheEntries:    cached,
+		Plans:           gen.preparedPlans(),
 		MedianRunMillis: s.medianRunDuration().Milliseconds(),
 		RetryAfter:      s.retryAfter(),
 	}
@@ -376,7 +380,7 @@ func (s *Server) statusSnapshot() statusBody {
 
 // handleStatus reports the server's live state: current generation id, graph
 // size, every in-flight estimation run with its progress fraction, the cache
-// population, and the Retry-After hint a shed request would receive now.
+// population, the prepared plans, and the Retry-After hint a shed request would receive now.
 // Like /healthz it never blocks behind an estimation.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -538,7 +542,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	res, err := s.estimate(ctx, key, opts, degrade)
+	res, err := s.estimate(ctx, s.gen.Load(), key, opts, degrade)
 	if err != nil {
 		s.writeEstimateErr(w, err)
 		return
@@ -591,7 +595,7 @@ func (s *Server) handleFarness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	res, err := s.estimate(ctx, key, opts, degrade)
+	res, err := s.estimate(ctx, s.gen.Load(), key, opts, degrade)
 	if err != nil {
 		s.writeEstimateErr(w, err)
 		return
@@ -649,7 +653,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	_, opts, err := s.resolve(p)
+	key, opts, err := s.resolve(p)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -659,15 +663,26 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// ?sketch=1 enables the cluster-sketch candidate filter: proven farness
+	// lower bounds skip verification traversals without changing the result.
+	useSketch := false
+	if v := q.Get("sketch"); v != "" {
+		if useSketch, err = strconv.ParseBool(v); err != nil {
+			writeErr(w, http.StatusBadRequest, "bad sketch %q (want a boolean)", v)
+			return
+		}
+	}
 	ctx, cancel, err := s.requestCtx(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer cancel()
-	// A degrading top-k run races its soft deadline, not the hard one: the
-	// anytime search then degrades to the best-so-far ranking with time to
-	// spare for the response, instead of dying at the hard deadline empty.
+	// A degrading verification races its soft deadline, not the hard one:
+	// the anytime search then degrades to the best-so-far ranking with time
+	// to spare for the response, instead of dying at the hard deadline
+	// empty. The candidate estimate keeps ctx, whose soft deadline its wait
+	// applies itself.
 	runCtx := ctx
 	if degrade {
 		opts.Anytime = true
@@ -679,8 +694,24 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// Top-k runs bypass the estimate cache but still count against the
-	// admission bound: take a slot or shed the request.
+	// The verification below needs an admission slot: shed now, before any
+	// estimate, when none is free.
+	select {
+	case s.sem <- struct{}{}:
+		<-s.sem
+	default:
+		s.writeEstimateErr(w, errBusy)
+		return
+	}
+	// The candidate estimate is /v1/estimate's, with the same key, cache,
+	// flight and degrade policy. No slot is held while waiting for it: the
+	// flight's leader takes its own.
+	gen := s.gen.Load()
+	est, err := s.estimate(ctx, gen, key, opts, degrade)
+	if err != nil {
+		s.writeEstimateErr(w, err)
+		return
+	}
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -688,19 +719,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeEstimateErr(w, errBusy)
 		return
 	}
-	gen := s.gen.Load()
-	topts := topk.Options{Estimate: opts}
-	// ?sketch=1 enables the cluster-sketch candidate filter: proven farness
-	// lower bounds skip verification traversals without changing the result.
-	if v := q.Get("sketch"); v != "" {
-		use, err := strconv.ParseBool(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad sketch %q (want a boolean)", v)
-			return
-		}
-		if use {
-			topts.Sketch = s.sketchFor(gen)
-		}
+	topts := topk.Options{Estimate: opts, Candidates: est}
+	if useSketch {
+		topts.Sketch = s.sketchFor(gen)
 	}
 	res, err := topk.ClosenessContext(runCtx, gen.g, k, topts)
 	if err != nil {

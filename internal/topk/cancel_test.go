@@ -20,12 +20,26 @@ func TestClosenessContextMatchesCloseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Nodes) != len(got.Nodes) {
-		t.Fatalf("lengths differ: %d vs %d", len(want.Nodes), len(got.Nodes))
+	// A caller's own estimate with the same options, passed as the
+	// candidates, ranks exactly as the search's own run.
+	est, err := core.Estimate(g, opts.Estimate)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want.Nodes {
-		if want.Nodes[i] != got.Nodes[i] || want.Farness[i] != got.Farness[i] {
-			t.Fatalf("entry %d differs: (%d, %v) vs (%d, %v)", i, want.Nodes[i], want.Farness[i], got.Nodes[i], got.Farness[i])
+	withOpts := opts
+	withOpts.Candidates = est
+	with, err := ClosenessContext(context.Background(), g, 10, withOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*Result{got, with} {
+		if len(want.Nodes) != len(got.Nodes) || want.Verified != got.Verified {
+			t.Fatalf("lengths or verifications differ: %d/%d vs %d/%d", len(want.Nodes), want.Verified, len(got.Nodes), got.Verified)
+		}
+		for i := range want.Nodes {
+			if want.Nodes[i] != got.Nodes[i] || want.Farness[i] != got.Farness[i] {
+				t.Fatalf("entry %d differs: (%d, %v) vs (%d, %v)", i, want.Nodes[i], want.Farness[i], got.Nodes[i], got.Farness[i])
+			}
 		}
 	}
 }

@@ -27,8 +27,18 @@ import (
 
 // Options configures the search.
 type Options struct {
-	// Estimate configures the underlying BRICS estimation run.
+	// Estimate configures the underlying BRICS estimation run. With
+	// Candidates set no run is made, but Estimate.Workers still sizes the
+	// sketch filter and Estimate.Anytime still selects degradation on a
+	// canceled verification.
 	Estimate core.Options
+	// Candidates, when non-nil, is the estimate of g that orders the
+	// candidates in place of a run of its own: a caller holding an estimate
+	// with the same options (a server's cached result) passes it here and
+	// skips the whole estimation. It must cover every node of g. A Partial
+	// estimate makes the result Partial, as a partial run of its own would.
+	// The search never modifies it.
+	Candidates *core.Result
 	// Margin is the assumed maximum relative underestimation of the
 	// estimator: verification stops once kthBest ≤ nextEstimate/(1+Margin).
 	// The result is provably exact if every estimate e(v) satisfies
@@ -78,7 +88,8 @@ func Closeness(g *graph.Graph, k int, opts Options) (*Result, error) {
 }
 
 // ClosenessContext is Closeness with cooperative cancellation: the
-// underlying estimation run checks ctx at its stage boundaries, and the
+// underlying estimation run (unless Options.Candidates supplies the
+// estimate) checks ctx at its stage boundaries, and the
 // verification phase checks it before (and inside) every exact traversal. A
 // canceled run returns a core.ErrCanceled-wrapping error.
 func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) (*Result, error) {
@@ -92,9 +103,14 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	if opts.Margin <= 0 {
 		opts.Margin = 0.15
 	}
-	est, err := core.EstimateContext(ctx, g, opts.Estimate)
-	if err != nil {
-		return nil, err
+	est := opts.Candidates
+	if est == nil {
+		var err error
+		if est, err = core.EstimateContext(ctx, g, opts.Estimate); err != nil {
+			return nil, err
+		}
+	} else if len(est.Farness) != n || len(est.Exact) != n {
+		return nil, fmt.Errorf("topk: candidate estimate covers %d nodes, graph has %d", len(est.Farness), n)
 	}
 	estPartial := est.Partial
 

@@ -99,6 +99,10 @@ func TestClosenessArgumentChecks(t *testing.T) {
 	if len(res.Nodes) != g.NumNodes() {
 		t.Errorf("k>n should clamp to n: %d vs %d", len(res.Nodes), g.NumNodes())
 	}
+	short := &core.Result{Farness: make([]float64, 3), Exact: make([]bool, 3)}
+	if _, err := Closeness(g, 5, Options{Candidates: short}); err == nil {
+		t.Error("a candidate estimate that does not cover the graph should error")
+	}
 }
 
 // Property: with a generous margin, the k-th farness value returned always
