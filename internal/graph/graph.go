@@ -16,7 +16,10 @@
 // local checks rely on.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NodeID identifies a node. IDs are dense: a graph with n nodes uses IDs
 // 0..n-1.
@@ -60,17 +63,8 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	nbrs := g.Neighbors(u)
-	lo, hi := 0, len(nbrs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nbrs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(nbrs) && nbrs[lo] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // CSR exposes the raw offsets and adjacency arrays. The hot traversal
@@ -144,6 +138,50 @@ func (g *Graph) Clone() *Graph {
 	}
 	copy(c.offsets, g.offsets)
 	copy(c.adj, g.adj)
+	return c
+}
+
+// WithEdge returns a copy of g with the edge {u, v} added. The copy is one
+// O(n+m) pass that splices the two new entries into their sorted positions,
+// so no adjacency list is re-sorted. u and v must be distinct in-range nodes
+// that are not adjacent in g.
+func (g *Graph) WithEdge(u, v NodeID) *Graph { return g.editEdge(u, v, 1) }
+
+// WithoutEdge returns a copy of g with the edge {u, v} removed, in one
+// O(n+m) pass like WithEdge. The edge must be present in g.
+func (g *Graph) WithoutEdge(u, v NodeID) *Graph { return g.editEdge(u, v, -1) }
+
+// editEdge copies g with {u, v} inserted (delta 1) or deleted (delta -1).
+// With a < b, b's slot in a's list comes before a's slot in b's list, so the
+// new adjacency is the old one in three runs around those two slots, and
+// the offsets after a shift by delta and those after b by 2·delta.
+func (g *Graph) editEdge(u, v NodeID, delta int) *Graph {
+	a, b := min(u, v), max(u, v)
+	ia, _ := slices.BinarySearch(g.Neighbors(a), b)
+	ib, _ := slices.BinarySearch(g.Neighbors(b), a)
+	pa, pb := g.offsets[a]+int64(ia), g.offsets[b]+int64(ib)
+	c := &Graph{
+		offsets: make([]int64, len(g.offsets)),
+		adj:     make([]NodeID, len(g.adj)+2*delta),
+	}
+	copy(c.offsets, g.offsets[:a+1])
+	for x := int(a) + 1; x < len(g.offsets); x++ {
+		shift := int64(delta)
+		if x > int(b) {
+			shift *= 2
+		}
+		c.offsets[x] = g.offsets[x] + shift
+	}
+	copy(c.adj, g.adj[:pa])
+	if delta > 0 {
+		c.adj[pa] = b
+		copy(c.adj[pa+1:], g.adj[pa:pb])
+		c.adj[pb+1] = a
+		copy(c.adj[pb+2:], g.adj[pb:])
+	} else {
+		copy(c.adj[pa:], g.adj[pa+1:pb])
+		copy(c.adj[pb-1:], g.adj[pb+1:])
+	}
 	return c
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -303,6 +304,44 @@ func TestSubgraphInducedProperty(t *testing.T) {
 		return ok && sub.NumEdges() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: WithEdge and WithoutEdge produce, array for array, the graph the
+// Builder makes from the edited edge set, over random sequences of inserts
+// and deletions.
+func TestWithEdgeWithoutEdgeMatchBuilder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(30) + 2
+		edges := map[[2]NodeID]bool{}
+		g := FromEdges(n, nil)
+		for step := 0; step < 60; step++ {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			key := [2]NodeID{min(u, v), max(u, v)}
+			if edges[key] {
+				g = g.WithoutEdge(u, v)
+				delete(edges, key)
+			} else {
+				g = g.WithEdge(u, v)
+				edges[key] = true
+			}
+			var list [][2]NodeID
+			for e := range edges {
+				list = append(list, e)
+			}
+			want := FromEdges(n, list)
+			if g.Validate() != nil || !slices.Equal(g.offsets, want.offsets) || !slices.Equal(g.adj, want.adj) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

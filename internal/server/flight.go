@@ -329,6 +329,7 @@ func (s *Server) run(fctx context.Context, gen *generation, key string, f *fligh
 		if err != nil {
 			return nil, err
 		}
+		s.estimateRuns.Add(1)
 		if res, err = plan.Estimate(fctx, opts); err == nil && built {
 			res.Stats.Preprocess += plan.BuildTime()
 		}

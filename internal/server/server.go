@@ -1,7 +1,7 @@
 // Package server exposes the BRICS estimators as a JSON-over-HTTP service
 // (see cmd/bricsd). The server owns one graph; estimation runs are cached
-// per option set and invalidated by dynamic edge updates, which are applied
-// through the exact incremental index.
+// per option set and invalidated by edge updates, each of which installs an
+// edited copy of the graph as a new generation.
 //
 // Endpoints:
 //
@@ -12,8 +12,8 @@
 //	GET    /v1/farness/{node}?...             one node's estimate (same query params)
 //	GET    /v1/topk?k=10&sketch=1&...         verified top-k (exact values)
 //	GET    /v1/distance?from=1&to=2&mode=auto point-to-point distance
-//	POST   /v1/edges                          {"u":1,"v":2} insert (exact dynamic update)
-//	DELETE /v1/edges?u=1&v=2                  remove an edge
+//	POST   /v1/edges                          {"u":1,"v":2} insert an edge
+//	DELETE /v1/edges?u=1&v=2                  remove an edge (refused if it disconnects)
 //
 // Robustness model. Reads (health, graph, distance, cached estimates) load
 // an immutable graph generation with one atomic pointer read and never wait
@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/sketch"
@@ -92,8 +91,8 @@ type Config struct {
 	// The registry sets it for artifacts whose FlagConnected records that
 	// the converter already verified connectivity — the check would fault in
 	// every page of an mmap-loaded graph and defeat the lazy load. A lying
-	// flag surfaces as an error on the first edge mutation (the dynamic
-	// index re-checks when it is built).
+	// flag surfaces as a refused (400) first edge mutation, which runs the
+	// check once before it edits the graph.
 	AssumeConnected bool
 }
 
@@ -119,16 +118,11 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP handler. Create with New or NewWithConfig; it is safe
 // for concurrent use.
 type Server struct {
-	gen  atomic.Pointer[generation] // current graph snapshot + caches; lock-free reads
-	ixMu sync.Mutex                 // serialises edge mutations on ix
-	// ix is the exact incremental farness index. It is built lazily, on the
-	// first edge mutation: construction costs one BFS per node, which would
-	// dominate time-to-first-query — and fault in every page of an
-	// mmap-loaded graph — on the overwhelmingly common mutation-free path.
-	// The index copies the adjacency into its own maps, so once it exists,
-	// mutations never write through to the (possibly mapped, read-only)
-	// initial graph. Guarded by ixMu.
-	ix *dynamic.Index
+	gen   atomic.Pointer[generation] // current graph snapshot + caches; lock-free reads
+	mutMu sync.Mutex                 // serialises edge mutations
+	// connected: the graph is known connected, by the constructor's check or,
+	// under Config.AssumeConnected, by the first mutation's. Guarded by mutMu.
+	connected bool
 
 	cfg        Config
 	sem        chan struct{}   // admission slots for estimation runs
@@ -137,7 +131,8 @@ type Server struct {
 	ready      atomic.Bool
 	mux        *http.ServeMux
 
-	genSeq atomic.Uint64 // generation id source; bumped per edge mutation
+	genSeq       atomic.Uint64 // generation id source; bumped per edge mutation
+	estimateRuns atomic.Uint64 // estimate runs started, across generations; for /v1/status
 
 	// runs is the status registry: every live estimation flight, across all
 	// generations, for /v1/status and the progress-based Retry-After hint.
@@ -166,7 +161,8 @@ func New(g *graph.Graph, workers int) (*Server, error) {
 
 // NewWithConfig builds a server over a connected graph. The graph is served
 // as-is — it may be a read-only CSR view over mapped memory (bincsr.Mapped);
-// the first edge mutation copies it into the dynamic index's own storage.
+// an edge mutation never writes to it but copies it, edited, into the next
+// generation's own arrays.
 func NewWithConfig(g *graph.Graph, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if !cfg.AssumeConnected && !graph.IsConnected(g) {
@@ -180,6 +176,7 @@ func NewWithConfig(g *graph.Graph, cfg Config) (*Server, error) {
 		baseCancel: baseCancel,
 		mux:        http.NewServeMux(),
 		runs:       make(map[*flight]struct{}),
+		connected:  !cfg.AssumeConnected,
 	}
 	s.genSeq.Store(1)
 	s.gen.Store(newGeneration(g, 1))
@@ -339,6 +336,9 @@ type statusBody struct {
 	Edges        int         `json:"edges"`
 	Inflight     []runStatus `json:"inflight"`
 	CacheEntries int         `json:"cacheEntries"`
+	// EstimateRuns counts the estimate runs started across generations;
+	// unlike CacheEntries, which the bounded cache clears, it never falls.
+	EstimateRuns uint64 `json:"estimateRuns"`
 	// Plans lists the technique masks (e.g. "BRICS") whose plan the current
 	// generation has built; an edge mutation starts a generation with none.
 	Plans           []string `json:"plans"`
@@ -360,6 +360,7 @@ func (s *Server) statusSnapshot() statusBody {
 		Edges:           gen.g.NumEdges(),
 		Inflight:        []runStatus{},
 		CacheEntries:    cached,
+		EstimateRuns:    s.estimateRuns.Load(),
 		Plans:           gen.preparedPlans(),
 		MedianRunMillis: s.medianRunDuration().Milliseconds(),
 		RetryAfter:      s.retryAfter(),
@@ -526,28 +527,38 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
+	if res := s.serveEstimate(w, r, p); res != nil {
+		writeJSON(w, http.StatusOK, estimateBodyOf(res))
+	}
+}
+
+// serveEstimate answers the estimate that /v1/estimate and /v1/farness
+// share: it validates p, ?degrade= and ?timeout=, then waits for the
+// generation's cached, joined or fresh result. On failure it writes the
+// error response and returns nil.
+func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, p estimateParams) *core.Result {
 	key, opts, err := s.resolve(p)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	degrade, err := s.degradeOf(r.URL.Query())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	ctx, cancel, err := s.requestCtx(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	defer cancel()
 	res, err := s.estimate(ctx, s.gen.Load(), key, opts, degrade)
 	if err != nil {
 		s.writeEstimateErr(w, err)
-		return
+		return nil
 	}
-	writeJSON(w, http.StatusOK, estimateBodyOf(res))
+	return res
 }
 
 type farnessBody struct {
@@ -579,25 +590,8 @@ func (s *Server) handleFarness(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, opts, err := s.resolve(p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	degrade, err := s.degradeOf(r.URL.Query())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	res, err := s.estimate(ctx, s.gen.Load(), key, opts, degrade)
-	if err != nil {
-		s.writeEstimateErr(w, err)
+	res := s.serveEstimate(w, r, p)
+	if res == nil {
 		return
 	}
 	if id < 0 || int(id) >= len(res.Farness) {
@@ -745,60 +739,70 @@ type edgeResult struct {
 	Edges    int `json:"edges"`
 }
 
-// ensureIndex builds the dynamic farness index on first use, under ixMu.
-// This is where a mutation-bound server pays the one-BFS-per-node setup the
-// constructor deferred — and where a graph falsely flagged connected
-// (Config.AssumeConnected) is finally caught.
-func (s *Server) ensureIndex() error {
-	if s.ix != nil {
-		return nil
+// mutate inserts (add) or removes the edge {u, v} and installs a fresh
+// generation over the edited copy: no plans, empty cache, next id. A self
+// loop or an existing edge is a no-op that still installs one. Runs on the
+// old generation finish there harmlessly. The fault checkpoint lets the
+// chaos suite refuse a mutation mid-swap. Affected counts the nodes whose
+// farness the update can change, by the filter of internal/dynamic:
+// |d(x,u) − d(x,v)| ≥ 2 before an insertion, ≥ 1 before a removal.
+func (s *Server) mutate(u, v graph.NodeID, add bool) (edgeResult, error) {
+	s.mutMu.Lock()
+	defer s.mutMu.Unlock()
+	g := s.gen.Load().g
+	if err := fault.Inject(context.Background(), "server.mutate"); err != nil {
+		return edgeResult{}, err
 	}
-	ix, err := dynamic.New(s.gen.Load().g, s.cfg.Workers)
-	if err != nil {
-		return err
+	if !s.connected {
+		if !graph.IsConnected(g) {
+			return edgeResult{}, fmt.Errorf("dynamic: graph must be connected")
+		}
+		s.connected = true
 	}
-	s.ix = ix
-	return nil
+	if n := graph.NodeID(g.NumNodes()); u < 0 || v < 0 || u >= n || v >= n {
+		return edgeResult{}, fmt.Errorf("dynamic: edge {%d,%d} out of range", u, v)
+	}
+	next, affected := g, 0
+	switch {
+	case add && u != v && !g.HasEdge(u, v):
+		affected = affectedCount(g, u, v, 2)
+		next = g.WithEdge(u, v)
+	case add:
+	case !g.HasEdge(u, v):
+		return edgeResult{}, fmt.Errorf("dynamic: edge {%d,%d} not present", u, v)
+	default:
+		if next = g.WithoutEdge(u, v); bfs.PointToPoint(next, u, v) == bfs.Unreached {
+			return edgeResult{}, fmt.Errorf("dynamic: removing {%d,%d} would disconnect the graph", u, v)
+		}
+		affected = affectedCount(g, u, v, 1)
+	}
+	s.gen.Store(newGeneration(next, s.genSeq.Add(1)))
+	return edgeResult{Affected: affected, Edges: next.NumEdges()}, nil
 }
 
-// mutate applies one edge update under the mutation lock and, on success,
-// installs a fresh generation: new snapshot, empty cache, no flights, next
-// id. Runs still computing against the old generation finish (and cache)
-// there harmlessly — new requests only ever see the new generation. The
-// fault checkpoint lets the chaos suite stall or crash a mutation mid-swap.
-func (s *Server) mutate(apply func() error) (affected, edges int, err error) {
-	s.ixMu.Lock()
-	defer s.ixMu.Unlock()
-	if err := fault.Inject(context.Background(), "server.mutate"); err != nil {
-		return 0, s.gen.Load().g.NumEdges(), err
+// affectedCount counts the nodes x of g with |d(x,u) − d(x,v)| ≥ threshold,
+// from one BFS row per endpoint.
+func affectedCount(g *graph.Graph, u, v graph.NodeID, threshold int32) int {
+	du, dv := make([]int32, g.NumNodes()), make([]int32, g.NumNodes())
+	bfs.Distances(g, u, du, nil)
+	bfs.Distances(g, v, dv, nil)
+	count := 0
+	for x := range du {
+		if d := du[x] - dv[x]; d >= threshold || -d >= threshold {
+			count++
+		}
 	}
-	if err := s.ensureIndex(); err != nil {
-		return 0, s.gen.Load().g.NumEdges(), err
-	}
-	err = apply()
-	affected = s.ix.UpdatedLast
-	if err != nil {
-		return affected, s.gen.Load().g.NumEdges(), err
-	}
-	g := s.ix.Snapshot()
-	s.gen.Store(newGeneration(g, s.genSeq.Add(1)))
-	return affected, g.NumEdges(), nil
+	return count
 }
 
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
+	var e edgeBody
 	switch r.Method {
 	case http.MethodPost:
-		var e edgeBody
 		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad body: %v", err)
 			return
 		}
-		affected, edges, err := s.mutate(func() error { return s.ix.AddEdge(e.U, e.V) })
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, edgeResult{Affected: affected, Edges: edges})
 	case http.MethodDelete:
 		q := r.URL.Query()
 		u, err1 := strconv.ParseInt(q.Get("u"), 10, 32)
@@ -807,17 +811,17 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "u and v query params required")
 			return
 		}
-		affected, edges, err := s.mutate(func() error {
-			return s.ix.RemoveEdge(graph.NodeID(u), graph.NodeID(v))
-		})
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, edgeResult{Affected: affected, Edges: edges})
+		e = edgeBody{U: graph.NodeID(u), V: graph.NodeID(v)}
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "POST or DELETE")
+		return
 	}
+	res, err := s.mutate(e.U, e.V, r.Method == http.MethodPost)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 type distanceBody struct {
@@ -924,33 +928,14 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	var val distVal
-	switch mode {
-	case distSketch:
-		if lo, hi, ok := s.sketchFor(gen).Bounds(u, v); ok {
+	if mode != distExact {
+		if lo, hi, ok := s.sketchFor(gen).Bounds(u, v); ok && (mode == distSketch || hi-lo <= tol) {
 			val = distVal{d: hi, lo: lo, hi: hi, method: "sketch"}
-		} else {
-			// The sketch cannot bound the pair (different components):
-			// answer exactly rather than failing the request.
-			d, err := bfs.PointToPointCtx(ctx, g, u, v)
-			if err != nil {
-				s.writeEstimateErr(w, err)
-				return
-			}
-			val = distVal{d: d, method: "exact"}
 		}
-	case distAuto:
-		sk := s.sketchFor(gen)
-		if lo, hi, ok := sk.Bounds(u, v); ok && hi-lo <= tol {
-			val = distVal{d: hi, lo: lo, hi: hi, method: "sketch"}
-		} else {
-			d, err := bfs.PointToPointCtx(ctx, g, u, v)
-			if err != nil {
-				s.writeEstimateErr(w, err)
-				return
-			}
-			val = distVal{d: d, method: "exact"}
-		}
-	default:
+	}
+	if val.method == "" {
+		// Exact mode, an auto gap above tol, or a pair the sketch cannot
+		// bound (different components): answer exactly rather than fail.
 		d, err := bfs.PointToPointCtx(ctx, g, u, v)
 		if err != nil {
 			s.writeEstimateErr(w, err)

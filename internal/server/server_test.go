@@ -130,8 +130,7 @@ func TestEdgeMutationInvalidatesCache(t *testing.T) {
 	var before farnessBody
 	getJSON(t, ts.URL+"/v1/farness/0?fraction=0.5&techniques=C", &before)
 
-	// Find two distant nodes to connect. (The dynamic index is built lazily
-	// on first mutation, so read the graph off the current generation.)
+	// Find two distant nodes to connect, on the current generation's graph.
 	g := s.gen.Load().g
 	u, v := graph.NodeID(0), graph.NodeID(-1)
 	for cand := g.NumNodes() - 1; cand > 0; cand-- {
