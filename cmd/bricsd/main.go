@@ -64,7 +64,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request estimation deadline (override per request with ?timeout=)")
 		maxTimeout = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested ?timeout= deadlines")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown grace period for in-flight requests")
-		softMargin = flag.Duration("soft-margin", 500*time.Millisecond, "answer degraded requests this long before their hard deadline, from the freshest progress snapshot")
+		softMargin = flag.Duration("soft-margin", 500*time.Millisecond, "answer degraded requests this long before their hard deadline, from a snapshot of the completed traversals")
 		degrade    = flag.Bool("degrade", false, "serve partial results on deadline by default (per-request override with ?degrade=accept|reject)")
 	)
 	flag.Parse()

@@ -14,8 +14,9 @@
 package bicc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -127,14 +128,14 @@ func assemble(n int, blocks [][]Edge, workers int) *Decomposition {
 				blk[i].U, blk[i].V = blk[i].V, blk[i].U
 			}
 		}
-		sort.Slice(blk, func(i, j int) bool {
-			return blk[i].U < blk[j].U || (blk[i].U == blk[j].U && blk[i].V < blk[j].V)
+		slices.SortFunc(blk, func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 		})
 		nodes := make([]graph.NodeID, 0, len(blk)+1)
 		for _, e := range blk {
 			nodes = append(nodes, e.U, e.V)
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 		out := nodes[:1]
 		for _, v := range nodes[1:] {
 			if v != out[len(out)-1] {
@@ -147,12 +148,9 @@ func assemble(n int, blocks [][]Edge, workers int) *Decomposition {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := nodeLists[order[i]], nodeLists[order[j]]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		return a[1] < b[1]
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := nodeLists[i], nodeLists[j]
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	d.BlockEdges = make([][]Edge, nb)
 	d.BlockNodes = make([][]graph.NodeID, nb)

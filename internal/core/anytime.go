@@ -1,9 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,18 +12,20 @@ import (
 )
 
 // Progress tracks a running estimation's sampling progress and, when the run
-// is anytime (Options.Anytime), holds the most recently published partial
-// snapshot. A Progress may be polled concurrently with the run it observes;
-// all methods are safe for concurrent use. The zero value is ready to use.
+// is an anytime global-estimator run (Options.Anytime), builds partial
+// snapshots of it on demand. A Progress may be polled concurrently with the
+// run it observes; all methods are safe for concurrent use. The zero value
+// is ready to use.
 type Progress struct {
 	planned   atomic.Int64
 	completed atomic.Int64
-	snap      atomic.Pointer[Result]
+	assemble  atomic.Pointer[func() *Result]
 
 	// OnAdvance, when non-nil, is called after every completed source with
 	// the new completed count and the planned total. It must be set before
 	// the run starts and must be fast and non-blocking; it runs on worker
-	// goroutines. Tests use it to cancel a run at an exact progress point.
+	// goroutines, outside the run's locks, so it may take a Snapshot. Tests
+	// use it to cancel a run at an exact progress point.
 	OnAdvance func(completed, planned int64)
 }
 
@@ -46,71 +49,55 @@ func (p *Progress) Fraction() float64 {
 	return f
 }
 
-// Snapshot returns the most recently published partial result, or nil if the
-// run has not published one yet (too early, or the run is not anytime).
-// The returned Result is immutable — the run never mutates a published
-// snapshot — so callers may serve it directly.
-func (p *Progress) Snapshot() *Result { return p.snap.Load() }
+// Snapshot builds the partial result of the sources completed so far: the
+// same result the run would return if it were canceled at this point. It
+// returns nil when nothing has completed yet or the run offers no snapshot
+// (it is not anytime, or it is a cumulative run, whose partial exists only
+// once the run ends). Each call assembles a fresh Result, which the caller
+// owns; the run itself is not interrupted.
+func (p *Progress) Snapshot() *Result {
+	if f := p.assemble.Load(); f != nil {
+		return (*f)()
+	}
+	return nil
+}
 
 // anyState is the bookkeeping an anytime run threads through its traversal
-// fan-out. Consistency contract of a run that publishes snapshots (the
-// global estimator): workers hold mu.RLock for the whole accumulation of
-// one source's row (so shared accumulators only ever move between
-// snapshots by whole sources), and the snapshot assembler holds mu.Lock
-// while reading them. After the fan-out has returned (ForDynamicCtx and the
+// fan-out. Consistency contract of the global estimator, the only run that
+// offers snapshots: workers hold mu.RLock for the whole accumulation of one
+// source's row, its done mark and its count (so shared accumulators only
+// ever move between snapshots by whole sources, and Progress.Completed
+// never lags a snapshot), and the snapshot assembler holds mu.Lock while
+// copying them. After the fan-out has returned (ForDynamicCtx and the
 // traversal driver join their workers before returning an error), the
 // accumulators are quiescent and assembly needs no lock at all — but takes
-// it anyway for simplicity. The cumulative estimator publishes no snapshot
-// and reads its accumulators only after the join, so it takes no lock.
+// it anyway for simplicity. The cumulative estimator offers no snapshot and
+// reads its accumulators only after the join, so it takes no lock.
 type anyState struct {
 	mu      sync.RWMutex
-	n       int
 	planned int64
 	prog    *Progress // may be nil: anytime without an observer
 
 	completed atomic.Int64
-	lastPub   atomic.Int64
 
 	// doneSrc[original id] = this source's row has been fully accumulated.
 	// Written under mu.RLock; indices are distinct per source.
 	doneSrc []bool
-
-	// Up to maxLandmarks full extended distance rows (original ids) captured
-	// from the first completed sources; immutable once appended.
-	lmMu      sync.Mutex
-	landmarks [][]int32
-
-	// assemble builds a partial Result from the current accumulators (it
-	// takes mu.Lock itself). Set by the driver once its accumulators exist;
-	// nil disables snapshot publication.
-	assemble func() *Result
 }
 
 const maxLandmarks = 4
 
 func newAnyState(n int, planned int, prog *Progress) *anyState {
-	a := &anyState{n: n, planned: int64(planned), prog: prog, doneSrc: make([]bool, n)}
+	a := &anyState{planned: int64(planned), prog: prog, doneSrc: make([]bool, n)}
 	if prog != nil {
 		prog.planned.Store(int64(planned))
 	}
 	return a
 }
 
-// markDone records a completed source and, while landmark slots remain,
-// captures row(), its distance row over all original ids. Must be called
-// under mu.RLock.
-func (a *anyState) markDone(srcOrig graph.NodeID, row func() []int32) {
-	a.doneSrc[srcOrig] = true
-	a.lmMu.Lock()
-	if len(a.landmarks) < maxLandmarks {
-		a.landmarks = append(a.landmarks, row())
-	}
-	a.lmMu.Unlock()
-}
-
-// advance bumps the completed counter, notifies the observer, and publishes
-// a fresh snapshot when one is due. Must be called after mu.RUnlock.
-func (a *anyState) advance() {
+// complete counts one completed source in the run's and the observer's
+// counters and returns the new count.
+func (a *anyState) complete() int64 {
 	c := a.completed.Add(1)
 	if a.prog != nil {
 		// Workers get here out of order: publish c only if it is larger, so
@@ -118,53 +105,28 @@ func (a *anyState) advance() {
 		for old := a.prog.completed.Load(); c > old && !a.prog.completed.CompareAndSwap(old, c); {
 			old = a.prog.completed.Load()
 		}
-		if f := a.prog.OnAdvance; f != nil {
-			f(c, a.planned)
-		}
 	}
-	if a.prog == nil || a.assemble == nil || !a.publishDue(c) {
-		return
-	}
-	// Elect a single publisher per due point; losing the CAS means a more
-	// recent snapshot is already on its way.
-	last := a.lastPub.Load()
-	if c <= last || !a.lastPub.CompareAndSwap(last, c) {
-		return
-	}
-	if res := a.assemble(); res != nil {
-		a.prog.snap.Store(res)
+	return c
+}
+
+// advance hands a completed count to the observer's OnAdvance hook. Must be
+// called after mu.RUnlock: the hook may take a snapshot.
+func (a *anyState) advance(c int64) {
+	if a.prog != nil && a.prog.OnAdvance != nil {
+		a.prog.OnAdvance(c, a.planned)
 	}
 }
 
-// publishDue spaces snapshots: every power of two early on (so a soft
-// deadline landing moments into the run still finds something), then every
-// planned/8 completions.
-func (a *anyState) publishDue(c int64) bool {
-	if c&(c-1) == 0 {
-		return true
-	}
-	interval := a.planned / 8
-	if interval < 1 {
-		interval = 1
-	}
-	return c%interval == 0
-}
-
-// final assembles the end-of-run partial result after a canceled fan-out has
-// quiesced; nil when nothing completed.
-func (a *anyState) final() *Result {
-	if a.assemble == nil {
-		return nil
-	}
-	return a.assemble()
-}
-
-// landmarkRows returns the captured rows (the slice header is copied; the
-// rows themselves are immutable).
-func (a *anyState) landmarkRows() [][]int32 {
-	a.lmMu.Lock()
-	defer a.lmMu.Unlock()
-	return append([][]int32(nil), a.landmarks...)
+// landmarkRows runs a plain BFS on g from each of the first maxLandmarks
+// sources and returns their distance rows: the landmarks of partialBounds.
+// A canceled run still needs them for its partial, so they take no context.
+func landmarkRows(g *graph.Graph, sources []graph.NodeID, workers int) [][]int32 {
+	sources = sources[:min(len(sources), maxLandmarks)]
+	rows := make([][]int32, len(sources))
+	_ = plainRows(context.Background(), g, sources, workers, func(_, i int, dist []int32) {
+		rows[i] = append([]int32(nil), dist...)
+	})
+	return rows
 }
 
 // partialBounds computes proven per-vertex farness bounds from completed
@@ -174,15 +136,16 @@ func (a *anyState) landmarkRows() [][]int32 {
 //	farness(v) = Σ_{s done} d(v,s) + Σ_{w not done, w≠v} d(v,w)
 //
 // where the first term is exactly acc[v] (the run accumulated d(s,·) row by
-// whole rows). Each unknown term is bracketed through any completed landmark
-// row ℓ by the triangle inequality over the original graph:
+// whole rows). Each unknown term is bracketed through any landmark row ℓ
+// (a distance row of the original graph, see landmarkRows) by the triangle
+// inequality:
 //
 //	max(1, |dℓ(v) − dℓ(w)|)  ≤  d(v,w)  ≤  dℓ(v) + dℓ(w)
 //
 // (distinct vertices of a connected unweighted graph are at distance ≥ 1).
 // Summed over the not-done population U with sorting + prefix sums this is
 // O(n log n) per landmark; the bound takes the max (lower) / min (upper)
-// over all captured landmarks. For done vertices Low = High = exact farness.
+// over all landmarks. For done vertices Low = High = exact farness.
 // Degenerate calls (no landmarks) return (nil, nil).
 func partialBounds(n int, acc, exactFar []int64, done []bool, landmarks [][]int32) (low, high []float64) {
 	if len(landmarks) == 0 {
@@ -215,7 +178,7 @@ func partialBounds(n int, acc, exactFar []int64, done []bool, landmarks [][]int3
 		for i, v := range u {
 			vals[i] = int64(lmRow[v])
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		slices.Sort(vals)
 		for i, x := range vals {
 			prefix[i+1] = prefix[i] + x
 		}
@@ -224,8 +187,8 @@ func partialBounds(n int, acc, exactFar []int64, done []bool, landmarks [][]int3
 		for _, v := range u {
 			x := int64(lmRow[v])
 			// cLE values ≤ x with sum sumLE; cLT values < x.
-			cLE := sort.Search(len(u), func(k int) bool { return vals[k] > x })
-			cLT := sort.Search(len(u), func(k int) bool { return vals[k] >= x })
+			cLE, _ := slices.BinarySearch(vals, x+1)
+			cLT, _ := slices.BinarySearch(vals, x)
 			sumLE := prefix[cLE]
 			// T = Σ_{w∈U} |x − dℓ(w)|  (v's own term is 0).
 			t := x*int64(cLE) - sumLE + (sumU - sumLE) - x*(m-int64(cLE))
@@ -245,17 +208,11 @@ func partialBounds(n int, acc, exactFar []int64, done []bool, landmarks [][]int3
 	return low, high
 }
 
-// assemblePartial builds the partial Result of an interrupted sampling run:
-// exact farness for every source whose row completed, the (n−1)/k′-scaled
-// extrapolation clamped into the proven bounds for the rest. Returns nil
-// when nothing usable completed.
-func assemblePartial(n int, planned int, acc, exactFar []int64, done []bool, landmarks [][]int32) *Result {
-	k := 0
-	for _, d := range done {
-		if d {
-			k++
-		}
-	}
+// assemblePartial builds the partial Result of an interrupted sampling run
+// whose k done sources are marked in done: exact farness for every source
+// whose row completed, the (n−1)/k′-scaled extrapolation clamped into the
+// proven bounds for the rest. Returns nil when nothing usable completed.
+func assemblePartial(n, planned, k int, acc, exactFar []int64, done []bool, landmarks [][]int32) *Result {
 	if k == 0 || len(landmarks) == 0 {
 		return nil
 	}

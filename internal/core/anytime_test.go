@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -165,8 +166,12 @@ func TestAnytimeFullRunsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAnytimeSnapshots: a running global estimation publishes monotonically
-// fresher snapshots; each published snapshot is internally consistent.
+// TestAnytimeSnapshots: a running global estimation builds snapshots on
+// demand, and each is internally consistent. A snapshot taken at k completed
+// sources is the partial result the run returns when canceled there, field
+// for field, and snapshots polled from another goroutine during a
+// multi-worker run never run ahead of the progress counter and bracket the
+// exact farness.
 func TestAnytimeSnapshots(t *testing.T) {
 	g := gen.Community(500, 13)
 	prog := &Progress{}
@@ -193,6 +198,90 @@ func TestAnytimeSnapshots(t *testing.T) {
 	}
 	if len(final.Low) != g.NumNodes() {
 		t.Fatalf("snapshot bounds sized %d, want %d", len(final.Low), g.NumNodes())
+	}
+
+	// A snapshot at k completed sources equals the run's own partial when
+	// the run is canceled right there (one worker, one row per advance).
+	for _, tech := range []Technique{0, TechICR} {
+		for _, k := range []int64{1, 2, 3, 5, 8, 13} {
+			name := fmt.Sprintf("%v/k%d", tech, k)
+			ctx, cancel := context.WithCancel(context.Background())
+			prog := &Progress{}
+			var snap *Result
+			prog.OnAdvance = func(completed, _ int64) {
+				if completed == k {
+					snap = prog.Snapshot()
+					cancel()
+				}
+			}
+			opts := Options{Techniques: tech, SampleFraction: 0.4, Seed: 3, Workers: 1, Anytime: true, Progress: prog}
+			res, err := EstimateContext(ctx, g, opts)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s: want partial result, got %v", name, err)
+			}
+			if snap == nil {
+				t.Fatalf("%s: no snapshot at %d completed sources", name, k)
+			}
+			if !res.Partial || !snap.Partial || res.Completed != int(k) ||
+				snap.Completed != res.Completed || snap.Planned != res.Planned {
+				t.Fatalf("%s: snapshot partial=%v %d/%d, run partial=%v %d/%d", name,
+					snap.Partial, snap.Completed, snap.Planned, res.Partial, res.Completed, res.Planned)
+			}
+			for v := range res.Farness {
+				if snap.Farness[v] != res.Farness[v] || snap.Exact[v] != res.Exact[v] ||
+					snap.Low[v] != res.Low[v] || snap.High[v] != res.High[v] {
+					t.Fatalf("%s: vertex %d snapshot (%v %v [%v, %v]) != partial (%v %v [%v, %v])", name, v,
+						snap.Farness[v], snap.Exact[v], snap.Low[v], snap.High[v],
+						res.Farness[v], res.Exact[v], res.Low[v], res.High[v])
+				}
+			}
+		}
+	}
+
+	// Snapshots polled while a two-worker batched run proceeds: never ahead
+	// of Progress.Completed, and their bounds contain the exact farness.
+	pinEngine(t, batched, nil)
+	exact := ExactFarness(g, 2)
+	prog = &Progress{}
+	prog.OnAdvance = func(int64, int64) { time.Sleep(time.Millisecond) }
+	done := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		taken := 0
+		defer func() { polled <- taken }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s := prog.Snapshot()
+			if s == nil {
+				continue
+			}
+			taken++
+			if c := prog.Completed(); s.Completed <= 0 || int64(s.Completed) > c {
+				t.Errorf("snapshot counts %d completed sources, progress %d", s.Completed, c)
+				return
+			}
+			const eps = 1e-9
+			for v, x := range exact {
+				if s.Low[v] > x+eps || s.High[v] < x-eps {
+					t.Errorf("snapshot at %d: vertex %d exact %v outside [%v, %v]", s.Completed, v, x, s.Low[v], s.High[v])
+					return
+				}
+			}
+		}
+	}()
+	opts = Options{SampleFraction: 0.4, Seed: 3, Workers: 2, Anytime: true, Progress: prog}
+	_, err := EstimateContext(context.Background(), g, opts)
+	close(done)
+	if taken := <-polled; taken == 0 && !t.Failed() {
+		t.Fatal("the poller never saw a snapshot during the run")
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

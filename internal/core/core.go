@@ -116,9 +116,9 @@ type Options struct {
 	// the run still returns nil + ErrCanceled.
 	Anytime bool
 	// Progress, when non-nil, receives live planned/completed counts and —
-	// under Anytime — periodically published partial snapshots that a
-	// concurrent observer (e.g. a server hitting its soft deadline) can
-	// serve without interrupting the run.
+	// under Anytime, for the global estimator — builds on demand the partial
+	// snapshot that a concurrent observer (e.g. a server hitting its soft
+	// deadline) can serve without interrupting the run.
 	Progress *Progress
 }
 

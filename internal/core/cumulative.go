@@ -463,7 +463,7 @@ func (c *cumulative) accumulate(ws *cumSums, b int32, src graph.NodeID, dist []i
 		if srcAssigned {
 			c.any.doneSrc[srcOrig] = true
 		}
-		c.any.advance()
+		c.any.advance(c.any.complete())
 	}
 }
 
@@ -756,15 +756,11 @@ func (c *cumulative) landmarkEstimates() (val []float64, set []bool) {
 // false when no bound could be formed.
 func (c *cumulative) boundPartial(res *Result) bool {
 	n := c.n
-	cuts := c.tree.Cuts[:min(len(c.tree.Cuts), maxLandmarks)]
-	srcs := make([]graph.NodeID, len(cuts))
-	for i, v := range cuts {
+	srcs := make([]graph.NodeID, len(c.tree.Cuts))
+	for i, v := range c.tree.Cuts {
 		srcs[i] = c.red.ToOld[v]
 	}
-	lms := make([][]int32, len(srcs))
-	_ = plainRows(context.Background(), c.red.Orig, srcs, c.workers, func(_, i int, dist []int32) {
-		lms[i] = append([]int32(nil), dist...)
-	})
+	lms := landmarkRows(c.red.Orig, srcs, c.workers)
 	low, high := partialBounds(n, make([]int64, n), make([]int64, n), make([]bool, n), lms)
 	if low == nil {
 		return false

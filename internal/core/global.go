@@ -20,8 +20,9 @@ import (
 // per run from the sources' anchor rows.
 // Cancellation lands before the traversal fan-out ("core.traverse"), at
 // every row boundary inside it, within the kernels themselves, and before
-// aggregation ("core.aggregate"); on a non-nil error the partially filled
-// accumulators are discarded with the rest of the run.
+// aggregation ("core.aggregate"); on a non-nil error an anytime run
+// returns the partial result of its completed sources, any other run
+// discards its accumulators.
 func estimateGlobal(ctx context.Context, gp *globalPlan, opts *Options) (*Result, error) {
 	red := gp.red
 	n := red.Orig.NumNodes()
@@ -72,21 +73,41 @@ func estimateGlobal(ctx context.Context, gp *globalPlan, opts *Options) (*Result
 	start := time.Now()
 	run := newGlobalRun(gp, opts, samplesReduced, extraOrig, any)
 	samples, kEff := run.samples, len(run.samples)
-	if any != nil && opts.Anytime {
-		any.assemble = func() *Result {
-			any.mu.Lock()
-			accC, _, _, _ := run.fold()
-			exC := append([]int64(nil), run.exactFar...)
-			doneC := append([]bool(nil), any.doneSrc...)
-			any.mu.Unlock()
-			return assemblePartial(n, int(any.planned), accC, exC, doneC, any.landmarkRows())
+	// assemble builds the partial result of the sources completed so far,
+	// nil when none has. The landmarks are the first completed sources in
+	// draw order.
+	assemble := func() *Result {
+		any.mu.Lock()
+		k := int(any.completed.Load()) // the done sources: both move under mu.RLock
+		acc, _, _, _ := run.fold()
+		exactFar := append([]int64(nil), run.exactFar...)
+		done := append([]bool(nil), any.doneSrc...)
+		any.mu.Unlock()
+		var lms []graph.NodeID
+		for _, s := range samples {
+			if done[s] {
+				lms = append(lms, s)
+			}
 		}
+		return assemblePartial(n, int(any.planned), k, acc, exactFar, done, landmarkRows(red.Orig, lms, run.workers))
+	}
+	if opts.Anytime && opts.Progress != nil {
+		// A snapshot gets the closed-form propagation Plan.Estimate gives
+		// the run's own partial, so both answer alike at one completed count.
+		snapshot := func() *Result {
+			pr := assemble()
+			if pr != nil {
+				propagateExact(red, pr)
+			}
+			return pr
+		}
+		opts.Progress.assemble.Store(&snapshot)
 	}
 	// partialOr converts a canceled fan-out into the partial result when the
 	// run is anytime and at least one source completed.
 	partialOr := func(err error) (*Result, error) {
-		if any != nil && opts.Anytime && canceledErr(err) {
-			if pr := any.final(); pr != nil {
+		if opts.Anytime && canceledErr(err) {
+			if pr := assemble(); pr != nil {
 				pr.Stats.Traverse = time.Since(start)
 				return pr, nil
 			}
@@ -278,13 +299,7 @@ func (g *globalRun) reducedRow(ws *workerSums, srcR graph.NodeID, dist []int32) 
 	for _, x := range g.extraOrig {
 		toSamples += int64(cols[an.Col(x)])
 	}
-	g.bank(ws, srcOrig, own, toSamples, func() []int32 {
-		// A full original-id row, built only for an anytime landmark.
-		row := make([]int32, g.n)
-		g.red.Scatter(dist, row)
-		g.red.Extend(row)
-		return row
-	})
+	g.bank(ws, srcOrig, own, toSamples)
 }
 
 // augRow consumes an augmentation source's row, which already covers the
@@ -308,20 +323,21 @@ func (g *globalRun) augRow(ws *workerSums, row []int32, srcOrig graph.NodeID) {
 	for _, s := range g.samples {
 		toSamples += int64(row[s])
 	}
-	g.bank(ws, srcOrig, own, toSamples, func() []int32 { return append([]int32(nil), row...) })
+	g.bank(ws, srcOrig, own, toSamples)
 }
 
 // bank records a source's own farness and calibration sums and, for an
-// anytime run, marks it done (capturing a landmark row while slots remain),
-// releases the read lock and reports progress.
-func (g *globalRun) bank(ws *workerSums, srcOrig graph.NodeID, own, toSamples int64, row func() []int32) {
+// anytime run, marks it done and counts it, releases the read lock and
+// reports progress.
+func (g *globalRun) bank(ws *workerSums, srcOrig graph.NodeID, own, toSamples int64) {
 	g.exactFar[srcOrig] = own
 	ws.s2s += toSamples
 	ws.s2n += own - toSamples
 	if g.any != nil {
-		g.any.markDone(srcOrig, row)
+		g.any.doneSrc[srcOrig] = true
+		c := g.any.complete()
 		g.any.mu.RUnlock()
-		g.any.advance()
+		g.any.advance(c)
 	}
 }
 

@@ -138,9 +138,6 @@ func (p *Plan) Estimate(ctx context.Context, opts Options) (*Result, error) {
 	res.Stats.Blocks, res.Stats.BiCC = p.blocks, p.biccT
 
 	propagateExact(p.red, res)
-	// Propagation may rewrite a partial run's values (closed forms for
-	// twins/chains); restore the bound invariants afterwards.
-	res.finishPartial()
 	return res, nil
 }
 

@@ -20,7 +20,8 @@ import (
 // Parallel-chain interiors and redundant nodes have no such closed form
 // (their distances take a min over two+ anchors) and keep their sampled
 // estimates. Events are replayed in reverse removal order so an anchor that
-// was itself removed later already carries its final value.
+// was itself removed later already carries its final value. A partial
+// result then gets its bound invariants back (finishPartial).
 func propagateExact(red *reduce.Reduction, res *Result) {
 	n := int64(red.Orig.NumNodes())
 	// anchorNodes collects every node some event hangs structure off: twin
@@ -103,4 +104,5 @@ func propagateExact(red *reduce.Reduction, res *Result) {
 			}
 		}
 	}
+	res.finishPartial()
 }

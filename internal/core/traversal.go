@@ -278,7 +278,7 @@ func newTraversalScratch(maxN int, maxW int32, uses [2]bool, done <-chan struct{
 // parallel across sources, and hands row the i-th source's whole distance
 // row (valid only during the call). It serves the traversals that have no
 // reduced-graph unit: the global estimator's augmentation sources and the
-// landmark rows of a partial cumulative run.
+// landmark rows of a partial result (landmarkRows).
 func plainRows(ctx context.Context, g *graph.Graph, sources []graph.NodeID, workers int, row func(worker, i int, dist []int32)) error {
 	n := g.NumNodes()
 	dist := make([][]int32, min(par.Workers(workers), len(sources)))

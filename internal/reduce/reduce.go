@@ -485,6 +485,10 @@ func classifyIdentical(g *graph.Graph, cs []chains.Chain) []bool {
 // array, leaving removed entries untouched. Callers usually follow with
 // Extend. distOrig must be pre-filled with -1 (or stale values that Extend
 // and Scatter jointly overwrite — every kept and removed entry is written).
+// No estimator calls Scatter or Extend: the estimators sum rows over kept
+// nodes and give removed nodes their sums through Anchors. The pair stays
+// as the reference replay of Algorithms 2–3 that the tests check the
+// reduced graph and those sums against.
 func (r *Reduction) Scatter(distReduced, distOrig []int32) {
 	for newID, old := range r.ToOld {
 		distOrig[old] = distReduced[newID]
@@ -493,7 +497,7 @@ func (r *Reduction) Scatter(distReduced, distOrig []int32) {
 
 // Extend replays the removal log in reverse, filling distances for every
 // removed node. distOrig must already hold distances for all kept nodes
-// (see Scatter).
+// (see Scatter, which also says why this is a test reference only).
 func (r *Reduction) Extend(distOrig []int32) {
 	for i := len(r.Events) - 1; i >= 0; i-- {
 		r.Events[i].Extend(distOrig)

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // slowFlight intercepts the next estimation flight at its entry checkpoint,
@@ -60,7 +62,7 @@ func decodeEstimate(t *testing.T, w *httptest.ResponseRecorder) estimateBody {
 }
 
 // TestDegradeAcceptSoftDeadlineSnapshot: a degrade=accept request whose soft
-// deadline lands mid-run is answered from the freshest published snapshot —
+// deadline lands mid-run is answered from a snapshot of the run so far —
 // 200, partial, with proven mean bounds around the estimate.
 func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
@@ -87,17 +89,33 @@ func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 // TestDegradeAcceptHardDeadlinePartial: with no soft window (margin wider
 // than the deadline) the accepting waiter leaves at the hard deadline, the
 // cancel propagates, and the run's final partial result comes back within
-// the grace wait — still 200, still flagged.
+// the grace wait — still 200, still flagged. The cumulative input is the
+// case the grace wait exists for: a multi-block BRIC plan offers no
+// snapshot, so its partial exists only once the canceled run has ended. At
+// fraction 0.05 it plans 6 traversals, the 2 cut ones first; at 60ms each
+// the deadline lands after the cuts and well before the end.
 func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
-	s := newRobustServer(t, Config{Workers: 1}) // default SoftMargin 500ms > timeout
-	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=accept", `{"seed":510,"techniques":"RIC"}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
-	}
-	b := decodeEstimate(t, w)
-	if !b.Partial || b.Completed <= 0 || b.Completed >= b.Planned {
-		t.Fatalf("bad hard-deadline partial: %+v", b)
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		perSource time.Duration
+		timeout   string
+		body      string
+		minBlocks int
+	}{
+		{"global", gen.Community(400, 5), 10 * time.Millisecond, "200ms", `{"seed":510,"techniques":"RIC"}`, 0},
+		{"cumulative", gen.Web(400, 5), 60 * time.Millisecond, "220ms", `{"seed":510,"techniques":"BRIC","fraction":0.05}`, 2},
+	} {
+		s := newServerOn(t, tc.g, Config{Workers: 1}) // default SoftMargin 500ms > timeout
+		slowFlight(t, s, tc.perSource)
+		w := doJSON(s, http.MethodPost, "/v1/estimate?timeout="+tc.timeout+"&degrade=accept", tc.body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200; body %s", tc.name, w.Code, w.Body)
+		}
+		b := decodeEstimate(t, w)
+		if !b.Partial || b.Completed <= 0 || b.Completed >= b.Planned || b.Blocks < tc.minBlocks {
+			t.Fatalf("%s: bad hard-deadline partial: %+v", tc.name, b)
+		}
 	}
 }
 

@@ -33,8 +33,10 @@ type panicError struct{ val any }
 func (p *panicError) Error() string { return fmt.Sprintf("estimation run panicked: %v", p.val) }
 
 // degradeGrace is how long a degrading waiter lingers past its hard deadline
-// for the canceled run to assemble its final partial result — the assembly is
-// a copy plus O(n log n) bound math, not a traversal, so this stays small.
+// for the canceled run to assemble its final partial result. A cumulative
+// (multi-block BRIC) flight offers no snapshot, so this partial is the only
+// answer it can degrade to. The assembly is a copy, up to 4 landmark BFS on
+// the graph and O(n log n) bound math, so this stays small.
 const degradeGrace = 500 * time.Millisecond
 
 // generation is one immutable version of the served graph together with its
@@ -251,8 +253,8 @@ func (gen *generation) storeDist(key distKey, v distVal) {
 // when the last waiter walks away (client disconnects, deadlines expire) or
 // the server closes, so abandoned work stops burning CPU. Every flight runs
 // in anytime mode: prog carries live progress (surfaced by /v1/status and the
-// Retry-After hint) and periodic partial snapshots that degrading waiters can
-// take when their soft deadline lands.
+// Retry-After hint) and, for a global-estimator plan, builds the partial
+// snapshot a degrading waiter takes when its soft deadline lands.
 type flight struct {
 	done    chan struct{} // closed when res/err are set
 	res     *core.Result
@@ -359,10 +361,10 @@ func (s *Server) run(fctx context.Context, gen *generation, key string, f *fligh
 // Degraded-mode state machine (degrade=true):
 //
 //	waiting ──soft deadline, snapshot available──▶ serve snapshot (200 partial)
-//	waiting ──soft deadline, no snapshot yet─────▶ keep waiting to the hard deadline
+//	waiting ──soft deadline, no snapshot─────────▶ keep waiting to the hard deadline
 //	waiting ──hard deadline──▶ leave; if last waiter the cancel propagates and
 //	          the run's final partial is served after a short grace wait; else
-//	          the freshest snapshot; else 504
+//	          a snapshot built then; else 504
 //	waiting ──flight done────▶ exact result, or the run's own partial
 //
 // A degrade=false waiter skips the soft timer entirely and converts any
@@ -406,15 +408,15 @@ func (s *Server) wait(ctx context.Context, gen *generation, key string, f *fligh
 	case <-f.done:
 		return finish()
 	case <-soft:
-		// Soft deadline: serve the freshest published snapshot, leaving the
-		// run to any remaining waiters (or cancellation if we were the last —
-		// the snapshot is already assembled and immutable either way).
+		// Soft deadline: serve a snapshot of the sources completed so far,
+		// leaving the run to any remaining waiters (or cancellation if we
+		// were the last — the snapshot is this waiter's own copy either way).
 		if snap := f.prog.Snapshot(); snap != nil {
 			leave()
 			return snap, nil
 		}
-		// Nothing published yet; hold on until the run finishes or the hard
-		// deadline fires.
+		// Nothing completed yet, or a cumulative run; hold on until the run
+		// finishes or the hard deadline fires.
 		select {
 		case <-f.done:
 			return finish()
@@ -427,8 +429,8 @@ func (s *Server) wait(ctx context.Context, gen *generation, key string, f *fligh
 	if degrade {
 		if abandoned {
 			// Our cancel is propagating into the run; its final partial
-			// assembly is cheap, so linger briefly for a result strictly
-			// fresher than any snapshot.
+			// assembly is cheap, so linger briefly for it; a cumulative run
+			// has no other partial.
 			t := time.NewTimer(degradeGrace)
 			defer t.Stop()
 			select {

@@ -22,7 +22,13 @@ import (
 
 func newRobustServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	g := gen.Community(400, 5)
+	return newServerOn(t, gen.Community(400, 5), cfg)
+}
+
+// newServerOn serves g with cfg; the server closes and the fault hooks
+// clear when the test ends.
+func newServerOn(t *testing.T, g *graph.Graph, cfg Config) *Server {
+	t.Helper()
 	s, err := NewWithConfig(g, cfg)
 	if err != nil {
 		t.Fatal(err)

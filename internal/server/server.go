@@ -72,8 +72,9 @@ type Config struct {
 	MaxTimeout time.Duration
 	// SoftMargin is how far ahead of a request's hard deadline its soft
 	// deadline sits: a degrading (?degrade=accept) estimation request that is
-	// still waiting when the soft deadline lands answers with the run's
-	// freshest partial snapshot instead of riding into a timeout. Default
+	// still waiting when the soft deadline lands answers with a partial
+	// snapshot of the run's completed sources instead of riding into a
+	// timeout (global-estimator plans; a cumulative run has none). Default
 	// 500ms, clamped to at most half the request's deadline.
 	SoftMargin time.Duration
 	// DegradeByDefault selects the policy of estimation requests that carry
