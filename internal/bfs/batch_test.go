@@ -86,7 +86,7 @@ func TestMultiSourceMatchesDistancesOnFamilies(t *testing.T) {
 // TestMultiSourceWMatchesWDistances cross-checks the lane-masked Dial
 // kernel against per-source Dial on randomly weighted versions of the four
 // families, including duplicate sources, plus the all-weights-one and
-// above-bucketable-fallback paths via MultiSourceWRows.
+// above-bucketable-fallback paths via MultiSourceW.
 func TestMultiSourceWMatchesWDistances(t *testing.T) {
 	weightRanges := []struct {
 		name   string
@@ -111,8 +111,8 @@ func TestMultiSourceWMatchesWDistances(t *testing.T) {
 					for i := range rows {
 						rows[i] = make([]int32, n)
 					}
-					s := NewMSScratch(n, wg.MaxWeight())
-					MultiSourceWRows(wg, wg.Unweighted(), batch, s, rows)
+					s := NewMSScratch(n)
+					multiSourceWRows(wg, wg.Unweighted(), batch, s, rows)
 					want := make([]int32, n)
 					bq := queue.NewBucket(wg.MaxWeight())
 					for lane, src := range batch {
@@ -131,14 +131,14 @@ func TestMultiSourceWMatchesWDistances(t *testing.T) {
 }
 
 // TestMultiSourceWVisitOnce checks the exactly-once visit contract of the
-// masked-Dial kernel directly (MultiSourceWRows would hide double visits).
+// masked-Dial kernel directly (multiSourceWRows would hide double visits).
 func TestMultiSourceWVisitOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := gen.Community(250, 9)
 	wg := reweight(g, 1, 9, rng)
 	batch := randomBatch(rng, wg.NumNodes())
 	seen := make(map[[2]int32]bool)
-	s := NewMSScratch(wg.NumNodes(), wg.MaxWeight())
+	s := NewMSScratch(wg.NumNodes())
 	MultiSourceWMasksInto(wg, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
 		key := [2]int32{int32(lane), v}
 		if seen[key] {
@@ -158,12 +158,24 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 	}
 }
 
-// runBatches runs sources through MultiSourceWRows in ≤64-wide batches on
+// multiSourceWRows is the row-space reference of MultiSourceW: it fills
+// rows[lane][v] with the distance from batch[lane] to v (Unreached where
+// unreachable) by scattering every visit.
+func multiSourceWRows(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, rows [][]int32) {
+	for lane := range batch {
+		Fill(rows[lane])
+	}
+	MultiSourceW(g, unweighted, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
+		rows[lane][v] = d
+	}))
+}
+
+// runBatches runs sources through multiSourceWRows in ≤64-wide batches on
 // one reused scratch, the way each worker of core's traversal driver runs
 // its batches, and returns every source's distance row.
 func runBatches(g *graph.WGraph, sources []graph.NodeID, done <-chan struct{}) [][]int32 {
 	n := g.NumNodes()
-	s := NewMSScratch(n, g.MaxWeight())
+	s := NewMSScratch(n)
 	s.SetDone(done)
 	out := make([][]int32, len(sources))
 	for i := range out {
@@ -171,7 +183,7 @@ func runBatches(g *graph.WGraph, sources []graph.NodeID, done <-chan struct{}) [
 	}
 	for base := 0; base < len(sources); base += MSBFSWidth {
 		hi := min(base+MSBFSWidth, len(sources))
-		MultiSourceWRows(g, g.Unweighted(), sources[base:hi], s, out[base:hi])
+		multiSourceWRows(g, g.Unweighted(), sources[base:hi], s, out[base:hi])
 	}
 	return out
 }

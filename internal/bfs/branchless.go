@@ -16,17 +16,3 @@ package bfs
 func nzb(x uint64) uint64 {
 	return (x | -x) >> 63
 }
-
-// AccumulateLanes adds d to dst[lane] for every lane whose bit is set in
-// mask, using an arithmetic select per lane — d & -bit is d when the bit is
-// 1 and 0 when it is 0 — instead of iterating the set bits with an
-// unpredictable loop. dst is the per-lane accumulator sliced to the batch
-// width; mask bits at or above len(dst) must be zero (the kernels guarantee
-// this: lanes beyond the batch are never seeded). For the dense masks that
-// clustered batching produces, the fixed-trip-count loop with no
-// data-dependent branches beats the popcount-iteration form.
-func AccumulateLanes(dst []int64, mask uint64, d int64) {
-	for lane := range dst {
-		dst[lane] += d & -int64((mask>>uint(lane))&1)
-	}
-}

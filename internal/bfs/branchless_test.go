@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-// TestAccumulateLanes compares the branch-avoiding lane accumulator against
-// the obvious branchy loop on random masks, including lane counts below the
-// full 64-bit width.
-func TestAccumulateLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		lanes := rng.Intn(MSBFSWidth) + 1
-		mask := rng.Uint64()
-		if lanes < 64 {
-			mask &= (1 << uint(lanes)) - 1
-		}
-		d := int64(rng.Intn(1000))
-		got := make([]int64, lanes)
-		want := make([]int64, lanes)
-		for i := range want {
-			want[i] = int64(rng.Intn(100))
-			got[i] = want[i]
-		}
-		AccumulateLanes(got, mask, d)
-		for lane := range want {
-			if mask&(1<<uint(lane)) != 0 {
-				want[lane] += d
-			}
-		}
-		for lane := range want {
-			if got[lane] != want[lane] {
-				t.Fatalf("trial %d lane %d (mask %#x d %d): branchless %d, branchy %d",
-					trial, lane, mask, d, got[lane], want[lane])
-			}
-		}
-	}
-}
-
 // TestNzb pins the nonzero-bit helper the branch-avoiding rewrites lean on.
 func TestNzb(t *testing.T) {
 	cases := []struct {

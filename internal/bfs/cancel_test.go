@@ -125,14 +125,14 @@ func TestRunBatchesCtxCanceledMidRun(t *testing.T) {
 			rows[i] = make([]int32, n)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		s := NewMSScratch(n, g.MaxWeight())
+		s := NewMSScratch(n)
 		s.SetDone(ctx.Done())
-		MultiSourceWRows(g, g.Unweighted(), batch, s, rows) // live: whole rows
+		multiSourceWRows(g, g.Unweighted(), batch, s, rows) // live: whole rows
 		if _, reached := Sum(rows[0]); reached != n {
 			t.Fatalf("%s: live sweep reached %d of %d nodes", name, reached, n)
 		}
 		cancel()
-		MultiSourceWRows(g, g.Unweighted(), batch, s, rows)
+		multiSourceWRows(g, g.Unweighted(), batch, s, rows)
 		if _, reached := Sum(rows[0]); reached == n {
 			t.Fatalf("%s: cancellation did not stop the sweep", name)
 		}

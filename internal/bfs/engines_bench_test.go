@@ -53,7 +53,7 @@ func BenchmarkEngineOrderingMatrix(b *testing.B) {
 			}
 		})
 		b.Run(name("batched"), func(b *testing.B) {
-			s := NewMSScratch(g.NumNodes(), 1)
+			s := NewMSScratch(g.NumNodes())
 			var sink int64
 			for i := 0; i < b.N; i++ {
 				MultiSourceMasksInto(g, sources, s, func(v graph.NodeID, mask uint64, d int32) {

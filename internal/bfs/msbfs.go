@@ -13,9 +13,9 @@ const MSBFSWidth = 64
 // MSScratch bundles the reusable state of the multi-source kernels so that
 // a traversal driver can run many sweeps without reallocating: the seen/cur/next
 // lane-mask arrays and frontier buffers of the unweighted kernel, and the
-// bucket ring of the weighted one. A scratch is sized for a node count and a
-// maximum edge weight at construction and must not be shared between
-// concurrent sweeps; drivers keep one per worker.
+// bucket ring of the weighted one. A scratch grows to the largest graph and
+// weight it has swept and must not be shared between concurrent sweeps;
+// drivers keep one per worker.
 type MSScratch struct {
 	seen, cur, next []uint64
 	frontier        []graph.NodeID
@@ -28,6 +28,7 @@ type MSScratch struct {
 	// range; allocated lazily, regrown when a wider graph shows up.
 	fb     *queue.Bucket
 	fbMaxW int32
+	fbDist []int32
 	// done, when non-nil, interrupts sweeps at frontier-level boundaries;
 	// see SetDone.
 	done <-chan struct{}
@@ -48,19 +49,15 @@ type msEntry struct {
 	mask uint64
 }
 
-// NewMSScratch allocates multi-source scratch for n-node graphs whose edge
-// weights do not exceed maxWeight (pass 1 for unweighted use).
-func NewMSScratch(n int, maxWeight int32) *MSScratch {
-	if maxWeight < 1 {
-		maxWeight = 1
-	}
+// NewMSScratch allocates multi-source scratch for n-node graphs. The
+// weighted kernels grow their state on first use.
+func NewMSScratch(n int) *MSScratch {
 	return &MSScratch{
 		seen:     make([]uint64, n),
 		cur:      make([]uint64, n),
 		next:     make([]uint64, n),
 		frontier: make([]graph.NodeID, 0, n),
 		touched:  make([]graph.NodeID, 0, n),
-		buckets:  make([][]msEntry, int(maxWeight)+1),
 	}
 }
 

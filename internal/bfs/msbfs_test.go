@@ -12,7 +12,7 @@ import (
 // multiSource runs the unweighted multi-source kernel with fresh scratch and
 // expands its lane masks into one visit per (lane, node) pair.
 func multiSource(g *graph.Graph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
-	MultiSourceMasksInto(g, sources, NewMSScratch(g.NumNodes(), 1), expandMask(visit))
+	MultiSourceMasksInto(g, sources, NewMSScratch(g.NumNodes()), expandMask(visit))
 }
 
 // expandMask adapts a per-lane visitor to the mask-level kernel interface:
@@ -27,18 +27,20 @@ func expandMask(visit func(v graph.NodeID, lane int, d int32)) func(v graph.Node
 
 // multiSourceFarness is the mask-granularity accumulation topk's prefetch
 // runs, over ≤64-wide batches of sources: acc[v] = Σ_s d(s, v) (one
-// d·popcount per visit) and far[i] = farness(sources[i]) via AccumulateLanes.
+// d·popcount per visit) and far[i] = farness(sources[i]) via a LaneAcc.
 func multiSourceFarness(g *graph.Graph, sources []graph.NodeID) (acc, far []int64) {
 	n := g.NumNodes()
 	acc, far = make([]int64, n), make([]int64, len(sources))
-	s := NewMSScratch(n, 1)
+	s := NewMSScratch(n)
+	var lanes LaneAcc
 	for base := 0; base < len(sources); base += MSBFSWidth {
 		hi := min(base+MSBFSWidth, len(sources))
-		laneFar := far[base:hi]
+		lanes.Reset(hi - base)
 		MultiSourceMasksInto(g, sources[base:hi], s, func(v graph.NodeID, mask uint64, d int32) {
 			acc[v] += int64(d) * int64(bits.OnesCount64(mask))
-			AccumulateLanes(laneFar, mask, int64(d))
+			lanes.Add(mask, d)
 		})
+		lanes.Sums(far[base:hi])
 	}
 	return acc, far
 }

@@ -1,8 +1,6 @@
 package bfs
 
 import (
-	"math/bits"
-
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/queue"
@@ -19,8 +17,8 @@ const MSMaxBucketWeight = 512
 
 // MultiSourceWMasksInto runs a lane-masked Dial (bucket-queue)
 // shortest-path sweep from up to 64 sources simultaneously over an
-// integer-weighted graph; the scratch must have been created with at least
-// the graph's maximum edge weight. visit receives the lanes newly settled at
+// integer-weighted graph; the scratch grows its bucket ring to the graph's
+// maximum edge weight. visit receives the lanes newly settled at
 // v for weighted distance d as a bitmask. Unlike the unweighted kernel, the
 // same (v, d) pair may be reported across several calls — bucket entries
 // arriving from different predecessors settle disjoint lane subsets — but
@@ -45,12 +43,14 @@ func MultiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch
 	if len(s.pend) < n {
 		s.pend = make([]uint64, n)
 	}
-	if maxW := int(g.MaxWeight()); len(s.buckets) <= maxW {
-		s.buckets = make([][]msEntry, maxW+1)
+	// The ring spans this graph's weights only, however wide a graph the
+	// scratch served before, so its buckets are reused lap after lap.
+	ring := int(g.MaxWeight()) + 1
+	if len(s.buckets) < ring {
+		s.buckets = make([][]msEntry, ring)
 	}
 	seen, pend := s.seen, s.pend
-	ring := len(s.buckets)
-	for i := range s.buckets {
+	for i := range s.buckets[:ring] {
 		s.buckets[i] = s.buckets[i][:0]
 	}
 	levelNodes := s.levelNodes[:0]
@@ -120,59 +120,41 @@ func multiSourceLevelSyncW(g *graph.WGraph, sources []graph.NodeID, s *MSScratch
 	msLevelSync(offsets, adj, sources, s, visit)
 }
 
-// MultiSourceWRows fills rows[lane][v] with the shortest-path distance from
-// batch[lane] to v (Unreached where unreachable), choosing the best kernel
-// for the graph: the level-synchronous bit-parallel sweep when every weight
-// is 1, the lane-masked Dial when the maximum weight is bucketable, and one
-// plain Dial per source beyond that (see MSMaxBucketWeight). unweighted is
-// the caller's cached g.Unweighted(). rows must hold len(batch) slices of
-// length g.NumNodes(); the scratch must cover the graph's size and weight.
-func MultiSourceWRows(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, rows [][]int32) {
-	for lane := range batch {
-		Fill(rows[lane])
-	}
-	fill := maskRowFill(rows, len(batch))
+// MultiSourceW runs one sweep from up to 64 sources over g and hands every
+// reached (source, node) pair to visit exactly once, as lane masks the way
+// MultiSourceMasksInto does, choosing the best kernel for the graph: the
+// level-synchronous bit-parallel sweep when every weight is 1, the
+// lane-masked Dial when the maximum weight is bucketable, and one plain
+// Dial per source beyond that (see MSMaxBucketWeight), whose single-lane
+// visits follow its whole row. unweighted is the caller's cached
+// g.Unweighted(); the scratch must cover the graph's size and weight. An
+// interrupted sweep (see MSScratch.SetDone) returns with part of its visits
+// delivered.
+func MultiSourceW(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
 	switch {
 	case unweighted:
-		multiSourceLevelSyncW(g, batch, s, fill)
+		multiSourceLevelSyncW(g, batch, s, visit)
 	case g.MaxWeight() <= MSMaxBucketWeight:
-		MultiSourceWMasksInto(g, batch, s, fill)
+		MultiSourceWMasksInto(g, batch, s, visit)
 	default:
 		if s.fb == nil || s.fbMaxW < g.MaxWeight() {
 			s.fb = queue.NewBucket(g.MaxWeight())
 			s.fbMaxW = g.MaxWeight()
 		}
+		if len(s.fbDist) < g.NumNodes() {
+			s.fbDist = make([]int32, g.NumNodes())
+		}
+		dist := s.fbDist[:g.NumNodes()]
 		for lane, src := range batch {
+			wDistancesDone(g, src, dist, s.fb, s.done)
 			if par.Interrupted(s.done) {
-				break
+				return
 			}
-			wDistancesDone(g, src, rows[lane], s.fb, s.done)
-		}
-	}
-}
-
-// maskRowFill returns a mask-level visitor that scatters distances into the
-// per-lane rows, with a fast path for the fully merged mask (all k lanes
-// arriving together) that walks the rows directly instead of decoding bits.
-func maskRowFill(rows [][]int32, k int) func(v graph.NodeID, mask uint64, d int32) {
-	full := fullMask(k)
-	return func(v graph.NodeID, mask uint64, d int32) {
-		if mask == full {
-			for lane := 0; lane < k; lane++ {
-				rows[lane][v] = d
+			for v, d := range dist {
+				if d != Unreached {
+					visit(graph.NodeID(v), uint64(1)<<uint(lane), d)
+				}
 			}
-			return
-		}
-		for m := mask; m != 0; m &= m - 1 {
-			rows[bits.TrailingZeros64(m)][v] = d
 		}
 	}
-}
-
-// fullMask is the bitmask with the low k lanes set.
-func fullMask(k int) uint64 {
-	if k >= MSBFSWidth {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(k) - 1
 }

@@ -13,7 +13,7 @@ import (
 // graph (sources map through the permutation on the way in, rows map back
 // through it on the way out) and pin that the vertex layout changes no
 // distance. Three weight regimes force all three
-// kernels behind MultiSourceWRows: all-ones (level-synchronous sweep),
+// kernels behind MultiSourceW: all-ones (level-synchronous sweep),
 // small weights (lane-masked Dial), and weights above MSMaxBucketWeight
 // (per-source Dial fallback).
 
@@ -60,8 +60,8 @@ func TestMultiSourceWRowsUnderRelabeling(t *testing.T) {
 				for i := range rows {
 					rows[i] = make([]int32, n)
 				}
-				s := NewMSScratch(n, rg.MaxWeight())
-				MultiSourceWRows(rg, rg.Unweighted(), batchR, s, rows)
+				s := NewMSScratch(n)
+				multiSourceWRows(rg, rg.Unweighted(), batchR, s, rows)
 
 				want := make([]int32, n)
 				b := queue.NewBucket(wg.MaxWeight())
@@ -100,7 +100,7 @@ func TestMultiSourceWMasksUnderRelabeling(t *testing.T) {
 		seen[i] = make([]int32, n)
 		Fill(seen[i])
 	}
-	MultiSourceWMasksInto(rg, batchR, NewMSScratch(n, rg.MaxWeight()), func(v graph.NodeID, mask uint64, d int32) {
+	MultiSourceWMasksInto(rg, batchR, NewMSScratch(n), func(v graph.NodeID, mask uint64, d int32) {
 		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m)
 			if seen[lane][v] != Unreached {

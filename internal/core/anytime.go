@@ -1,14 +1,15 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Progress tracks a running estimation's sampling progress and, when the run
@@ -123,8 +124,9 @@ func (a *anyState) advance(c int64) {
 func landmarkRows(g *graph.Graph, sources []graph.NodeID, workers int) [][]int32 {
 	sources = sources[:min(len(sources), maxLandmarks)]
 	rows := make([][]int32, len(sources))
-	_ = plainRows(context.Background(), g, sources, workers, func(_, i int, dist []int32) {
-		rows[i] = append([]int32(nil), dist...)
+	par.ForDynamic(len(sources), workers, 1, func(_, i int) {
+		rows[i] = make([]int32, g.NumNodes())
+		bfs.Distances(g, sources[i], rows[i], nil)
 	})
 	return rows
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/bct"
+	"repro/internal/bfs"
 	"repro/internal/bicc"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -241,13 +243,13 @@ type cumulative struct {
 
 	// Pass 1, per block b and source position i (the index into
 	// sources[b]; a cut's position is its position in tree.BlockCuts[b]).
-	cutRows  [][]int32 // [b]: the anchor rows of the cut sources
-	srcPos   [][]int32 // [b][local id]: source position, or -1
-	sampled  [][]int32 // [b]: the homed members that are samples, by local id
-	rowDone  [][]bool  // [b][i]: the source's row is accumulated
-	srcIn    [][]int64 // [b][i]: Σ d(s,·) over the assigned population
-	srcToS   [][]int64 // [b][i]: the part of srcIn over sampled nodes
-	workSums []cumSums // per worker, over kept nodes by reduced id
+	cutRows  [][]int32    // [b]: the anchor rows of the cut sources
+	srcPos   [][]int32    // [b][local id]: source position, or -1
+	nodes    [][]laneNode // [b][local id]: what a sweep does at the member
+	rowDone  [][]bool     // [b][i]: the source's row is accumulated
+	srcIn    [][]int64    // [b][i]: Σ d(s,·) over the assigned population
+	srcToS   [][]int64    // [b][i]: the part of srcIn over sampled nodes
+	workSums []cumSums    // per worker, over kept nodes by reduced id
 
 	// In-block sums over each block's assigned population, by original id,
 	// split by the kind of source: drawn (sumRand), cut (sumCut), cut
@@ -313,7 +315,7 @@ func (c *cumulative) pass1(ctx context.Context) error {
 	c.exactIn = make([]int64, c.n)
 	c.cutRows = make([][]int32, nb)
 	c.srcPos = make([][]int32, nb)
-	c.sampled = make([][]int32, nb)
+	c.nodes = make([][]laneNode, nb)
 	c.rowDone = make([][]bool, nb)
 	c.srcIn, c.srcToS = make([][]int64, nb), make([][]int64, nb)
 	c.sumDist = make([][]int64, nb)
@@ -329,10 +331,13 @@ func (c *cumulative) pass1(ctx context.Context) error {
 			for i, j := range src {
 				c.srcPos[b][j] = int32(i)
 			}
+			c.nodes[b] = make([]laneNode, len(members))
+			for j, col := range c.colAt[b] {
+				c.nodes[b][j] = laneNode{col: col, r: -1}
+			}
 			for _, j := range c.homed[b] {
-				if c.isSample[c.red.ToOld[members[j]]] {
-					c.sampled[b] = append(c.sampled[b], j)
-				}
+				o := c.red.ToOld[members[j]]
+				c.nodes[b][j].r, c.nodes[b][j].sampled = members[j], c.isSample[o]
 			}
 			c.rowDone[b] = make([]bool, len(src))
 			c.srcIn[b], c.srcToS[b] = make([]int64, len(src)), make([]int64, len(src))
@@ -354,20 +359,29 @@ func (c *cumulative) pass1(ctx context.Context) error {
 	c.workSums = make([]cumSums, c.workers)
 	return traverse(ctx, units, c.workers,
 		func(b int, src graph.NodeID) bool { return c.tree.CutIndex[c.d.BlockNodes[b][src]] >= 0 },
-		func(worker, b int, src graph.NodeID, dist []int32) {
-			c.accumulate(&c.workSums[worker], int32(b), src, dist)
+		func(w int) laneSink {
+			s := &cumSink{c: c, ws: &c.workSums[w]}
+			return laneSink{s.start, s.visit, s.finish}
 		})
+}
+
+// laneNode is what a sweep of a block does at one member: capture its
+// distance into anchor column col (-1: none) and, when the member is homed
+// in the block (r, its reduced id, ≥ 0), add to its sums and the lanes'
+// in-block totals, and to their to-samples totals when it is a sample.
+type laneNode struct {
+	col, r  int32
+	sampled bool
 }
 
 // cumSums is one traversal worker's share of the cumulative in-block sums
 // over kept nodes, indexed by reduced id and split by source kind as the
 // run-wide sums are (see cumulative). Each array is allocated on the
-// worker's first row that feeds it, so idle workers and unused kinds cost
+// worker's first sweep that feeds it, so idle workers and unused kinds cost
 // nothing.
 type cumSums struct {
 	rand, sqDrawn, cut, cross, homed, sqHomed []int64
 	drawnRows                                 []*reduce.RowSums // [b]: the drawn rows, for the removed nodes
-	cols                                      []int32           // the current source's anchor row
 }
 
 // lazy returns *a, allocating it with n zeros first.
@@ -378,92 +392,194 @@ func lazy(a *[]int64, n int) []int64 {
 	return *a
 }
 
-// accumulate consumes one source's block-local distance row. It adds the
-// row over the block's homed kept members into the worker's own sums (no
-// shared write per node) and closes the source's own in-block sum over the
-// removed nodes from its anchor row, one closed form per removal event. A
-// drawn source's anchor row goes into the worker's row sums for the block;
-// a cut source's is kept for collect, which weighs it three ways, and the
-// cut also records its distance sum and its distances to the block's
-// other cuts. The removed nodes get their sums in collect.
-func (c *cumulative) accumulate(ws *cumSums, b int32, src graph.NodeID, dist []int32) {
-	members := c.d.BlockNodes[b]
-	rid := members[src]
-	pos := c.srcPos[b][src]
-	srcAssigned := c.homeOf[rid] == b
-	an, srcOrig := c.anchors[b], c.red.ToOld[rid]
-	if cap(ws.cols) < an.Width() {
-		ws.cols = make([]int32, an.Width())
-	}
-	cols := ws.cols[:an.Width()]
-	an.Fill(dist, cols)
-	nR := c.red.G.NumNodes()
-	homed := c.homed[b]
-	var inSum int64
-	if int(pos) >= len(c.tree.BlockCuts[b]) {
-		if ws.drawnRows == nil {
-			ws.drawnRows = make([]*reduce.RowSums, c.d.NumBlocks())
-		}
-		if ws.drawnRows[b] == nil {
-			ws.drawnRows[b] = an.NewRowSums()
-		}
-		inSum = an.Account(cols, srcOrig, 1, ws.drawnRows[b])
-		rnd := lazy(&ws.rand, nR)
-		var sq []int64
+// cumSink accumulates one worker's sweeps of the blocks. A sweep holds
+// either cut sources only or drawn sources only (traverse runs the cuts'
+// own sweeps first). Per visit of a member homed in the block it adds
+// d·|mask| to the member's sum for the sweep's kind of source — drawn, or
+// cut, with d·Σ W(B,c) over the mask's lanes for the cross-block sums and
+// d·|mask ∩ homed lanes| for the homed sums — and the squares; d to each
+// lane's in-block total and, at a sample, to its to-samples total. At every
+// tracked member it captures d into the lanes' anchor rows, whose columns
+// include the block's cuts. finish completes the anchor rows and adds the
+// closed forms over the removed nodes: a drawn row into the worker's row
+// sums for the block, a cut row kept for collect with its distance sum and
+// its distances to the block's cuts. The removed nodes get their sums in
+// collect. An anytime run stages the node sums of a batched sweep apart and
+// folds them in at finish, so an interrupted run keeps whole sweeps only.
+type cumSink struct {
+	c  *cumulative
+	ws *cumSums
+
+	b       int32
+	srcs    []graph.NodeID
+	cut     bool
+	members []graph.NodeID
+	nodes   []laneNode
+	width   int
+	cols    []int32 // the lanes' anchor rows, one after another
+	in, toS bfs.LaneAcc
+	full    uint64 // the mask of every lane
+	// A cut sweep's lanes whose cut is homed in the block, and W(B,c) per
+	// lane and over every lane.
+	homedLanes uint64
+	w          [bfs.MSBFSWidth]int64
+	wAll       int64
+	// The sweep's node sums by reduced id: drawn (sum, sq) or cut (sum,
+	// cross, homed, sq over the homed lanes), into the worker's sums or,
+	// staged, into stage, with dst their destinations.
+	sum, cross, homed, sq []int64
+	dst                   [4]*[]int64
+	stage                 [4][]int64
+	staged                bool
+}
+
+func (s *cumSink) start(u int, srcs []graph.NodeID, whole bool) {
+	c, ws := s.c, s.ws
+	b := int32(u)
+	s.b, s.srcs = b, srcs
+	s.members, s.nodes = c.d.BlockNodes[b], c.nodes[b]
+	s.in.Reset(len(srcs))
+	s.toS.Reset(len(srcs))
+	s.width = c.anchors[b].Width()
+	s.cols = laneRows(s.cols, len(srcs), s.width)
+	nCut := len(c.tree.BlockCuts[b])
+	s.cut = int(c.srcPos[b][srcs[0]]) < nCut
+	s.full = ^uint64(0) >> uint(bfs.MSBFSWidth-len(srcs))
+	s.dst = [4]*[]int64{}
+	if !s.cut {
+		s.dst[0] = &ws.rand
 		if c.opts.ComputeStdErr {
-			sq = lazy(&ws.sqDrawn, nR)
-		}
-		for _, j := range homed {
-			d, r := int64(dist[j]), members[j]
-			inSum += d
-			rnd[r] += d
-			if sq != nil {
-				sq[r] += d * d
-			}
+			s.dst[3] = &ws.sqDrawn
 		}
 	} else {
-		copy(c.cutRows[b][int(pos)*an.Width():], cols)
-		inSum = an.Account(cols, srcOrig, 0, nil)
-		w := c.wout[b][pos]
-		cs, cross := lazy(&ws.cut, nR), lazy(&ws.cross, nR)
-		var hs, sq []int64
-		if srcAssigned {
-			hs = lazy(&ws.homed, nR)
+		s.dst[0], s.dst[1] = &ws.cut, &ws.cross
+		s.homedLanes, s.wAll = 0, 0
+		for lane, src := range srcs {
+			s.w[lane] = c.wout[b][c.srcPos[b][src]]
+			s.wAll += s.w[lane]
+			if c.homeOf[s.members[src]] == b {
+				s.homedLanes |= uint64(1) << uint(lane)
+			}
+		}
+		if s.homedLanes != 0 {
+			s.dst[2] = &ws.homed
 			if c.opts.ComputeStdErr {
-				sq = lazy(&ws.sqHomed, nR)
+				s.dst[3] = &ws.sqHomed
 			}
 		}
-		for _, j := range homed {
-			d, r := int64(dist[j]), members[j]
-			inSum += d
-			cs[r] += d
-			cross[r] += w * d
-			if hs != nil {
-				hs[r] += d
-				if sq != nil {
-					sq[r] += d * d
-				}
+	}
+	// A per-source sweep arrives whole, and a run that is not anytime
+	// discards everything on an interruption: neither needs a stage.
+	s.staged = !whole && c.any != nil
+	nR := c.red.G.NumNodes()
+	var sums [4][]int64
+	for i, d := range s.dst {
+		switch {
+		case d == nil:
+		case s.staged:
+			sums[i] = lazy(&s.stage[i], nR)
+		default:
+			sums[i] = lazy(d, nR)
+		}
+	}
+	s.sum, s.cross, s.homed, s.sq = sums[0], sums[1], sums[2], sums[3]
+}
+
+func (s *cumSink) visit(v graph.NodeID, mask uint64, d int32) {
+	nd := &s.nodes[v]
+	if c := int(nd.col); c >= 0 {
+		for m := mask; m != 0; m &= m - 1 {
+			s.cols[bits.TrailingZeros64(m)*s.width+c] = d
+		}
+	}
+	r := nd.r
+	if r < 0 {
+		return
+	}
+	s.in.Add(mask, d)
+	if nd.sampled {
+		s.toS.Add(mask, d)
+	}
+	dd := int64(d)
+	x := dd * int64(bits.OnesCount64(mask))
+	s.sum[r] += x
+	if !s.cut {
+		if s.sq != nil {
+			s.sq[r] += dd * x
+		}
+		return
+	}
+	w := s.wAll
+	if mask != s.full {
+		w = 0
+		for m := mask; m != 0; m &= m - 1 {
+			w += s.w[bits.TrailingZeros64(m)]
+		}
+	}
+	s.cross[r] += dd * w
+	if hm := mask & s.homedLanes; hm != 0 {
+		y := dd * int64(bits.OnesCount64(hm))
+		s.homed[r] += y
+		if s.sq != nil {
+			s.sq[r] += dd * y
+		}
+	}
+}
+
+func (s *cumSink) finish() {
+	c, ws, b, k := s.c, s.ws, s.b, len(s.srcs)
+	if s.staged {
+		nR := c.red.G.NumNodes()
+		for i, d := range s.dst {
+			if d == nil {
+				continue
+			}
+			dst, st := lazy(d, nR), s.stage[i]
+			for _, j := range c.homed[b] {
+				r := s.members[j]
+				dst[r] += st[r]
+				st[r] = 0
 			}
 		}
-		c.sumDist[b][pos] = inSum
-		for lj := range c.tree.BlockCuts[b] {
-			c.cutDist[b][pos][lj] = dist[c.sources[b][lj]]
-		}
 	}
-	if srcAssigned {
-		var toSamples int64
-		for _, j := range c.sampled[b] {
-			toSamples += int64(dist[j])
+	var in, toS [bfs.MSBFSWidth]int64
+	s.in.Sums(in[:k])
+	s.toS.Sums(toS[:k])
+	an, width := c.anchors[b], s.width
+	for lane, src := range s.srcs {
+		cols := s.cols[lane*width : (lane+1)*width]
+		an.Fill(cols)
+		rid, pos := s.members[src], c.srcPos[b][src]
+		srcOrig := c.red.ToOld[rid]
+		inSum := in[lane]
+		if !s.cut {
+			if ws.drawnRows == nil {
+				ws.drawnRows = make([]*reduce.RowSums, c.d.NumBlocks())
+			}
+			if ws.drawnRows[b] == nil {
+				ws.drawnRows[b] = an.NewRowSums()
+			}
+			inSum += an.Account(cols, srcOrig, 1, ws.drawnRows[b])
+		} else {
+			copy(c.cutRows[b][int(pos)*width:], cols)
+			inSum += an.Account(cols, srcOrig, 0, nil)
+			c.sumDist[b][pos] = inSum
+			for lj, col := range c.cutCol[b] {
+				c.cutDist[b][pos][lj] = cols[col]
+			}
 		}
-		c.exactIn[srcOrig] = inSum
-		c.srcIn[b][pos], c.srcToS[b][pos] = inSum, toSamples
-	}
-	c.rowDone[b][pos] = true
-	if c.any != nil {
+		srcAssigned := c.homeOf[rid] == b
 		if srcAssigned {
-			c.any.doneSrc[srcOrig] = true
+			c.exactIn[srcOrig] = inSum
+			c.srcIn[b][pos], c.srcToS[b][pos] = inSum, toS[lane]
 		}
-		c.any.advance(c.any.complete())
+		c.rowDone[b][pos] = true
+		if c.any != nil {
+			if srcAssigned {
+				c.any.doneSrc[srcOrig] = true
+			}
+			c.any.advance(c.any.complete())
+		}
 	}
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -207,13 +209,13 @@ func estimateGlobal(ctx context.Context, gp *globalPlan, opts *Options) (*Result
 }
 
 // globalRun is the accumulation state of one global-estimator run on a
-// plan. Rows
-// accumulate into per-worker sums, added up once the traversals have joined
-// (or, for a snapshot, under the anytime write lock): no atomic per visited
-// node, and integer sums do not depend on the order. A reduced-graph row is
-// summed over the kept nodes only; the source's anchor row feeds its
-// worker's reduce.RowSums, from which fold gives the removed nodes their
-// sums. exactFar is shared, since every source writes only its own cell.
+// plan. Sweeps accumulate into per-worker sums, added up once the
+// traversals have joined (or, for a snapshot, under the anytime write
+// lock): no atomic per visited node, and integer sums do not depend on the
+// order. A reduced-graph sweep is summed over the kept nodes only; each
+// source's anchor row feeds its worker's reduce.RowSums, from which fold
+// gives the removed nodes their sums. exactFar is shared, since every source
+// writes only its own cell.
 type globalRun struct {
 	red            *reduce.Reduction
 	unit           *unitGraph
@@ -226,9 +228,18 @@ type globalRun struct {
 	samplesReduced, extraOrig, samples []graph.NodeID
 
 	an       *reduce.Anchors // the plan's, or this run's when it has augmentation sources
+	colAt    []int32         // per reduced node: its anchor column, or -1
+	isSample [2][]bool       // per node of the reduced and the augmentation unit
 	sums     []workerSums
 	exactFar []int64
 }
+
+// The units of a global run: the reduced graph, and the original graph the
+// augmentation sources traverse.
+const (
+	reducedUnit = iota
+	augUnit
+)
 
 func newGlobalRun(gp *globalPlan, opts *Options, samplesReduced, extraOrig []graph.NodeID, any *anyState) *globalRun {
 	red := gp.red
@@ -237,113 +248,176 @@ func newGlobalRun(gp *globalPlan, opts *Options, samplesReduced, extraOrig []gra
 		red: red, unit: gp.unit, opts: opts, any: any,
 		n: n, nR: nR, workers: par.Workers(opts.Workers),
 		samplesReduced: samplesReduced, extraOrig: extraOrig,
-		an:       gp.an,
+		an: gp.an, colAt: gp.colAt,
+		isSample: [2][]bool{make([]bool, nR)},
 		exactFar: make([]int64, n),
 	}
 	if len(extraOrig) > 0 {
 		// The augmentation sources need columns of their own; the event
 		// columns come first and are the plan's.
 		g.an = globalAnchors(red, extraOrig)
+		g.colAt = g.an.KeptColumns(nR)
 	}
 	for _, sR := range samplesReduced {
 		g.samples = append(g.samples, red.ToOld[sR])
+		g.isSample[reducedUnit][sR] = true
 	}
 	g.samples = append(g.samples, extraOrig...)
+	if len(extraOrig) > 0 {
+		g.isSample[augUnit] = make([]bool, n)
+		for _, o := range g.samples {
+			g.isSample[augUnit][o] = true
+		}
+	}
 	g.sums = make([]workerSums, g.workers)
 	return g
 }
 
 // gather traverses the reduced graph from every reduced-graph source and
-// the original graph from every augmentation source, accumulating each row.
+// the original graph from every augmentation source, accumulating every
+// sweep.
 func (g *globalRun) gather(ctx context.Context) error {
-	red := g.red
-	err := traverse(ctx, []unit{{g.unit, g.samplesReduced}}, g.workers, nil,
-		func(worker, _ int, srcR graph.NodeID, dist []int32) {
-			g.reducedRow(&g.sums[worker], srcR, dist)
-		})
-	if err != nil {
-		return err
+	units := []unit{{g.unit, g.samplesReduced}}
+	if len(g.extraOrig) > 0 {
+		units = append(units, unit{newUnitGraph(g.red.Orig.ToWeighted()), g.extraOrig})
 	}
-	return plainRows(ctx, red.Orig, g.extraOrig, g.workers, func(worker, i int, dist []int32) {
-		g.augRow(&g.sums[worker], dist, g.extraOrig[i])
+	return traverse(ctx, units, g.workers, nil, func(w int) laneSink {
+		s := &globalSink{g: g, ws: &g.sums[w]}
+		return laneSink{s.start, s.visit, s.finish}
 	})
 }
 
-// reducedRow consumes one reduced-graph source's row over the kept nodes.
-func (g *globalRun) reducedRow(ws *workerSums, srcR graph.NodeID, dist []int32) {
-	if g.any != nil {
-		g.any.mu.RLock()
-	}
-	an, srcOrig := g.an, g.red.ToOld[srcR]
-	if ws.rows == nil {
-		ws.rows, ws.cols = an.NewRowSums(), make([]int32, an.Width())
-	}
-	cols := ws.cols
-	an.Fill(dist, cols)
-	own := an.Account(cols, srcOrig, 1, ws.rows)
-	acc := lazy(&ws.acc, g.nR)[:len(dist)]
-	for v, d := range dist {
-		own += int64(d)
-		acc[v] += int64(d)
-	}
-	if g.opts.ComputeStdErr {
-		sq := lazy(&ws.sumSq, g.nR)[:len(dist)]
-		for v, d := range dist {
-			sq[v] += int64(d) * int64(d)
-		}
-	}
-	var toSamples int64
-	for _, s := range g.samplesReduced {
-		toSamples += int64(dist[s])
-	}
-	for _, x := range g.extraOrig {
-		toSamples += int64(cols[an.Col(x)])
-	}
-	g.bank(ws, srcOrig, own, toSamples)
+// globalSink accumulates one worker's sweeps. Per visit it adds d·|mask| to
+// the node's sum (d²·|mask| to its square sum) and d to each lane's own
+// total and, at a sample, to its to-samples total, and captures d at the
+// anchor columns of every lane; finish completes each lane's anchor row,
+// adds the closed forms over the removed nodes and banks the sources. An
+// anytime run stages the node sums of a sweep apart and folds them in at
+// finish under the read lock, so a snapshot or an interrupted run sees
+// whole sweeps only.
+type globalSink struct {
+	g  *globalRun
+	ws *workerSums
+
+	u                 int
+	srcs              []graph.NodeID
+	acc, sq           []int64 // where the sweep's node sums go
+	stageAcc, stageSq []int64
+	isSample          []bool
+	colAt             []int32 // nil on the augmentation unit
+	own, toS          bfs.LaneAcc
+	cols              []int32 // the lanes' anchor rows, one after another
+	counts            [bfs.MSBFSWidth]int64
 }
 
-// augRow consumes an augmentation source's row, which already covers the
-// original graph.
-func (g *globalRun) augRow(ws *workerSums, row []int32, srcOrig graph.NodeID) {
+func (s *globalSink) start(u int, srcs []graph.NodeID, _ bool) {
+	g, ws := s.g, s.ws
+	s.u, s.srcs = u, srcs
+	s.own.Reset(len(srcs))
+	s.toS.Reset(len(srcs))
+	s.isSample = g.isSample[u]
+	size, acc, sq := g.nR, &ws.acc, &ws.sumSq
+	s.colAt = nil
+	if u == augUnit {
+		size, acc, sq = g.n, &ws.accOrig, &ws.sumSqOrig
+	} else {
+		s.colAt = g.colAt
+		s.cols = laneRows(s.cols, len(srcs), g.an.Width())
+	}
 	if g.any != nil {
-		g.any.mu.RLock()
+		acc, sq = &s.stageAcc, &s.stageSq
+		size = g.n
 	}
-	var own, toSamples int64
-	acc := lazy(&ws.accOrig, g.n)[:len(row)]
-	for v, d := range row {
-		own += int64(d)
-		acc[v] += int64(d)
-	}
+	s.acc, s.sq = lazy(acc, size), nil
 	if g.opts.ComputeStdErr {
-		sq := lazy(&ws.sumSqOrig, g.n)[:len(row)]
-		for v, d := range row {
-			sq[v] += int64(d) * int64(d)
-		}
+		s.sq = lazy(sq, size)
 	}
-	for _, s := range g.samples {
-		toSamples += int64(row[s])
-	}
-	g.bank(ws, srcOrig, own, toSamples)
 }
 
-// bank records a source's own farness and calibration sums and, for an
-// anytime run, marks it done and counts it, releases the read lock and
-// reports progress.
-func (g *globalRun) bank(ws *workerSums, srcOrig graph.NodeID, own, toSamples int64) {
-	g.exactFar[srcOrig] = own
-	ws.s2s += toSamples
-	ws.s2n += own - toSamples
+func (s *globalSink) visit(v graph.NodeID, mask uint64, d int32) {
+	x := int64(d) * int64(bits.OnesCount64(mask))
+	s.acc[v] += x
+	if s.sq != nil {
+		s.sq[v] += int64(d) * x
+	}
+	s.own.Add(mask, d)
+	if s.isSample[v] {
+		s.toS.Add(mask, d)
+	}
+	if s.colAt != nil {
+		if c := int(s.colAt[v]); c >= 0 {
+			w := s.g.an.Width()
+			for m := mask; m != 0; m &= m - 1 {
+				s.cols[bits.TrailingZeros64(m)*w+c] = d
+			}
+		}
+	}
+}
+
+func (s *globalSink) finish() {
+	g, ws, k := s.g, s.ws, len(s.srcs)
+	var own, toS [bfs.MSBFSWidth]int64
+	s.own.Sums(own[:k])
+	s.toS.Sums(toS[:k])
+	an, w := g.an, g.an.Width()
+	if s.colAt != nil {
+		for lane := range k {
+			an.Fill(s.cols[lane*w : (lane+1)*w])
+		}
+	}
 	if g.any != nil {
-		g.any.doneSrc[srcOrig] = true
-		c := g.any.complete()
+		g.any.mu.RLock()
+		if s.u == augUnit {
+			unstage(lazy(&ws.accOrig, g.n), s.acc)
+			if s.sq != nil {
+				unstage(lazy(&ws.sumSqOrig, g.n), s.sq)
+			}
+		} else {
+			unstage(lazy(&ws.acc, g.nR), s.acc[:g.nR])
+			if s.sq != nil {
+				unstage(lazy(&ws.sumSq, g.nR), s.sq[:g.nR])
+			}
+		}
+	}
+	for lane, src := range s.srcs {
+		if s.u == reducedUnit {
+			cols := s.cols[lane*w : (lane+1)*w]
+			if ws.rows == nil {
+				ws.rows = an.NewRowSums()
+			}
+			src = g.red.ToOld[src]
+			own[lane] += an.Account(cols, src, 1, ws.rows)
+			for _, x := range g.extraOrig {
+				toS[lane] += int64(cols[an.Col(x)])
+			}
+		}
+		g.exactFar[src] = own[lane]
+		ws.s2s += toS[lane]
+		ws.s2n += own[lane] - toS[lane]
+		if g.any != nil {
+			g.any.doneSrc[src] = true
+			s.counts[lane] = g.any.complete()
+		}
+	}
+	if g.any != nil {
 		g.any.mu.RUnlock()
-		g.any.advance(c)
+		for _, c := range s.counts[:k] {
+			g.any.advance(c)
+		}
 	}
+}
+
+// unstage adds a staged sweep's node sums to dst and clears the stage.
+func unstage(dst, stage []int64) {
+	for v, x := range stage {
+		dst[v] += x
+	}
+	clear(stage)
 }
 
 // fold adds up the per-worker sums over original ids (sumSq is nil without
 // ComputeStdErr): the kept nodes' sums, then the removed nodes' sums from
-// the workers' row sums, then the augmentation rows, which already cover
+// the workers' row sums, then the augmentation sweeps, which already cover
 // the removed nodes.
 func (g *globalRun) fold() (acc, sumSq []int64, s2s, s2n int64) {
 	toOld := g.red.ToOld
@@ -391,13 +465,12 @@ func globalAnchors(red *reduce.Reduction, extra []graph.NodeID) *reduce.Anchors 
 
 // workerSums is one traversal worker's share of the global estimator's
 // accumulators: Σ d(s, ·) (and Σ d² under ComputeStdErr) over the
-// reduced-graph rows the worker consumed, by reduced id, and over its
-// augmentation rows, by original id, plus its sample-to-sample and
+// reduced-graph sweeps the worker consumed, by reduced id, and over its
+// augmentation sweeps, by original id, plus its sample-to-sample and
 // sample-to-non-sample calibration sums.
 type workerSums struct {
 	acc, sumSq         []int64
 	accOrig, sumSqOrig []int64
 	rows               *reduce.RowSums // the reduced-graph rows, for the removed nodes
 	s2s, s2n           int64
-	cols               []int32 // the current source's anchor row
 }

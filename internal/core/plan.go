@@ -153,16 +153,19 @@ func (r *Result) clone() *Result {
 // reduced graph as one traversal unit and the anchor plan over every
 // removal event.
 type globalPlan struct {
-	red  *reduce.Reduction
-	unit *unitGraph
-	an   *reduce.Anchors
+	red   *reduce.Reduction
+	unit  *unitGraph
+	an    *reduce.Anchors
+	colAt []int32 // per reduced node: its anchor column, or -1
 }
 
 func newGlobalPlan(red *reduce.Reduction) *globalPlan {
+	an := globalAnchors(red, nil)
 	return &globalPlan{
-		red:  red,
-		unit: newUnitGraph(red.G),
-		an:   globalAnchors(red, nil),
+		red:   red,
+		unit:  newUnitGraph(red.G),
+		an:    an,
+		colAt: an.KeptColumns(red.G.NumNodes()),
 	}
 }
 
@@ -178,11 +181,14 @@ type cumPlan struct {
 	wout [][]int64 // [b][cut pos] nodes beyond the cut (Algorithm 6's W)
 	// Per block, in block-local ids (the index into the block's sorted node
 	// list): its graph, the anchor plan of the removal events assigned to
-	// it, its cut vertices in block order (a cut's position here is its
-	// position in tree.BlockCuts[b]) and its other members.
-	units       []*unitGraph
-	anchors     []*reduce.Anchors
-	cuts, other [][]graph.NodeID
+	// it with a column for every cut vertex of the block, the column of
+	// every member (-1 when untracked) and of every cut, its cut vertices in
+	// block order (a cut's position here is its position in
+	// tree.BlockCuts[b]) and its other members.
+	units         []*unitGraph
+	anchors       []*reduce.Anchors
+	colAt, cutCol [][]int32
+	cuts, other   [][]graph.NodeID
 }
 
 // newCumPlan builds the cumulative plan over red's decomposition d.
@@ -199,6 +205,8 @@ func newCumPlan(ctx context.Context, red *reduce.Reduction, d *bicc.Decompositio
 		pop:        make([]int64, nb),
 		units:      make([]*unitGraph, nb),
 		anchors:    make([]*reduce.Anchors, nb),
+		colAt:      make([][]int32, nb),
+		cutCol:     make([][]int32, nb),
 		cuts:       make([][]graph.NodeID, nb),
 		other:      make([][]graph.NodeID, nb),
 	}
@@ -215,18 +223,24 @@ func newCumPlan(ctx context.Context, red *reduce.Reduction, d *bicc.Decompositio
 		for b := lo; b < hi; b++ {
 			members := d.BlockNodes[b]
 			cp.units[b] = newUnitGraph(buildBlockGraph(d, int32(b)))
-			cp.anchors[b] = reduce.NewAnchors(red, cp.blockEvents[b], func(o graph.NodeID) int32 {
+			var cutOrig []graph.NodeID
+			for j, v := range members {
+				if tree.CutIndex[v] >= 0 {
+					cp.cuts[b] = append(cp.cuts[b], graph.NodeID(j))
+					cutOrig = append(cutOrig, red.ToOld[v])
+				} else {
+					cp.other[b] = append(cp.other[b], graph.NodeID(j))
+				}
+			}
+			an := reduce.NewAnchors(red, cp.blockEvents[b], func(o graph.NodeID) int32 {
 				if j := localIndex(members, red.ToNew[o]); int(j) < len(members) && members[j] == red.ToNew[o] {
 					return int32(j)
 				}
 				return -1
-			}, nil)
-			for j, v := range members {
-				if tree.CutIndex[v] >= 0 {
-					cp.cuts[b] = append(cp.cuts[b], graph.NodeID(j))
-				} else {
-					cp.other[b] = append(cp.other[b], graph.NodeID(j))
-				}
+			}, cutOrig)
+			cp.anchors[b], cp.colAt[b] = an, an.KeptColumns(len(members))
+			for _, o := range cutOrig {
+				cp.cutCol[b] = append(cp.cutCol[b], int32(an.Col(o)))
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/bct"
 	"repro/internal/bfs"
@@ -431,5 +432,101 @@ func TestCumulativeAnytimeAfterCutTraversals(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCumulativeBatchedCutSweepsFirst: on the batched engine a block's cut
+// sources form sweeps of their own, which run before any drawn source. With
+// one worker, an anytime run canceled as soon as every cut row is in must
+// therefore degrade to a partial over exactly the cut rows, not fail with
+// ErrCanceled. At fraction 0.2 block 0 of this input carries 19 sources,
+// one of them a cut.
+func TestCumulativeBatchedCutSweepsFirst(t *testing.T) {
+	g := gen.Web(400, 5)
+	ctx := context.Background()
+	p, err := Prepare(ctx, g, TechCumulative, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.cum == nil {
+		t.Fatal("want a multi-block plan")
+	}
+	cutUnits := 0
+	for _, cuts := range p.cum.tree.BlockCuts {
+		cutUnits += len(cuts)
+	}
+	maxK := 0
+	t.Cleanup(func() { chooseEngine = engineFor })
+	chooseEngine = func(k int) engine {
+		maxK = max(maxK, k)
+		return engineFor(k)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	prog := &Progress{OnAdvance: func(completed, _ int64) {
+		if completed == int64(cutUnits) {
+			cancel()
+		}
+	}}
+	res, err := p.Estimate(ctx, Options{Techniques: TechCumulative, SampleFraction: 0.2,
+		Seed: 510, Workers: 1, Anytime: true, Progress: prog})
+	if engineFor(maxK) != batched {
+		t.Fatalf("largest unit has %d sources; want the batched engine", maxK)
+	}
+	if err != nil {
+		t.Fatalf("want a partial result after the %d cut rows, got %v", cutUnits, err)
+	}
+	if !res.Partial || res.Completed != cutUnits || res.Planned <= cutUnits {
+		t.Fatalf("partial %v after %d of %d units, want a partial after the %d cut units",
+			res.Partial, res.Completed, res.Planned, cutUnits)
+	}
+}
+
+// TestCumulativeInterruptedSweepLandsNothing: a 64-lane sweep canceled
+// half-way must leave no trace in the run's sums. With one worker, a run
+// canceled 3 ms into block 0's first drawn sweep (after every cut row) must
+// return the same partial, bit for bit, as a run canceled before that sweep
+// starts. If the sweep outruns the timer the comparison cannot be made.
+func TestCumulativeInterruptedSweepLandsNothing(t *testing.T) {
+	g := gen.Road(24000, 1)
+	p, err := Prepare(context.Background(), g, TechCumulative, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutUnits := 0
+	for _, cuts := range p.cum.tree.BlockCuts {
+		cutUnits += len(cuts)
+	}
+	run := func(after time.Duration) *Result {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		prog := &Progress{OnAdvance: func(completed, _ int64) {
+			if completed == int64(cutUnits) {
+				if after == 0 {
+					cancel()
+				} else {
+					time.AfterFunc(after, cancel)
+				}
+			}
+		}}
+		res, err := p.Estimate(ctx, Options{Techniques: TechCumulative, SampleFraction: 0.02,
+			Seed: 4, Workers: 1, Anytime: true, Progress: prog})
+		if err != nil {
+			t.Fatalf("want a partial result, got %v", err)
+		}
+		return res
+	}
+	want, got := run(0), run(3*time.Millisecond)
+	if want.Completed != cutUnits {
+		t.Fatalf("canceled before the drawn sweeps: %d of %d units done, want the %d cut units", want.Completed, want.Planned, cutUnits)
+	}
+	if got.Completed != cutUnits {
+		t.Skipf("the drawn sweep finished within 3 ms (%d units done)", got.Completed)
+	}
+	assertSameResult(t, "interrupted sweep", want, got)
+	for v := range want.Low {
+		if want.Low[v] != got.Low[v] || want.High[v] != got.High[v] {
+			t.Fatalf("node %d: bounds [%v, %v], want [%v, %v]", v, got.Low[v], got.High[v], want.Low[v], want.High[v])
+		}
 	}
 }

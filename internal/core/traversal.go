@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 )
 
 // engine is the traversal engine one traversal unit runs its sampled sources
@@ -27,7 +27,7 @@ const (
 	// bucket queue on weighted ones (pull sweeps need unit weights).
 	perSource engine = iota
 	// batched packs sources into ≤64-wide bit-parallel sweeps that share
-	// edge scans (bfs.MultiSourceWRows) and fans the batches out across the
+	// edge scans (bfs.MultiSourceW) and fans the batches out across the
 	// workers.
 	batched
 )
@@ -140,23 +140,36 @@ type traversalTask struct {
 	srcs []graph.NodeID
 }
 
-// traverse is the one traversal driver of every estimator. Per
-// unit it asks the policy for an engine, clusters and cuts batched sources
-// into ≤64-wide sweeps, and queues the work on one dynamic task pool; tasks
-// holding a source for which first reports true (first may be nil) run
-// before the others. Every (unit, source) distance row, in the unit's ids,
-// reaches row exactly once from a stable worker index in [0, workers); dist
-// aliases the worker's scratch and is valid only during the call. Rows are
-// whole: once ctx is done no further row is delivered (checked before every
-// lane), and the ErrCanceled-wrapping error tells the caller to discard or
-// degrade what it accumulated. An error from a kernel or from the "bfs.batch"
-// fault point at the start of every batched task aborts the run: the first
-// one is returned, its task delivers no row, and tasks not yet started are
+// laneSink consumes the sweeps of one traversal worker. A sweep is one
+// task: up to 64 sources of unit u, lane i carrying srcs[i], on the batched
+// engine, or one source on the per-source engine, whose finished row is
+// handed over as a one-lane sweep (whole is then true). Between start and
+// finish every reached (lane, node) pair arrives exactly once, packed as
+// lane masks (see bfs.MultiSourceW); finish is called only for a sweep that
+// was not interrupted, so a sink that keeps a sweep's sums apart until
+// finish lands each sweep whole or not at all.
+type laneSink struct {
+	start  func(u int, srcs []graph.NodeID, whole bool)
+	visit  func(v graph.NodeID, mask uint64, d int32)
+	finish func()
+}
+
+// traverse is the one traversal driver of every estimator. Per unit it asks
+// the policy for an engine, clusters and cuts batched sources into ≤64-wide
+// sweeps, and queues the work on one dynamic task pool. The sources for
+// which first reports true (first may be nil) form sweeps of their own,
+// which run before all others on one worker; on several, the costliest
+// other sweep starts beside them. Every sweep reaches the sink newSink built
+// for its worker index in [0, workers), once. Sweeps are whole: once ctx is
+// done no further sweep is finished (checked after every sweep), and the
+// ErrCanceled-wrapping error tells the caller to discard or degrade what it
+// accumulated. An error from a kernel or from the "bfs.batch" fault point at
+// the start of every batched task aborts the run: the first one is
+// returned, its task finishes no sweep, and tasks not yet started are
 // skipped. Callers key their accumulation by source, so the engine and the
 // task order change no output integer.
 func traverse(ctx context.Context, units []unit, workers int,
-	first func(u int, src graph.NodeID) bool,
-	row func(worker, u int, src graph.NodeID, dist []int32)) error {
+	first func(u int, src graph.NodeID) bool, newSink func(worker int) laneSink) error {
 	workers = par.Workers(workers)
 	var tasks, rest []traversalTask
 	var uses [2]bool // indexed by engine
@@ -168,21 +181,32 @@ func traverse(ctx context.Context, units []unit, workers int,
 		maxN, maxW = max(maxN, un.g.NumNodes()), max(maxW, un.g.MaxWeight())
 		e := chooseEngine(len(un.sources))
 		uses[e] = true
-		srcs, width := un.sources, 1
-		if e == batched {
-			srcs = permuted(srcs, clusterOrder(srcs, func() []graph.NodeID {
-				return un.positions(workers)
-			}))
-			width = bfs.MSBFSWidth
-		}
-		for base := 0; base < len(srcs); base += width {
-			t := traversalTask{ui, e, srcs[base:min(base+width, len(srcs))]}
-			if first != nil && holdsFirst(t, first) {
-				tasks = append(tasks, t)
-			} else {
-				rest = append(rest, t)
+		head, tail := un.sources, []graph.NodeID(nil)
+		if first != nil {
+			head, tail = nil, nil
+			for _, src := range un.sources {
+				if first(ui, src) {
+					head = append(head, src)
+				} else {
+					tail = append(tail, src)
+				}
 			}
 		}
+		tasks = appendTasks(tasks, ui, e, head, un, workers)
+		rest = appendTasks(rest, ui, e, tail, un, workers)
+	}
+	// Within each group the costliest sweeps go first, so the pool does not
+	// end on one long sweep. With several workers the costliest of the rest
+	// also starts at once, beside the first group: a worker that joins the
+	// pool late would otherwise leave it to start behind the first group.
+	byCost := func(ts []traversalTask) {
+		sort.SliceStable(ts, func(i, j int) bool { return taskCost(units, ts[i]) > taskCost(units, ts[j]) })
+	}
+	byCost(tasks)
+	byCost(rest)
+	if workers > 1 && len(tasks) > 0 && len(rest) > 0 {
+		tasks = append([]traversalTask{rest[0]}, tasks...)
+		rest = rest[1:]
 	}
 	tasks = append(tasks, rest...)
 
@@ -195,35 +219,32 @@ func traverse(ctx context.Context, units []unit, workers int,
 		return true
 	}
 	done := ctx.Done()
-	scratch := make([]traversalScratch, min(workers, len(tasks)))
+	scratch := make([]*traversalScratch, min(workers, len(tasks)))
+	sinks := make([]laneSink, len(scratch))
 	for i := range scratch {
-		scratch[i] = newTraversalScratch(maxN, maxW, uses, done)
+		scratch[i] = getScratch(maxN, maxW, uses, done)
+		defer putScratch(scratch[i])
+		sinks[i] = newSink(i)
 	}
 	err := par.ForDynamicCtx(ctx, len(tasks), len(scratch), 1, func(worker, ti int) {
 		if kernelErr.Load() != nil {
 			return
 		}
-		t, s := tasks[ti], &scratch[worker]
+		t, s, sink := tasks[ti], scratch[worker], sinks[worker]
 		un := units[t.u]
-		n := un.g.NumNodes()
 		if t.e == batched {
 			if failed(fault.Checkpoint(ctx, "bfs.batch")) {
 				return
 			}
-			rows := s.rows[:len(t.srcs)]
-			for i := range rows {
-				rows[i] = s.slab[i*n : (i+1)*n]
+			sink.start(t.u, t.srcs, false)
+			bfs.MultiSourceW(un.g, un.unweighted, t.srcs, s.ms, sink.visit)
+			if par.Interrupted(done) {
+				return // canceled: the sweep may be partial; land nothing
 			}
-			bfs.MultiSourceWRows(un.g, un.unweighted, t.srcs, s.ms, rows)
-			for lane, src := range t.srcs {
-				if par.Interrupted(done) {
-					return // canceled: rows may be partial; deliver no more
-				}
-				row(worker, t.u, src, rows[lane])
-			}
+			sink.finish()
 			return
 		}
-		src, dist := t.srcs[0], s.s.Dist[:n]
+		src, dist := t.srcs[0], s.s.Dist[:un.g.NumNodes()]
 		var err error
 		if un.unweighted {
 			err = bfs.WHybridDistancesBFSCtx(ctx, un.g, src, dist, s.s)
@@ -233,7 +254,13 @@ func traverse(ctx context.Context, units []unit, workers int,
 		if failed(err) || par.Interrupted(done) {
 			return // partial row
 		}
-		row(worker, t.u, src, dist)
+		sink.start(t.u, t.srcs, true)
+		for v, d := range dist {
+			if d != bfs.Unreached {
+				sink.visit(graph.NodeID(v), 1, d)
+			}
+		}
+		sink.finish()
 	})
 	if kerr := kernelErr.Load(); kerr != nil {
 		return *kerr
@@ -241,53 +268,73 @@ func traverse(ctx context.Context, units []unit, workers int,
 	return err
 }
 
-// holdsFirst reports whether any source of t is one the caller wants first.
-func holdsFirst(t traversalTask, first func(u int, src graph.NodeID) bool) bool {
-	for _, s := range t.srcs {
-		if first(t.u, s) {
-			return true
-		}
+// appendTasks cuts srcs, sources of unit ui, into tasks for engine e: one
+// per source, or ≤64-wide batches in clustered order.
+func appendTasks(tasks []traversalTask, ui int, e engine, srcs []graph.NodeID, un unit, workers int) []traversalTask {
+	width := 1
+	if e == batched {
+		srcs = permuted(srcs, clusterOrder(srcs, func() []graph.NodeID {
+			return un.positions(workers)
+		}))
+		width = bfs.MSBFSWidth
 	}
-	return false
+	for base := 0; base < len(srcs); base += width {
+		tasks = append(tasks, traversalTask{ui, e, srcs[base:min(base+width, len(srcs))]})
+	}
+	return tasks
 }
 
-// traversalScratch is one worker's reusable traversal state, sized to the
-// largest unit and allocated only for the engines the run uses.
+// taskCost is a sweep's cost in (lane, node or edge) steps of its unit.
+func taskCost(units []unit, t traversalTask) int {
+	g := units[t.u].g
+	return len(t.srcs) * (g.NumNodes() + g.NumEdges())
+}
+
+// traversalScratch is one worker's reusable traversal state, allocated only
+// for the engines a run uses and grown to its largest unit.
 type traversalScratch struct {
-	s    *bfs.Scratch   // per-source engine: distance row and queues
-	ms   *bfs.MSScratch // batched engine: lane masks and frontiers
-	slab []int32        // batched engine: 64 distance rows
-	rows [][]int32
+	s  *bfs.Scratch   // per-source engine: distance row and queues
+	sN int            // the node count s was made for
+	sW int32          // and its maximum weight
+	ms *bfs.MSScratch // batched engine: lane masks, frontiers, bucket ring
 }
 
-func newTraversalScratch(maxN int, maxW int32, uses [2]bool, done <-chan struct{}) traversalScratch {
-	var s traversalScratch
-	if uses[perSource] {
-		s.s = bfs.NewScratch(maxN, maxW)
+// laneRows returns k rows of width w, one after another, every entry -1,
+// reusing buf: the anchor rows a sink captures a sweep's lanes into.
+func laneRows(buf []int32, k, w int) []int32 {
+	buf = slices.Grow(buf[:0], k*w)[:k*w]
+	for i := range buf {
+		buf[i] = -1
+	}
+	return buf
+}
+
+// scratchPool keeps traversal scratch across runs, so the buffers a sweep
+// grows as it goes (the masked Dial's bucket ring above all) are grown once,
+// not once per run. A plan per graph would not help a server that builds a
+// new plan on every mutation.
+var scratchPool = sync.Pool{New: func() any { return new(traversalScratch) }}
+
+// getScratch takes scratch from the pool, sized for units of up to maxN
+// nodes and weight maxW; the batched engine's sweeps stop when done fires.
+func getScratch(maxN int, maxW int32, uses [2]bool, done <-chan struct{}) *traversalScratch {
+	s := scratchPool.Get().(*traversalScratch)
+	if uses[perSource] && (s.s == nil || s.sN < maxN || s.sW < maxW) {
+		s.s, s.sN, s.sW = bfs.NewScratch(maxN, maxW), maxN, maxW
 	}
 	if uses[batched] {
-		s.ms = bfs.NewMSScratch(maxN, maxW)
+		if s.ms == nil {
+			s.ms = bfs.NewMSScratch(maxN) // grows itself per sweep
+		}
 		s.ms.SetDone(done)
-		s.slab = make([]int32, bfs.MSBFSWidth*maxN)
-		s.rows = make([][]int32, bfs.MSBFSWidth)
 	}
 	return s
 }
 
-// plainRows runs one plain BFS per source over the unreduced graph g,
-// parallel across sources, and hands row the i-th source's whole distance
-// row (valid only during the call). It serves the traversals that have no
-// reduced-graph unit: the global estimator's augmentation sources and the
-// landmark rows of a partial result (landmarkRows).
-func plainRows(ctx context.Context, g *graph.Graph, sources []graph.NodeID, workers int, row func(worker, i int, dist []int32)) error {
-	n := g.NumNodes()
-	dist := make([][]int32, min(par.Workers(workers), len(sources)))
-	qs := make([]*queue.FIFO, len(dist))
-	for i := range dist {
-		dist[i], qs[i] = make([]int32, n), queue.NewFIFO(n)
+// putScratch returns scratch to the pool.
+func putScratch(s *traversalScratch) {
+	if s.ms != nil {
+		s.ms.SetDone(nil)
 	}
-	return par.ForDynamicCtx(ctx, len(sources), len(dist), 1, func(worker, i int) {
-		bfs.Distances(g, sources[i], dist[worker], qs[worker])
-		row(worker, i, dist[worker])
-	})
+	scratchPool.Put(s)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -224,11 +225,57 @@ func traverseTestUnits() []unit {
 	return units
 }
 
+// rowSink is the row-space reference consumer: it rebuilds every lane's
+// distance row from the sweep's visits and hands the rows to row when the
+// sweep finishes. It counts (lane, node) pairs visited twice in dups.
+type rowSink struct {
+	units []unit
+	row   func(u int, src graph.NodeID, dist []int32)
+	u     int
+	srcs  []graph.NodeID
+	rows  [][]int32
+	dups  int
+}
+
+func rowSinks(units []unit, row func(u int, src graph.NodeID, dist []int32), sinks *[]*rowSink, mu *sync.Mutex) func(int) laneSink {
+	return func(int) laneSink {
+		s := &rowSink{units: units, row: row}
+		mu.Lock()
+		*sinks = append(*sinks, s)
+		mu.Unlock()
+		return laneSink{s.start, s.visit, s.finish}
+	}
+}
+
+func (s *rowSink) start(u int, srcs []graph.NodeID, _ bool) {
+	s.u, s.srcs, s.rows = u, srcs, make([][]int32, len(srcs))
+	for i := range s.rows {
+		s.rows[i] = make([]int32, s.units[u].g.NumNodes())
+		bfs.Fill(s.rows[i])
+	}
+}
+
+func (s *rowSink) visit(v graph.NodeID, mask uint64, d int32) {
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		if s.rows[lane][v] != bfs.Unreached {
+			s.dups++
+		}
+		s.rows[lane][v] = d
+	}
+}
+
+func (s *rowSink) finish() {
+	for i, src := range s.srcs {
+		s.row(s.u, src, s.rows[i])
+	}
+}
+
 // TestTraverseRowsMatchKernels pins each engine at workers {1,2,4} and
 // requires the driver to deliver every (unit, source) row exactly once,
-// equal to the plain Dial kernel; a pre-canceled context to deliver nothing
-// and return ErrCanceled; and, at one worker, every row of a first source to
-// arrive before any other row.
+// each (lane, node) pair once, equal to the plain Dial kernel; a
+// pre-canceled context to deliver nothing and return ErrCanceled; and, at
+// one worker, every row of a first source to arrive before any other row.
 func TestTraverseRowsMatchKernels(t *testing.T) {
 	units := traverseTestUnits()
 	want := make([]map[graph.NodeID][]int32, len(units))
@@ -252,7 +299,8 @@ func TestTraverseRowsMatchKernels(t *testing.T) {
 				seen[u] = map[graph.NodeID]bool{}
 			}
 			var order []bool // whether each delivered row was a first source
-			err := traverse(context.Background(), units, workers, first, func(_, u int, src graph.NodeID, dist []int32) {
+			var sinks []*rowSink
+			err := traverse(context.Background(), units, workers, first, rowSinks(units, func(u int, src graph.NodeID, dist []int32) {
 				mu.Lock()
 				defer mu.Unlock()
 				if seen[u][src] {
@@ -266,18 +314,22 @@ func TestTraverseRowsMatchKernels(t *testing.T) {
 						return
 					}
 				}
-			})
+			}, &sinks, &mu))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
+			}
+			for _, s := range sinks {
+				if s.dups != 0 {
+					t.Fatalf("%s: %d (lane, node) pairs visited twice", label, s.dups)
+				}
 			}
 			for u, un := range units {
 				if len(seen[u]) != len(un.sources) {
 					t.Fatalf("%s: unit %d delivered %d of %d rows", label, u, len(seen[u]), len(un.sources))
 				}
 			}
-			// A batch mixes first and other sources, so only single-source
-			// tasks pin the row order.
-			if workers == 1 && e != batched {
+			// First sources run in sweeps of their own, ahead of the others.
+			if workers == 1 {
 				for i := 1; i < len(order); i++ {
 					if order[i] && !order[i-1] {
 						t.Fatalf("%s: a first-source row arrived after another row (row %d)", label, i)
@@ -288,11 +340,11 @@ func TestTraverseRowsMatchKernels(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			rows := 0
-			err = traverse(ctx, units, workers, first, func(_, _ int, _ graph.NodeID, _ []int32) {
+			err = traverse(ctx, units, workers, first, rowSinks(units, func(int, graph.NodeID, []int32) {
 				mu.Lock()
 				rows++
 				mu.Unlock()
-			})
+			}, &sinks, &mu))
 			if !errors.Is(err, ErrCanceled) || rows != 0 {
 				t.Fatalf("%s pre-canceled: err %v, %d rows; want ErrCanceled and none", label, err, rows)
 			}

@@ -8,16 +8,16 @@ import (
 
 // Anchors lets an estimator account for the removed nodes of a run of
 // removal events without extending every traversal row to them. A traversal
-// unit (the reduced graph, or one biconnected block of it) delivers one row
-// per source over its kept nodes. Fill turns such a row into the source's
-// anchor row: its distance to every tracked node (every anchor of the
-// covered events, plus any extra node the caller asks for), read off the
-// row for kept nodes and recovered for removed anchors by replaying only the
-// events that removed an anchor, in reverse removal order. Account then
-// gives the source's total over all removed nodes with one closed form per
-// event, and adds what the per-row rules below need to a RowSums. Once every
-// row is in, AddSums gives each removed node its sums over the rows, once
-// per run:
+// unit (the reduced graph, or one biconnected block of it) reaches each
+// source's kept nodes. The source's anchor row holds its distance to every
+// tracked node (every anchor of the covered events, plus any extra node the
+// caller asks for): a consumer captures the kept columns as the traversal
+// reaches them (KeptColumns), and Fill recovers the removed anchors by
+// replaying only the events that removed an anchor, in reverse removal
+// order. Account then gives the source's total over all removed nodes with
+// one closed form per event, and adds what the per-row rules below need to
+// a RowSums. Once every row is in, AddSums gives each removed node its sums
+// over the rows, once per run:
 //
 //   - a twin takes its representative's sums, plus GroupDist for every row
 //     whose source is the representative;
@@ -202,17 +202,26 @@ func (p *Anchors) Col(o graph.NodeID) int {
 	return -1
 }
 
-// Fill writes one source's anchor row into cols (len Width()): cols[c] is
-// read from row (the source's distances over the unit's kept nodes) or
-// recovered by replaying the removing events in reverse.
-func (p *Anchors) Fill(row, cols []int32) {
+// KeptColumns returns, for each of a unit's n nodes, the column that tracks
+// it, or -1: the index a traversal consumer captures anchor rows through.
+func (p *Anchors) KeptColumns(n int) []int32 {
+	at := make([]int32, n)
+	for i := range at {
+		at[i] = -1
+	}
 	for c, k := range p.keep {
 		if k >= 0 {
-			cols[c] = row[k]
-		} else {
-			cols[c] = -1
+			at[k] = int32(c)
 		}
 	}
+	return at
+}
+
+// Fill completes one source's anchor row cols (len Width()), whose kept
+// columns (see KeptColumns) hold the source's distances and whose other
+// columns hold -1: it recovers the removed columns by replaying the
+// removing events in reverse.
+func (p *Anchors) Fill(cols []int32) {
 	for _, f := range p.fills {
 		cols[f.col] = p.evs[f.ev].dist(cols, int(f.idx))
 	}
@@ -329,10 +338,12 @@ func (p *Anchors) Account(cols []int32, src graph.NodeID, w int64, rs *RowSums) 
 		e := &p.chainEvs[i]
 		l, du, dv := int64(e.l), int64(cols[e.a]), int64(cols[e.b])
 		// The split point: offsets 1..s are reached through U, the rest
-		// through V.
-		s := max(min((dv-du+l+1)/2, l), 0)
-		// Offsets 1..s: du + off; offsets s+1..l: dv + l + 1 − off.
-		sum += s*du + s*(s+1)/2 + (l-s)*(dv+l+1) - (l*(l+1)/2 - s*(s+1)/2)
+		// through V. (A shift floors where a division would truncate; the
+		// two differ only below zero, which the clamp maps to 0 alike.)
+		s := max(min((dv-du+l+1)>>1, l), 0)
+		// Offsets 1..s: du + off, Σ = s·du + s(s+1)/2; offsets s+1..l:
+		// dv + l + 1 − off, Σ = (l−s)(dv+l+1) − (l(l+1)/2 − s(s+1)/2).
+		sum += s*du + s*(s+1) + (l-s)*(dv+l+1) - l*(l+1)>>1
 		if rs != nil {
 			b := &rs.buckets[int64(e.at)+s]
 			b.k += w

@@ -63,11 +63,14 @@ func decodeEstimate(t *testing.T, w *httptest.ResponseRecorder) estimateBody {
 
 // TestDegradeAcceptSoftDeadlineSnapshot: a degrade=accept request whose soft
 // deadline lands mid-run is answered from a snapshot of the run so far —
-// 200, partial, with proven mean bounds around the estimate.
+// 200, partial, with proven mean bounds around the estimate. A sweep of up
+// to 64 sources completes as a whole, so the run samples every one of the
+// 270 reduced nodes: five sweeps, the soft deadline landing in the first
+// one's completions.
 func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
 	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", `{"seed":500,"techniques":"RIC"}`)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", `{"seed":500,"techniques":"RIC","fraction":1}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}
@@ -93,7 +96,13 @@ func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 // case the grace wait exists for: a multi-block BRIC plan offers no
 // snapshot, so its partial exists only once the canceled run has ended. At
 // fraction 0.05 it plans 6 traversals, the 2 cut ones first; at 60ms each
-// the deadline lands after the cuts and well before the end.
+// the deadline lands after the cuts and well before the end. At fraction
+// 0.2 it plans 20, block 0's 19 on the batched engine: its cut sweeps
+// (block 0's one-lane sweep, block 1's single source) run before block 0's
+// 18 drawn sources, so at 200ms each the deadline lands between the second
+// cut and the drawn sweep. The global input samples all 270 reduced nodes,
+// five sweeps of whole completions, so at 2ms per completion the deadline
+// lands in the second.
 func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -103,8 +112,9 @@ func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 		body      string
 		minBlocks int
 	}{
-		{"global", gen.Community(400, 5), 10 * time.Millisecond, "200ms", `{"seed":510,"techniques":"RIC"}`, 0},
+		{"global", gen.Community(400, 5), 2 * time.Millisecond, "200ms", `{"seed":510,"techniques":"RIC","fraction":1}`, 0},
 		{"cumulative", gen.Web(400, 5), 60 * time.Millisecond, "220ms", `{"seed":510,"techniques":"BRIC","fraction":0.05}`, 2},
+		{"cumulative-batched", gen.Web(400, 5), 200 * time.Millisecond, "300ms", `{"seed":510,"techniques":"BRIC","fraction":0.2}`, 2},
 	} {
 		s := newServerOn(t, tc.g, Config{Workers: 1}) // default SoftMargin 500ms > timeout
 		slowFlight(t, s, tc.perSource)
@@ -208,11 +218,12 @@ func TestDegradeAcceptDrainServesPartial(t *testing.T) {
 }
 
 // TestFarnessPartialBounds: the per-node endpoint carries the node's own
-// proven bounds on a degraded answer.
+// proven bounds on a degraded answer (every node sampled, for several
+// sweeps, as in TestDegradeAcceptSoftDeadlineSnapshot).
 func TestFarnessPartialBounds(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
 	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodGet, "/v1/farness/3?timeout=400ms&degrade=accept&seed=560&techniques=RIC", "")
+	w := doJSON(s, http.MethodGet, "/v1/farness/3?timeout=400ms&degrade=accept&seed=560&techniques=RIC&fraction=1", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}

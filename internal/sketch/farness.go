@@ -24,8 +24,15 @@ import (
 // known, any candidate whose lower bound already meets the k-th best farness
 // provably cannot improve the answer and its verification BFS is skipped.
 // Total cost is O(k·(n + maxDist)) — about one BFS worth of work for the
-// whole array. Deterministic at every worker count.
+// whole array. Deterministic at every worker count, so the bounds are
+// computed once per sketch, by the first call with its workers, and every
+// call returns the same slice, which callers must not modify.
 func (s *Sketch) FarnessLowerBounds(workers int) []int64 {
+	s.lbOnce.Do(func() { s.lb = s.farnessLowerBounds(workers) })
+	return s.lb
+}
+
+func (s *Sketch) farnessLowerBounds(workers int) []int64 {
 	workers = par.Workers(workers)
 	lb := make([]int64, s.n)
 	if s.k == 0 || s.n == 0 {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
@@ -77,6 +78,9 @@ type Sketch struct {
 
 	centers []graph.NodeID
 	seeds   [][]graph.NodeID // per cluster, lane order; seeds[c][0] == centers[c]
+
+	lbOnce sync.Once
+	lb     []int64 // FarnessLowerBounds, computed on first use
 }
 
 // Build constructs a sketch over g. Centers are chosen by descending degree
@@ -117,7 +121,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts Options) (*Sketch, e
 	done := ctx.Done()
 	scratch := make([]*bfs.MSScratch, min(workers, k))
 	for i := range scratch {
-		scratch[i] = bfs.NewMSScratch(n, 1)
+		scratch[i] = bfs.NewMSScratch(n)
 		scratch[i].SetDone(done)
 	}
 	err := par.ForDynamicCtx(ctx, k, workers, 1, func(worker, c int) {
@@ -212,9 +216,11 @@ func (s *Sketch) Seeds() int {
 	return total
 }
 
-// Bytes reports the memory footprint of the index arrays.
+// Bytes reports the memory footprint of the index arrays, counting the
+// farness lower bounds (8 bytes per vertex) whether or not they have been
+// asked for yet.
 func (s *Sketch) Bytes() int64 {
-	return int64(len(s.dist))*4 + int64(len(s.masks))*8
+	return int64(len(s.dist))*4 + int64(len(s.masks))*8 + int64(s.n)*8
 }
 
 // Bounds returns proven bounds lower ≤ d(u, v) ≤ upper from the sketch

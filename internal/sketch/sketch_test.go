@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bfs"
@@ -77,12 +78,20 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Farness lower bounds must never exceed the exact farness.
+// Farness lower bounds must never exceed the exact farness. The sketch
+// computes them once: a later call, at any worker count, returns the same
+// slice, equal to a fresh computation at one worker.
 func TestFarnessLowerBounds(t *testing.T) {
 	for name, g := range families(800) {
 		t.Run(name, func(t *testing.T) {
 			sk := Build(g, Options{Clusters: 8, Workers: 4})
 			lb := sk.FarnessLowerBounds(4)
+			if again := sk.FarnessLowerBounds(1); &again[0] != &lb[0] {
+				t.Fatal("a second call recomputed the bounds")
+			}
+			if !slices.Equal(lb, sk.farnessLowerBounds(1)) {
+				t.Fatal("cached bounds differ from a fresh computation at one worker")
+			}
 			far := bfs.ExactFarness(g, 4)
 			nonzero := 0
 			for v := range lb {

@@ -58,3 +58,41 @@ func TestSketchFilterIdenticalTopK(t *testing.T) {
 		t.Log("filter never fired on these inputs; bounds too weak to save traversals here")
 	}
 }
+
+// TestClosenessLaneSumsExact: every farness the search returns — read off a
+// prefetch sweep's lane sums, computed by a single BFS, or taken from an
+// exact estimate — equals the node's exact farness, on the four families
+// (web at 6000 nodes, the size the end-to-end benchmark serves) over 50
+// seeds with the sketch filter on.
+func TestClosenessLaneSumsExact(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"web", graph.Connect(gen.Web(6000, 1))},
+		{"social", graph.Connect(gen.Social(1500, 1))},
+		{"community", graph.Connect(gen.Community(1500, 1))},
+		{"road", graph.Connect(gen.Road(1500, 1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exact := core.ExactFarness(tc.g, 0)
+			sk := sketch.Build(tc.g, sketch.Options{Workers: 2})
+			for seed := int64(1); seed <= 50; seed++ {
+				got, err := Closeness(tc.g, 10, Options{Sketch: sk, Estimate: core.Options{
+					Techniques: core.TechCumulative, SampleFraction: 0.2, Seed: seed, Workers: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Verified == 0 {
+					t.Fatalf("seed %d: nothing verified", seed)
+				}
+				for i, v := range got.Nodes {
+					if got.Farness[i] != exact[v] {
+						t.Fatalf("seed %d: node %d farness %v, exact %v", seed, v, got.Farness[i], exact[v])
+					}
+				}
+			}
+		})
+	}
+}

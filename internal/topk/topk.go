@@ -145,10 +145,10 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	// The group size starts small (the stopping rule often fires within a
 	// few candidates) and doubles as verification keeps going. Every lane
 	// computed counts against MaxVerify — groups are clipped to the remaining
-	// budget, never exceeding it — and per-lane sums are bit-identical to
-	// bfs.Sum over a per-source row, so results match the per-source path
-	// exactly. A candidate the prefetch did not cover gets one plain BFS of
-	// its own.
+	// budget, never exceeding it — and the per-lane sums (a bfs.LaneAcc, in
+	// lane space) are bit-identical to bfs.Sum over a per-source row, so
+	// results match the per-source path exactly. A candidate the prefetch
+	// did not cover gets one plain BFS of its own.
 	workers := par.Workers(opts.Estimate.Workers)
 	q := queue.NewFIFO(n)
 	exactCache := make([]float64, n)
@@ -168,6 +168,7 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			!est.Exact[v] && !haveExact[v]
 	}
 	var ms *bfs.MSScratch
+	var lanes bfs.LaneAcc
 	groupSize := 8
 	done := ctx.Done()
 	// prefetch passes the same "topk.verify" fault point as a single
@@ -201,17 +202,18 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			return err
 		}
 		if ms == nil {
-			ms = bfs.NewMSScratch(n, 1)
+			ms = bfs.NewMSScratch(n)
 			ms.SetDone(done)
 		}
-		var farBySlot [bfs.MSBFSWidth]int64
-		laneFar := farBySlot[:len(batch)]
+		lanes.Reset(len(batch))
 		bfs.MultiSourceMasksInto(g, batch, ms, func(_ graph.NodeID, mask uint64, d int32) {
-			bfs.AccumulateLanes(laneFar, mask, int64(d))
+			lanes.Add(mask, d)
 		})
 		if par.Interrupted(done) {
 			return par.CtxErr(ctx) // partial sums; discard them
 		}
+		var farBySlot [bfs.MSBFSWidth]int64
+		lanes.Sums(farBySlot[:len(batch)])
 		for lane, v := range batch {
 			exactCache[v] = float64(farBySlot[lane])
 			haveExact[v] = true
