@@ -11,10 +11,11 @@ vet:
 test:
 	go test ./...
 
-# The CI gate: static checks plus the full test suite under the race
-# detector (the batched traversal driver and every estimator fan-out must
-# stay race-clean).
+# The CI gate: the format check, static checks plus the full test suite
+# under the race detector (the sweep driver and every estimator fan-out
+# must stay race-clean).
 check:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go test -race ./...
 

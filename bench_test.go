@@ -10,7 +10,6 @@
 package brics_test
 
 import (
-	"context"
 	"testing"
 
 	brics "repro"
@@ -205,8 +204,8 @@ func BenchmarkReductionStages(b *testing.B) {
 	}
 }
 
-// BenchmarkTraversalKernels compares plain BFS, direction-optimising BFS
-// and Dial's algorithm on the same (unweighted) graph.
+// BenchmarkTraversalKernels compares plain BFS and Dial's algorithm on the
+// same (unweighted) graph.
 func BenchmarkTraversalKernels(b *testing.B) {
 	g := gen.Social(20000, 2)
 	wg := g.ToWeighted()
@@ -217,13 +216,6 @@ func BenchmarkTraversalKernels(b *testing.B) {
 	b.Run("bfs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bfs.Distances(g, graph.NodeID(i%n), dist, q)
-		}
-	})
-	b.Run("direction-optimizing", func(b *testing.B) {
-		s := &bfs.Scratch{}
-		ctx := context.Background()
-		for i := 0; i < b.N; i++ {
-			_ = bfs.WHybridDistancesBFSCtx(ctx, wg, graph.NodeID(i%n), dist, s)
 		}
 	})
 	b.Run("dial", func(b *testing.B) {

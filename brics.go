@@ -112,11 +112,10 @@ const (
 )
 
 // Options configures Estimate; the zero value runs pure sampling at the
-// paper's default 20% fraction. The traversal engine is not an option: every
-// traversal unit (the reduced graph, or one biconnected block) batches its
-// sources into 64-wide bit-parallel sweeps when at least 8 of them share it,
-// and otherwise runs one direction-optimising traversal per source. Both
-// engines produce identical farness values.
+// paper's default 20% fraction. The traversal is not an option: every
+// traversal unit (the reduced graph, or one biconnected block) runs its
+// sources in 64-wide bit-parallel sweeps, however few they are. Farness is
+// identical at every worker count.
 type Options = core.Options
 
 // Result of an estimation run: per-node farness, exactness flags and run

@@ -85,8 +85,10 @@ func TestMultiSourceMatchesDistancesOnFamilies(t *testing.T) {
 
 // TestMultiSourceWMatchesWDistances cross-checks the lane-masked Dial
 // kernel against per-source Dial on randomly weighted versions of the four
-// families, including duplicate sources, plus the all-weights-one and
-// above-bucketable-fallback paths via MultiSourceW.
+// families, including duplicate sources, plus the all-weights-one path via
+// MultiSourceW. The "fallback" range (named after a retired per-source
+// path) puts weights above 512 through the lane-masked Dial, whose ring
+// spans any maximum weight.
 func TestMultiSourceWMatchesWDistances(t *testing.T) {
 	weightRanges := []struct {
 		name   string
@@ -95,7 +97,7 @@ func TestMultiSourceWMatchesWDistances(t *testing.T) {
 		{"unit", 1, 1},
 		{"small", 1, 7},
 		{"wide", 1, 60},
-		{"fallback", MSMaxBucketWeight, MSMaxBucketWeight + 80}, // forces per-source Dial
+		{"fallback", 512, 512 + 80},
 	}
 	for _, fam := range genFamilies {
 		for _, wr := range weightRanges {

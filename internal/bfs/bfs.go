@@ -1,13 +1,15 @@
-// Package bfs provides the traversal kernels of the system: plain and
-// direction-optimising breadth-first search on unweighted graphs, and Dial's
-// bucket-queue shortest paths on the integer-weighted graphs produced by
-// chain contraction. All kernels write into caller-provided distance buffers
-// so that the per-source parallel drivers can reuse scratch per worker.
+// Package bfs provides the traversal kernels of the system. Sampled sources
+// and top-k candidates are traversed up to 64 at a time in bit-parallel
+// sweeps: the level-synchronous sweep on unweighted graphs and the
+// lane-masked Dial on the integer-weighted graphs produced by chain
+// contraction (MultiSourceW). Plain per-source BFS and Dial serve the exact
+// oracles and reference checks, and a bidirectional BFS answers
+// point-to-point queries. All kernels write into caller-provided buffers so
+// that parallel drivers can reuse scratch per worker.
 package bfs
 
 import (
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/queue"
 )
 
@@ -22,23 +24,10 @@ func Fill(dist []int32) {
 	}
 }
 
-// interruptEvery is how many queue pops a per-source kernel processes
-// between polls of its done channel. Coarse enough that the poll vanishes in
-// the edge-scan cost, fine enough that cancellation lands within a fraction
-// of a millisecond even on large graphs.
-const interruptEvery = 2048
-
 // Distances runs a BFS from src over g, filling dist with hop counts
 // (Unreached for unreachable nodes). dist must have length g.NumNodes().
 // The scratch queue may be nil, in which case one is allocated.
 func Distances(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO) {
-	distancesDone(g, src, dist, q, nil)
-}
-
-// distancesDone is the BFS kernel with an optional interruption channel: a
-// nil done never interrupts; a fired done makes the kernel return early,
-// leaving dist partial (callers discard it).
-func distancesDone(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO, done <-chan struct{}) {
 	Fill(dist)
 	if q == nil {
 		q = queue.NewFIFO(g.NumNodes())
@@ -47,14 +36,7 @@ func distancesDone(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO
 	}
 	dist[src] = 0
 	q.Push(src)
-	budget := interruptEvery
 	for !q.Empty() {
-		if budget--; budget == 0 {
-			if par.Interrupted(done) {
-				return
-			}
-			budget = interruptEvery
-		}
 		u := q.Pop()
 		du := dist[u]
 		for _, v := range g.Neighbors(u) {
@@ -71,26 +53,6 @@ type Scratch struct {
 	Dist []int32
 	Q    *queue.FIFO
 	B    *queue.Bucket
-	// Direction-optimising frontier state (bitset words + two frontier
-	// buffers), allocated lazily on first hybrid traversal and pooled across
-	// sources like the rest of the scratch.
-	front           []uint64
-	frontier, spare []graph.NodeID
-}
-
-// hybridState returns the pooled direction-optimising buffers sized for an
-// n-node graph, growing them on first use or when a larger graph shows up.
-// The bitset words are returned zeroed (the kernel clears the bits it sets).
-func (s *Scratch) hybridState(n int) (front []uint64, frontier, spare []graph.NodeID) {
-	words := (n + 63) / 64
-	if len(s.front) < words {
-		s.front = make([]uint64, words)
-	}
-	if cap(s.frontier) < n {
-		s.frontier = make([]graph.NodeID, 0, n)
-		s.spare = make([]graph.NodeID, 0, n)
-	}
-	return s.front, s.frontier[:0], s.spare[:0]
 }
 
 // NewScratch allocates traversal scratch for an n-node graph whose edge
@@ -109,12 +71,6 @@ func NewScratch(n int, maxWeight int32) *Scratch {
 // dist must have length g.NumNodes(); b must have been created with at least
 // the graph's maximum edge weight.
 func WDistances(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket) {
-	wDistancesDone(g, src, dist, b, nil)
-}
-
-// wDistancesDone is the Dial kernel with an optional interruption channel
-// (see distancesDone).
-func wDistancesDone(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket, done <-chan struct{}) {
 	Fill(dist)
 	if b == nil {
 		b = queue.NewBucket(g.MaxWeight())
@@ -123,14 +79,7 @@ func wDistancesDone(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bu
 	}
 	dist[src] = 0
 	b.Push(src, 0)
-	budget := interruptEvery
 	for !b.Empty() {
-		if budget--; budget == 0 {
-			if par.Interrupted(done) {
-				return
-			}
-			budget = interruptEvery
-		}
 		u, du := b.Pop()
 		if dist[u] != du {
 			continue // stale entry superseded by a shorter path

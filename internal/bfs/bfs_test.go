@@ -1,7 +1,6 @@
 package bfs
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -148,19 +147,18 @@ func TestWDistancesAgainstBellmanFord(t *testing.T) {
 	}
 }
 
-// hybridDistances runs the direction-optimising BFS the way the per-source
-// engine does on a unit-weight traversal unit.
-func hybridDistances(t testing.TB, g *graph.Graph, src graph.NodeID, dist []int32, s *Scratch) {
-	t.Helper()
-	if err := WHybridDistancesBFSCtx(context.Background(), g.ToWeighted(), src, dist, s); err != nil {
-		t.Fatal(err)
-	}
+// hybridDistances runs the direction-optimising (push/pull) level-sync
+// kernel as a one-lane sweep, the way core traverses a single source, and
+// writes its row into dist.
+func hybridDistances(g *graph.Graph, src graph.NodeID, dist []int32, s *MSScratch) {
+	Fill(dist)
+	MultiSourceMasksInto(g, []graph.NodeID{src}, s, func(v graph.NodeID, _ uint64, d int32) { dist[v] = d })
 }
 
-// Property: direction-optimising BFS agrees with plain BFS, with the
-// scratch reused across traversals the way the per-source drivers reuse it.
+// Property: a one-lane push/pull sweep agrees with plain BFS, with the
+// scratch reused across sweeps the way the traversal drivers reuse it.
 func TestHybridDistancesMatchesBFS(t *testing.T) {
-	s := &Scratch{}
+	s := new(MSScratch)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(120) + 2
@@ -169,7 +167,7 @@ func TestHybridDistancesMatchesBFS(t *testing.T) {
 		d1 := make([]int32, n)
 		d2 := make([]int32, n)
 		Distances(g, src, d1, nil)
-		hybridDistances(t, g, src, d2, s)
+		hybridDistances(g, src, d2, s)
 		for i := range d1 {
 			if d1[i] != d2[i] {
 				return false
@@ -184,7 +182,7 @@ func TestHybridDistancesMatchesBFS(t *testing.T) {
 
 func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	// A dense graph with a hub-heavy frontier drives mf past mu/alpha on the
-	// first level, so the pull branch actually runs.
+	// first level, so the one-lane pull branch actually runs.
 	rng := rand.New(rand.NewSource(3))
 	n := 60
 	b := graph.NewBuilder(n)
@@ -198,7 +196,7 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	Distances(g, 0, d1, nil)
-	hybridDistances(t, g, 0, d2, &Scratch{})
+	hybridDistances(g, 0, d2, new(MSScratch))
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatalf("dist[%d]: BFS=%d hybrid=%d", i, d1[i], d2[i])
@@ -206,30 +204,24 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	}
 }
 
-// The per-source engine's kernels — the hybrid BFS on unit weights, Dial
-// otherwise — match WDistancesAuto on both unweighted and weighted graphs.
+// One-lane sweeps through MultiSourceW — the push/pull level-sync kernel on
+// unit weights, the lane-masked Dial otherwise — match WDistancesAuto on
+// both unweighted and weighted graphs.
 func TestWHybridAutoMatchesWAuto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 90
 	g := randomConnected(rng, n)
 	for _, wg := range []*graph.WGraph{g.ToWeighted(), reweight(g, 1, 9, rng)} {
 		unweighted := wg.Unweighted()
-		s1 := NewScratch(n, wg.MaxWeight())
-		s2 := NewScratch(n, wg.MaxWeight())
+		s := NewScratch(n, wg.MaxWeight())
+		ms := new(MSScratch)
+		got := make([]int32, n)
 		for src := int32(0); src < 10; src++ {
-			WDistancesAuto(wg, unweighted, src, s1)
-			var err error
-			if unweighted {
-				err = WHybridDistancesBFSCtx(context.Background(), wg, src, s2.Dist, s2)
-			} else {
-				err = WDistancesCtx(context.Background(), wg, src, s2.Dist, s2.B)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range s1.Dist {
-				if s1.Dist[i] != s2.Dist[i] {
-					t.Fatalf("unweighted=%v src %d dist[%d]: auto=%d engine=%d", unweighted, src, i, s1.Dist[i], s2.Dist[i])
+			WDistancesAuto(wg, unweighted, src, s)
+			multiSourceWRows(wg, unweighted, []graph.NodeID{src}, ms, [][]int32{got})
+			for i := range s.Dist {
+				if s.Dist[i] != got[i] {
+					t.Fatalf("unweighted=%v src %d dist[%d]: auto=%d sweep=%d", unweighted, src, i, s.Dist[i], got[i])
 				}
 			}
 		}

@@ -2,12 +2,10 @@ package bfs
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 func cancelTestGraph(t *testing.T) *graph.Graph {
@@ -28,60 +26,6 @@ func cancelTestWGraph(t *testing.T) *graph.WGraph {
 		}
 	}
 	return b.Build()
-}
-
-func TestDistancesCtxMatchesPlain(t *testing.T) {
-	g := cancelTestGraph(t)
-	n := g.NumNodes()
-	want := make([]int32, n)
-	got := make([]int32, n)
-	Distances(g, 3, want, nil)
-	if err := DistancesCtx(context.Background(), g, 3, got, nil); err != nil {
-		t.Fatalf("live ctx: %v", err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("dist[%d]: plain %d vs ctx %d", i, want[i], got[i])
-		}
-	}
-}
-
-func TestDistancesCtxPreCanceled(t *testing.T) {
-	g := cancelTestGraph(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dist := make([]int32, g.NumNodes())
-	err := DistancesCtx(ctx, g, 0, dist, nil)
-	if !errors.Is(err, par.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-}
-
-func TestWDistancesCtxMatchesPlain(t *testing.T) {
-	g := cancelTestWGraph(t)
-	n := g.NumNodes()
-	want := make([]int32, n)
-	got := make([]int32, n)
-	WDistances(g, 5, want, nil)
-	if err := WDistancesCtx(context.Background(), g, 5, got, nil); err != nil {
-		t.Fatalf("live ctx: %v", err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("dist[%d]: plain %d vs ctx %d", i, want[i], got[i])
-		}
-	}
-}
-
-func TestWDistancesCtxPreCanceled(t *testing.T) {
-	g := cancelTestWGraph(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dist := make([]int32, g.NumNodes())
-	err := WDistancesCtx(ctx, g, 0, dist, nil)
-	if !errors.Is(err, par.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
 }
 
 // TestRunBatchesCtxMatchesPlain: batched sweeps polling a live done channel

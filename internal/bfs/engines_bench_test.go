@@ -1,7 +1,6 @@
 package bfs
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"testing"
@@ -10,11 +9,9 @@ import (
 	"repro/internal/graph"
 )
 
-// BenchmarkEngineOrderingMatrix runs the three unweighted traversal kernels
-// on the four generator families. One op is a fixed batch of 64
-// traversals, so per-source, hybrid and the 64-lane batched engine are
-// directly comparable. The CSR-ordering axis it once crossed them with is
-// frozen in EXPERIMENTS.md.
+// BenchmarkEngineOrderingMatrix runs the unweighted traversal kernel, one
+// 64-lane sweep per op, on the four generator families. EXPERIMENTS.md
+// keeps its earlier engine × ordering numbers.
 func BenchmarkEngineOrderingMatrix(b *testing.B) {
 	families := []struct {
 		name string
@@ -35,23 +32,6 @@ func BenchmarkEngineOrderingMatrix(b *testing.B) {
 		name := func(engine string) string {
 			return fmt.Sprintf("%s/%s", fam.name, engine)
 		}
-		b.Run(name("per-source"), func(b *testing.B) {
-			s := NewScratch(g.NumNodes(), 0)
-			for i := 0; i < b.N; i++ {
-				for _, src := range sources {
-					Distances(g, src, s.Dist, s.Q)
-				}
-			}
-		})
-		b.Run(name("hybrid"), func(b *testing.B) {
-			s := NewScratch(g.NumNodes(), 0)
-			wg := g.ToWeighted()
-			for i := 0; i < b.N; i++ {
-				for _, src := range sources {
-					_ = WHybridDistancesBFSCtx(context.Background(), wg, src, s.Dist, s)
-				}
-			}
-		})
 		b.Run(name("batched"), func(b *testing.B) {
 			s := NewMSScratch(g.NumNodes())
 			var sink int64

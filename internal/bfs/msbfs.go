@@ -3,7 +3,6 @@ package bfs
 import (
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 )
 
 // MSBFSWidth is the number of sources one multi-source sweep carries — one
@@ -24,11 +23,6 @@ type MSScratch struct {
 	buckets    [][]msEntry
 	pend       []uint64
 	levelNodes []graph.NodeID
-	// Fallback per-source Dial queue for weights beyond the bucketable
-	// range; allocated lazily, regrown when a wider graph shows up.
-	fb     *queue.Bucket
-	fbMaxW int32
-	fbDist []int32
 	// done, when non-nil, interrupts sweeps at frontier-level boundaries;
 	// see SetDone.
 	done <-chan struct{}
@@ -158,10 +152,8 @@ func msLevelSync(offsets []int64, adj []graph.NodeID, sources []graph.NodeID, s 
 		if par.Interrupted(s.done) {
 			break
 		}
-		// Same direction rule as the per-source hybrid kernel (see
-		// pullLevel); here mf counts the union frontier's out-edges, which
-		// with up to 64 overlapping lanes crosses the pull thresholds far
-		// more often — and a single shared pull sweep serves all lanes.
+		// The direction rule is pullLevel's; mf counts the union
+		// frontier's out-edges, and one shared pull sweep serves all lanes.
 		bottomUp := pullLevel(mf, mu, len(frontier), n)
 		var nmf int64
 		// fullDiff accumulates nw ^ active over the level's commits: zero

@@ -3,17 +3,7 @@ package bfs
 import (
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 )
-
-// MSMaxBucketWeight is the largest maximum edge weight for which the
-// lane-masked Dial kernel is used. Beyond it lanes rarely coincide on a
-// bucket level, so the shared edge scans that make multi-source traversal
-// pay off disappear while the mask bookkeeping remains; the drivers then
-// fall back to one plain Dial per source. Chain contraction produces
-// weights equal to contracted chain lengths, which sit far below this on
-// every graph family the paper evaluates.
-const MSMaxBucketWeight = 512
 
 // MultiSourceWMasksInto runs a lane-masked Dial (bucket-queue)
 // shortest-path sweep from up to 64 sources simultaneously over an
@@ -122,39 +112,15 @@ func multiSourceLevelSyncW(g *graph.WGraph, sources []graph.NodeID, s *MSScratch
 
 // MultiSourceW runs one sweep from up to 64 sources over g and hands every
 // reached (source, node) pair to visit exactly once, as lane masks the way
-// MultiSourceMasksInto does, choosing the best kernel for the graph: the
-// level-synchronous bit-parallel sweep when every weight is 1, the
-// lane-masked Dial when the maximum weight is bucketable, and one plain
-// Dial per source beyond that (see MSMaxBucketWeight), whose single-lane
-// visits follow its whole row. unweighted is the caller's cached
-// g.Unweighted(); the scratch must cover the graph's size and weight. An
+// MultiSourceMasksInto does: the level-synchronous bit-parallel sweep when
+// every weight is 1, the lane-masked Dial otherwise, whose bucket ring spans
+// any maximum weight. unweighted is the caller's cached g.Unweighted(). An
 // interrupted sweep (see MSScratch.SetDone) returns with part of its visits
 // delivered.
 func MultiSourceW(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
-	switch {
-	case unweighted:
+	if unweighted {
 		multiSourceLevelSyncW(g, batch, s, visit)
-	case g.MaxWeight() <= MSMaxBucketWeight:
-		MultiSourceWMasksInto(g, batch, s, visit)
-	default:
-		if s.fb == nil || s.fbMaxW < g.MaxWeight() {
-			s.fb = queue.NewBucket(g.MaxWeight())
-			s.fbMaxW = g.MaxWeight()
-		}
-		if len(s.fbDist) < g.NumNodes() {
-			s.fbDist = make([]int32, g.NumNodes())
-		}
-		dist := s.fbDist[:g.NumNodes()]
-		for lane, src := range batch {
-			wDistancesDone(g, src, dist, s.fb, s.done)
-			if par.Interrupted(s.done) {
-				return
-			}
-			for v, d := range dist {
-				if d != Unreached {
-					visit(graph.NodeID(v), uint64(1)<<uint(lane), d)
-				}
-			}
-		}
+		return
 	}
+	MultiSourceWMasksInto(g, batch, s, visit)
 }

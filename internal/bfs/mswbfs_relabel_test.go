@@ -12,10 +12,10 @@ import (
 // These tests run the weighted 64-lane engine on a renumbered copy of the
 // graph (sources map through the permutation on the way in, rows map back
 // through it on the way out) and pin that the vertex layout changes no
-// distance. Three weight regimes force all three
-// kernels behind MultiSourceW: all-ones (level-synchronous sweep),
-// small weights (lane-masked Dial), and weights above MSMaxBucketWeight
-// (per-source Dial fallback).
+// distance. Three weight regimes cover both kernels behind MultiSourceW:
+// all-ones (level-synchronous sweep), small weights (lane-masked Dial), and
+// weights above 512 (the "fallback" regime, named after a retired
+// per-source path: the lane-masked Dial with a ring of over 512 buckets).
 
 func relabelWeightRegimes() []struct {
 	name   string
@@ -27,7 +27,7 @@ func relabelWeightRegimes() []struct {
 	}{
 		{"unit", 1, 1},
 		{"bucketable", 1, 9},
-		{"fallback", MSMaxBucketWeight + 1, MSMaxBucketWeight + 64},
+		{"fallback", 512 + 1, 512 + 64},
 	}
 }
 

@@ -1,10 +1,10 @@
 package bfs
 
-// The direction-optimisation (Beamer push/pull) switching rule shared by
-// every traversal kernel in this package: the per-source hybrid BFS
-// (hybrid.go) and the 64-lane multi-source pull path (msbfs.go) both consult
-// pullLevel, so one tuning decision governs them all. This is the single
-// home of these constants; kernels must not copy them.
+// The direction-optimisation (Beamer push/pull) switching rule of the
+// level-synchronous multi-source sweep (msLevelSync and its merged tail in
+// msbfs.go), the one unweighted kernel that runs sampled sources, at any
+// lane count from 1 to 64. This is the single home of these constants;
+// kernels must not copy them.
 //
 // The rule: switch a level to bottom-up ("pull") when the frontier's
 // out-edge count mf exceeds mu/pullAlpha (mu = unexplored directed edges),

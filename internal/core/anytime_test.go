@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -46,7 +47,7 @@ func cancelAt(cancel context.CancelFunc, target int64) *Progress {
 // sampling estimator, the ICR-reduced estimator and the cumulative method.
 // At 4 workers the partial result sums every worker's accumulators.
 func TestAnytimePartialBoundsContainExact(t *testing.T) {
-	pinEngine(t, perSource, nil) // one row per advance: the cancel lands exactly
+	pinSweepWidth(t, 1, nil) // one row per advance: the cancel lands exactly
 	for name, g := range anytimeFamilies(t) {
 		exact := ExactFarness(g, 4)
 		for _, tech := range []Technique{0, TechICR, TechCumulative} {
@@ -184,7 +185,7 @@ func TestAnytimeSnapshots(t *testing.T) {
 			}
 		}
 	}
-	pinEngine(t, perSource, nil)
+	pinSweepWidth(t, 1, nil)
 	opts := Options{SampleFraction: 0.4, Seed: 3, Workers: 1, Anytime: true, Progress: prog}
 	if _, err := EstimateContext(context.Background(), g, opts); err != nil {
 		t.Fatal(err)
@@ -239,9 +240,9 @@ func TestAnytimeSnapshots(t *testing.T) {
 		}
 	}
 
-	// Snapshots polled while a two-worker batched run proceeds: never ahead
+	// Snapshots polled while a two-worker 64-lane run proceeds: never ahead
 	// of Progress.Completed, and their bounds contain the exact farness.
-	pinEngine(t, batched, nil)
+	pinSweepWidth(t, bfs.MSBFSWidth, nil)
 	exact := ExactFarness(g, 2)
 	prog = &Progress{}
 	prog.OnAdvance = func(int64, int64) { time.Sleep(time.Millisecond) }
@@ -313,36 +314,37 @@ func randomOpts(fraction float64, workers int, seed int64) Options {
 
 // TestRandomSamplingAnytime covers the random-sampling baseline's anytime
 // runs: partial runs carry bounds containing the truth, full runs stay
-// bit-identical to the plain run on every traversal engine.
+// bit-identical to the plain run at every sweep width.
 func TestRandomSamplingAnytime(t *testing.T) {
 	g := gen.Community(400, 8)
 	exact := ExactFarness(g, 4)
 	n := g.NumNodes()
 
-	// Bit-identity of the uninterrupted run, per engine and worker count:
-	// the anytime bookkeeping must not change a single accumulated integer.
-	for _, e := range []engine{perSource, batched} {
-		pinEngine(t, e, nil)
+	// Bit-identity of the uninterrupted run, per sweep width and worker
+	// count: the anytime bookkeeping must not change a single accumulated
+	// integer.
+	for _, width := range []int{1, bfs.MSBFSWidth} {
+		pinSweepWidth(t, width, nil)
 		for _, workers := range []int{1, 3} {
 			want, err := EstimateContext(context.Background(), g, randomOpts(0.3, workers, 5))
 			if err != nil {
-				t.Fatalf("%v w%d: %v", e, workers, err)
+				t.Fatalf("width %d w%d: %v", width, workers, err)
 			}
 			opts := randomOpts(0.3, workers, 5)
 			opts.Anytime, opts.Progress = true, &Progress{}
 			got, err := EstimateContext(context.Background(), g, opts)
 			if err != nil {
-				t.Fatalf("%v w%d anytime: %v", e, workers, err)
+				t.Fatalf("width %d w%d anytime: %v", width, workers, err)
 			}
 			for i := range want.Farness {
 				if want.Farness[i] != got.Farness[i] {
-					t.Fatalf("%v w%d: farness[%d] %v != %v", e, workers, i, want.Farness[i], got.Farness[i])
+					t.Fatalf("width %d w%d: farness[%d] %v != %v", width, workers, i, want.Farness[i], got.Farness[i])
 				}
 			}
 		}
 	}
 
-	// Deterministic partial run: cancel halfway, workers=1, per-source.
+	// Deterministic partial run: cancel halfway, workers=1, 1-lane sweeps.
 	ctx, cancel := context.WithCancel(context.Background())
 	prog := &Progress{}
 	prog.OnAdvance = func(completed, planned int64) {
@@ -350,7 +352,7 @@ func TestRandomSamplingAnytime(t *testing.T) {
 			cancel()
 		}
 	}
-	pinEngine(t, perSource, nil)
+	pinSweepWidth(t, 1, nil)
 	opts := randomOpts(0.4, 1, 5)
 	opts.Anytime, opts.Progress = true, prog
 	res, err := EstimateContext(ctx, g, opts)
@@ -383,7 +385,7 @@ func TestAdaptivePartial(t *testing.T) {
 			cancel()
 		}
 	}
-	pinEngine(t, perSource, nil)
+	pinSweepWidth(t, 1, nil)
 	res, err := EstimateAdaptiveContext(ctx, g, AdaptiveOptions{
 		Base:            Options{Seed: 17, Workers: 1, Anytime: true, Progress: prog},
 		InitialFraction: 0.05,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -114,8 +115,8 @@ func TestEstimateContextCanceledDuringTraversal(t *testing.T) {
 	// Cancel while traversals are in flight (not just at a checkpoint): the
 	// fan-out must stop claiming sources and return ErrCanceled.
 	g := gen.Community(1500, 3)
-	for _, e := range []engine{perSource, batched} {
-		pinEngine(t, e, nil)
+	for _, width := range []int{1, bfs.MSBFSWidth} {
+		pinSweepWidth(t, width, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		restore := fault.Set("core.traverse", func(context.Context) error {
 			// Fires right before the fan-out; cancel now so the workers see
@@ -126,7 +127,7 @@ func TestEstimateContextCanceledDuringTraversal(t *testing.T) {
 		_, err := EstimateContext(ctx, g, Options{Techniques: TechCumulative, SampleFraction: 0.3, Seed: 9})
 		restore()
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%v: want ErrCanceled, got %v", e, err)
+			t.Fatalf("width %d: want ErrCanceled, got %v", width, err)
 		}
 	}
 }
@@ -157,17 +158,16 @@ func TestEstimateAdaptiveContextCanceled(t *testing.T) {
 // TestWorkerPanicReachesCaller: a panic on a traversal worker goroutine is
 // re-raised by EstimateContext on the calling goroutine, where a server's
 // recover can answer 500, instead of ending the process. It covers the
-// in-pool fault point at the start of every batched task, inside the
-// cumulative task fan-out at 2 workers.
+// in-pool fault point at the start of every sweep, inside the cumulative
+// task fan-out at 2 workers.
 func TestWorkerPanicReachesCaller(t *testing.T) {
 	for _, c := range []struct {
-		e     engine
+		name  string
 		point string
 	}{
-		{batched, "bfs.batch"},
+		{"batched", "bfs.batch"},
 	} {
-		t.Run(c.e.String(), func(t *testing.T) {
-			pinEngine(t, c.e, nil)
+		t.Run(c.name, func(t *testing.T) {
 			restore := fault.Set(c.point, fault.Panic("worker crashed"))
 			defer restore()
 			g := gen.Road(900, 5) // keeps several biconnected blocks after reduction
@@ -184,11 +184,9 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 }
 
 // TestTraverseKernelErrorAbortsRun: an error returned inside a traversal
-// task (the "bfs.batch" fault hook's, here, with the batched engine pinned)
-// aborts the run with that error instead of delivering the task's stale
-// scratch rows as exact farness.
+// task (the "bfs.batch" fault hook's, here) aborts the run with that error
+// instead of delivering the task's stale scratch rows as exact farness.
 func TestTraverseKernelErrorAbortsRun(t *testing.T) {
-	pinEngine(t, batched, nil)
 	boom := errors.New("batched kernel failed")
 	restore := fault.Set("bfs.batch", func(context.Context) error { return boom })
 	defer restore()

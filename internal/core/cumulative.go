@@ -404,7 +404,7 @@ func lazy(a *[]int64, n int) []int64 {
 // closed forms over the removed nodes: a drawn row into the worker's row
 // sums for the block, a cut row kept for collect with its distance sum and
 // its distances to the block's cuts. The removed nodes get their sums in
-// collect. An anytime run stages the node sums of a batched sweep apart and
+// collect. An anytime run stages the node sums of a sweep apart and
 // folds them in at finish, so an interrupted run keeps whole sweeps only.
 type cumSink struct {
 	c  *cumulative
@@ -430,10 +430,9 @@ type cumSink struct {
 	sum, cross, homed, sq []int64
 	dst                   [4]*[]int64
 	stage                 [4][]int64
-	staged                bool
 }
 
-func (s *cumSink) start(u int, srcs []graph.NodeID, whole bool) {
+func (s *cumSink) start(u int, srcs []graph.NodeID) {
 	c, ws := s.c, s.ws
 	b := int32(u)
 	s.b, s.srcs = b, srcs
@@ -468,15 +467,12 @@ func (s *cumSink) start(u int, srcs []graph.NodeID, whole bool) {
 			}
 		}
 	}
-	// A per-source sweep arrives whole, and a run that is not anytime
-	// discards everything on an interruption: neither needs a stage.
-	s.staged = !whole && c.any != nil
 	nR := c.red.G.NumNodes()
 	var sums [4][]int64
 	for i, d := range s.dst {
 		switch {
 		case d == nil:
-		case s.staged:
+		case c.any != nil: // a run that is not anytime needs no stage
 			sums[i] = lazy(&s.stage[i], nR)
 		default:
 			sums[i] = lazy(d, nR)
@@ -528,7 +524,7 @@ func (s *cumSink) visit(v graph.NodeID, mask uint64, d int32) {
 
 func (s *cumSink) finish() {
 	c, ws, b, k := s.c, s.ws, s.b, len(s.srcs)
-	if s.staged {
+	if c.any != nil {
 		nR := c.red.G.NumNodes()
 		for i, d := range s.dst {
 			if d == nil {

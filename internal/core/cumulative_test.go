@@ -66,16 +66,17 @@ func TestAssignEventsHomesEveryNode(t *testing.T) {
 // multi-block web and road stand-ins with ComputeStdErr and counts the
 // traversal units through the decision hook: every block of a multi-block
 // decomposition holds at least one cut vertex, which is always sampled, so
-// the run must ask for exactly one engine per block. Farness, Exact and
+// the run must ask for exactly one sweep width per block. Farness, Exact and
 // StdErr at workers 2 and 4 must equal workers 1 bit for bit.
 func TestCumulativeTraversesEachBlockOnce(t *testing.T) {
 	run := func(t *testing.T, g *graph.Graph, workers int) (res *Result, units int) {
 		t.Helper()
-		chooseEngine = func(k int) engine {
+		old := sweepWidth
+		sweepWidth = func(k int) int {
 			units++
-			return engineFor(k)
+			return old(k)
 		}
-		defer func() { chooseEngine = engineFor }()
+		defer func() { sweepWidth = old }()
 		res, err := Estimate(g, Options{Techniques: TechCumulative, SampleFraction: 0.2,
 			Workers: workers, Seed: 11, ComputeStdErr: true})
 		if err != nil {

@@ -310,7 +310,7 @@ type globalSink struct {
 	counts            [bfs.MSBFSWidth]int64
 }
 
-func (s *globalSink) start(u int, srcs []graph.NodeID, _ bool) {
+func (s *globalSink) start(u int, srcs []graph.NodeID) {
 	g, ws := s.g, s.ws
 	s.u, s.srcs = u, srcs
 	s.own.Reset(len(srcs))

@@ -13,8 +13,8 @@ import (
 
 // These tests run the estimators on inputs whose node ids were permuted by
 // graph.Permute. Every traversal runs on the canonical reduced graph of its
-// input, so a permuted input is just another layout: on it every engine and
-// worker count must agree bit for bit, and every exact value must match the
+// input, so a permuted input is just another layout: on it every sweep width
+// and worker count must agree bit for bit, and every exact value must match the
 // all-pairs oracle of that same permuted graph.
 
 func relabelFamilies() []struct {
@@ -73,10 +73,10 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 
 // TestEstimateRelabelBitIdentical estimates on BFS-ordered and randomly
 // shuffled copies of all four families, through the global and cumulative
-// estimators. On each layout every traversal engine (pinned through the
-// decision hook) at 1/2/4/GOMAXPROCS workers must equal the pinned
-// per-source run at 1 worker, and every value flagged exact must equal
-// bfs.ExactFarness of the relabeled graph.
+// estimators. On each layout 1- and 64-lane sweeps (pinned through the
+// decision hook) at 1/2/4/GOMAXPROCS workers must equal the 1-lane run at 1
+// worker, and every value flagged exact must equal bfs.ExactFarness of the
+// relabeled graph.
 func TestEstimateRelabelBitIdentical(t *testing.T) {
 	techs := []struct {
 		name string
@@ -104,17 +104,17 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 					}
 					return res
 				}
-				pinEngine(t, perSource, nil)
+				pinSweepWidth(t, 1, nil)
 				base := est(1)
 				for v, exact := range base.Exact {
 					if exact && base.Farness[v] != oracle[v] {
 						t.Fatalf("%s/%s/%s node %d: exact farness %v, oracle %v", fam.name, mode, tech.name, v, base.Farness[v], oracle[v])
 					}
 				}
-				for _, trav := range []engine{perSource, batched} {
-					pinEngine(t, trav, nil)
+				for _, width := range []int{1, bfs.MSBFSWidth} {
+					pinSweepWidth(t, width, nil)
 					for _, w := range relabelWorkerSweep() {
-						label := fmt.Sprintf("%s/%s/%s/%s workers=%d", fam.name, mode, tech.name, trav, w)
+						label := fmt.Sprintf("%s/%s/%s/width=%d workers=%d", fam.name, mode, tech.name, width, w)
 						assertSameResult(t, label, base, est(w))
 					}
 				}
@@ -123,13 +123,13 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEstimateHybridMatchesPerSource pins the direction-optimising kernel
-// behind the per-source engine against the plain top-down BFS of the exact
-// oracle: every value a pinned per-source run reports as exact equals
+// TestEstimateHybridMatchesPerSource pins the direction-optimising (push/pull)
+// sweep kernel, run one source per sweep, against the plain top-down BFS of
+// the exact oracle: every value a 1-lane run reports as exact equals
 // bfs.ExactFarness (BFS levels are unique, so push and pull produce the same
 // distance rows).
 func TestEstimateHybridMatchesPerSource(t *testing.T) {
-	pinEngine(t, perSource, nil)
+	pinSweepWidth(t, 1, nil)
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(600, 9))
 		oracle := ExactFarness(g, 2)
@@ -145,7 +145,7 @@ func TestEstimateHybridMatchesPerSource(t *testing.T) {
 				}
 				checked++
 				if res.Farness[v] != oracle[v] {
-					t.Fatalf("%s/%v node %d: per-source %v, oracle %v", fam.name, tech, v, res.Farness[v], oracle[v])
+					t.Fatalf("%s/%v node %d: 1-lane %v, oracle %v", fam.name, tech, v, res.Farness[v], oracle[v])
 				}
 			}
 			if checked == 0 {
@@ -156,10 +156,10 @@ func TestEstimateHybridMatchesPerSource(t *testing.T) {
 }
 
 // TestRandomSamplingHybridMatches covers the unreduced baseline path: at
-// fraction 1 every node is a source, so the per-source engine's hybrid
+// fraction 1 every node is a source, so 1-lane sweeps of the push/pull
 // kernel must reproduce the plain-BFS oracle exactly.
 func TestRandomSamplingHybridMatches(t *testing.T) {
-	pinEngine(t, perSource, nil)
+	pinSweepWidth(t, 1, nil)
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(600, 11))
 		oracle := ExactFarness(g, 2)
@@ -169,7 +169,7 @@ func TestRandomSamplingHybridMatches(t *testing.T) {
 		}
 		for v := range oracle {
 			if !res.Exact[v] || res.Farness[v] != oracle[v] {
-				t.Fatalf("%s node %d: per-source %v (exact %v), oracle %v", fam.name, v, res.Farness[v], res.Exact[v], oracle[v])
+				t.Fatalf("%s node %d: 1-lane %v (exact %v), oracle %v", fam.name, v, res.Farness[v], res.Exact[v], oracle[v])
 			}
 		}
 	}

@@ -386,15 +386,15 @@ func refCumulative(c *cumulative) refCumulativeSums {
 // TestCumulativeAnytimeAfterCutTraversals cancels a cumulative anytime run
 // as soon as every (block, cut) traversal has been accumulated, the
 // earliest point at which the run may degrade, and requires the partial
-// result to bracket the exact farness of every node. The per-source engine
-// and one worker make the cut traversals the first units to complete.
+// result to bracket the exact farness of every node. 1-lane sweeps and one
+// worker make the cut traversals the first units to complete.
 func TestCumulativeAnytimeAfterCutTraversals(t *testing.T) {
 	for _, fam := range []struct {
 		name string
 		g    *graph.Graph
 	}{{"web", graph.Connect(gen.Web(1500, 2))}, {"road", graph.Connect(gen.Road(1500, 2))}} {
 		t.Run(fam.name, func(t *testing.T) {
-			pinEngine(t, perSource, nil)
+			pinSweepWidth(t, 1, nil)
 			red, err := reduce.Run(fam.g, reduce.All())
 			if err != nil {
 				t.Fatal(err)
@@ -435,8 +435,8 @@ func TestCumulativeAnytimeAfterCutTraversals(t *testing.T) {
 	}
 }
 
-// TestCumulativeBatchedCutSweepsFirst: on the batched engine a block's cut
-// sources form sweeps of their own, which run before any drawn source. With
+// TestCumulativeBatchedCutSweepsFirst: a block's cut sources form 64-lane
+// sweeps of their own, which run before any drawn source. With
 // one worker, an anytime run canceled as soon as every cut row is in must
 // therefore degrade to a partial over exactly the cut rows, not fail with
 // ErrCanceled. At fraction 0.2 block 0 of this input carries 19 sources,
@@ -455,12 +455,6 @@ func TestCumulativeBatchedCutSweepsFirst(t *testing.T) {
 	for _, cuts := range p.cum.tree.BlockCuts {
 		cutUnits += len(cuts)
 	}
-	maxK := 0
-	t.Cleanup(func() { chooseEngine = engineFor })
-	chooseEngine = func(k int) engine {
-		maxK = max(maxK, k)
-		return engineFor(k)
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	prog := &Progress{OnAdvance: func(completed, _ int64) {
@@ -470,9 +464,6 @@ func TestCumulativeBatchedCutSweepsFirst(t *testing.T) {
 	}}
 	res, err := p.Estimate(ctx, Options{Techniques: TechCumulative, SampleFraction: 0.2,
 		Seed: 510, Workers: 1, Anytime: true, Progress: prog})
-	if engineFor(maxK) != batched {
-		t.Fatalf("largest unit has %d sources; want the batched engine", maxK)
-	}
 	if err != nil {
 		t.Fatalf("want a partial result after the %d cut rows, got %v", cutUnits, err)
 	}

@@ -14,49 +14,38 @@ import (
 	"repro/internal/graph"
 )
 
-// pinEngine makes every engine decision in this package return e until the
-// test ends. maxK, when non-nil, records the largest source count any
-// decision was asked about.
-func pinEngine(t *testing.T, e engine, maxK *int) {
-	t.Cleanup(func() { chooseEngine = engineFor })
-	chooseEngine = func(k int) engine {
+// pinSweepWidth makes every sweep-width decision in this package return
+// width until the test ends. maxK, when non-nil, records the largest source
+// count any decision was asked about.
+func pinSweepWidth(t *testing.T, width int, maxK *int) {
+	old := sweepWidth
+	t.Cleanup(func() { sweepWidth = old })
+	sweepWidth = func(k int) int {
 		if maxK != nil && k > *maxK {
 			*maxK = k
 		}
-		return e
+		return width
 	}
 }
 
-// TestTraversalAutoPolicy pins the traversal policy: batching from
-// batchMinSources sources up, per-source below that, whatever the worker
-// count or unit size.
+// TestTraversalAutoPolicy pins the traversal policy: every unit sweeps
+// bfs.MSBFSWidth lanes wide, whatever its source count.
 func TestTraversalAutoPolicy(t *testing.T) {
-	cases := []struct {
-		k    int
-		want engine
-	}{
-		{0, perSource},
-		{1, perSource},
-		{4, perSource},
-		{batchMinSources - 1, perSource},
-		{batchMinSources, batched},
-		{1000, batched},
-	}
-	for _, c := range cases {
-		if got := engineFor(c.k); got != c.want {
-			t.Errorf("engineFor(%d) = %v, want %v", c.k, got, c.want)
+	for _, k := range []int{1, 4, 7, 8, bfs.MSBFSWidth + 1, 1000} {
+		if got := sweepWidth(k); got != bfs.MSBFSWidth {
+			t.Errorf("sweepWidth(%d) = %d, want %d", k, got, bfs.MSBFSWidth)
 		}
 	}
 }
 
-// forcedEngine is one engine pinned through the decision hook, at a sample
-// fraction of the 1000-node test graphs that puts the batched engine on one
+// forcedWidth is one sweep width pinned through the decision hook, at a
+// sample fraction of the 1000-node test graphs that puts the sweeps on one
 // side of the clustering rule: at loFraction no traversal unit holds more
-// than one batch (sample-draw order), at hiFraction one does (clustered
-// order).
-type forcedEngine struct {
+// than one 64-lane sweep (sample-draw order), at hiFraction one does
+// (clustered order).
+type forcedWidth struct {
 	name      string
-	e         engine
+	width     int
 	fraction  float64
 	clustered bool
 }
@@ -64,39 +53,39 @@ type forcedEngine struct {
 const loFraction, hiFraction = 0.04, 0.5
 
 var (
-	traversalEngines = []forcedEngine{
-		{"batched", batched, loFraction, false},
+	traversalWidths = []forcedWidth{
+		{"batched", bfs.MSBFSWidth, loFraction, false},
 	}
-	batchingEngines = []forcedEngine{
-		{"batched", batched, loFraction, false},
-		{"batched-clustered", batched, hiFraction, true},
+	batchingWidths = []forcedWidth{
+		{"batched", bfs.MSBFSWidth, loFraction, false},
+		{"batched-clustered", bfs.MSBFSWidth, hiFraction, true},
 	}
 )
 
-// assertEnginesIdentical runs est under each forced engine at workers
-// {1,2,4} and fails unless every run equals the forced per-source run at one
-// worker bit for bit — farness, Exact and Samples: all engines are integer
-// accumulations over the same sampled rows, so any divergence is a kernel
+// assertSweepWidthsIdentical runs est under each forced width at workers
+// {1,2,4} and fails unless every run equals the 1-lane run at one worker bit
+// for bit — farness, Exact and Samples: every width is an integer
+// accumulation over the same sampled rows, so any divergence is a kernel
 // bug, not estimator noise. It also checks, through the hook, that the
 // largest unit fell on the intended side of the clustering rule.
-func assertEnginesIdentical(t *testing.T, engines []forcedEngine, est func(fraction float64, workers int) (*Result, error)) {
+func assertSweepWidthsIdentical(t *testing.T, widths []forcedWidth, est func(fraction float64, workers int) (*Result, error)) {
 	t.Helper()
 	want := map[float64]*Result{}
-	for _, c := range engines {
+	for _, c := range widths {
 		if want[c.fraction] != nil {
 			continue
 		}
-		pinEngine(t, perSource, nil)
+		pinSweepWidth(t, 1, nil)
 		res, err := est(c.fraction, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[c.fraction] = res
 	}
-	for _, c := range engines {
+	for _, c := range widths {
 		for _, w := range []int{1, 2, 4} {
 			maxK := 0
-			pinEngine(t, c.e, &maxK)
+			pinSweepWidth(t, c.width, &maxK)
 			got, err := est(c.fraction, w)
 			if err != nil {
 				t.Fatal(err)
@@ -110,17 +99,17 @@ func assertEnginesIdentical(t *testing.T, engines []forcedEngine, est func(fract
 }
 
 // estimateTechs are the global (C+R, I+C+R) and cumulative (BiCC)
-// estimators, where engines run on the reduced graph and inside blocks.
+// estimators, whose sweeps run on the reduced graph and inside blocks.
 var estimateTechs = []Technique{TechCR, TechICR, TechCumulative}
 
-// TestRandomSamplingTraversalModesIdentical: the batched engine reproduces
-// the per-source engine in the unreduced random-sampling
-// baseline on the four generator families.
+// TestRandomSamplingTraversalModesIdentical: 64-lane sweeps reproduce 1-lane
+// sweeps in the unreduced random-sampling baseline on the four generator
+// families.
 func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := fam.gen(1000, 5)
 		t.Run(fam.name, func(t *testing.T) {
-			assertEnginesIdentical(t, traversalEngines, func(fraction float64, workers int) (*Result, error) {
+			assertSweepWidthsIdentical(t, traversalWidths, func(fraction float64, workers int) (*Result, error) {
 				return RandomSampling(g, fraction, workers, 7)
 			})
 		})
@@ -134,7 +123,7 @@ func TestEstimateTraversalModesIdentical(t *testing.T) {
 		g := fam.gen(1000, 5)
 		for _, tech := range estimateTechs {
 			t.Run(fam.name+"/"+tech.String(), func(t *testing.T) {
-				assertEnginesIdentical(t, traversalEngines, func(fraction float64, workers int) (*Result, error) {
+				assertSweepWidthsIdentical(t, traversalWidths, func(fraction float64, workers int) (*Result, error) {
 					return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 3})
 				})
 			})
@@ -142,20 +131,20 @@ func TestEstimateTraversalModesIdentical(t *testing.T) {
 	}
 }
 
-// TestRandomSamplingBatchingBitIdentical covers the batched engine of the
+// TestRandomSamplingBatchingBitIdentical covers the 64-lane sweeps of the
 // random-sampling baseline on both sides of the clustering rule.
 func TestRandomSamplingBatchingBitIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := fam.gen(1000, 11)
 		t.Run(fam.name, func(t *testing.T) {
-			assertEnginesIdentical(t, batchingEngines, func(fraction float64, workers int) (*Result, error) {
+			assertSweepWidthsIdentical(t, batchingWidths, func(fraction float64, workers int) (*Result, error) {
 				return RandomSampling(g, fraction, workers, 5)
 			})
 		})
 	}
 }
 
-// TestEstimateBatchingBitIdentical covers the batched engine on both sides
+// TestEstimateBatchingBitIdentical covers the 64-lane sweeps on both sides
 // of the clustering rule in every global and cumulative technique, on the
 // generator's layout and on its BFS-ordered copy (relabel=<mode> names the
 // input layout; under bfs the graph's own ids already are BFS positions).
@@ -169,7 +158,7 @@ func TestEstimateBatchingBitIdentical(t *testing.T) {
 					g = graph.Permute(base, graph.BFSOrder(base.ToWeighted(), 0))
 				}
 				t.Run(fmt.Sprintf("%s/%s/relabel=%s", fam.name, tech, rel), func(t *testing.T) {
-					assertEnginesIdentical(t, batchingEngines, func(fraction float64, workers int) (*Result, error) {
+					assertSweepWidthsIdentical(t, batchingWidths, func(fraction float64, workers int) (*Result, error) {
 						return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 7})
 					})
 				})
@@ -247,7 +236,7 @@ func rowSinks(units []unit, row func(u int, src graph.NodeID, dist []int32), sin
 	}
 }
 
-func (s *rowSink) start(u int, srcs []graph.NodeID, _ bool) {
+func (s *rowSink) start(u int, srcs []graph.NodeID) {
 	s.u, s.srcs, s.rows = u, srcs, make([][]int32, len(srcs))
 	for i := range s.rows {
 		s.rows[i] = make([]int32, s.units[u].g.NumNodes())
@@ -271,7 +260,7 @@ func (s *rowSink) finish() {
 	}
 }
 
-// TestTraverseRowsMatchKernels pins each engine at workers {1,2,4} and
+// TestTraverseRowsMatchKernels pins 1- and 64-lane sweeps at workers {1,2,4} and
 // requires the driver to deliver every (unit, source) row exactly once,
 // each (lane, node) pair once, equal to the plain Dial kernel; a
 // pre-canceled context to deliver nothing and return ErrCanceled; and, at
@@ -289,10 +278,10 @@ func TestTraverseRowsMatchKernels(t *testing.T) {
 	}
 	// first picks every third source of each unit.
 	first := func(u int, src graph.NodeID) bool { return int(src)%3 == u }
-	for _, e := range []engine{perSource, batched} {
+	for _, width := range []int{1, bfs.MSBFSWidth} {
 		for _, workers := range []int{1, 2, 4} {
-			pinEngine(t, e, nil)
-			label := fmt.Sprintf("%s workers=%d", e, workers)
+			pinSweepWidth(t, width, nil)
+			label := fmt.Sprintf("width=%d workers=%d", width, workers)
 			var mu sync.Mutex
 			seen := make([]map[graph.NodeID]bool, len(units))
 			for u := range seen {

@@ -68,7 +68,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 }
 
 // CSR exposes the raw offsets and adjacency arrays. The hot traversal
-// kernels (direction-optimising sweeps, bit-parallel multi-source) iterate
+// kernels (direction-optimising bit-parallel multi-source sweeps) iterate
 // the arrays directly instead of paying a method call per node. Both slices
 // alias the graph's storage and must not be modified.
 func (g *Graph) CSR() (offsets []int64, adj []NodeID) {

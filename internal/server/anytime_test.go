@@ -95,14 +95,14 @@ func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 // the grace wait — still 200, still flagged. The cumulative input is the
 // case the grace wait exists for: a multi-block BRIC plan offers no
 // snapshot, so its partial exists only once the canceled run has ended. At
-// fraction 0.05 it plans 6 traversals, the 2 cut ones first; at 60ms each
-// the deadline lands after the cuts and well before the end. At fraction
-// 0.2 it plans 20, block 0's 19 on the batched engine: its cut sweeps
-// (block 0's one-lane sweep, block 1's single source) run before block 0's
-// 18 drawn sources, so at 200ms each the deadline lands between the second
-// cut and the drawn sweep. The global input samples all 270 reduced nodes,
-// five sweeps of whole completions, so at 2ms per completion the deadline
-// lands in the second.
+// fraction 0.05 it plans 6 sources in three sweeps: the 2 cuts in one-lane
+// sweeps of their own (one per block), then block 0's 4 drawn sources in one
+// sweep; at 150ms per completion the deadline lands while the second cut
+// completes, so the drawn sweep never runs. At fraction 0.2 it plans 20, the
+// same two cut sweeps ahead of block 0's 18 drawn sources, so at 200ms each
+// the deadline lands between the second cut and the drawn sweep. The global
+// input samples all 270 reduced nodes, five sweeps of whole completions, so
+// at 2ms per completion the deadline lands in the second.
 func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -113,7 +113,7 @@ func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 		minBlocks int
 	}{
 		{"global", gen.Community(400, 5), 2 * time.Millisecond, "200ms", `{"seed":510,"techniques":"RIC","fraction":1}`, 0},
-		{"cumulative", gen.Web(400, 5), 60 * time.Millisecond, "220ms", `{"seed":510,"techniques":"BRIC","fraction":0.05}`, 2},
+		{"cumulative", gen.Web(400, 5), 150 * time.Millisecond, "220ms", `{"seed":510,"techniques":"BRIC","fraction":0.05}`, 2},
 		{"cumulative-batched", gen.Web(400, 5), 200 * time.Millisecond, "300ms", `{"seed":510,"techniques":"BRIC","fraction":0.2}`, 2},
 	} {
 		s := newServerOn(t, tc.g, Config{Workers: 1}) // default SoftMargin 500ms > timeout

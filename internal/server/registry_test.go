@@ -170,7 +170,7 @@ func TestRegistryEstimateAndMutatePerGraph(t *testing.T) {
 // on a par pool worker rather than the request's goroutine, answers that one
 // request 500; the next request, on another graph, is answered in full. At
 // fraction 1 with no reduction every node is a source of one traversal
-// unit, so the batched engine runs and two workers share its batches.
+// unit, so two workers share its 64-lane sweeps.
 func TestKernelPanicFailsOneRequest(t *testing.T) {
 	paths := writeArtifacts(t, t.TempDir(), 300, "a", "b")
 	r, err := NewRegistry(paths, RegistryConfig{Server: Config{Workers: 2}})

@@ -27,13 +27,12 @@
 // daemon down. Error mapping: invalid parameters 400, capacity 429,
 // canceled/draining 503, deadline 504, crash 500.
 //
-// Traversal engines. Requests choose what to estimate (techniques,
-// fraction, seed), never how to traverse: every run traverses the canonical
-// reduced graph under the estimators' one traversal policy, which picks
-// batched or per-source traversals per traversal unit from its sampled
-// source count alone. The retired "traversal", "batching" and "relabel" parameters are
-// ignored like any unknown field, so such requests share the cache entry of
-// the bare request.
+// Traversal. Requests choose what to estimate (techniques, fraction, seed),
+// never how to traverse: every run traverses the canonical reduced graph in
+// 64-lane bit-parallel sweeps, the estimators' one traversal path. The
+// retired "traversal", "batching" and "relabel" parameters are ignored like
+// any unknown field, so such requests share the cache entry of the bare
+// request.
 package server
 
 import (
@@ -407,10 +406,10 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // estimateParams are shared by /v1/estimate, /v1/farness and /v1/topk.
-// They say what to estimate, never how: the estimators pick the traversal
-// engine from the input (see core's engineFor), and unknown fields or query
-// parameters — such as the retired "traversal", "batching" and "relabel" —
-// are ignored.
+// They say what to estimate, never how: every estimate traverses in the
+// estimators' one sweep kernel (see core's traverse), and unknown fields or
+// query parameters — such as the retired "traversal", "batching" and
+// "relabel" — are ignored.
 type estimateParams struct {
 	Techniques string  `json:"techniques"`
 	Fraction   float64 `json:"fraction"`

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 	"repro/internal/sketch"
 )
 
@@ -135,7 +134,6 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 		}
 	}
 	res := &Result{Certain: true, EstimateStats: est.Stats}
-	dist := make([]int32, n)
 	// Verification consumes candidates one at a time (the stopping rule is
 	// inherently sequential), but the traversals themselves need not be: the
 	// next group of unverified candidates is prefetched speculatively
@@ -146,11 +144,9 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	// few candidates) and doubles as verification keeps going. Every lane
 	// computed counts against MaxVerify — groups are clipped to the remaining
 	// budget, never exceeding it — and the per-lane sums (a bfs.LaneAcc, in
-	// lane space) are bit-identical to bfs.Sum over a per-source row, so
-	// results match the per-source path exactly. A candidate the prefetch
-	// did not cover gets one plain BFS of its own.
+	// lane space) are bit-identical to bfs.Sum over a per-source row. A
+	// group may be a single candidate: a one-lane sweep is still a sweep.
 	workers := par.Workers(opts.Estimate.Workers)
-	q := queue.NewFIFO(n)
 	exactCache := make([]float64, n)
 	haveExact := make([]bool, n)
 	// Sketch filter: proven farness lower bounds let the loop below discard
@@ -171,17 +167,13 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	var lanes bfs.LaneAcc
 	groupSize := 8
 	done := ctx.Done()
-	// prefetch passes the same "topk.verify" fault point as a single
-	// verification traversal: every traversal step checks it exactly once.
+	// prefetch verifies the next group of candidates from startIdx on, the
+	// one at startIdx among them; every sweep passes the "topk.verify" fault
+	// point once.
 	prefetch := func(startIdx int) error {
 		size := groupSize
 		if opts.MaxVerify > 0 {
-			if rem := opts.MaxVerify - res.Verified; rem < size {
-				size = rem
-			}
-		}
-		if size < 2 {
-			return nil // nothing to share a sweep with; per-source handles it
+			size = min(size, opts.MaxVerify-res.Verified)
 		}
 		batch := make([]graph.NodeID, 0, size)
 		for _, vi := range order[startIdx:] {
@@ -194,9 +186,6 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			if len(batch) == size {
 				break
 			}
-		}
-		if len(batch) < 2 {
-			return nil
 		}
 		if err := fault.Checkpoint(ctx, "topk.verify"); err != nil {
 			return err
@@ -233,18 +222,7 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 				return 0, err
 			}
 		}
-		if haveExact[v] {
-			return exactCache[v], nil
-		}
-		if err := fault.Checkpoint(ctx, "topk.verify"); err != nil {
-			return 0, err
-		}
-		if err := bfs.DistancesCtx(ctx, g, v, dist, q); err != nil {
-			return 0, err
-		}
-		sum, _ := bfs.Sum(dist)
-		res.Verified++
-		return float64(sum), nil
+		return exactCache[v], nil
 	}
 
 	for idx, vi := range order {
