@@ -38,14 +38,12 @@ func TestTraversalAutoPolicy(t *testing.T) {
 	}
 }
 
-// forcedWidth is one sweep width pinned through the decision hook, at a
-// sample fraction of the 1000-node test graphs that puts the sweeps on one
-// side of the clustering rule: at loFraction no traversal unit holds more
-// than one 64-lane sweep (sample-draw order), at hiFraction one does
-// (clustered order).
-type forcedWidth struct {
+// sweepCase is a sample fraction of the 1000-node test graphs that puts the
+// 64-lane sweeps on one side of the clustering rule: at loFraction no
+// traversal unit holds more than one sweep (sample-draw order), at
+// hiFraction one does (clustered order).
+type sweepCase struct {
 	name      string
-	width     int
 	fraction  float64
 	clustered bool
 }
@@ -53,25 +51,25 @@ type forcedWidth struct {
 const loFraction, hiFraction = 0.04, 0.5
 
 var (
-	traversalWidths = []forcedWidth{
-		{"batched", bfs.MSBFSWidth, loFraction, false},
+	traversalCases = []sweepCase{
+		{"batched", loFraction, false},
 	}
-	batchingWidths = []forcedWidth{
-		{"batched", bfs.MSBFSWidth, loFraction, false},
-		{"batched-clustered", bfs.MSBFSWidth, hiFraction, true},
+	batchingCases = []sweepCase{
+		{"batched", loFraction, false},
+		{"batched-clustered", hiFraction, true},
 	}
 )
 
-// assertSweepWidthsIdentical runs est under each forced width at workers
-// {1,2,4} and fails unless every run equals the 1-lane run at one worker bit
-// for bit — farness, Exact and Samples: every width is an integer
+// assertSweepWidthsIdentical runs est with 64-lane sweeps for each case at
+// workers {1,2,4} and fails unless every run equals the 1-lane run at one
+// worker bit for bit — farness, Exact and Samples: every width is an integer
 // accumulation over the same sampled rows, so any divergence is a kernel
 // bug, not estimator noise. It also checks, through the hook, that the
 // largest unit fell on the intended side of the clustering rule.
-func assertSweepWidthsIdentical(t *testing.T, widths []forcedWidth, est func(fraction float64, workers int) (*Result, error)) {
+func assertSweepWidthsIdentical(t *testing.T, cases []sweepCase, est func(fraction float64, workers int) (*Result, error)) {
 	t.Helper()
 	want := map[float64]*Result{}
-	for _, c := range widths {
+	for _, c := range cases {
 		if want[c.fraction] != nil {
 			continue
 		}
@@ -82,10 +80,10 @@ func assertSweepWidthsIdentical(t *testing.T, widths []forcedWidth, est func(fra
 		}
 		want[c.fraction] = res
 	}
-	for _, c := range widths {
+	for _, c := range cases {
 		for _, w := range []int{1, 2, 4} {
 			maxK := 0
-			pinSweepWidth(t, c.width, &maxK)
+			pinSweepWidth(t, bfs.MSBFSWidth, &maxK)
 			got, err := est(c.fraction, w)
 			if err != nil {
 				t.Fatal(err)
@@ -109,7 +107,7 @@ func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := fam.gen(1000, 5)
 		t.Run(fam.name, func(t *testing.T) {
-			assertSweepWidthsIdentical(t, traversalWidths, func(fraction float64, workers int) (*Result, error) {
+			assertSweepWidthsIdentical(t, traversalCases, func(fraction float64, workers int) (*Result, error) {
 				return RandomSampling(g, fraction, workers, 7)
 			})
 		})
@@ -123,7 +121,7 @@ func TestEstimateTraversalModesIdentical(t *testing.T) {
 		g := fam.gen(1000, 5)
 		for _, tech := range estimateTechs {
 			t.Run(fam.name+"/"+tech.String(), func(t *testing.T) {
-				assertSweepWidthsIdentical(t, traversalWidths, func(fraction float64, workers int) (*Result, error) {
+				assertSweepWidthsIdentical(t, traversalCases, func(fraction float64, workers int) (*Result, error) {
 					return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 3})
 				})
 			})
@@ -137,7 +135,7 @@ func TestRandomSamplingBatchingBitIdentical(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := fam.gen(1000, 11)
 		t.Run(fam.name, func(t *testing.T) {
-			assertSweepWidthsIdentical(t, batchingWidths, func(fraction float64, workers int) (*Result, error) {
+			assertSweepWidthsIdentical(t, batchingCases, func(fraction float64, workers int) (*Result, error) {
 				return RandomSampling(g, fraction, workers, 5)
 			})
 		})
@@ -158,7 +156,7 @@ func TestEstimateBatchingBitIdentical(t *testing.T) {
 					g = graph.Permute(base, graph.BFSOrder(base.ToWeighted(), 0))
 				}
 				t.Run(fmt.Sprintf("%s/%s/relabel=%s", fam.name, tech, rel), func(t *testing.T) {
-					assertSweepWidthsIdentical(t, batchingWidths, func(fraction float64, workers int) (*Result, error) {
+					assertSweepWidthsIdentical(t, batchingCases, func(fraction float64, workers int) (*Result, error) {
 						return Estimate(g, Options{Techniques: tech, SampleFraction: fraction, Workers: workers, Seed: 7})
 					})
 				})
