@@ -147,10 +147,10 @@ func TestWDistancesAgainstBellmanFord(t *testing.T) {
 	}
 }
 
-// hybridDistances runs the direction-optimising (push/pull) level-sync
+// oneLaneDistances runs the direction-optimising (push/pull) level-sync
 // kernel as a one-lane sweep, the way core traverses a single source, and
 // writes its row into dist.
-func hybridDistances(g *graph.Graph, src graph.NodeID, dist []int32, s *MSScratch) {
+func oneLaneDistances(g *graph.Graph, src graph.NodeID, dist []int32, s *MSScratch) {
 	Fill(dist)
 	MultiSourceMasksInto(g, []graph.NodeID{src}, s, func(v graph.NodeID, _ uint64, d int32) { dist[v] = d })
 }
@@ -167,7 +167,7 @@ func TestHybridDistancesMatchesBFS(t *testing.T) {
 		d1 := make([]int32, n)
 		d2 := make([]int32, n)
 		Distances(g, src, d1, nil)
-		hybridDistances(g, src, d2, s)
+		oneLaneDistances(g, src, d2, s)
 		for i := range d1 {
 			if d1[i] != d2[i] {
 				return false
@@ -196,10 +196,10 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	Distances(g, 0, d1, nil)
-	hybridDistances(g, 0, d2, new(MSScratch))
+	oneLaneDistances(g, 0, d2, new(MSScratch))
 	for i := range d1 {
 		if d1[i] != d2[i] {
-			t.Fatalf("dist[%d]: BFS=%d hybrid=%d", i, d1[i], d2[i])
+			t.Fatalf("dist[%d]: BFS=%d sweep=%d", i, d1[i], d2[i])
 		}
 	}
 }

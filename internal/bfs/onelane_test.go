@@ -58,7 +58,7 @@ func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
 					for trial := 0; trial < 4; trial++ {
 						src := graph.NodeID(rng.Intn(n))
 						Distances(g, src, want, nil)
-						hybridDistances(g, src, got, s)
+						oneLaneDistances(g, src, got, s)
 						for v := range want {
 							if got[v] != want[v] {
 								t.Fatalf("%s n=%d layout=%s src=%d node %d: sweep %d, sequential %d",

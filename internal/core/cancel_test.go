@@ -158,29 +158,22 @@ func TestEstimateAdaptiveContextCanceled(t *testing.T) {
 // TestWorkerPanicReachesCaller: a panic on a traversal worker goroutine is
 // re-raised by EstimateContext on the calling goroutine, where a server's
 // recover can answer 500, instead of ending the process. It covers the
-// in-pool fault point at the start of every sweep, inside the cumulative
-// task fan-out at 2 workers.
+// in-pool fault point at the start of every sweep ("bfs.batch", hence the
+// subtest's name), inside the cumulative task fan-out at 2 workers.
 func TestWorkerPanicReachesCaller(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		point string
-	}{
-		{"batched", "bfs.batch"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			restore := fault.Set(c.point, fault.Panic("worker crashed"))
-			defer restore()
-			g := gen.Road(900, 5) // keeps several biconnected blocks after reduction
-			got := func() (v any) {
-				defer func() { v = recover() }()
-				_, _ = EstimateContext(context.Background(), g, Options{Techniques: TechCumulative, SampleFraction: 0.2, Seed: 1, Workers: 2})
-				return nil
-			}()
-			if got != "fault: worker crashed" {
-				t.Fatalf("recovered %v, want the worker's panic", got)
-			}
-		})
-	}
+	t.Run("batched", func(t *testing.T) {
+		restore := fault.Set("bfs.batch", fault.Panic("worker crashed"))
+		defer restore()
+		g := gen.Road(900, 5) // keeps several biconnected blocks after reduction
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			_, _ = EstimateContext(context.Background(), g, Options{Techniques: TechCumulative, SampleFraction: 0.2, Seed: 1, Workers: 2})
+			return nil
+		}()
+		if got != "fault: worker crashed" {
+			t.Fatalf("recovered %v, want the worker's panic", got)
+		}
+	})
 }
 
 // TestTraverseKernelErrorAbortsRun: an error returned inside a traversal

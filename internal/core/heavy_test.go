@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,7 +58,7 @@ func TestHeavyChainWeights(t *testing.T) {
 	g := heavyChainGraph()
 	exact := bfs.ExactFarness(g, 2)
 	for _, tech := range []Technique{TechICR, TechCumulative} {
-		p, err := Prepare(t.Context(), g, tech, 1)
+		p, err := Prepare(context.Background(), g, tech, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
