@@ -123,9 +123,11 @@ type laneSink struct {
 // worker index in [0, workers), once. Sweeps are whole: once ctx is done no
 // further sweep is finished (checked after every sweep), and the
 // ErrCanceled-wrapping error tells the caller to discard or degrade what it
-// accumulated. An error from the "bfs.batch" fault point at the start of
-// every sweep aborts the run: the first one is returned, its task finishes
-// no sweep, and tasks not yet started are skipped. Callers key their
+// accumulated. A run whose every sweep finished returns nil even if ctx is
+// done by then: its accumulation is complete. An error from the "bfs.batch"
+// fault point at the start of every sweep aborts the run: the first one is
+// returned, its task finishes no sweep, and tasks not yet started are
+// skipped. Callers key their
 // accumulation by source, so the sweep width and the task order change no
 // output integer.
 func traverse(ctx context.Context, units []unit, workers int,
@@ -167,6 +169,7 @@ func traverse(ctx context.Context, units []unit, workers int,
 	tasks = append(tasks, rest...)
 
 	var faultErr atomic.Pointer[error] // the first fault-point error
+	var landed atomic.Int64            // sweeps finished
 	done := ctx.Done()
 	scratch := make([]*bfs.MSScratch, min(workers, len(tasks)))
 	sinks := make([]laneSink, len(scratch))
@@ -192,9 +195,13 @@ func traverse(ctx context.Context, units []unit, workers int,
 			return // canceled: the sweep may be partial; land nothing
 		}
 		sink.finish()
+		landed.Add(1)
 	})
 	if ferr := faultErr.Load(); ferr != nil {
 		return *ferr
+	}
+	if landed.Load() == int64(len(tasks)) {
+		return nil
 	}
 	return err
 }

@@ -261,8 +261,9 @@ func (s *rowSink) finish() {
 // TestTraverseRowsMatchKernels pins 1- and 64-lane sweeps at workers {1,2,4} and
 // requires the driver to deliver every (unit, source) row exactly once,
 // each (lane, node) pair once, equal to the plain Dial kernel; a
-// pre-canceled context to deliver nothing and return ErrCanceled; and, at
-// one worker, every row of a first source to arrive before any other row.
+// pre-canceled context to deliver nothing and return ErrCanceled; a cancel
+// mid-run to return nil exactly when every row landed; and, at one worker,
+// every row of a first source to arrive before any other row.
 func TestTraverseRowsMatchKernels(t *testing.T) {
 	units := traverseTestUnits()
 	want := make([]map[graph.NodeID][]int32, len(units))
@@ -334,6 +335,26 @@ func TestTraverseRowsMatchKernels(t *testing.T) {
 			}, &sinks, &mu))
 			if !errors.Is(err, ErrCanceled) || rows != 0 {
 				t.Fatalf("%s pre-canceled: err %v, %d rows; want ErrCanceled and none", label, err, rows)
+			}
+
+			// A cancel that lands while a sweep lands stops the run after
+			// it; the run reports nil exactly when every row landed, so a
+			// cancel while the last row lands leaves a whole run.
+			total := len(units[0].sources) + len(units[1].sources)
+			for _, at := range []int{1, total} {
+				ctx, cancel := context.WithCancel(context.Background())
+				rows := 0
+				err := traverse(ctx, units, workers, first, rowSinks(units, func(int, graph.NodeID, []int32) {
+					mu.Lock()
+					if rows++; rows == at {
+						cancel()
+					}
+					mu.Unlock()
+				}, &sinks, &mu))
+				cancel()
+				if whole := rows == total; whole != (err == nil) || (err != nil && !errors.Is(err, ErrCanceled)) {
+					t.Fatalf("%s canceled at row %d: err %v after %d of %d rows", label, at, err, rows, total)
+				}
 			}
 		}
 	}

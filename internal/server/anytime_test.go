@@ -98,7 +98,10 @@ func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 // fraction 0.05 it plans 6 sources in three sweeps: the 2 cuts in one-lane
 // sweeps of their own (one per block), then block 0's 4 drawn sources in one
 // sweep; at 150ms per completion the deadline lands while the second cut
-// completes, so the drawn sweep never runs. At fraction 0.2 it plans 20, the
+// completes, so the drawn sweep never runs. A small block's drawn sources
+// land as one sweep, so no deadline lands among them: at 60ms per
+// completion the deadline lands while that last sweep lands, and the run
+// comes back partial with all 6 completed. At fraction 0.2 it plans 20, the
 // same two cut sweeps ahead of block 0's 18 drawn sources, so at 200ms each
 // the deadline lands between the second cut and the drawn sweep. The global
 // input samples all 270 reduced nodes, five sweeps of whole completions, so
