@@ -110,6 +110,9 @@ func ReadMatrixMarket(r io.Reader) (*graph.Graph, error) {
 		if cols > rows {
 			rows = cols
 		}
+		if rows < 0 {
+			return nil, fmt.Errorf("io: negative matrix dimension in %q", line)
+		}
 		if rows > MaxNodeID {
 			return nil, fmt.Errorf("io: matrix dimension %d exceeds MaxNodeID (%d)", rows, MaxNodeID)
 		}
@@ -290,6 +293,9 @@ func ReadDIMACS(r io.Reader) (*graph.Graph, error) {
 			n, err := strconv.Atoi(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("io: line %d: %v", lineNo, err)
+			}
+			if n < 0 {
+				return nil, fmt.Errorf("io: line %d: negative node count %d", lineNo, n)
 			}
 			if n > MaxNodeID {
 				return nil, fmt.Errorf("io: line %d: %d nodes exceeds MaxNodeID", lineNo, n)

@@ -74,6 +74,9 @@ func TestReadMatrixMarketHeaderRequired(t *testing.T) {
 	if _, err := ReadMatrixMarket(strings.NewReader("")); err == nil {
 		t.Error("empty file should error")
 	}
+	if _, err := ReadMatrixMarket(strings.NewReader("%%MatrixMarket matrix coordinate pattern symmetric\n-1 -1 0\n")); err == nil {
+		t.Error("negative size should error")
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -176,6 +179,7 @@ func TestReadDIMACSErrors(t *testing.T) {
 		"p sp 3 3\na 9 1 1\n",     // out of range
 		"c only comments\n",       // no problem line
 		"p sp 999999999 1\n",      // exceeds MaxNodeID
+		"p sp -1 0\n",             // negative node count
 		"p sp 3 3\na one two 3\n", // non-numeric
 	}
 	for _, in := range cases {
