@@ -13,10 +13,9 @@ import (
 )
 
 // Progress tracks a running estimation's sampling progress and, when the run
-// is an anytime global-estimator run (Options.Anytime), builds partial
-// snapshots of it on demand. A Progress may be polled concurrently with the
-// run it observes; all methods are safe for concurrent use. The zero value
-// is ready to use.
+// is an anytime run (Options.Anytime), builds partial snapshots of it on
+// demand. A Progress may be polled concurrently with the run it observes;
+// all methods are safe for concurrent use. The zero value is ready to use.
 type Progress struct {
 	planned   atomic.Int64
 	completed atomic.Int64
@@ -52,10 +51,10 @@ func (p *Progress) Fraction() float64 {
 
 // Snapshot builds the partial result of the sources completed so far: the
 // same result the run would return if it were canceled at this point. It
-// returns nil when nothing has completed yet or the run offers no snapshot
-// (it is not anytime, or it is a cumulative run, whose partial exists only
-// once the run ends). Each call assembles a fresh Result, which the caller
-// owns; the run itself is not interrupted.
+// returns nil when the run is not anytime or has no partial yet: nothing
+// has completed, or, on a plan with cut vertices, not every cut sweep has
+// landed. Each call assembles a fresh Result, which the caller owns; the
+// run itself is not interrupted.
 func (p *Progress) Snapshot() *Result {
 	if f := p.assemble.Load(); f != nil {
 		return (*f)()
@@ -64,16 +63,14 @@ func (p *Progress) Snapshot() *Result {
 }
 
 // anyState is the bookkeeping an anytime run threads through its traversal
-// fan-out. Consistency contract of the global estimator, the only run that
-// offers snapshots: workers hold mu.RLock for the whole accumulation of one
-// source's row, its done mark and its count (so shared accumulators only
-// ever move between snapshots by whole sources, and Progress.Completed
-// never lags a snapshot), and the snapshot assembler holds mu.Lock while
-// copying them. After the fan-out has returned (ForDynamicCtx and the
-// traversal driver join their workers before returning an error), the
-// accumulators are quiescent and assembly needs no lock at all — but takes
-// it anyway for simplicity. The cumulative estimator offers no snapshot and
-// reads its accumulators only after the join, so it takes no lock.
+// fan-out. Consistency contract: workers hold mu.RLock while they land one
+// sweep — its accumulators, its sources' done marks and their counts — so
+// shared accumulators only ever move between assemblies by whole sweeps,
+// and Progress.Completed never lags a snapshot; an assembly (the snapshot,
+// or a canceled run's partial) holds mu.Lock while it reads them. After the
+// fan-out has returned (ForDynamicCtx and the traversal driver join their
+// workers before returning an error) the accumulators are quiescent, and
+// the whole run's assembly reads them without the lock.
 type anyState struct {
 	mu      sync.RWMutex
 	planned int64
@@ -131,43 +128,32 @@ func landmarkRows(g *graph.Graph, sources []graph.NodeID, workers int) [][]int32
 	return rows
 }
 
-// partialBounds computes proven per-vertex farness bounds from completed
-// sample rows plus landmark triangle inequalities. For a vertex v whose own
-// traversal did not complete,
+// partialBounds computes proven farness bounds for every vertex whose own
+// traversal did not complete (done[v] false). For such a vertex v,
 //
 //	farness(v) = Σ_{s done} d(v,s) + Σ_{w not done, w≠v} d(v,w)
 //
-// where the first term is exactly acc[v] (the run accumulated d(s,·) row by
-// whole rows). Each unknown term is bracketed through any landmark row ℓ
-// (a distance row of the original graph, see landmarkRows) by the triangle
-// inequality:
+// where the first term is exactly acc[v] when the run accumulated whole
+// rows of the original graph (zero otherwise, with done all false). Each
+// unknown term is bracketed through any landmark row ℓ (a distance row of
+// the original graph, see landmarkRows) by the triangle inequality:
 //
 //	max(1, |dℓ(v) − dℓ(w)|)  ≤  d(v,w)  ≤  dℓ(v) + dℓ(w)
 //
 // (distinct vertices of a connected unweighted graph are at distance ≥ 1).
 // Summed over the not-done population U with sorting + prefix sums this is
 // O(n log n) per landmark; the bound takes the max (lower) / min (upper)
-// over all landmarks. For done vertices Low = High = exact farness.
-// Degenerate calls (no landmarks) return (nil, nil).
-func partialBounds(n int, acc, exactFar []int64, done []bool, landmarks [][]int32) (low, high []float64) {
-	if len(landmarks) == 0 {
-		return nil, nil
-	}
+// over all landmarks. The entries of done vertices are left zero: the
+// caller has their exact farness.
+func partialBounds(acc []int64, done []bool, landmarks [][]int32) (low, high []float64) {
+	n := len(acc)
 	low = make([]float64, n)
 	high = make([]float64, n)
-	for v := 0; v < n; v++ {
-		if done[v] {
-			f := float64(exactFar[v])
-			low[v], high[v] = f, f
-		} else {
-			low[v] = math.Inf(-1)
-			high[v] = math.Inf(1)
-		}
-	}
 	// The not-done population, shared by every landmark pass.
 	u := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if !done[v] {
+			low[v], high[v] = math.Inf(-1), math.Inf(1)
 			u = append(u, v)
 		}
 	}
@@ -208,43 +194,6 @@ func partialBounds(n int, acc, exactFar []int64, done []bool, landmarks [][]int3
 		}
 	}
 	return low, high
-}
-
-// assemblePartial builds the partial Result of an interrupted sampling run
-// whose k done sources are marked in done: exact farness for every source
-// whose row completed, the (n−1)/k′-scaled extrapolation clamped into the
-// proven bounds for the rest. Returns nil when nothing usable completed.
-func assemblePartial(n, planned, k int, acc, exactFar []int64, done []bool, landmarks [][]int32) *Result {
-	if k == 0 || len(landmarks) == 0 {
-		return nil
-	}
-	low, high := partialBounds(n, acc, exactFar, done, landmarks)
-	res := &Result{
-		Farness:   make([]float64, n),
-		Exact:     append([]bool(nil), done...),
-		Low:       low,
-		High:      high,
-		Partial:   true,
-		Completed: k,
-		Planned:   planned,
-	}
-	scale := float64(n-1) / float64(k)
-	for v := 0; v < n; v++ {
-		if done[v] {
-			res.Farness[v] = float64(exactFar[v])
-			continue
-		}
-		est := float64(acc[v]) * scale
-		if est < low[v] {
-			est = low[v]
-		}
-		if est > high[v] {
-			est = high[v]
-		}
-		res.Farness[v] = est
-	}
-	res.Stats.Samples = k
-	return res
 }
 
 // finishPartial re-establishes the partial invariants after exact

@@ -73,9 +73,9 @@ func checkPartialBounds(t *testing.T, name string, g *graph.Graph, exact []float
 		Anytime:        true,
 		Progress:       prog,
 	}
-	// The cumulative path can only degrade once every cut traversal
-	// has completed (cuts-first ordering banks those first), so it is
-	// interrupted near the end; the global paths halfway through.
+	// A multi-block plan can only degrade once every cut traversal has
+	// completed (cuts-first ordering banks those first), so it is
+	// interrupted near the end; the one-block plans halfway through.
 	// After the cancel each other worker may still bank the row it is
 	// accumulating, so the cumulative target leaves room for them.
 	prog.OnAdvance = func(completed, planned int64) {
@@ -167,8 +167,8 @@ func TestAnytimeFullRunsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAnytimeSnapshots: a running global estimation builds snapshots on
-// demand, and each is internally consistent. A snapshot taken at k completed
+// TestAnytimeSnapshots: a running estimation builds snapshots on demand,
+// and each is internally consistent. A snapshot taken at k completed
 // sources is the partial result the run returns when canceled there, field
 // for field, and snapshots polled from another goroutine during a
 // multi-worker run never run ahead of the progress counter and bracket the
@@ -224,65 +224,119 @@ func TestAnytimeSnapshots(t *testing.T) {
 			if snap == nil {
 				t.Fatalf("%s: no snapshot at %d completed sources", name, k)
 			}
-			if !res.Partial || !snap.Partial || res.Completed != int(k) ||
-				snap.Completed != res.Completed || snap.Planned != res.Planned {
-				t.Fatalf("%s: snapshot partial=%v %d/%d, run partial=%v %d/%d", name,
-					snap.Partial, snap.Completed, snap.Planned, res.Partial, res.Completed, res.Planned)
-			}
-			for v := range res.Farness {
-				if snap.Farness[v] != res.Farness[v] || snap.Exact[v] != res.Exact[v] ||
-					snap.Low[v] != res.Low[v] || snap.High[v] != res.High[v] {
-					t.Fatalf("%s: vertex %d snapshot (%v %v [%v, %v]) != partial (%v %v [%v, %v])", name, v,
-						snap.Farness[v], snap.Exact[v], snap.Low[v], snap.High[v],
-						res.Farness[v], res.Exact[v], res.Low[v], res.High[v])
-				}
-			}
+			assertSamePartial(t, name, snap, res, int(k))
 		}
 	}
 
-	// Snapshots polled while a two-worker 64-lane run proceeds: never ahead
-	// of Progress.Completed, and their bounds contain the exact farness.
-	pinSweepWidth(t, bfs.MSBFSWidth, nil)
-	exact := ExactFarness(g, 2)
-	prog = &Progress{}
-	prog.OnAdvance = func(int64, int64) { time.Sleep(time.Millisecond) }
-	done := make(chan struct{})
-	polled := make(chan int)
-	go func() {
-		taken := 0
-		defer func() { polled <- taken }()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			s := prog.Snapshot()
-			if s == nil {
-				continue
-			}
-			taken++
-			if c := prog.Completed(); s.Completed <= 0 || int64(s.Completed) > c {
-				t.Errorf("snapshot counts %d completed sources, progress %d", s.Completed, c)
-				return
-			}
-			const eps = 1e-9
-			for v, x := range exact {
-				if s.Low[v] > x+eps || s.High[v] < x-eps {
-					t.Errorf("snapshot at %d: vertex %d exact %v outside [%v, %v]", s.Completed, v, x, s.Low[v], s.High[v])
-					return
-				}
-			}
-		}
-	}()
-	opts = Options{SampleFraction: 0.4, Seed: 3, Workers: 2, Anytime: true, Progress: prog}
-	_, err := EstimateContext(context.Background(), g, opts)
-	close(done)
-	if taken := <-polled; taken == 0 && !t.Failed() {
-		t.Fatal("the poller never saw a snapshot during the run")
-	}
+	// On a multi-block plan the snapshot is nil until every cut sweep has
+	// landed (cuts first, one row per advance), and from then on it is the
+	// run's own partial at that count; before it the canceled run has no
+	// partial to return.
+	web := gen.Web(400, 5)
+	p, err := Prepare(context.Background(), web, TechCumulative, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cutUnits := 0
+	for _, cuts := range p.cum.tree.BlockCuts {
+		cutUnits += len(cuts)
+	}
+	if cutUnits == 0 {
+		t.Fatal("want a multi-block plan")
+	}
+	for k := int64(1); k <= int64(cutUnits)+3; k++ {
+		name := fmt.Sprintf("BRICS/k%d", k)
+		ctx, cancel := context.WithCancel(context.Background())
+		prog := &Progress{}
+		var snap *Result
+		prog.OnAdvance = func(completed, _ int64) {
+			if completed == k {
+				snap = prog.Snapshot()
+				cancel()
+			}
+		}
+		res, err := p.Estimate(ctx, Options{Techniques: TechCumulative, SampleFraction: 0.2, Seed: 3, Workers: 1, Anytime: true, Progress: prog})
+		cancel()
+		if k < int64(cutUnits) {
+			if snap != nil || !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%s: before every cut row, snapshot %v and error %v; want none and ErrCanceled", name, snap != nil, err)
+			}
+			continue
+		}
+		if err != nil || snap == nil {
+			t.Fatalf("%s: snapshot %v, run error %v; want both partials", name, snap != nil, err)
+		}
+		assertSamePartial(t, name, snap, res, int(k))
+	}
+
+	// Snapshots polled while a two-worker 64-lane run proceeds, on a
+	// one-block and a multi-block plan: never ahead of Progress.Completed,
+	// and their bounds contain the exact farness.
+	pinSweepWidth(t, bfs.MSBFSWidth, nil)
+	for _, tc := range []struct {
+		g    *graph.Graph
+		tech Technique
+	}{{g, 0}, {web, TechCumulative}} {
+		exact := ExactFarness(tc.g, 2)
+		prog := &Progress{}
+		prog.OnAdvance = func(int64, int64) { time.Sleep(time.Millisecond) }
+		done := make(chan struct{})
+		polled := make(chan int)
+		go func() {
+			taken := 0
+			defer func() { polled <- taken }()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				s := prog.Snapshot()
+				if s == nil {
+					continue
+				}
+				taken++
+				if c := prog.Completed(); s.Completed <= 0 || int64(s.Completed) > c {
+					t.Errorf("%v: snapshot counts %d completed sources, progress %d", tc.tech, s.Completed, c)
+					return
+				}
+				const eps = 1e-9
+				for v, x := range exact {
+					if s.Low[v] > x+eps || s.High[v] < x-eps {
+						t.Errorf("%v: snapshot at %d: vertex %d exact %v outside [%v, %v]", tc.tech, s.Completed, v, x, s.Low[v], s.High[v])
+						return
+					}
+				}
+			}
+		}()
+		opts := Options{Techniques: tc.tech, SampleFraction: 0.4, Seed: 3, Workers: 2, Anytime: true, Progress: prog}
+		_, err := EstimateContext(context.Background(), tc.g, opts)
+		close(done)
+		if taken := <-polled; taken == 0 && !t.Failed() {
+			t.Fatalf("%v: the poller never saw a snapshot during the run", tc.tech)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// assertSamePartial requires a snapshot and a canceled run's partial to be
+// the same partial result at k completed sources, field for field.
+func assertSamePartial(t *testing.T, name string, snap, res *Result, k int) {
+	t.Helper()
+	if !res.Partial || !snap.Partial || res.Completed != k ||
+		snap.Completed != res.Completed || snap.Planned != res.Planned {
+		t.Fatalf("%s: snapshot partial=%v %d/%d, run partial=%v %d/%d", name,
+			snap.Partial, snap.Completed, snap.Planned, res.Partial, res.Completed, res.Planned)
+	}
+	for v := range res.Farness {
+		if snap.Farness[v] != res.Farness[v] || snap.Exact[v] != res.Exact[v] ||
+			snap.Low[v] != res.Low[v] || snap.High[v] != res.High[v] {
+			t.Fatalf("%s: vertex %d snapshot (%v %v [%v, %v]) != partial (%v %v [%v, %v])", name, v,
+				snap.Farness[v], snap.Exact[v], snap.Low[v], snap.High[v],
+				res.Farness[v], res.Exact[v], res.Low[v], res.High[v])
+		}
 	}
 }
 

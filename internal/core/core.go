@@ -1,8 +1,11 @@
-// Package core implements the BRICS farness-centrality estimators: the
-// exact oracle, the random-sampling baseline (the paper's Algorithm 1), the
-// reduction-based global estimator, and the full Cumulative estimator that
-// adds the biconnected-component decomposition and block cut-vertex tree
-// aggregation (Algorithms 4–6).
+// Package core implements the BRICS farness-centrality estimator and its
+// exact oracle. One estimator serves every technique mask: the cumulative
+// estimator (Algorithms 4–6), which runs per biconnected block and
+// aggregates across the block cut-vertex tree. Without the decomposition,
+// or when the reduced graph is one block, its plan has one block, and it is
+// the sampled estimator over the reduced graph: the random-sampling
+// baseline (the paper's Algorithm 1) with no reduction, the C+R and I+C+R
+// configurations with one.
 package core
 
 import (
@@ -112,13 +115,13 @@ type Options struct {
 	// farness for them, clamped extrapolations plus proven [Low, High]
 	// bounds for the rest (see DESIGN.md §12). Uninterrupted runs are
 	// bit-identical to Anytime=false. When no source completed before the
-	// cancellation (or the cumulative gating fails, see estimateCumulative)
-	// the run still returns nil + ErrCanceled.
+	// cancellation, or, on a plan with cut vertices, not every cut sweep
+	// landed, the run still returns nil + ErrCanceled.
 	Anytime bool
 	// Progress, when non-nil, receives live planned/completed counts and —
-	// under Anytime, for the global estimator — builds on demand the partial
-	// snapshot that a concurrent observer (e.g. a server hitting its soft
-	// deadline) can serve without interrupting the run.
+	// under Anytime — builds on demand the partial snapshot that a
+	// concurrent observer (e.g. a server hitting its soft deadline) can
+	// serve without interrupting the run.
 	Progress *Progress
 }
 

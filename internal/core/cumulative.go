@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,54 +18,72 @@ import (
 	"repro/internal/reduce"
 )
 
-// estimateCumulative is the full BRICS pipeline (the paper's Algorithm 5) on
-// a plan that already homed every original node in one block (assignEvents)
-// and built the block graphs, run as five named phases: sample draws
-// sources inside each block with every cut vertex always sampled, pass1
-// traverses every (block, source) pair once, summing its row
+// estimateCumulative is the one estimator: the full BRICS pipeline (the
+// paper's Algorithm 5) on a plan that already homed every original node in
+// one block (assignEvents) and built the block graphs, run as named phases:
+// sample draws sources inside each block with every cut vertex always
+// sampled, pass1 traverses every (block, source) pair once, summing its row
 // over the block's kept nodes and adding each cut's cross-block W·d term on
-// the way, collect gives the removed nodes their sums once per run from the
-// sources' anchor rows (see reduce.Anchors), aggregate combines the
-// cross-block distance constants over the block cut-vertex tree (Algorithm
-// 6), and assemble produces per-node farness. Cancellation checkpoints sit
-// before pass 1 ("core.traverse", with per-row and in-kernel checks inside
-// it) and before the tree aggregation ("core.aggregate"); a non-nil error
-// discards all partial accumulation.
-func estimateCumulative(ctx context.Context, cp *cumPlan, opts *Options) (*Result, error) {
+// the way, collect adds up the landed sweeps and gives the removed nodes
+// their sums from the sources' anchor rows (see reduce.Anchors), aggregate
+// combines the cross-block distance constants over the block cut-vertex tree
+// (Algorithm 6), and assemble produces per-node farness. On a one-block plan
+// (no cut vertex) it is the sampled estimator over the reduced graph, the
+// paper's Algorithm 1 with I, C and R.
+//
+// Cancellation lands before pass 1 ("core.traverse"), after every sweep and
+// within the kernels. A run whose traversal finished is whole; the
+// "core.aggregate" point after it injects faults but reads no context. On a
+// canceled traversal an anytime run returns its partial result (see
+// partial), any other run discards its accumulators. An anytime run with a
+// Progress offers the same partial as a snapshot while it runs.
+func estimateCumulative(ctx context.Context, p *Plan, opts *Options) (*Result, error) {
 	prepStart := time.Now()
-	c := &cumulative{cumPlan: cp, opts: opts, workers: par.Workers(opts.Workers)}
+	c := &cumulative{cumPlan: p.cum, opts: opts, workers: par.Workers(opts.Workers)}
 	c.sample()
 	prep := time.Since(prepStart)
 
 	if err := fault.Checkpoint(ctx, "core.traverse"); err != nil {
 		return nil, err
 	}
-	travStart := time.Now()
-	if err := c.pass1(ctx); err != nil && !c.degrade(err) {
-		return nil, err
+	if opts.Anytime && opts.Progress != nil {
+		// A snapshot is described as the run's own partial is, so both
+		// answer alike at one completed count.
+		snapshot := func() *Result {
+			if res := c.partial(); res != nil {
+				return p.describe(res)
+			}
+			return nil
+		}
+		opts.Progress.assemble.Store(&snapshot)
 	}
-	c.collect()
+	travStart := time.Now()
+	err := c.pass1(ctx)
+	if err == nil {
+		err = fault.Inject(ctx, "core.aggregate")
+	}
 	trav := time.Since(travStart)
-	c.correctTwinCuts()
-	if c.cause == nil {
-		if err := fault.Checkpoint(ctx, "core.aggregate"); err != nil && !c.degrade(err) {
+	if err != nil {
+		if !opts.Anytime || !canceledErr(err) {
 			return nil, err
 		}
+		res := c.partial()
+		if res == nil {
+			return nil, err
+		}
+		res.Stats.Preprocess, res.Stats.Traverse = prep, trav
+		return p.describe(res), nil
 	}
 	aggStart := time.Now()
-	c.aggregate()
-	res := c.assemble()
+	res := c.assemble(c.collect(), false)
 	res.Stats = RunStats{
 		Samples:             c.totalSamples,
 		FallbackAssignments: c.fallbacks,
 		Preprocess:          prep,
 		Traverse:            trav,
+		Aggregate:           time.Since(aggStart),
 	}
-	if c.cause != nil && !c.boundPartial(res) {
-		return nil, c.cause
-	}
-	res.Stats.Aggregate = time.Since(aggStart)
-	return res, nil
+	return p.describe(res), nil
 }
 
 // assignment homes every original node in exactly one block: a kept node in
@@ -221,7 +240,8 @@ func newBlockCounts(nb int) blockCounts {
 // cumulative is the state the phases of one cumulative run share, on top
 // of the plan's. Per-node arrays are indexed by original id, per-block ones
 // by block id; a block's sources use block-local ids (the index into the
-// block's sorted node list).
+// block's sorted node list). Pass 1's workers write the run's accumulators
+// under the anytime read lock; an assembly (collect) only reads them.
 type cumulative struct {
 	*cumPlan
 	opts    *Options
@@ -234,12 +254,8 @@ type cumulative struct {
 	isSample     []bool
 
 	// Anytime bookkeeping (nil/zero unless Anytime or Progress is set).
-	any       *anyState
-	completed blockCounts
-	cutPairs  int
-	// cause is the cancellation a partial run degraded from; nil while the
-	// run is whole.
-	cause error
+	any      *anyState
+	cutPairs int
 
 	// Pass 1, per block b and source position i (the index into
 	// sources[b]; a cut's position is its position in tree.BlockCuts[b]).
@@ -249,30 +265,35 @@ type cumulative struct {
 	rowDone  [][]bool     // [b][i]: the source's row is accumulated
 	srcIn    [][]int64    // [b][i]: Σ d(s,·) over the assigned population
 	srcToS   [][]int64    // [b][i]: the part of srcIn over sampled nodes
+	sumDist  [][]int64    // [b][cut pos]: Σ d(c,·) over the assigned population
+	cutDist  [][][]int32  // [b][cut pos][cut pos]: in-block distances between cuts
+	exactIn  []int64      // every assigned source's own in-block sum
 	workSums []cumSums    // per worker, over kept nodes by reduced id
+}
 
-	// In-block sums over each block's assigned population, by original id,
-	// split by the kind of source: drawn (sumRand), cut (sumCut), cut
-	// weighted by W(B,c) (crossAcc, Σ_cuts W(B,c)·d(c,o)), and assigned
-	// (sumAssigned, the drawn sources and the cuts homed in the block, with
-	// the squares in sumSqA). exactIn holds every assigned source's own
-	// in-block sum.
-	sumRand, sumCut, crossAcc, sumAssigned, sumSqA, exactIn []int64
-	aS2S, aS2N                                              []int64 // per-block ratio calibration (see estimateGlobal)
-	sumDist                                                 [][]int64
-	cutDist                                                 [][][]int32
-
-	// Tree aggregation: Σ_cuts D(B,c) per block.
-	crossConst []int64
+// tally is what one assembly adds up from the landed sweeps (see collect).
+// The in-block sums over each block's assigned population, by original id,
+// are split by the kind of source: drawn (sumRand), cut (sumCut), cut
+// weighted by W(B,c) (crossAcc, Σ_cuts W(B,c)·d(c,o)), and assigned
+// (sumAssigned, the drawn sources and the cuts homed in the block, with the
+// squares in sumSqA).
+type tally struct {
+	sumRand, sumCut, crossAcc, sumAssigned, sumSqA []int64
+	aS2S, aS2N                                     []int64 // per-block offset calibration (see inBlockEstimate)
+	completed                                      blockCounts
+	sumDist                                        [][]int64 // the run's, corrected for twins of cuts
+	crossConst                                     []int64   // per block: Σ_cuts D(B,c)
 }
 
 // sample is the sampling phase (Algorithm 5, lines 7–10): every cut
-// vertex, plus a per-block share of the global budget drawn uniformly among
-// the block's non-cut members. It also sizes the anytime bookkeeping.
+// vertex, plus a per-block share of the run's budget drawn uniformly among
+// the block's non-cut members. The budget is at least min(minSamples, nR),
+// so an input the reduction collapses still has rows to calibrate its
+// extrapolation against. It also sizes the anytime bookkeeping.
 func (c *cumulative) sample() {
 	d := c.d
 	nR, nb := c.red.G.NumNodes(), d.NumBlocks()
-	kTotal := samplesFor(nR, c.opts.fraction())
+	kTotal := max(samplesFor(nR, c.opts.fraction()), min(minSamples, nR))
 	c.sources = make([][]graph.NodeID, nb)
 	c.planned = newBlockCounts(nb)
 	c.isSample = make([]bool, c.n)
@@ -306,6 +327,10 @@ func (c *cumulative) sample() {
 		c.any = newAnyState(c.n, c.totalSamples, c.opts.Progress)
 	}
 }
+
+// minSamples is the least number of sources a run draws when the reduced
+// graph has that many nodes.
+const minSamples = 4
 
 // pass1 traverses every block once from every one of its sources, cut
 // sources first: the cross-block terms need all of them, so an interrupted
@@ -405,7 +430,8 @@ func lazy(a *[]int64, n int) []int64 {
 // sums for the block, a cut row kept for collect with its distance sum and
 // its distances to the block's cuts. The removed nodes get their sums in
 // collect. An anytime run stages the node sums of a sweep apart and
-// folds them in at finish, so an interrupted run keeps whole sweeps only.
+// folds them in at finish, and finish writes under the anytime read lock,
+// so an assembly sees whole sweeps only.
 type cumSink struct {
 	c  *cumulative
 	ws *cumSums
@@ -430,6 +456,7 @@ type cumSink struct {
 	sum, cross, homed, sq []int64
 	dst                   [4]*[]int64
 	stage                 [4][]int64
+	counts                [bfs.MSBFSWidth]int64 // the completed counts the lanes reached
 }
 
 func (s *cumSink) start(u int, srcs []graph.NodeID) {
@@ -524,7 +551,12 @@ func (s *cumSink) visit(v graph.NodeID, mask uint64, d int32) {
 
 func (s *cumSink) finish() {
 	c, ws, b, k := s.c, s.ws, s.b, len(s.srcs)
+	var in, toS [bfs.MSBFSWidth]int64
+	s.in.Sums(in[:k])
+	s.toS.Sums(toS[:k])
+	an, width := c.anchors[b], s.width
 	if c.any != nil {
+		c.any.mu.RLock()
 		nR := c.red.G.NumNodes()
 		for i, d := range s.dst {
 			if d == nil {
@@ -538,10 +570,6 @@ func (s *cumSink) finish() {
 			}
 		}
 	}
-	var in, toS [bfs.MSBFSWidth]int64
-	s.in.Sums(in[:k])
-	s.toS.Sums(toS[:k])
-	an, width := c.anchors[b], s.width
 	for lane, src := range s.srcs {
 		cols := s.cols[lane*width : (lane+1)*width]
 		an.Fill(cols)
@@ -574,26 +602,36 @@ func (s *cumSink) finish() {
 			if srcAssigned {
 				c.any.doneSrc[srcOrig] = true
 			}
-			c.any.advance(c.any.complete())
+			s.counts[lane] = c.any.complete()
+		}
+	}
+	if c.any != nil {
+		c.any.mu.RUnlock()
+		for _, n := range s.counts[:k] {
+			c.any.advance(n)
 		}
 	}
 }
 
-// collect runs once the traversal has joined. It adds the workers' sums
-// into the run-wide ones, gives every removed node its sums per kind of
-// source (reduce.Anchors.AddSums over the workers' drawn-row sums, and over
-// the accumulated cut rows weighed once per kind), and derives the per-block
-// calibration sums and the completed counts from the accumulated rows.
-func (c *cumulative) collect() {
+// collect adds up the sweeps landed so far into a fresh tally, reading the
+// run's accumulators and changing none, so it may run again. It adds the
+// workers' sums into the run-wide ones, gives every removed node its sums
+// per kind of source (reduce.Anchors.AddSums over the workers' drawn-row
+// sums, and over the accumulated cut rows weighed once per kind), derives
+// the per-block calibration sums and the completed counts from the
+// accumulated rows, and runs the tree aggregation over the cut rows. Once
+// the traversal has joined it needs no lock; while it runs, the caller holds
+// the anytime write lock.
+func (c *cumulative) collect() *tally {
 	n, nb := c.n, c.d.NumBlocks()
-	c.sumRand, c.sumCut, c.crossAcc = make([]int64, n), make([]int64, n), make([]int64, n)
+	t := &tally{sumRand: make([]int64, n), sumCut: make([]int64, n), crossAcc: make([]int64, n)}
 	// The homed cuts' sums are kept apart until the removed nodes have
 	// theirs, since each rule reads its anchor's sums over exactly its own
 	// rows.
 	homed := make([]int64, n)
 	var sqHomed []int64
 	if c.opts.ComputeStdErr {
-		c.sumSqA, sqHomed = make([]int64, n), make([]int64, n)
+		t.sumSqA, sqHomed = make([]int64, n), make([]int64, n)
 	}
 	toOld := c.red.ToOld
 	addKept := func(dst, src []int64) {
@@ -603,48 +641,41 @@ func (c *cumulative) collect() {
 	}
 	for i := range c.workSums {
 		ws := &c.workSums[i]
-		addKept(c.sumRand, ws.rand)
-		addKept(c.sumCut, ws.cut)
-		addKept(c.crossAcc, ws.cross)
+		addKept(t.sumRand, ws.rand)
+		addKept(t.sumCut, ws.cut)
+		addKept(t.crossAcc, ws.cross)
 		addKept(homed, ws.homed)
 		if sqHomed != nil {
-			addKept(c.sumSqA, ws.sqDrawn)
+			addKept(t.sumSqA, ws.sqDrawn)
 			addKept(sqHomed, ws.sqHomed)
 		}
 	}
-	c.aS2S, c.aS2N = make([]int64, nb), make([]int64, nb)
-	c.completed = newBlockCounts(nb)
+	t.aS2S, t.aS2N = make([]int64, nb), make([]int64, nb)
+	t.completed = newBlockCounts(nb)
 	for b := range nb {
 		an, members, nCut := c.anchors[b], c.d.BlockNodes[b], len(c.tree.BlockCuts[b])
 		for i, j := range c.sources[b] {
 			if !c.rowDone[b][i] {
 				continue
 			}
-			c.completed.sources[b]++
+			t.completed.sources[b]++
 			if i >= nCut {
-				c.completed.drawn[b]++
+				t.completed.drawn[b]++
 			} else if c.homeOf[members[j]] != int32(b) {
 				continue
 			}
-			c.completed.assigned[b]++
-			c.aS2S[b] += c.srcToS[b][i]
-			c.aS2N[b] += c.srcIn[b][i] - c.srcToS[b][i]
+			t.completed.assigned[b]++
+			t.aS2S[b] += c.srcToS[b][i]
+			t.aS2N[b] += c.srcIn[b][i] - c.srcToS[b][i]
 		}
-		var drawn *reduce.RowSums // the first worker's, with the others added
+		rs := an.NewRowSums()
 		for i := range c.workSums {
-			switch rs := c.workSums[i].drawnRows; {
-			case rs == nil || rs[b] == nil:
-			case drawn == nil:
-				drawn = rs[b]
-			default:
-				drawn.Add(rs[b])
+			if drawn := c.workSums[i].drawnRows; drawn != nil && drawn[b] != nil {
+				rs.Add(drawn[b])
 			}
 		}
-		if drawn != nil {
-			an.AddSums(drawn, c.sumRand, c.sumSqA)
-		}
+		an.AddSums(rs, t.sumRand, t.sumSqA)
 		// The cut rows weighed as plain, W(B,c)-weighted and homed rows.
-		rs := an.NewRowSums()
 		cutRows := func(weight func(i int) int64, sum, sq []int64) {
 			rs.Reset()
 			for i := range nCut {
@@ -655,8 +686,8 @@ func (c *cumulative) collect() {
 			}
 			an.AddSums(rs, sum, sq)
 		}
-		cutRows(func(int) int64 { return 1 }, c.sumCut, nil)
-		cutRows(func(i int) int64 { return c.wout[b][i] }, c.crossAcc, nil)
+		cutRows(func(int) int64 { return 1 }, t.sumCut, nil)
+		cutRows(func(i int) int64 { return c.wout[b][i] }, t.crossAcc, nil)
 		cutRows(func(i int) int64 {
 			if c.homeOf[members[c.sources[b][i]]] == int32(b) {
 				return 1
@@ -664,28 +695,20 @@ func (c *cumulative) collect() {
 			return 0
 		}, homed, sqHomed)
 	}
-	c.workSums, c.cutRows = nil, nil
 	for o := range homed {
-		homed[o] += c.sumRand[o]
+		homed[o] += t.sumRand[o]
 		if sqHomed != nil {
-			c.sumSqA[o] += sqHomed[o]
+			t.sumSqA[o] += sqHomed[o]
 		}
 	}
-	c.sumAssigned = homed
-}
-
-// degrade gates graceful degradation: the cross-block terms are
-// all-or-nothing over the cut traversals, so a partial cumulative result
-// exists only when every (block, cut) traversal completed. Otherwise the
-// run fails over to nil + ErrCanceled. degrade reports whether err may be
-// degraded, and records the first such err as the cause.
-func (c *cumulative) degrade(err error) bool {
-	ok := c.any != nil && c.opts.Anytime && canceledErr(err) &&
-		c.cutPairs > 0 && c.cutRowsDone() == c.cutPairs
-	if ok && c.cause == nil {
-		c.cause = err
+	t.sumAssigned = homed
+	t.sumDist = make([][]int64, nb)
+	for b, sd := range c.sumDist {
+		t.sumDist[b] = slices.Clone(sd)
 	}
-	return ok
+	c.correctTwinCuts(t.sumDist)
+	c.aggregate(t)
+	return t
 }
 
 // cutRowsDone counts the (block, cut) traversals whose rows were
@@ -706,9 +729,9 @@ func (c *cumulative) cutRowsDone() int {
 // whose representative is a cut vertex c behaves as a copy *at* c — for any
 // outside node w, d(w, twin) = d(w, c) + 0, not + GroupDist. The extension
 // necessarily reports d(c, twin) = GroupDist (correct for c's own farness,
-// which keeps the uncorrected inSum), so c's row in its home block must
-// subtract that excess.
-func (c *cumulative) correctTwinCuts() {
+// which keeps the uncorrected inSum), so c's row in its home block, in
+// sumDist, must subtract that excess.
+func (c *cumulative) correctTwinCuts(sumDist [][]int64) {
 	for i, e := range c.red.Events {
 		te, ok := e.(*reduce.TwinEvent)
 		if !ok {
@@ -724,7 +747,7 @@ func (c *cumulative) correctTwinCuts() {
 		}
 		b := c.eventBlock[i] // the rep's home block
 		if li := c.tree.CutPos(b, ci); li >= 0 {
-			c.sumDist[b][li] -= int64(len(te.Members)) * int64(te.GroupDist)
+			sumDist[b][li] -= int64(len(te.Members)) * int64(te.GroupDist)
 		}
 	}
 }
@@ -732,29 +755,29 @@ func (c *cumulative) correctTwinCuts() {
 // aggregate runs the tree aggregation (Algorithm 6) and sums every block's
 // cross-block distance constant Σ_cuts D(B,c); pass 1 already added the
 // W·d terms.
-func (c *cumulative) aggregate() {
-	contrib := c.tree.Aggregate(&bct.Inputs{Pop: c.pop, SumDist: c.sumDist, CutDist: c.cutDist})
-	c.crossConst = make([]int64, len(c.sources))
+func (c *cumulative) aggregate(t *tally) {
+	contrib := c.tree.Aggregate(&bct.Inputs{Pop: c.pop, SumDist: t.sumDist, CutDist: c.cutDist})
+	t.crossConst = make([]int64, len(c.sources))
 	for b, dout := range contrib.Dout {
 		for _, x := range dout {
-			c.crossConst[b] += x
+			t.crossConst[b] += x
 		}
 	}
 }
 
 // assemble is the last phase: exact in-block farness plus the cross-block
 // part for every sampled node, and an extrapolated in-block part for the
-// rest. A partial run only trusts sources whose assigned traversal
+// rest. A partial assembly only trusts sources whose assigned traversal
 // completed; everything else falls back to the extrapolation with the
 // completed counts in place of the planned ones.
-func (c *cumulative) assemble() *Result {
-	n, partial := c.n, c.cause != nil
+func (c *cumulative) assemble(t *tally, partial bool) *Result {
+	n := c.n
 	res := &Result{Farness: make([]float64, n), Exact: make([]bool, n)}
 	sampled, cnt := c.isSample, &c.planned
 	if partial {
-		sampled, cnt = c.any.doneSrc, &c.completed
+		sampled, cnt = c.any.doneSrc, &t.completed
 	}
-	if c.sumSqA != nil && !partial {
+	if t.sumSqA != nil && !partial {
 		res.StdErr = make([]float64, n)
 	}
 	// Partial runs skip the landmark and offset calibrations: both mix
@@ -763,11 +786,11 @@ func (c *cumulative) assemble() *Result {
 	var lmVal []float64
 	var lmSet []bool
 	if c.opts.Estimator == EstimatorWeighted && !partial {
-		lmVal, lmSet = c.landmarkEstimates()
+		lmVal, lmSet = c.landmarkEstimates(t)
 	}
 	for o := 0; o < n; o++ {
 		b := c.blockOf(graph.NodeID(o))
-		cross := float64(c.crossAcc[o] + c.crossConst[b])
+		cross := float64(t.crossAcc[o] + t.crossConst[b])
 		if sampled[o] {
 			res.Exact[o] = true
 			res.Farness[o] = float64(c.exactIn[o]) + cross
@@ -778,14 +801,17 @@ func (c *cumulative) assemble() *Result {
 		if lmSet != nil && lmSet[o] {
 			inEst = lmVal[o]
 		} else {
-			inEst = c.inBlockEstimate(o, b, m, cnt, partial)
+			inEst = c.inBlockEstimate(t, o, b, m, cnt, partial)
 		}
 		res.Farness[o] = inEst + cross
 		if ka := cnt.assigned[b]; res.StdErr != nil && ka > 1 && m > 1 {
-			// In-block standard error: the cross-block part is exact, so
-			// only the in-block extrapolation contributes variance.
-			mean := float64(c.sumAssigned[o]) / float64(ka)
-			variance := (float64(c.sumSqA[o])/float64(ka) - mean*mean) * float64(ka) / float64(ka-1)
+			// In-block standard error: the estimate scales the mean sampled
+			// distance by the unsampled mass, so its standard error is
+			// (m−1)·s/√k with s the sample standard deviation of the node's
+			// distances. The cross-block part is exact, so only the in-block
+			// extrapolation contributes variance.
+			mean := float64(t.sumAssigned[o]) / float64(ka)
+			variance := (float64(t.sumSqA[o])/float64(ka) - mean*mean) * float64(ka) / float64(ka-1)
 			if variance < 0 {
 				variance = 0
 			}
@@ -797,44 +823,48 @@ func (c *cumulative) assemble() *Result {
 
 // inBlockEstimate extrapolates unsampled node o's distance sum over block
 // b's assigned population, m of which is unsampled.
-func (c *cumulative) inBlockEstimate(o int, b int32, m int64, cnt *blockCounts, partial bool) float64 {
+func (c *cumulative) inBlockEstimate(t *tally, o int, b int32, m int64, cnt *blockCounts, partial bool) float64 {
 	ns, ka := cnt.sources[b], cnt.assigned[b]
 	pop := int64(len(c.assigned[b]))
 	switch {
 	case c.opts.Estimator == EstimatorPaper:
+		// The literal reading of the paper's Algorithm 1: scale the sampled
+		// distance sum by (population−1)/k.
 		if ns > 0 {
-			return float64(pop-1) / float64(ns) * float64(c.sumRand[o]+c.sumCut[o])
+			return float64(pop-1) / float64(ns) * float64(t.sumRand[o]+t.sumCut[o])
 		}
 		return 0
 	case !partial && ka > 1 && m > 0:
-		// Additive offset calibration (see estimateGlobal): the assigned
-		// non-sampled mass sits on average Δ farther than the samples do
-		// from each other.
-		mss := float64(c.aS2S[b]) / float64(ka*(ka-1))
-		msn := float64(c.aS2N[b]) / float64(ka*m)
-		mu := float64(c.sumAssigned[o])/float64(ka) + (msn - mss)
+		// Additive offset calibration: samples are kept (well-connected)
+		// nodes, so an unsampled node's mean distance to the non-sampled
+		// population (mostly reduced-away peripheral nodes) exceeds its mean
+		// distance to the samples by roughly the offset Δ the sample rows
+		// show: Δ = mean(sample→non-sample) − mean(sample→sample).
+		mss := float64(t.aS2S[b]) / float64(ka*(ka-1))
+		msn := float64(t.aS2N[b]) / float64(ka*m)
+		mu := float64(t.sumAssigned[o])/float64(ka) + (msn - mss)
 		if mu < 1 {
-			mu = 1
+			mu = 1 // distinct nodes are at distance ≥ 1
 		}
-		return float64(c.sumAssigned[o]) + mu*float64(m-1)
+		return float64(t.sumAssigned[o]) + mu*float64(m-1)
 	}
 	// Fallback (no usable calibration): average-based extrapolation over
 	// the uniform samples.
 	var avg float64
 	if nr := cnt.drawn[b]; nr > 0 {
-		avg = float64(c.sumRand[o]) / float64(nr)
+		avg = float64(t.sumRand[o]) / float64(nr)
 	} else if ns > 0 {
-		avg = float64(c.sumRand[o]+c.sumCut[o]) / float64(ns)
+		avg = float64(t.sumRand[o]+t.sumCut[o]) / float64(ns)
 	}
-	return float64(c.sumAssigned[o]) + avg*float64(max(m-1, 0))
+	return float64(t.sumAssigned[o]) + avg*float64(max(m-1, 0))
 }
 
 // landmarkEstimates gives the in-block landmark midpoint estimate (see
 // landmarkSums) to every unsampled node of a block whose assigned
 // population is covered by a single sample: averages cannot be calibrated
-// from one row. set[o] marks the nodes it covers.
-func (c *cumulative) landmarkEstimates() (val []float64, set []bool) {
-	val, set = make([]float64, c.n), make([]bool, c.n)
+// from one row. set[o] marks the nodes it covers; both are nil when no
+// block qualifies.
+func (c *cumulative) landmarkEstimates(t *tally) (val []float64, set []bool) {
 	for b, assigned := range c.assigned {
 		if c.planned.assigned[b] != 1 || len(assigned) <= 2 {
 			continue
@@ -844,13 +874,29 @@ func (c *cumulative) landmarkEstimates() (val []float64, set []bool) {
 		for _, o := range assigned {
 			if !c.isSample[o] {
 				ids = append(ids, o)
-				ds = append(ds, c.sumAssigned[o])
+				ds = append(ds, t.sumAssigned[o])
 			}
 		}
 		if len(ids) < 2 {
 			continue
 		}
 		lm := landmarkSums(ds)
+		if c.cutPairs == 0 {
+			// The one block's single sample is the whole reduced graph, and
+			// every other node hangs off it by a removal, so most pairs meet
+			// through it: their distance sits above the midpoint, toward the
+			// landmark's upper bound d(s,x)+d(s,y). Take the mean of the two.
+			var total int64
+			for _, x := range ds {
+				total += x
+			}
+			for i, x := range ds {
+				lm[i] = (lm[i] + float64(int64(len(ds)-2)*x+total)) / 2
+			}
+		}
+		if val == nil {
+			val, set = make([]float64, c.n), make([]bool, c.n)
+		}
 		for i, o := range ids {
 			val[o] = float64(ds[i]) + lm[i]
 			set[o] = true
@@ -859,24 +905,49 @@ func (c *cumulative) landmarkEstimates() (val []float64, set []bool) {
 	return val, set
 }
 
-// boundPartial turns an assembled run into a Partial result with proven
-// bounds. The cumulative accumulators hold block-local sums, not
-// full-graph rows, so no completed-source sharpening applies; instead it
-// runs up to maxLandmarks fresh BFS traversals from cut vertices (central
-// by construction) on the original graph, brackets every farness with pure
-// landmark triangle bounds, and clamps the estimates into them. It reports
-// false when no bound could be formed.
-func (c *cumulative) boundPartial(res *Result) bool {
+// partial assembles the partial result of the sweeps landed so far, with
+// proven bounds; nil while the run offers none: before any source
+// completed, or, on a plan with cut vertices, before every cut row landed
+// (the cross-block terms are all-or-nothing over the cut rows). It is both
+// the snapshot a running anytime run offers and the result a canceled one
+// returns.
+//
+// On a one-block plan every completed row is a whole-graph row, so the
+// bounds are those of partialBounds over the completed rows' sums, with the
+// first completed sources in draw order as landmarks. On a plan with cut
+// vertices the sums are block-local, so no completed-row sharpening
+// applies: the bounds are pure landmark bounds from up to maxLandmarks cut
+// vertices (central by construction). Every estimate is clamped into its
+// bounds.
+func (c *cumulative) partial() *Result {
 	n := c.n
-	srcs := make([]graph.NodeID, len(c.tree.Cuts))
-	for i, v := range c.tree.Cuts {
-		srcs[i] = c.red.ToOld[v]
+	c.any.mu.Lock()
+	k := int(c.any.completed.Load())
+	if k == 0 || c.cutRowsDone() < c.cutPairs {
+		c.any.mu.Unlock()
+		return nil
 	}
-	lms := landmarkRows(c.red.Orig, srcs, c.workers)
-	low, high := partialBounds(n, make([]int64, n), make([]int64, n), make([]bool, n), lms)
-	if low == nil {
-		return false
+	t := c.collect()
+	res := c.assemble(t, true)
+	var lms []graph.NodeID
+	if c.cutPairs == 0 {
+		for i, j := range c.sources[0] {
+			if c.rowDone[0][i] {
+				lms = append(lms, c.red.ToOld[c.d.BlockNodes[0][j]])
+			}
+		}
+	} else {
+		for _, v := range c.tree.Cuts {
+			lms = append(lms, c.red.ToOld[v])
+		}
 	}
+	c.any.mu.Unlock()
+
+	acc, done := make([]int64, n), make([]bool, n)
+	if c.cutPairs == 0 {
+		acc, done = t.sumRand, res.Exact
+	}
+	low, high := partialBounds(acc, done, landmarkRows(c.red.Orig, lms, c.workers))
 	for o := 0; o < n; o++ {
 		if res.Exact[o] {
 			low[o], high[o] = res.Farness[o], res.Farness[o]
@@ -885,11 +956,10 @@ func (c *cumulative) boundPartial(res *Result) bool {
 		res.Farness[o] = min(max(res.Farness[o], low[o]), high[o])
 	}
 	res.Partial = true
-	res.Completed = int(c.any.completed.Load())
-	res.Planned = c.totalSamples
+	res.Completed, res.Planned = k, c.totalSamples
 	res.Low, res.High = low, high
-	res.Stats.Samples = res.Completed
-	return true
+	res.Stats.Samples, res.Stats.FallbackAssignments = k, c.fallbacks
+	return res
 }
 
 // largestBlock returns the id of the block with the most nodes; rooting the

@@ -65,7 +65,7 @@ func TestHeavyChainWeights(t *testing.T) {
 		if w := p.red.G.MaxWeight(); w <= 512 {
 			t.Fatalf("%v: reduced graph's max weight %d, want above 512", tech, w)
 		}
-		if tech == TechCumulative && p.cum == nil {
+		if tech == TechCumulative && len(p.cum.tree.Cuts) == 0 {
 			t.Fatalf("%v: want a multi-block plan", tech)
 		}
 		full, err := Estimate(g, Options{Techniques: tech, SampleFraction: 1, Seed: 3, Workers: 2})

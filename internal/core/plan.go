@@ -23,22 +23,20 @@ import (
 // number of runs may share it concurrently, and it keeps no per-run
 // scratch.
 //
-// It holds the connectivity and closed-form checks, the reduction, and,
-// when the mask has TechBiCC and the reduced graph splits into several
-// blocks, the block decomposition with its block cut-vertex tree, the
-// event-to-block assignment, the populations and the W weights of
-// Algorithm 6, the block graphs and the per-block anchor plans
-// (reduce.Anchors). Otherwise it holds the reduced graph as one traversal
-// unit with the anchor plan over every event.
+// It holds the connectivity and closed-form checks, the reduction, and the
+// one estimator's plan (cumPlan): the block decomposition with its block
+// cut-vertex tree, the event-to-block assignment, the populations and the W
+// weights of Algorithm 6, the block graphs and the per-block anchor plans
+// (reduce.Anchors). Without TechBiCC, or when the reduced graph is one
+// block, that plan has one block: the reduced graph itself, with no cut
+// vertex and the anchor plan over every event.
 type Plan struct {
 	techniques Technique
 	// closed is the whole answer for an input of at most one node, a path
 	// or a cycle; every run gets a copy.
 	closed *Result
 	red    *reduce.Reduction
-	// Exactly one of global and cum is set on a plan that is not closed.
-	global *globalPlan
-	cum    *cumPlan
+	cum    *cumPlan // set on every plan that is not closed
 	blocks bicc.Stats
 	biccT  bicc.Timings
 	build  time.Duration
@@ -82,22 +80,21 @@ func Prepare(ctx context.Context, g *graph.Graph, techniques Technique, workers 
 		return nil, err
 	}
 	p.red = red
-	// The cumulative estimator needs at least two blocks; a reduced graph
-	// of at most two nodes is one block without asking.
+	// A reduced graph of at most two nodes is one block without asking.
+	var d *bicc.Decomposition
 	if techniques&TechBiCC != 0 && red.G.NumNodes() > 2 {
 		if err := fault.Checkpoint(ctx, "core.decompose"); err != nil {
 			return nil, err
 		}
-		d, biccT := bicc.DecomposeTimed(red.G, bicc.AlgoAuto, workers)
+		var biccT bicc.Timings
+		d, biccT = bicc.DecomposeTimed(red.G, bicc.AlgoAuto, workers)
 		p.blocks, p.biccT = d.Summarize(), biccT
-		if d.NumBlocks() > 1 {
-			if p.cum, err = newCumPlan(ctx, red, d, workers); err != nil {
-				return nil, err
-			}
-		}
 	}
-	if p.cum == nil {
-		p.global = newGlobalPlan(red)
+	if d == nil {
+		d = oneBlock(red.G.NumNodes())
+	}
+	if p.cum, err = newCumPlan(ctx, red, d, workers); err != nil {
+		return nil, err
 	}
 	p.build = time.Since(start)
 	return p, nil
@@ -122,23 +119,19 @@ func (p *Plan) Estimate(ctx context.Context, opts Options) (*Result, error) {
 	if p.closed != nil {
 		return p.closed.clone(), nil
 	}
-	var res *Result
-	var err error
-	if p.cum != nil {
-		res, err = estimateCumulative(ctx, p.cum, &opts)
-	} else {
-		res, err = estimateGlobal(ctx, p.global, &opts)
-	}
-	if err != nil {
-		return nil, err
-	}
+	return estimateCumulative(ctx, p, &opts)
+}
+
+// describe completes a result of a run on p, a snapshot included: it
+// reports the plan's reduction and decomposition and propagates the exact
+// values the reduction's closed forms give (propagateExact).
+func (p *Plan) describe(res *Result) *Result {
 	res.Stats.Reduction = p.red.Stats
 	res.Stats.ReducedNodes = p.red.G.NumNodes()
 	res.Stats.ReducedEdges = p.red.G.NumEdges()
 	res.Stats.Blocks, res.Stats.BiCC = p.blocks, p.biccT
-
 	propagateExact(p.red, res)
-	return res, nil
+	return res
 }
 
 // clone copies a closed-form answer, so no two callers share its slices.
@@ -147,26 +140,6 @@ func (r *Result) clone() *Result {
 	c.Farness = append([]float64(nil), r.Farness...)
 	c.Exact = append([]bool(nil), r.Exact...)
 	return &c
-}
-
-// globalPlan is the seed-independent part of a global-estimator run: the
-// reduced graph as one traversal unit and the anchor plan over every
-// removal event.
-type globalPlan struct {
-	red   *reduce.Reduction
-	unit  *unitGraph
-	an    *reduce.Anchors
-	colAt []int32 // per reduced node: its anchor column, or -1
-}
-
-func newGlobalPlan(red *reduce.Reduction) *globalPlan {
-	an := globalAnchors(red, nil)
-	return &globalPlan{
-		red:   red,
-		unit:  newUnitGraph(red.G),
-		an:    an,
-		colAt: an.KeptColumns(red.G.NumNodes()),
-	}
 }
 
 // cumPlan is the seed-independent part of a cumulative run: the
@@ -191,7 +164,27 @@ type cumPlan struct {
 	cuts, other   [][]graph.NodeID
 }
 
-// newCumPlan builds the cumulative plan over red's decomposition d.
+// oneBlock is the decomposition of a reduced graph of n nodes taken as one
+// block: every node in block 0 and no cut vertex. Its block lists no edges,
+// since a one-block plan traverses the reduced graph itself.
+func oneBlock(n int) *bicc.Decomposition {
+	d := &bicc.Decomposition{
+		BlockEdges: make([][]bicc.Edge, 1),
+		BlockNodes: [][]graph.NodeID{make([]graph.NodeID, n)},
+		IsCut:      make([]bool, n),
+		BlocksOf:   make([][]int32, n),
+	}
+	block0 := []int32{0}
+	for v := range n {
+		d.BlockNodes[0][v] = graph.NodeID(v)
+		d.BlocksOf[v] = block0
+	}
+	return d
+}
+
+// newCumPlan builds the cumulative plan over red's decomposition d. A
+// one-block plan's unit graph is red.G itself: its only block is the whole
+// reduced graph, in the same ids.
 func newCumPlan(ctx context.Context, red *reduce.Reduction, d *bicc.Decomposition, workers int) (*cumPlan, error) {
 	tree := bct.NewTree(d, largestBlock(d))
 	if err := tree.Validate(); err != nil {
@@ -222,7 +215,11 @@ func newCumPlan(ctx context.Context, red *reduce.Reduction, d *bicc.Decompositio
 	err := par.ForBlocksCtx(ctx, nb, workers, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			members := d.BlockNodes[b]
-			cp.units[b] = newUnitGraph(buildBlockGraph(d, int32(b)))
+			g := red.G
+			if nb > 1 {
+				g = buildBlockGraph(d, int32(b))
+			}
+			cp.units[b] = newUnitGraph(g)
 			var cutOrig []graph.NodeID
 			for j, v := range members {
 				if tree.CutIndex[v] >= 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -17,11 +16,11 @@ import (
 	"repro/internal/reduce"
 )
 
-// The tests in this file check both estimators' accumulators against a
+// The tests in this file check the estimator's accumulators against a
 // row-space reference: a sequential replay of the per-source accumulation
 // that scatters every traversal row to original ids, extends it over the
-// removal log (reduce.Reduction.Extend, or the block's events for the
-// cumulative estimator) and adds every original node's distance. The
+// removal log (reduce.Reduction.Extend, or the block's events) and adds
+// every original node's distance. The
 // estimators never build those rows; they sum the kept nodes per source and
 // give the removed nodes their sums once per run from the anchor rows.
 // Integer sums must agree bit for bit.
@@ -63,8 +62,7 @@ func withCube(edges [][2]graph.NodeID, n int, at graph.NodeID) *graph.Graph {
 func rowspaceGraphs() []rowspaceGraph {
 	var out []rowspaceGraph
 	// Road needs 2000 nodes to keep several blocks after the reduction;
-	// social and community stand-ins of test size are one block, on which
-	// the cumulative estimator runs the global one.
+	// social and community stand-ins of test size are one block.
 	for _, fam := range relabelFamilies() {
 		n := 700
 		if fam.name == "road" {
@@ -147,10 +145,12 @@ func hasChain(kind chains.Type) func(*reduce.Reduction) bool {
 	}
 }
 
-// TestGlobalAccumulatorsMatchRowSpace runs the global estimator's
-// accumulation (every source of the reduced graph, plus two augmentation
-// sources that the reduction removed) and requires every accumulator to
-// equal the row-space replay, at workers 1, 2 and 4.
+// TestGlobalAccumulatorsMatchRowSpace runs the one-block plan, the whole
+// reduced graph as one traversal unit (every plan without TechBiCC, or
+// whose reduced graph is one block), and requires its drawn-source sums,
+// square sums, exact farness and calibration sums to equal the whole-graph
+// row-space replay, which extends every row over the full removal log, at
+// workers 1, 2 and 4.
 func TestGlobalAccumulatorsMatchRowSpace(t *testing.T) {
 	for _, tc := range rowspaceGraphs() {
 		red, err := reduce.Run(tc.g, reduce.All())
@@ -161,27 +161,15 @@ func TestGlobalAccumulatorsMatchRowSpace(t *testing.T) {
 			t.Fatalf("%s: the reduction lacks the feature the graph was built for", tc.name)
 		}
 		for _, fraction := range []float64{0.3, 1} {
-			nR := red.G.NumNodes()
-			srcs := sampleK(nR, samplesFor(nR, fraction), rand.New(rand.NewSource(3)))
-			var extra []graph.NodeID
-			for o, r := range red.ToNew {
-				if r < 0 && len(extra) < 2 {
-					extra = append(extra, graph.NodeID(o))
-				}
-			}
-			want := refGlobal(red, srcs, extra)
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/f=%g/workers=%d", tc.name, fraction, workers), func(t *testing.T) {
-					opts := &Options{Workers: workers, ComputeStdErr: true}
-					run := newGlobalRun(newGlobalPlan(red), opts, srcs, extra, nil)
-					if err := run.gather(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-					acc, sumSq, s2s, s2n := run.fold()
-					sameInts(t, "acc", want.acc, acc)
-					sameInts(t, "sumSq", want.sumSq, sumSq)
-					sameInts(t, "exactFar", want.exactFar, run.exactFar)
-					sameInts(t, "s2s/s2n", []int64{want.s2s, want.s2n}, []int64{s2s, s2n})
+					c := runPass1(t, red, oneBlock(red.G.NumNodes()), fraction, workers)
+					want := refGlobal(red, c.sources[0])
+					got := c.collect()
+					sameInts(t, "acc", want.acc, got.sumRand)
+					sameInts(t, "sumSq", want.sumSq, got.sumSqA)
+					sameInts(t, "exactFar", want.exactFar, c.exactIn)
+					sameInts(t, "s2s/s2n", []int64{want.s2s, want.s2n}, []int64{got.aS2S[0], got.aS2N[0]})
 				})
 			}
 		}
@@ -191,65 +179,83 @@ func TestGlobalAccumulatorsMatchRowSpace(t *testing.T) {
 // TestCumulativeAccumulatorsMatchRowSpace runs the cumulative estimator's
 // plan, traversal pass and collection, and requires every in-block
 // accumulator, per-source sum and cut row to equal the row-space replay of
-// the same plan, at workers 1, 2 and 4.
+// the same plan, at workers 1, 2 and 4. Every input runs on its own
+// decomposition; the hand-built ones, whose cube makes several blocks, also
+// run as one-block plans.
 func TestCumulativeAccumulatorsMatchRowSpace(t *testing.T) {
 	for _, tc := range rowspaceGraphs() {
 		red, err := reduce.Run(tc.g, reduce.All())
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := bicc.Decompose(red.G)
-		if d.NumBlocks() <= 1 {
-			if tc.want != nil {
+		plans := []struct {
+			name string
+			d    *bicc.Decomposition
+		}{{tc.name, bicc.Decompose(red.G)}}
+		if tc.want != nil {
+			if plans[0].d.NumBlocks() <= 1 {
 				t.Fatalf("%s: one block; the cube should make several", tc.name)
 			}
-			continue // the estimator falls back to the global one
+			plans = append(plans, struct {
+				name string
+				d    *bicc.Decomposition
+			}{tc.name + "/one-block", oneBlock(red.G.NumNodes())})
 		}
-		for _, fraction := range []float64{0.3, 1} {
-			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/f=%g/workers=%d", tc.name, fraction, workers), func(t *testing.T) {
-					ctx := context.Background()
-					cp, err := newCumPlan(ctx, red, d, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := &cumulative{
-						cumPlan: cp,
-						opts:    &Options{SampleFraction: fraction, Workers: workers, Seed: 5, ComputeStdErr: true},
-						workers: workers,
-					}
-					c.sample()
-					if err := c.pass1(ctx); err != nil {
-						t.Fatal(err)
-					}
-					c.collect()
-					want := refCumulative(c)
-					sumAll := make([]int64, c.n)
-					for o := range sumAll {
-						sumAll[o] = c.sumRand[o] + c.sumCut[o]
-					}
-					sameInts(t, "sumAll", want.sumAll, sumAll)
-					sameInts(t, "sumRand", want.sumRand, c.sumRand)
-					sameInts(t, "sumAssigned", want.sumAssigned, c.sumAssigned)
-					sameInts(t, "sumSqA", want.sumSqA, c.sumSqA)
-					sameInts(t, "crossAcc", want.crossAcc, c.crossAcc)
-					sameInts(t, "exactIn", want.exactIn, c.exactIn)
-					sameInts(t, "aS2S", want.aS2S, c.aS2S)
-					sameInts(t, "aS2N", want.aS2N, c.aS2N)
-					for b := range want.sumDist {
-						sameInts(t, fmt.Sprintf("sumDist[%d]", b), want.sumDist[b], c.sumDist[b])
-						for li := range want.cutDist[b] {
-							for lj, x := range want.cutDist[b][li] {
-								if c.cutDist[b][li][lj] != x {
-									t.Fatalf("cutDist[%d][%d][%d]: want %d, got %d", b, li, lj, x, c.cutDist[b][li][lj])
+		for _, plan := range plans {
+			for _, fraction := range []float64{0.3, 1} {
+				for _, workers := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s/f=%g/workers=%d", plan.name, fraction, workers), func(t *testing.T) {
+						c := runPass1(t, red, plan.d, fraction, workers)
+						got := c.collect()
+						want := refCumulative(c)
+						sumAll := make([]int64, c.n)
+						for o := range sumAll {
+							sumAll[o] = got.sumRand[o] + got.sumCut[o]
+						}
+						sameInts(t, "sumAll", want.sumAll, sumAll)
+						sameInts(t, "sumRand", want.sumRand, got.sumRand)
+						sameInts(t, "sumAssigned", want.sumAssigned, got.sumAssigned)
+						sameInts(t, "sumSqA", want.sumSqA, got.sumSqA)
+						sameInts(t, "crossAcc", want.crossAcc, got.crossAcc)
+						sameInts(t, "exactIn", want.exactIn, c.exactIn)
+						sameInts(t, "aS2S", want.aS2S, got.aS2S)
+						sameInts(t, "aS2N", want.aS2N, got.aS2N)
+						for b := range want.sumDist {
+							sameInts(t, fmt.Sprintf("sumDist[%d]", b), want.sumDist[b], c.sumDist[b])
+							for li := range want.cutDist[b] {
+								for lj, x := range want.cutDist[b][li] {
+									if c.cutDist[b][li][lj] != x {
+										t.Fatalf("cutDist[%d][%d][%d]: want %d, got %d", b, li, lj, x, c.cutDist[b][li][lj])
+									}
 								}
 							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}
+}
+
+// runPass1 builds the plan of red over d and runs one estimation's sampling
+// and traversal pass on it, with standard errors, seed 5.
+func runPass1(t *testing.T, red *reduce.Reduction, d *bicc.Decomposition, fraction float64, workers int) *cumulative {
+	t.Helper()
+	ctx := context.Background()
+	cp, err := newCumPlan(ctx, red, d, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cumulative{
+		cumPlan: cp,
+		opts:    &Options{SampleFraction: fraction, Workers: workers, Seed: 5, ComputeStdErr: true},
+		workers: workers,
+	}
+	c.sample()
+	if err := c.pass1(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func sameInts(t *testing.T, name string, want, got []int64) {
@@ -264,24 +270,26 @@ func sameInts(t *testing.T, name string, want, got []int64) {
 	}
 }
 
-// refGlobalSums are the global estimator's accumulators.
+// refGlobalSums are a one-block run's accumulators over the whole graph.
 type refGlobalSums struct {
 	acc, sumSq, exactFar []int64
 	s2s, s2n             int64
 }
 
-// refGlobal replays the global accumulation in row space: every
-// reduced-graph row is scattered and extended to all original nodes, every
-// augmentation row is a plain BFS of the original graph.
-func refGlobal(red *reduce.Reduction, srcs, extra []graph.NodeID) refGlobalSums {
+// refGlobal replays a one-block run from the reduced-graph sources srcs in
+// row space: every row is scattered and extended to all original nodes.
+func refGlobal(red *reduce.Reduction, srcs []graph.NodeID) refGlobalSums {
 	n := red.Orig.NumNodes()
 	ref := refGlobalSums{acc: make([]int64, n), sumSq: make([]int64, n), exactFar: make([]int64, n)}
-	samples := make([]graph.NodeID, 0, len(srcs)+len(extra))
+	samples := make([]graph.NodeID, 0, len(srcs))
 	for _, sR := range srcs {
 		samples = append(samples, red.ToOld[sR])
 	}
-	samples = append(samples, extra...)
-	consume := func(row []int32, src graph.NodeID) {
+	dist, row := make([]int32, red.G.NumNodes()), make([]int32, n)
+	for _, sR := range srcs {
+		bfs.WDistances(red.G, sR, dist, queue.NewBucket(red.G.MaxWeight()))
+		red.Scatter(dist, row)
+		red.Extend(row)
 		var own, toSamples int64
 		for v, d := range row {
 			own += int64(d)
@@ -291,20 +299,9 @@ func refGlobal(red *reduce.Reduction, srcs, extra []graph.NodeID) refGlobalSums 
 		for _, s := range samples {
 			toSamples += int64(row[s])
 		}
-		ref.exactFar[src] = own
+		ref.exactFar[red.ToOld[sR]] = own
 		ref.s2s += toSamples
 		ref.s2n += own - toSamples
-	}
-	dist, row := make([]int32, red.G.NumNodes()), make([]int32, n)
-	for _, sR := range srcs {
-		bfs.WDistances(red.G, sR, dist, queue.NewBucket(red.G.MaxWeight()))
-		red.Scatter(dist, row)
-		red.Extend(row)
-		consume(row, red.ToOld[sR])
-	}
-	for _, x := range extra {
-		bfs.Distances(red.Orig, x, row, queue.NewFIFO(n))
-		consume(row, x)
 	}
 	return ref
 }
@@ -448,7 +445,7 @@ func TestCumulativeBatchedCutSweepsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.cum == nil {
+	if len(p.cum.tree.Cuts) == 0 {
 		t.Fatal("want a multi-block plan")
 	}
 	cutUnits := 0

@@ -15,8 +15,8 @@ import (
 
 // sweepWidth is the traversal policy: the number of lanes each bit-parallel
 // sweep (bfs.MultiSourceW) of a traversal unit carries when the unit has k
-// sampled sources. A unit is the whole (reduced) graph for the global
-// estimators and one biconnected block for the cumulative one. Every width
+// sampled sources. A unit is one biconnected block of the reduced graph, or
+// the whole reduced graph on a one-block plan. Every width
 // produces bit-identical farness for the same seed: BFS levels and
 // shortest-path distances are unique, and every accumulator on the path is
 // integer arithmetic keyed by source id. Tests swap the hook (1-lane sweeps
@@ -114,12 +114,12 @@ type laneSink struct {
 	finish func()
 }
 
-// traverse is the one traversal driver of every estimator. Per unit it
-// clusters the sources and cuts them into sweeps of the policy's width, and
-// queues the sweeps on one dynamic task pool. The sources for which first
-// reports true (first may be nil) form sweeps of their own, which run
-// before all others on one worker; on several, the costliest other sweep
-// starts beside them. Every sweep reaches the sink newSink built for its
+// traverse is the estimator's one traversal driver. Per unit it clusters
+// the sources and cuts them into sweeps of the policy's width, and queues
+// the sweeps on one dynamic task pool. The sources for which first reports
+// true (a block's cut vertices) form sweeps of their own, which run before
+// all others on one worker; on several, the costliest other sweep starts
+// beside them. Every sweep reaches the sink newSink built for its
 // worker index in [0, workers), once. Sweeps are whole: once ctx is done no
 // further sweep is finished (checked after every sweep), and the
 // ErrCanceled-wrapping error tells the caller to discard or degrade what it
@@ -139,15 +139,12 @@ func traverse(ctx context.Context, units []unit, workers int,
 			continue
 		}
 		width := sweepWidth(len(un.sources))
-		head, tail := un.sources, []graph.NodeID(nil)
-		if first != nil {
-			head, tail = nil, nil
-			for _, src := range un.sources {
-				if first(ui, src) {
-					head = append(head, src)
-				} else {
-					tail = append(tail, src)
-				}
+		var head, tail []graph.NodeID
+		for _, src := range un.sources {
+			if first(ui, src) {
+				head = append(head, src)
+			} else {
+				tail = append(tail, src)
 			}
 		}
 		tasks = appendTasks(tasks, ui, width, head, un, workers)

@@ -64,48 +64,59 @@ func decodeEstimate(t *testing.T, w *httptest.ResponseRecorder) estimateBody {
 // TestDegradeAcceptSoftDeadlineSnapshot: a degrade=accept request whose soft
 // deadline lands mid-run is answered from a snapshot of the run so far —
 // 200, partial, with proven mean bounds around the estimate. A sweep of up
-// to 64 sources completes as a whole, so the run samples every one of the
-// 270 reduced nodes: five sweeps, the soft deadline landing in the first
-// one's completions.
+// to 64 sources completes as a whole, so the one-block RIC run samples
+// every one of the 270 reduced nodes: five sweeps, the soft deadline landing
+// in the first one's completions. The multi-block BRIC run (gen.Web(400,
+// 5), fraction 0.2) plans 20 sources: the 2 cuts in one-lane sweeps of
+// their own, then block 0's 18 drawn sources in one sweep. At 200ms per
+// completion its soft deadline, 300ms in, lands after both cut sweeps and
+// before the drawn one, so its snapshot has the 2 cut rows.
 func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
-	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
-	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", `{"seed":500,"techniques":"RIC","fraction":1}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
-	}
-	b := decodeEstimate(t, w)
-	if !b.Partial {
-		t.Fatalf("degraded answer not marked partial: %+v", b)
-	}
-	if b.Completed <= 0 || b.Completed >= b.Planned {
-		t.Fatalf("implausible snapshot progress %d/%d", b.Completed, b.Planned)
-	}
-	if b.Progress <= 0 || b.Progress >= 1 {
-		t.Fatalf("progress %v out of (0,1)", b.Progress)
-	}
-	if b.MeanLow > b.MeanFarness || b.MeanFarness > b.MeanHigh {
-		t.Fatalf("mean %v outside its bounds [%v, %v]", b.MeanFarness, b.MeanLow, b.MeanHigh)
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		perSource time.Duration
+		body      string
+		minBlocks int
+	}{
+		{"one-block", gen.Community(400, 5), 10 * time.Millisecond, `{"seed":500,"techniques":"RIC","fraction":1}`, 0},
+		{"multi-block", gen.Web(400, 5), 200 * time.Millisecond, `{"seed":510,"techniques":"BRIC","fraction":0.2}`, 2},
+	} {
+		s := newServerOn(t, tc.g, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
+		slowFlight(t, s, tc.perSource)
+		w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", tc.body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200; body %s", tc.name, w.Code, w.Body)
+		}
+		b := decodeEstimate(t, w)
+		if !b.Partial || b.Blocks < tc.minBlocks {
+			t.Fatalf("%s: degraded answer not a partial of the plan: %+v", tc.name, b)
+		}
+		if b.Completed <= 0 || b.Completed >= b.Planned {
+			t.Fatalf("%s: implausible snapshot progress %d/%d", tc.name, b.Completed, b.Planned)
+		}
+		if b.Progress <= 0 || b.Progress >= 1 {
+			t.Fatalf("%s: progress %v out of (0,1)", tc.name, b.Progress)
+		}
+		if b.MeanLow > b.MeanFarness || b.MeanFarness > b.MeanHigh {
+			t.Fatalf("%s: mean %v outside its bounds [%v, %v]", tc.name, b.MeanFarness, b.MeanLow, b.MeanHigh)
+		}
 	}
 }
 
 // TestDegradeAcceptHardDeadlinePartial: with no soft window (margin wider
 // than the deadline) the accepting waiter leaves at the hard deadline, the
-// cancel propagates, and the run's final partial result comes back within
-// the grace wait — still 200, still flagged. The cumulative input is the
-// case the grace wait exists for: a multi-block BRIC plan offers no
-// snapshot, so its partial exists only once the canceled run has ended. At
-// fraction 0.05 it plans 6 sources in three sweeps: the 2 cuts in one-lane
-// sweeps of their own (one per block), then block 0's 4 drawn sources in one
-// sweep; at 150ms per completion the deadline lands while the second cut
-// completes, so the drawn sweep never runs. A small block's drawn sources
-// land as one sweep, so no deadline lands among them: at 60ms per
-// completion the deadline lands while that last sweep lands, and the run
-// comes back partial with all 6 completed. At fraction 0.2 it plans 20, the
-// same two cut sweeps ahead of block 0's 18 drawn sources, so at 200ms each
-// the deadline lands between the second cut and the drawn sweep. The global
-// input samples all 270 reduced nodes, five sweeps of whole completions, so
-// at 2ms per completion the deadline lands in the second.
+// cancel propagates, and the waiter serves a snapshot built then — still
+// 200, still flagged. The multi-block BRIC inputs offer a snapshot once
+// every cut sweep has landed. At fraction 0.05 one plans 6 sources in three
+// sweeps: the 2 cuts in one-lane sweeps of their own (one per block), then
+// block 0's 4 drawn sources in one sweep; at 150ms per completion the
+// deadline lands while the second cut completes, so the drawn sweep never
+// runs and 2 of 6 sources are in the snapshot. At fraction 0.2 it plans 20,
+// the same two cut sweeps ahead of block 0's 18 drawn sources, so at 200ms
+// each the deadline lands between the second cut and the drawn sweep. The
+// one-block input samples all 270 reduced nodes, five sweeps of whole
+// completions, so at 2ms per completion the deadline lands in the second.
 func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -115,7 +126,7 @@ func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 		body      string
 		minBlocks int
 	}{
-		{"global", gen.Community(400, 5), 2 * time.Millisecond, "200ms", `{"seed":510,"techniques":"RIC","fraction":1}`, 0},
+		{"one-block", gen.Community(400, 5), 2 * time.Millisecond, "200ms", `{"seed":510,"techniques":"RIC","fraction":1}`, 0},
 		{"cumulative", gen.Web(400, 5), 150 * time.Millisecond, "220ms", `{"seed":510,"techniques":"BRIC","fraction":0.05}`, 2},
 		{"cumulative-batched", gen.Web(400, 5), 200 * time.Millisecond, "300ms", `{"seed":510,"techniques":"BRIC","fraction":0.2}`, 2},
 	} {
@@ -133,11 +144,14 @@ func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 }
 
 // TestPartialNeverCached: after a degraded answer, the next identical request
-// must run fresh and produce the exact (non-partial) result.
+// must run fresh and produce the exact (non-partial) result. The run samples
+// all 270 reduced nodes in five sweeps, so the soft deadline lands while
+// the first sweep's completions are counted, well before the traversal
+// ends.
 func TestPartialNeverCached(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
 	slowFlight(t, s, 5*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=250ms&degrade=accept", `{"seed":520,"techniques":"RIC"}`)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=250ms&degrade=accept", `{"seed":520,"techniques":"RIC","fraction":1}`)
 	if w.Code != http.StatusOK || !decodeEstimate(t, w).Partial {
 		t.Fatalf("setup: expected partial 200, got %d %s", w.Code, w.Body)
 	}
@@ -149,7 +163,7 @@ func TestPartialNeverCached(t *testing.T) {
 		t.Fatalf("partial result entered the estimate cache (%d entries)", cached)
 	}
 	// Same key, generous deadline: a fresh, full run.
-	w = doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":520,"techniques":"RIC"}`)
+	w = doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":520,"techniques":"RIC","fraction":1}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("full rerun: %d %s", w.Code, w.Body)
 	}
@@ -180,13 +194,14 @@ func TestDegradeRejectStaysExactOrError(t *testing.T) {
 
 // TestDegradeRejectPartialFlightIs503: a reject waiter whose shared flight
 // degrades under it (server drain interrupts the run after progress was made)
-// gets 503 + Retry-After, never the partial payload.
+// gets 503 + Retry-After, never the partial payload. The run plans five
+// sweeps, so the drain lands after the first and before the traversal ends.
 func TestDegradeRejectPartialFlightIs503(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
 	slowFlight(t, s, 5*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=reject", `{"seed":540,"techniques":"RIC"}`)
+		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=reject", `{"seed":540,"techniques":"RIC","fraction":1}`)
 	}()
 	// Let the throttled run bank some sources, then drain the server.
 	time.Sleep(150 * time.Millisecond)
@@ -200,14 +215,15 @@ func TestDegradeRejectPartialFlightIs503(t *testing.T) {
 	}
 }
 
-// TestDegradeAcceptDrainServesPartial: the same drain, but an accepting
-// waiter keeps the partial the interrupted run assembled.
+// TestDegradeAcceptDrainServesPartial: the same drain, on the same
+// five-sweep plan, but an accepting waiter keeps the partial the interrupted
+// run assembled.
 func TestDegradeAcceptDrainServesPartial(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
 	slowFlight(t, s, 5*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":550,"techniques":"RIC"}`)
+		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":550,"techniques":"RIC","fraction":1}`)
 	}()
 	time.Sleep(150 * time.Millisecond)
 	s.Close()

@@ -32,13 +32,6 @@ type panicError struct{ val any }
 
 func (p *panicError) Error() string { return fmt.Sprintf("estimation run panicked: %v", p.val) }
 
-// degradeGrace is how long a degrading waiter lingers past its hard deadline
-// for the canceled run to assemble its final partial result. A cumulative
-// (multi-block BRIC) flight offers no snapshot, so this partial is the only
-// answer it can degrade to. The assembly is a copy, up to 4 landmark BFS on
-// the graph and O(n log n) bound math, so this stays small.
-const degradeGrace = 500 * time.Millisecond
-
 // generation is one immutable version of the served graph together with its
 // estimation plans, result cache and in-flight estimate runs. Readers load
 // the current generation from Server.gen with a single atomic pointer read —
@@ -253,8 +246,8 @@ func (gen *generation) storeDist(key distKey, v distVal) {
 // when the last waiter walks away (client disconnects, deadlines expire) or
 // the server closes, so abandoned work stops burning CPU. Every flight runs
 // in anytime mode: prog carries live progress (surfaced by /v1/status and the
-// Retry-After hint) and, for a global-estimator plan, builds the partial
-// snapshot a degrading waiter takes when its soft deadline lands.
+// Retry-After hint) and builds the partial snapshot a degrading waiter takes
+// when its soft or hard deadline lands.
 type flight struct {
 	done    chan struct{} // closed when res/err are set
 	res     *core.Result
@@ -362,13 +355,14 @@ func (s *Server) run(fctx context.Context, gen *generation, key string, f *fligh
 //
 //	waiting ──soft deadline, snapshot available──▶ serve snapshot (200 partial)
 //	waiting ──soft deadline, no snapshot─────────▶ keep waiting to the hard deadline
-//	waiting ──hard deadline──▶ leave; if last waiter the cancel propagates and
-//	          the run's final partial is served after a short grace wait; else
-//	          a snapshot built then; else 504
+//	waiting ──hard deadline──▶ leave (the last waiter's cancel propagates);
+//	          serve a snapshot built then, else 504
 //	waiting ──flight done────▶ exact result, or the run's own partial
 //
-// A degrade=false waiter skips the soft timer entirely and converts any
-// partial outcome into errPartialOnly (503).
+// A snapshot exists once the run has a partial: a source has completed and,
+// on a plan with cut vertices, every cut sweep has landed. A degrade=false
+// waiter skips the soft timer entirely and converts any partial outcome
+// into errPartialOnly (503).
 func (s *Server) wait(ctx context.Context, gen *generation, key string, f *flight, degrade bool) (*core.Result, error) {
 	finish := func() (*core.Result, error) {
 		gen.mu.Lock()
@@ -380,7 +374,7 @@ func (s *Server) wait(ctx context.Context, gen *generation, key string, f *fligh
 		return f.res, f.err
 	}
 	// leave retires this waiter; the last one out cancels the compute.
-	leave := func() bool {
+	leave := func() {
 		gen.mu.Lock()
 		f.waiters--
 		abandoned := f.waiters == 0
@@ -391,7 +385,6 @@ func (s *Server) wait(ctx context.Context, gen *generation, key string, f *fligh
 		if abandoned {
 			f.cancel()
 		}
-		return abandoned
 	}
 
 	var soft <-chan time.Time
@@ -415,8 +408,8 @@ func (s *Server) wait(ctx context.Context, gen *generation, key string, f *fligh
 			leave()
 			return snap, nil
 		}
-		// Nothing completed yet, or a cumulative run; hold on until the run
-		// finishes or the hard deadline fires.
+		// No partial yet; hold on until the run finishes or the hard
+		// deadline fires.
 		select {
 		case <-f.done:
 			return finish()
@@ -425,22 +418,8 @@ func (s *Server) wait(ctx context.Context, gen *generation, key string, f *fligh
 	case <-ctx.Done():
 	}
 	// Hard deadline (or client disconnect).
-	abandoned := leave()
+	leave()
 	if degrade {
-		if abandoned {
-			// Our cancel is propagating into the run; its final partial
-			// assembly is cheap, so linger briefly for it; a cumulative run
-			// has no other partial.
-			t := time.NewTimer(degradeGrace)
-			defer t.Stop()
-			select {
-			case <-f.done:
-				if f.err == nil && f.res != nil && f.res.Partial {
-					return f.res, nil
-				}
-			case <-t.C:
-			}
-		}
 		if snap := f.prog.Snapshot(); snap != nil {
 			return snap, nil
 		}

@@ -73,8 +73,8 @@ type Config struct {
 	// deadline sits: a degrading (?degrade=accept) estimation request that is
 	// still waiting when the soft deadline lands answers with a partial
 	// snapshot of the run's completed sources instead of riding into a
-	// timeout (global-estimator plans; a cumulative run has none). Default
-	// 500ms, clamped to at most half the request's deadline.
+	// timeout. Default 500ms, clamped to at most half the request's
+	// deadline.
 	SoftMargin time.Duration
 	// DegradeByDefault selects the policy of estimation requests that carry
 	// no ?degrade= parameter: true behaves like degrade=accept (never time
