@@ -252,6 +252,11 @@ type cumulative struct {
 	planned      blockCounts
 	totalSamples int
 	isSample     []bool
+	// removed are the removed nodes drawn as sources when the reduced graph
+	// has fewer than minSamples nodes (see sample), and removedRows their
+	// distance rows over the original graph, set once pass1 took them.
+	removed     []graph.NodeID
+	removedRows [][]int32
 
 	// Anytime bookkeeping (nil/zero unless Anytime or Progress is set).
 	any      *anyState
@@ -287,9 +292,12 @@ type tally struct {
 
 // sample is the sampling phase (Algorithm 5, lines 7–10): every cut
 // vertex, plus a per-block share of the run's budget drawn uniformly among
-// the block's non-cut members. The budget is at least min(minSamples, nR),
-// so an input the reduction collapses still has rows to calibrate its
-// extrapolation against. It also sizes the anytime bookkeeping.
+// the block's non-cut members. A run draws at least min(minSamples, n)
+// sources, so an input the reduction collapses still has rows to calibrate
+// its extrapolation against: the budget is at least min(minSamples, nR),
+// and a reduced graph of fewer than minSamples nodes, sampled whole, is
+// topped up with removed nodes drawn uniformly. It also sizes the anytime
+// bookkeeping.
 func (c *cumulative) sample() {
 	d := c.d
 	nR, nb := c.red.G.NumNodes(), d.NumBlocks()
@@ -320,6 +328,28 @@ func (c *cumulative) sample() {
 		c.totalSamples += len(src)
 		c.cutPairs += cuts
 	}
+	if nR < minSamples {
+		var removed []graph.NodeID
+		for o, r := range c.red.ToNew {
+			if r < 0 {
+				removed = append(removed, graph.NodeID(o))
+			}
+		}
+		if len(removed) > 0 {
+			// The seed stream after the blocks' own.
+			rng := rand.New(rand.NewSource(c.opts.Seed + int64(nb)*7919))
+			for _, i := range sampleK(len(removed), minSamples-nR, rng) {
+				o := removed[i]
+				b := c.blockOf(o)
+				c.removed = append(c.removed, o)
+				c.isSample[o] = true
+				c.planned.sources[b]++
+				c.planned.drawn[b]++
+				c.planned.assigned[b]++
+			}
+			c.totalSamples += len(c.removed)
+		}
+	}
 
 	// Anytime: "planned" counts traversal units — a cut vertex once per
 	// block it belongs to — matching totalSamples.
@@ -328,8 +358,8 @@ func (c *cumulative) sample() {
 	}
 }
 
-// minSamples is the least number of sources a run draws when the reduced
-// graph has that many nodes.
+// minSamples is the least number of sources a run draws when the graph has
+// that many nodes.
 const minSamples = 4
 
 // pass1 traverses every block once from every one of its sources, cut
@@ -377,6 +407,7 @@ func (c *cumulative) pass1(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	c.traverseRemoved()
 	units := make([]unit, nb)
 	for b, src := range c.sources {
 		units[b] = unit{c.units[b], src}
@@ -388,6 +419,37 @@ func (c *cumulative) pass1(ctx context.Context) error {
 			s := &cumSink{c: c, ws: &c.workSums[w]}
 			return laneSink{s.start, s.visit, s.finish}
 		})
+}
+
+// traverseRemoved takes the rows of the removed sources on the original
+// graph (at most minSamples−1 plain BFS runs): a removed source's in-block
+// sum is its row over its block's assigned population, and collect adds the
+// rows to the other nodes' drawn sums.
+func (c *cumulative) traverseRemoved() {
+	if len(c.removed) == 0 {
+		return
+	}
+	rows := landmarkRows(c.red.Orig, c.removed, c.workers)
+	var counts []int64
+	if c.any != nil {
+		c.any.mu.RLock()
+	}
+	for i, o := range c.removed {
+		for _, w := range c.assigned[c.blockOf(o)] {
+			c.exactIn[o] += int64(rows[i][w])
+		}
+		if c.any != nil {
+			c.any.doneSrc[o] = true
+			counts = append(counts, c.any.complete())
+		}
+	}
+	c.removedRows = rows
+	if c.any != nil {
+		c.any.mu.RUnlock()
+		for _, n := range counts {
+			c.any.advance(n)
+		}
+	}
 }
 
 // laneNode is what a sweep of a block does at one member: capture its
@@ -675,6 +737,9 @@ func (c *cumulative) collect() *tally {
 			}
 		}
 		an.AddSums(rs, t.sumRand, t.sumSqA)
+		if nCut == 0 {
+			continue
+		}
 		// The cut rows weighed as plain, W(B,c)-weighted and homed rows.
 		cutRows := func(weight func(i int) int64, sum, sq []int64) {
 			rs.Reset()
@@ -694,6 +759,33 @@ func (c *cumulative) collect() *tally {
 			}
 			return 0
 		}, homed, sqHomed)
+	}
+	// A removed source's row is a whole-graph row, so it feeds the drawn
+	// sums of every node of its block as it is. For the calibration it is a
+	// sample row: its distances to the samples go to aS2S, the rest to
+	// aS2N. A kept source's row counted its distance to the removed source
+	// as non-sample mass, so that distance moves to aS2S as well.
+	for i, row := range c.removedRows {
+		b := c.blockOf(c.removed[i])
+		t.completed.sources[b]++
+		t.completed.drawn[b]++
+		t.completed.assigned[b]++
+		for _, w := range c.assigned[b] {
+			d := int64(row[w])
+			t.sumRand[w] += d
+			if t.sumSqA != nil {
+				t.sumSqA[w] += d * d
+			}
+			switch {
+			case !c.isSample[w]:
+				t.aS2N[b] += d
+			case c.red.ToNew[w] >= 0:
+				t.aS2S[b] += 2 * d
+				t.aS2N[b] -= d
+			default:
+				t.aS2S[b] += d
+			}
+		}
 	}
 	for o := range homed {
 		homed[o] += t.sumRand[o]
@@ -881,19 +973,6 @@ func (c *cumulative) landmarkEstimates(t *tally) (val []float64, set []bool) {
 			continue
 		}
 		lm := landmarkSums(ds)
-		if c.cutPairs == 0 {
-			// The one block's single sample is the whole reduced graph, and
-			// every other node hangs off it by a removal, so most pairs meet
-			// through it: their distance sits above the midpoint, toward the
-			// landmark's upper bound d(s,x)+d(s,y). Take the mean of the two.
-			var total int64
-			for _, x := range ds {
-				total += x
-			}
-			for i, x := range ds {
-				lm[i] = (lm[i] + float64(int64(len(ds)-2)*x+total)) / 2
-			}
-		}
 		if val == nil {
 			val, set = make([]float64, c.n), make([]bool, c.n)
 		}
