@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet check e2e-check chaos bench bench-layers experiments fuzz fuzz-smoke cover
+.PHONY: build test vet check e2e-check chaos bench bench-layers experiments fuzz fuzz-smoke cover loc
 
 build:
 	go build ./...
@@ -77,3 +77,9 @@ fuzz-smoke:
 cover:
 	go test -coverprofile=cover.out ./...
 	go tool cover -func=cover.out | tail -5
+
+# Non-test Go lines outside the benchmark module: the size figure the
+# ROADMAP's deletion items state their acceptance in.
+loc:
+	@find . \( -path ./e2ebench -o -path ./.bench_build -o -path ./.git \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

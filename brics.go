@@ -265,8 +265,10 @@ func TopKClosenessContext(ctx context.Context, g *Graph, k int, opts TopKOptions
 }
 
 // DynamicIndex maintains exact farness values under edge insertions and
-// deletions (the paper's "dynamic setting" future work): 2 + |affected|
-// traversals per update instead of n.
+// deletions (the paper's "dynamic setting" future work). An update applies
+// the server's edge rule and affected-set filter (2 BFS) and refreshes the
+// affected nodes in ⌈|affected|/64⌉ lane sweeps, instead of recomputing all
+// n. Snapshot returns the current CSR graph.
 type DynamicIndex = dynamic.Index
 
 // NewDynamicIndex builds a dynamic farness index over a connected graph.

@@ -1,6 +1,10 @@
 package bfs
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
 
 // LaneAcc sums distances per lane over one ≤64-lane sweep without a
 // per-lane loop per visit. It counts in bit-slices: plane i holds bit i of
@@ -97,6 +101,19 @@ func (a *LaneAcc) Sums(dst []int64) {
 	for i := range dst {
 		dst[i] = a.sums[i] + a.fullSum
 	}
+}
+
+// SweepSums runs one MultiSourceMasksInto sweep from up to 64 sources over g
+// and writes lane i's distance sum to dst[i]: the farness of sources[i] on a
+// connected graph. s and acc are the caller's, one pair per worker. A sweep
+// interrupted through s's done channel writes partial sums, which the caller
+// must discard.
+func SweepSums(g *graph.Graph, sources []graph.NodeID, s *MSScratch, acc *LaneAcc, dst []int64) {
+	acc.Reset(len(sources))
+	MultiSourceMasksInto(g, sources, s, func(_ graph.NodeID, mask uint64, d int32) {
+		acc.Add(mask, d)
+	})
+	acc.Sums(dst[:len(sources)])
 }
 
 // fullMask is the bitmask with the low k lanes set.

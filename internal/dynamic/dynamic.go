@@ -4,32 +4,27 @@
 // Sariyüce, Kaya, Saule and Çatalyürek ("Incremental algorithms for
 // closeness centrality", the paper's reference [24]).
 //
-// The key observation: after inserting edge {u, v}, the distance d(x, y)
-// can only change if a path through the new edge beats the old distance,
-// which requires |d(x,u) − d(x,v)| ≥ 2 for the *source* x (otherwise
-// d(x,u)+1+d(v,y) ≥ d(x,v)+d(v,y) ≥ d(x,y) for every y). Distances — and
-// hence farness — are therefore untouched for every node outside the
-// affected set X = {x : |d(x,u) − d(x,v)| ≥ 2}, and one BFS per affected
-// node refreshes the rest: 2 + |X| traversals instead of n.
-//
-// Deletion is symmetric with the filter |d(x,u) − d(x,v)| = 1 computed
-// *before* the removal (an edge whose endpoints are equidistant from x
-// lies on no shortest path from x).
+// An edit goes through bfs.EditEdge, the same edge rule and affected-set
+// filter the server's write path applies: it returns the edited CSR copy and
+// the nodes whose farness the edit can change, from one BFS row per
+// endpoint. The index then refreshes only those nodes, 64 at a time in
+// bit-parallel lane sweeps: 2 BFS plus ⌈|affected|/64⌉ sweeps per update
+// instead of ⌈n/64⌉. Building the index is a refresh of every node.
 package dynamic
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/queue"
 )
 
-// Index maintains a mutable undirected simple graph together with the
+// Index maintains a connected undirected simple graph together with the
 // exact farness of every node.
 type Index struct {
-	adj     []map[graph.NodeID]struct{}
+	g       *graph.Graph
 	farness []int64
 	workers int
 	// UpdatedLast reports how many nodes the last mutation refreshed
@@ -37,201 +32,86 @@ type Index struct {
 	UpdatedLast int
 }
 
-// New builds an index from a connected simple graph. Cost: one BFS per
-// node (the unavoidable initial exact computation), parallelised.
+// New builds an index from a connected simple graph: one lane sweep per 64
+// nodes, parallelised.
 func New(g *graph.Graph, workers int) (*Index, error) {
 	if !graph.IsConnected(g) {
 		return nil, fmt.Errorf("dynamic: graph must be connected")
 	}
-	n := g.NumNodes()
-	ix := &Index{
-		adj:     make([]map[graph.NodeID]struct{}, n),
-		farness: make([]int64, n),
-		workers: par.Workers(workers),
+	ix := &Index{g: g, farness: make([]int64, g.NumNodes()), workers: par.Workers(workers)}
+	all := make([]graph.NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
 	}
-	for v := 0; v < n; v++ {
-		ix.adj[v] = make(map[graph.NodeID]struct{}, g.Degree(graph.NodeID(v)))
-		for _, w := range g.Neighbors(graph.NodeID(v)) {
-			ix.adj[v][w] = struct{}{}
-		}
-	}
-	ix.recomputeAll()
+	ix.refresh(all)
 	return ix, nil
 }
 
 // NumNodes returns the node count.
-func (ix *Index) NumNodes() int { return len(ix.adj) }
+func (ix *Index) NumNodes() int { return ix.g.NumNodes() }
 
 // Degree returns the current degree of v.
-func (ix *Index) Degree(v graph.NodeID) int { return len(ix.adj[v]) }
+func (ix *Index) Degree(v graph.NodeID) int { return ix.g.Degree(v) }
 
 // HasEdge reports whether {u, v} is present.
-func (ix *Index) HasEdge(u, v graph.NodeID) bool {
-	_, ok := ix.adj[u][v]
-	return ok
-}
+func (ix *Index) HasEdge(u, v graph.NodeID) bool { return ix.g.HasEdge(u, v) }
 
 // Farness returns the exact farness of v.
 func (ix *Index) Farness(v graph.NodeID) float64 { return float64(ix.farness[v]) }
 
-// bfs runs a BFS over the current adjacency, filling dist.
-func (ix *Index) bfs(src graph.NodeID, dist []int32, q *queue.FIFO) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	q.Reset()
-	dist[src] = 0
-	q.Push(src)
-	for !q.Empty() {
-		u := q.Pop()
-		du := dist[u]
-		for w := range ix.adj[u] {
-			if dist[w] == -1 {
-				dist[w] = du + 1
-				q.Push(w)
-			}
-		}
-	}
-}
-
-func (ix *Index) recomputeAll() {
-	n := len(ix.adj)
+// refresh recomputes the farness of exactly the given nodes, in ≤64-lane
+// sweeps over the current graph.
+func (ix *Index) refresh(nodes []graph.NodeID) {
 	type ws struct {
-		dist []int32
-		q    *queue.FIFO
+		ms  *bfs.MSScratch
+		acc bfs.LaneAcc
 	}
 	scratch := make([]ws, ix.workers)
-	for i := range scratch {
-		scratch[i] = ws{dist: make([]int32, n), q: queue.NewFIFO(n)}
-	}
-	par.ForDynamic(n, ix.workers, 8, func(worker, v int) {
+	chunks := (len(nodes) + bfs.MSBFSWidth - 1) / bfs.MSBFSWidth
+	par.ForDynamic(chunks, ix.workers, 1, func(worker, c int) {
 		s := &scratch[worker]
-		ix.bfs(graph.NodeID(v), s.dist, s.q)
-		var sum int64
-		for _, d := range s.dist {
-			sum += int64(d)
+		if s.ms == nil {
+			s.ms = bfs.NewMSScratch(ix.g.NumNodes())
 		}
-		ix.farness[v] = sum
+		batch := nodes[c*bfs.MSBFSWidth : min((c+1)*bfs.MSBFSWidth, len(nodes))]
+		var sums [bfs.MSBFSWidth]int64
+		bfs.SweepSums(ix.g, batch, s.ms, &s.acc, sums[:])
+		for lane, v := range batch {
+			ix.farness[v] = sums[lane]
+		}
 	})
-	ix.UpdatedLast = n
+	ix.UpdatedLast = len(nodes)
 }
 
-// refresh recomputes farness for exactly the given nodes.
-func (ix *Index) refresh(affected []graph.NodeID) {
-	n := len(ix.adj)
-	type ws struct {
-		dist []int32
-		q    *queue.FIFO
+// edit applies one edge edit through bfs.EditEdge and refreshes the
+// affected nodes.
+func (ix *Index) edit(u, v graph.NodeID, add bool) error {
+	next, affected, err := bfs.EditEdge(ix.g, u, v, add)
+	if err != nil {
+		return err
 	}
-	scratch := make([]ws, ix.workers)
-	for i := range scratch {
-		scratch[i] = ws{dist: make([]int32, n), q: queue.NewFIFO(n)}
-	}
-	par.ForDynamic(len(affected), ix.workers, 1, func(worker, i int) {
-		s := &scratch[worker]
-		v := affected[i]
-		ix.bfs(v, s.dist, s.q)
-		var sum int64
-		for _, d := range s.dist {
-			sum += int64(d)
-		}
-		ix.farness[v] = sum
-	})
-	ix.UpdatedLast = len(affected)
-}
-
-// affectedSet returns nodes x with |d(x,u) − d(x,v)| >= threshold.
-func (ix *Index) affectedSet(u, v graph.NodeID, threshold int32) []graph.NodeID {
-	n := len(ix.adj)
-	du := make([]int32, n)
-	dv := make([]int32, n)
-	q := queue.NewFIFO(n)
-	ix.bfs(u, du, q)
-	ix.bfs(v, dv, q)
-	var out []graph.NodeID
-	for x := 0; x < n; x++ {
-		diff := du[x] - dv[x]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff >= threshold {
-			out = append(out, graph.NodeID(x))
-		}
-	}
-	return out
+	ix.g = next
+	ix.refresh(affected)
+	return nil
 }
 
 // AddEdge inserts the undirected edge {u, v} and refreshes the farness of
 // every affected node. Inserting an existing edge or a self loop is a
 // no-op returning nil.
-func (ix *Index) AddEdge(u, v graph.NodeID) error {
-	n := graph.NodeID(len(ix.adj))
-	if u < 0 || v < 0 || u >= n || v >= n {
-		return fmt.Errorf("dynamic: edge {%d,%d} out of range", u, v)
-	}
-	if u == v || ix.HasEdge(u, v) {
-		ix.UpdatedLast = 0
-		return nil
-	}
-	// Filter before mutating: the affected test uses pre-insertion
-	// distances, and a source is affected iff the endpoints were ≥ 2
-	// apart from it.
-	affected := ix.affectedSet(u, v, 2)
-	ix.adj[u][v] = struct{}{}
-	ix.adj[v][u] = struct{}{}
-	ix.refresh(affected)
-	return nil
-}
+func (ix *Index) AddEdge(u, v graph.NodeID) error { return ix.edit(u, v, true) }
 
 // RemoveEdge deletes the undirected edge {u, v} and refreshes affected
 // farness values. It refuses deletions that would disconnect the graph.
-func (ix *Index) RemoveEdge(u, v graph.NodeID) error {
-	n := graph.NodeID(len(ix.adj))
-	if u < 0 || v < 0 || u >= n || v >= n {
-		return fmt.Errorf("dynamic: edge {%d,%d} out of range", u, v)
-	}
-	if !ix.HasEdge(u, v) {
-		return fmt.Errorf("dynamic: edge {%d,%d} not present", u, v)
-	}
-	// A source x can be affected only if the edge lies on one of its
-	// shortest paths, which needs |d(x,u) − d(x,v)| = 1 (equality 0 means
-	// the edge is a chord of equal-distance rings). Compute the filter
-	// before deleting.
-	affected := ix.affectedSet(u, v, 1)
-	delete(ix.adj[u], v)
-	delete(ix.adj[v], u)
-	// Connectivity check: u must still reach v.
-	dist := make([]int32, len(ix.adj))
-	q := queue.NewFIFO(len(ix.adj))
-	ix.bfs(u, dist, q)
-	if dist[v] == -1 {
-		ix.adj[u][v] = struct{}{}
-		ix.adj[v][u] = struct{}{}
-		return fmt.Errorf("dynamic: removing {%d,%d} would disconnect the graph", u, v)
-	}
-	ix.refresh(affected)
-	return nil
-}
+func (ix *Index) RemoveEdge(u, v graph.NodeID) error { return ix.edit(u, v, false) }
 
-// Snapshot materialises the current graph as an immutable CSR Graph.
-func (ix *Index) Snapshot() *graph.Graph {
-	b := graph.NewBuilder(len(ix.adj))
-	for u := range ix.adj {
-		for v := range ix.adj[u] {
-			if graph.NodeID(u) < v {
-				_ = b.AddEdge(graph.NodeID(u), v)
-			}
-		}
-	}
-	return b.Build()
-}
+// Snapshot returns the current graph. It is immutable: later edits copy it.
+func (ix *Index) Snapshot() *graph.Graph { return ix.g }
 
-// TopK returns the k most central nodes under the current graph.
+// TopK returns the k most central nodes under the current graph; k is
+// clamped to [0, n].
 func (ix *Index) TopK(k int) []graph.NodeID {
-	n := len(ix.adj)
-	if k > n {
-		k = n
-	}
+	n := ix.g.NumNodes()
+	k = min(max(k, 0), n)
 	ord := make([]graph.NodeID, n)
 	for i := range ord {
 		ord[i] = graph.NodeID(i)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bfs"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -145,6 +146,9 @@ func TestTopK(t *testing.T) {
 	if got := len(ix.TopK(99)); got != 5 {
 		t.Fatalf("TopK clamp: %d", got)
 	}
+	if got := ix.TopK(-1); len(got) != 0 {
+		t.Fatalf("TopK(-1) = %v, want none", got)
+	}
 }
 
 // Property: a random sequence of insertions and (safe) deletions keeps the
@@ -239,4 +243,62 @@ func TestLocalityOfUpdates(t *testing.T) {
 		t.Fatalf("avg affected = %.1f of %d nodes — filter not selective on a dense graph", avg, n)
 	}
 	checkAgainstScratch(t, ix)
+}
+
+// BenchmarkUpdateVsRecompute times one edge insert on the index against a
+// full recompute (bfs.ExactFarness) and the index build, on a 3,000-node
+// graph of each generator family with 2 workers. An update op is the same 20
+// random inserts into a fresh index (the build is not timed), reported per
+// insert as ms/update with the share of nodes the filter marked.
+func BenchmarkUpdateVsRecompute(b *testing.B) {
+	const workers, inserts = 2, 20
+	families := []struct {
+		name string
+		gen  func(int, int64) *graph.Graph
+	}{
+		{"web", gen.Web}, {"social", gen.Social}, {"community", gen.Community}, {"road", gen.Road},
+	}
+	for _, fam := range families {
+		g := fam.gen(3000, 1)
+		rng := rand.New(rand.NewSource(1))
+		var edges [][2]graph.NodeID
+		for len(edges) < inserts {
+			u, v := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+			if u != v && !g.HasEdge(u, v) {
+				edges = append(edges, [2]graph.NodeID{u, v})
+			}
+		}
+		b.Run(fam.name+"/update", func(b *testing.B) {
+			affected := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix, err := New(g, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, e := range edges {
+					if err := ix.AddEdge(e[0], e[1]); err != nil {
+						b.Fatal(err)
+					}
+					affected += ix.UpdatedLast
+				}
+			}
+			updates := float64(b.N * inserts)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/updates, "ms/update")
+			b.ReportMetric(100*float64(affected)/updates/float64(g.NumNodes()), "affected%")
+		})
+		b.Run(fam.name+"/recompute", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bfs.ExactFarness(g, workers)
+			}
+		})
+		b.Run(fam.name+"/build", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := New(g, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

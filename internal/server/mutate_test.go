@@ -3,28 +3,35 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/dynamic"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// TestMutationsMatchDynamicIndex drives a seeded sequence of edge inserts
-// and removals through the HTTP handler on one graph of each generator
-// family, with the exact incremental index of internal/dynamic applying the
-// same sequence as the oracle. After every step the two agree on the
-// outcome. A 200 must report the oracle's affected-set size and edge count
-// and serve a generation whose CSR equals the oracle's snapshot array for
-// array. A 400 must leave the generation unchanged. The sequence mixes real
-// inserts and removals with no-op inserts of existing edges, self loops,
-// out-of-range nodes, removals of missing edges and refused removals of
-// bridges.
-func TestMutationsMatchDynamicIndex(t *testing.T) {
+// TestMutationsKeepFarnessOutsideAffected drives a seeded sequence of edge
+// inserts and removals through the HTTP handler on one graph of each
+// generator family, and checks each answer against the test's own edge set.
+// A step the edge set refuses (an out-of-range node, a missing edge, a
+// removal that disconnects the graph) must answer 400 and leave the
+// generation unchanged. Any other step must answer 200 with the next
+// generation, whose CSR equals a graph.NewBuilder graph of the edge set array
+// for array. Its affected count must be the size of the set bfs.EditEdge
+// returns, and every node outside that set must keep its exact farness from
+// before the step. An exact farness index (internal/dynamic) replays the
+// sequence beside the server: it refuses what the server refuses, and after
+// every accepted step its snapshot is the served CSR and its farness the
+// exact farness of the served graph. The sequence mixes real inserts and
+// removals with no-op inserts of existing edges, self loops, out-of-range
+// nodes, removals of missing edges and refused removals of bridges.
+func TestMutationsKeepFarnessOutsideAffected(t *testing.T) {
 	families := []struct {
 		name string
 		gen  func(int, int64) *graph.Graph
@@ -34,62 +41,96 @@ func TestMutationsMatchDynamicIndex(t *testing.T) {
 	for fi, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
 			g := fam.gen(150, int64(fi+1))
-			oracle, err := dynamic.New(g, 1)
-			if err != nil {
-				t.Fatal(err)
+			n := g.NumNodes()
+			edges := map[[2]graph.NodeID]bool{}
+			for u := graph.NodeID(0); int(u) < n; u++ {
+				for _, v := range g.Neighbors(u) {
+					edges[edgeKey(u, v)] = true
+				}
 			}
 			s, err := NewWithConfig(g, Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(s.Close)
+			ix, err := dynamic.New(g, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(int64(fi + 11)))
 			kinds := map[string]int{}
 			for step := 0; step < 200; step++ {
-				snap := oracle.Snapshot()
-				kind, u, v := pickMutation(rng, snap, step)
+				prev := s.gen.Load()
+				kind, u, v := pickMutation(rng, prev.g, step)
 				kinds[kind]++
 				add := kind == "add" || kind == "noop" || kind == "self" || kind == "range"
-				var oerr error
-				if add {
-					oerr = oracle.AddEdge(u, v)
-				} else {
-					oerr = oracle.RemoveEdge(u, v)
+				key := edgeKey(u, v)
+				nextEdges := maps.Clone(edges)
+				refused := u < 0 || v < 0 || int(u) >= n || int(v) >= n
+				switch {
+				case refused:
+				case add && u != v:
+					nextEdges[key] = true
+				case !add && !edges[key]:
+					refused = true
+				case !add:
+					delete(nextEdges, key)
 				}
-				if kind == "bridge" && oerr == nil {
-					t.Fatalf("step %d: oracle removed the bridge {%d,%d}", step, u, v)
+				want := buildEdges(n, nextEdges)
+				refused = refused || !graph.IsConnected(want)
+				if kind == "bridge" && !refused {
+					t.Fatalf("step %d: {%d,%d} is no bridge", step, u, v)
 				}
-				before := s.gen.Load().id
 				w := edgeRequest(s, add, u, v)
 				after := s.gen.Load()
-				if oerr != nil {
-					if w.Code != http.StatusBadRequest || after.id != before {
-						t.Fatalf("step %d %s {%d,%d}: oracle refused (%v), server answered %d %s with generation %d -> %d",
-							step, kind, u, v, oerr, w.Code, w.Body, before, after.id)
+				edit := ix.RemoveEdge
+				if add {
+					edit = ix.AddEdge
+				}
+				ierr := edit(u, v)
+				if refused {
+					if w.Code != http.StatusBadRequest || after.id != prev.id || ierr == nil {
+						t.Fatalf("step %d %s {%d,%d}: want a refusal, server answered %d %s with generation %d -> %d, index %v",
+							step, kind, u, v, w.Code, w.Body, prev.id, after.id, ierr)
 					}
 					continue
 				}
-				if w.Code != http.StatusOK || after.id != before+1 {
-					t.Fatalf("step %d %s {%d,%d}: server answered %d %s with generation %d -> %d, want 200 and +1",
-						step, kind, u, v, w.Code, w.Body, before, after.id)
+				if w.Code != http.StatusOK || after.id != prev.id+1 || ierr != nil {
+					t.Fatalf("step %d %s {%d,%d}: server answered %d %s with generation %d -> %d, index %v; want 200, +1 and nil",
+						step, kind, u, v, w.Code, w.Body, prev.id, after.id, ierr)
 				}
 				var res edgeResult
 				if err := json.NewDecoder(w.Body).Decode(&res); err != nil {
 					t.Fatal(err)
 				}
-				want := oracle.Snapshot()
-				if res.Affected != oracle.UpdatedLast || res.Edges != want.NumEdges() {
-					t.Fatalf("step %d %s {%d,%d}: got %+v, oracle affected %d edges %d",
-						step, kind, u, v, res, oracle.UpdatedLast, want.NumEdges())
-				}
 				gotOff, gotAdj := after.g.CSR()
 				wantOff, wantAdj := want.CSR()
-				if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
-					t.Fatalf("step %d %s {%d,%d}: served CSR differs from the oracle's snapshot", step, kind, u, v)
+				if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) || res.Edges != want.NumEdges() {
+					t.Fatalf("step %d %s {%d,%d}: served CSR (%d edges reported) differs from the edge set's", step, kind, u, v, res.Edges)
 				}
 				if err := after.g.Validate(); err != nil {
 					t.Fatalf("step %d: served graph invalid: %v", step, err)
 				}
+				_, affected, err := bfs.EditEdge(prev.g, u, v, add)
+				if err != nil || res.Affected != len(affected) || ix.UpdatedLast != len(affected) {
+					t.Fatalf("step %d %s {%d,%d}: reported %d affected, index %d, EditEdge %d (%v)",
+						step, kind, u, v, res.Affected, ix.UpdatedLast, len(affected), err)
+				}
+				ixOff, ixAdj := ix.Snapshot().CSR()
+				if !slices.Equal(gotOff, ixOff) || !slices.Equal(gotAdj, ixAdj) {
+					t.Fatalf("step %d %s {%d,%d}: the index's snapshot differs from the served CSR", step, kind, u, v)
+				}
+				before, now := bfs.ExactFarness(prev.g, 1), bfs.ExactFarness(after.g, 1)
+				for x := range now {
+					if now[x] != before[x] && !slices.Contains(affected, graph.NodeID(x)) {
+						t.Fatalf("step %d %s {%d,%d}: node %d outside the affected set moved %v -> %v",
+							step, kind, u, v, x, before[x], now[x])
+					}
+					if f := ix.Farness(graph.NodeID(x)); f != now[x] {
+						t.Fatalf("step %d %s {%d,%d}: index farness of node %d is %v, exact %v", step, kind, u, v, x, f, now[x])
+					}
+				}
+				edges = nextEdges
 			}
 			for _, k := range []string{"add", "remove", "noop", "self", "range", "missing", "bridge"} {
 				if kinds[k] == 0 {
@@ -98,6 +139,22 @@ func TestMutationsMatchDynamicIndex(t *testing.T) {
 			}
 		})
 	}
+}
+
+// edgeKey is the undirected edge {u, v} with its smaller endpoint first.
+func edgeKey(u, v graph.NodeID) [2]graph.NodeID {
+	return [2]graph.NodeID{min(u, v), max(u, v)}
+}
+
+// buildEdges builds the n-node graph of an edge set with graph.NewBuilder.
+func buildEdges(n int, edges map[[2]graph.NodeID]bool) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for e := range edges {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
 }
 
 // pickMutation draws one step of the differential sequence against the

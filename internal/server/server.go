@@ -739,12 +739,12 @@ type edgeResult struct {
 	Edges    int `json:"edges"`
 }
 
-// mutate inserts (add) or removes the edge {u, v} and installs a fresh
-// generation over the edited copy: no plans, empty cache, next id. A self
-// loop or an existing edge is a no-op that still installs one. Runs on the
-// old generation finish there harmlessly. The fault checkpoint lets the
-// chaos suite refuse a mutation mid-swap. Affected counts the nodes whose
-// farness the update can change, by the filter of internal/dynamic:
+// mutate inserts (add) or removes the edge {u, v} through bfs.EditEdge and
+// installs a fresh generation over the edited copy: no plans, empty cache,
+// next id. A self loop or an existing edge is a no-op that still installs
+// one. Runs on the old generation finish there harmlessly. The fault
+// checkpoint lets the chaos suite refuse a mutation mid-swap. Affected
+// counts the nodes whose farness the edit can change, by EditEdge's filter:
 // |d(x,u) − d(x,v)| ≥ 2 before an insertion, ≥ 1 before a removal.
 func (s *Server) mutate(u, v graph.NodeID, add bool) (edgeResult, error) {
 	s.mutMu.Lock()
@@ -759,40 +759,12 @@ func (s *Server) mutate(u, v graph.NodeID, add bool) (edgeResult, error) {
 		}
 		s.connected = true
 	}
-	if n := graph.NodeID(g.NumNodes()); u < 0 || v < 0 || u >= n || v >= n {
-		return edgeResult{}, fmt.Errorf("dynamic: edge {%d,%d} out of range", u, v)
-	}
-	next, affected := g, 0
-	switch {
-	case add && u != v && !g.HasEdge(u, v):
-		affected = affectedCount(g, u, v, 2)
-		next = g.WithEdge(u, v)
-	case add:
-	case !g.HasEdge(u, v):
-		return edgeResult{}, fmt.Errorf("dynamic: edge {%d,%d} not present", u, v)
-	default:
-		if next = g.WithoutEdge(u, v); bfs.PointToPoint(next, u, v) == bfs.Unreached {
-			return edgeResult{}, fmt.Errorf("dynamic: removing {%d,%d} would disconnect the graph", u, v)
-		}
-		affected = affectedCount(g, u, v, 1)
+	next, affected, err := bfs.EditEdge(g, u, v, add)
+	if err != nil {
+		return edgeResult{}, err
 	}
 	s.gen.Store(newGeneration(next, s.genSeq.Add(1)))
-	return edgeResult{Affected: affected, Edges: next.NumEdges()}, nil
-}
-
-// affectedCount counts the nodes x of g with |d(x,u) − d(x,v)| ≥ threshold,
-// from one BFS row per endpoint.
-func affectedCount(g *graph.Graph, u, v graph.NodeID, threshold int32) int {
-	du, dv := make([]int32, g.NumNodes()), make([]int32, g.NumNodes())
-	bfs.Distances(g, u, du, nil)
-	bfs.Distances(g, v, dv, nil)
-	count := 0
-	for x := range du {
-		if d := du[x] - dv[x]; d >= threshold || -d >= threshold {
-			count++
-		}
-	}
-	return count
+	return edgeResult{Affected: len(affected), Edges: next.NumEdges()}, nil
 }
 
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {

@@ -194,15 +194,11 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 			ms = bfs.NewMSScratch(n)
 			ms.SetDone(done)
 		}
-		lanes.Reset(len(batch))
-		bfs.MultiSourceMasksInto(g, batch, ms, func(_ graph.NodeID, mask uint64, d int32) {
-			lanes.Add(mask, d)
-		})
+		var farBySlot [bfs.MSBFSWidth]int64
+		bfs.SweepSums(g, batch, ms, &lanes, farBySlot[:])
 		if par.Interrupted(done) {
 			return par.CtxErr(ctx) // partial sums; discard them
 		}
-		var farBySlot [bfs.MSBFSWidth]int64
-		lanes.Sums(farBySlot[:len(batch)])
 		for lane, v := range batch {
 			exactCache[v] = float64(farBySlot[lane])
 			haveExact[v] = true
