@@ -90,3 +90,30 @@ func TestGoldenLattice(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenMasks pins the twelve technique masks the lattice does not
+// cover — every subset of {B, R, I, C} other than none, CR, ICR and BRICS —
+// at one operating point: fraction 0.2, two workers, the default
+// extrapolation rule, with standard errors, seed 7. The seven masks without
+// C traverse the reduced graph unweighted; the rest traverse it weighted
+// whenever a chain was contracted.
+func TestGoldenMasks(t *testing.T) {
+	want := readGolden(t, goldenPath)
+	for _, fam := range relabelFamilies() {
+		g := graph.Connect(fam.gen(1500, 1))
+		for m := Technique(0); m <= TechCumulative; m++ {
+			switch m {
+			case 0, TechCR, TechICR, TechCumulative:
+				continue
+			}
+			name := fmt.Sprintf("%s/%s/f=0.2/w=2/est=0", fam.name, strings.TrimSuffix(m.String(), "S"))
+			res, err := Estimate(g, Options{Techniques: m, SampleFraction: 0.2, Workers: 2, Seed: 7, ComputeStdErr: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := hashResult(res); got != want[name] {
+				t.Errorf("%s %s: golden %q", name, got, want[name])
+			}
+		}
+	}
+}
