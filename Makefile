@@ -79,7 +79,10 @@ cover:
 	go tool cover -func=cover.out | tail -5
 
 # Non-test Go lines outside the benchmark module: the size figure the
-# ROADMAP's deletion items state their acceptance in.
+# ROADMAP's deletion items state their acceptance in. It prints the total
+# and the code lines (neither blank nor only a // comment), which editing
+# comments cannot move.
 loc:
 	@find . \( -path ./e2ebench -o -path ./.bench_build -o -path ./.git \) -prune -o \
-		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | \
+		awk '{ total++ } !/^[ \t]*$$/ && !/^[ \t]*\/\// { code++ } END { print total, "lines,", code, "code lines" }'

@@ -208,7 +208,6 @@ func BenchmarkReductionStages(b *testing.B) {
 // same (unweighted) graph.
 func BenchmarkTraversalKernels(b *testing.B) {
 	g := gen.Social(20000, 2)
-	wg := g.ToWeighted()
 	n := g.NumNodes()
 	dist := make([]int32, n)
 	q := queue.NewFIFO(n)
@@ -220,7 +219,7 @@ func BenchmarkTraversalKernels(b *testing.B) {
 	})
 	b.Run("dial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bfs.WDistances(wg, graph.NodeID(i%n), dist, bq)
+			bfs.WDistances(g, graph.NodeID(i%n), dist, bq)
 		}
 	})
 }

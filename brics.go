@@ -76,7 +76,7 @@ func IsConnected(g *Graph) bool { return graph.IsConnected(g) }
 
 // LoadGraph reads a graph file (SNAP edge list or Matrix Market .mtx,
 // optionally .gz) and normalises it to a simple undirected graph.
-func LoadGraph(path string) (*Graph, error) { return repro_io.ReadFile(path) }
+func LoadGraph(path string) (*Graph, error) { return repro_io.ReadAny(path) }
 
 // ReadEdgeList parses a SNAP-style edge list from r.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return repro_io.ReadEdgeList(r) }

@@ -13,13 +13,13 @@ import (
 
 // chainOfTriangles builds k triangles glued in a chain at cut vertices:
 // 0-1-2, 2-3-4, 4-5-6, ... Node 2i is shared between triangle i-1 and i.
-func chainOfTriangles(k int) *graph.WGraph {
-	b := graph.NewWBuilder(2*k + 1)
+func chainOfTriangles(k int) *graph.Graph {
+	b := graph.NewBuilder(2*k + 1)
 	for i := 0; i < k; i++ {
 		a := int32(2 * i)
-		_ = b.AddEdge(a, a+1, 1)
-		_ = b.AddEdge(a+1, a+2, 1)
-		_ = b.AddEdge(a, a+2, 1)
+		_ = b.AddWeightedEdge(a, a+1, 1)
+		_ = b.AddWeightedEdge(a+1, a+2, 1)
+		_ = b.AddWeightedEdge(a, a+2, 1)
 	}
 	return b.Build()
 }
@@ -60,27 +60,27 @@ func TestAggregateExactIdentity(t *testing.T) {
 		checkAggregate(t, g)
 	}
 	// A tree of blocks with branching: star of triangles sharing node 0.
-	b := graph.NewWBuilder(7)
+	b := graph.NewBuilder(7)
 	for i := 0; i < 3; i++ {
 		x := int32(1 + 2*i)
-		_ = b.AddEdge(0, x, 1)
-		_ = b.AddEdge(0, x+1, 1)
-		_ = b.AddEdge(x, x+1, 1)
+		_ = b.AddWeightedEdge(0, x, 1)
+		_ = b.AddWeightedEdge(0, x+1, 1)
+		_ = b.AddWeightedEdge(x, x+1, 1)
 	}
 	checkAggregate(t, b.Build())
 	// Mixed weights.
-	wb := graph.NewWBuilder(6)
-	_ = wb.AddEdge(0, 1, 2)
-	_ = wb.AddEdge(1, 2, 3)
-	_ = wb.AddEdge(0, 2, 1)
-	_ = wb.AddEdge(2, 3, 4)
-	_ = wb.AddEdge(3, 4, 1)
-	_ = wb.AddEdge(4, 5, 2)
-	_ = wb.AddEdge(3, 5, 2)
+	wb := graph.NewBuilder(6)
+	_ = wb.AddWeightedEdge(0, 1, 2)
+	_ = wb.AddWeightedEdge(1, 2, 3)
+	_ = wb.AddWeightedEdge(0, 2, 1)
+	_ = wb.AddWeightedEdge(2, 3, 4)
+	_ = wb.AddWeightedEdge(3, 4, 1)
+	_ = wb.AddWeightedEdge(4, 5, 2)
+	_ = wb.AddWeightedEdge(3, 5, 2)
 	checkAggregate(t, wb.Build())
 }
 
-func checkAggregate(t *testing.T, g *graph.WGraph) {
+func checkAggregate(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	n := g.NumNodes()
 	d := bicc.Decompose(g)
@@ -88,7 +88,7 @@ func checkAggregate(t *testing.T, g *graph.WGraph) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ap := bfs.AllPairsW(g)
+	ap := bfs.AllPairs(g)
 
 	nb := d.NumBlocks()
 	// Home block per node.
@@ -156,13 +156,13 @@ func TestAggregateRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(30) + 3
-		b := graph.NewWBuilder(n)
+		b := graph.NewBuilder(n)
 		for i := 1; i < n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(i)), int32(i), int32(rng.Intn(3)+1))
+			_ = b.AddWeightedEdge(int32(rng.Intn(i)), int32(i), int32(rng.Intn(3)+1))
 		}
 		extra := rng.Intn(n)
 		for i := 0; i < extra; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(3)+1))
+			_ = b.AddWeightedEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(3)+1))
 		}
 		g := b.Build()
 		d := bicc.Decompose(g)
@@ -173,7 +173,7 @@ func TestAggregateRandomGraphs(t *testing.T) {
 		if tree.Validate() != nil {
 			return false
 		}
-		ap := bfs.AllPairsW(g)
+		ap := bfs.AllPairs(g)
 		nb := d.NumBlocks()
 		home := make([]int32, n)
 		for v := 0; v < n; v++ {

@@ -6,47 +6,23 @@ import (
 	"repro/internal/queue"
 )
 
-// ExactFarness computes the exact farness of every node of the (connected,
-// unweighted) graph g: farness(v) = Σ_w d(v, w). It runs one BFS per node,
-// parallelised across the given number of workers with dynamic scheduling.
-// This is the ground-truth oracle for every quality metric in the paper.
+// ExactFarness computes the exact farness of every node of the connected
+// graph g: farness(v) = Σ_w d(v, w). It runs one traversal per node — BFS
+// on an unweighted graph, Dial on a weighted one — parallelised across the
+// given number of workers with dynamic scheduling. This is the ground-truth
+// oracle for every quality metric in the paper.
 func ExactFarness(g *graph.Graph, workers int) []float64 {
 	n := g.NumNodes()
 	farness := make([]float64, n)
 	workers = par.Workers(workers)
-	type ws struct {
-		dist []int32
-		q    *queue.FIFO
-	}
-	scratch := make([]ws, workers)
-	for i := range scratch {
-		scratch[i] = ws{dist: make([]int32, n), q: queue.NewFIFO(n)}
+	rows := make([]func(graph.NodeID, []int32), workers)
+	dists := make([][]int32, workers)
+	for i := range rows {
+		rows[i], dists[i] = distancesOf(g), make([]int32, n)
 	}
 	par.ForDynamic(n, workers, 16, func(worker, v int) {
-		s := &scratch[worker]
-		Distances(g, graph.NodeID(v), s.dist, s.q)
-		sum, _ := Sum(s.dist)
-		farness[v] = float64(sum)
-	})
-	return farness
-}
-
-// ExactFarnessW is ExactFarness over a weighted graph; it is used by tests
-// to validate reductions on the contracted graph.
-func ExactFarnessW(g *graph.WGraph, workers int) []float64 {
-	n := g.NumNodes()
-	farness := make([]float64, n)
-	workers = par.Workers(workers)
-	unweighted := g.Unweighted()
-	maxW := g.MaxWeight()
-	scratch := make([]*Scratch, workers)
-	for i := range scratch {
-		scratch[i] = NewScratch(n, maxW)
-	}
-	par.ForDynamic(n, workers, 16, func(worker, v int) {
-		s := scratch[worker]
-		WDistancesAuto(g, unweighted, graph.NodeID(v), s)
-		sum, _ := Sum(s.Dist)
+		rows[worker](graph.NodeID(v), dists[worker])
+		sum, _ := Sum(dists[worker])
 		farness[v] = float64(sum)
 	})
 	return farness
@@ -57,22 +33,22 @@ func ExactFarnessW(g *graph.WGraph, workers int) []float64 {
 func AllPairs(g *graph.Graph) [][]int32 {
 	n := g.NumNodes()
 	out := make([][]int32, n)
-	q := queue.NewFIFO(n)
+	row := distancesOf(g)
 	for v := 0; v < n; v++ {
 		out[v] = make([]int32, n)
-		Distances(g, graph.NodeID(v), out[v], q)
+		row(graph.NodeID(v), out[v])
 	}
 	return out
 }
 
-// AllPairsW is AllPairs on a weighted graph; tests only.
-func AllPairsW(g *graph.WGraph) [][]int32 {
-	n := g.NumNodes()
-	out := make([][]int32, n)
-	b := queue.NewBucket(g.MaxWeight())
-	for v := 0; v < n; v++ {
-		out[v] = make([]int32, n)
-		WDistances(g, graph.NodeID(v), out[v], b)
+// distancesOf returns the one-source reference kernel for g with its own
+// queue, for one caller at a time: Distances when g is unweighted,
+// WDistances when it is weighted.
+func distancesOf(g *graph.Graph) func(src graph.NodeID, dist []int32) {
+	if g.Weighted() {
+		b := queue.NewBucket(g.MaxWeight())
+		return func(src graph.NodeID, dist []int32) { WDistances(g, src, dist, b) }
 	}
-	return out
+	q := queue.NewFIFO(g.NumNodes())
+	return func(src graph.NodeID, dist []int32) { Distances(g, src, dist, q) }
 }

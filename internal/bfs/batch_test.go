@@ -34,11 +34,11 @@ func randomBatch(rng *rand.Rand, n int) []graph.NodeID {
 }
 
 // reweight copies g into a weighted graph with random weights in [lo, hi].
-func reweight(g *graph.Graph, lo, hi int32, rng *rand.Rand) *graph.WGraph {
-	wb := graph.NewWBuilder(g.NumNodes())
+func reweight(g *graph.Graph, lo, hi int32, rng *rand.Rand) *graph.Graph {
+	wb := graph.NewBuilder(g.NumNodes())
 	g.Edges(func(u, v graph.NodeID) {
 		w := lo + rng.Int31n(hi-lo+1)
-		if err := wb.AddEdge(u, v, w); err != nil {
+		if err := wb.AddWeightedEdge(u, v, w); err != nil {
 			panic(err)
 		}
 	})
@@ -114,7 +114,7 @@ func TestMultiSourceWMatchesWDistances(t *testing.T) {
 						rows[i] = make([]int32, n)
 					}
 					s := NewMSScratch(n)
-					multiSourceWRows(wg, wg.Unweighted(), batch, s, rows)
+					multiSourceWRows(wg, batch, s, rows)
 					want := make([]int32, n)
 					bq := queue.NewBucket(wg.MaxWeight())
 					for lane, src := range batch {
@@ -141,7 +141,7 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 	batch := randomBatch(rng, wg.NumNodes())
 	seen := make(map[[2]int32]bool)
 	s := NewMSScratch(wg.NumNodes())
-	MultiSourceWMasksInto(wg, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
+	MultiSourceW(wg, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
 		key := [2]int32{int32(lane), v}
 		if seen[key] {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
@@ -163,11 +163,11 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 // multiSourceWRows is the row-space reference of MultiSourceW: it fills
 // rows[lane][v] with the distance from batch[lane] to v (Unreached where
 // unreachable) by scattering every visit.
-func multiSourceWRows(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, rows [][]int32) {
+func multiSourceWRows(g *graph.Graph, batch []graph.NodeID, s *MSScratch, rows [][]int32) {
 	for lane := range batch {
 		Fill(rows[lane])
 	}
-	MultiSourceW(g, unweighted, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
+	MultiSourceW(g, batch, s, expandMask(func(v graph.NodeID, lane int, d int32) {
 		rows[lane][v] = d
 	}))
 }
@@ -175,7 +175,7 @@ func multiSourceWRows(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s 
 // runBatches runs sources through multiSourceWRows in ≤64-wide batches on
 // one reused scratch, the way each worker of core's traversal driver runs
 // its batches, and returns every source's distance row.
-func runBatches(g *graph.WGraph, sources []graph.NodeID, done <-chan struct{}) [][]int32 {
+func runBatches(g *graph.Graph, sources []graph.NodeID, done <-chan struct{}) [][]int32 {
 	n := g.NumNodes()
 	s := NewMSScratch(n)
 	s.SetDone(done)
@@ -185,7 +185,7 @@ func runBatches(g *graph.WGraph, sources []graph.NodeID, done <-chan struct{}) [
 	}
 	for base := 0; base < len(sources); base += MSBFSWidth {
 		hi := min(base+MSBFSWidth, len(sources))
-		multiSourceWRows(g, g.Unweighted(), sources[base:hi], s, out[base:hi])
+		multiSourceWRows(g, sources[base:hi], s, out[base:hi])
 	}
 	return out
 }
@@ -200,7 +200,7 @@ func TestRunBatchesMatchesPerSource(t *testing.T) {
 	for i := range sources {
 		sources[i] = graph.NodeID(rng.Intn(n))
 	}
-	got := runBatches(g.ToWeighted(), sources, nil)
+	got := runBatches(g, sources, nil)
 	want := make([]int32, n)
 	for i, s := range sources {
 		Distances(g, s, want, nil)

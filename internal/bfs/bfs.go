@@ -2,8 +2,8 @@
 // and top-k candidates are traversed up to 64 at a time in bit-parallel
 // sweeps: the level-synchronous sweep on unweighted graphs and the
 // lane-masked Dial on the integer-weighted graphs produced by chain
-// contraction (MultiSourceW). Plain per-source BFS and Dial serve the exact
-// oracles and reference checks, and a bidirectional BFS answers
+// contraction, picked by graph.Graph.Weighted (MultiSourceW). Plain
+// per-source BFS and Dial serve the exact oracles and reference checks, and a bidirectional BFS answers
 // point-to-point queries. All kernels write into caller-provided buffers so
 // that parallel drivers can reuse scratch per worker.
 package bfs
@@ -48,29 +48,11 @@ func Distances(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO) {
 	}
 }
 
-// Scratch bundles the per-worker reusable state for weighted traversals.
-type Scratch struct {
-	Dist []int32
-	Q    *queue.FIFO
-	B    *queue.Bucket
-}
-
-// NewScratch allocates traversal scratch for an n-node graph whose edge
-// weights do not exceed maxWeight.
-func NewScratch(n int, maxWeight int32) *Scratch {
-	return &Scratch{
-		Dist: make([]int32, n),
-		Q:    queue.NewFIFO(n),
-		B:    queue.NewBucket(maxWeight),
-	}
-}
-
-// WDistances runs Dial's algorithm from src over the weighted graph g,
-// filling dist with shortest-path lengths. For all-weights-one graphs it is
-// equivalent to BFS (and BFS should be preferred; see WDistancesAuto).
-// dist must have length g.NumNodes(); b must have been created with at least
-// the graph's maximum edge weight.
-func WDistances(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket) {
+// WDistances runs Dial's algorithm from src over g, filling dist with
+// shortest-path lengths; on an unweighted graph it computes what Distances
+// does. dist must have length g.NumNodes(); b, when non-nil, must have been
+// created with at least the graph's maximum edge weight.
+func WDistances(g *graph.Graph, src graph.NodeID, dist []int32, b *queue.Bucket) {
 	Fill(dist)
 	if b == nil {
 		b = queue.NewBucket(g.MaxWeight())
@@ -84,48 +66,13 @@ func WDistances(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket
 		if dist[u] != du {
 			continue // stale entry superseded by a shorter path
 		}
-		nbrs := g.Neighbors(u)
-		ws := g.Weights(u)
-		for i, v := range nbrs {
-			nd := du + ws[i]
+		for i, v := range g.Neighbors(u) {
+			nd := du + g.Weight(u, i)
 			if dist[v] == Unreached || nd < dist[v] {
 				dist[v] = nd
 				b.Push(v, nd)
 			}
 		}
-	}
-}
-
-// WDistancesBFS runs plain BFS over a weighted graph whose weights are all
-// 1; callers guarantee the precondition (see graph.WGraph.Unweighted).
-func WDistancesBFS(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue.FIFO) {
-	Fill(dist)
-	if q == nil {
-		q = queue.NewFIFO(g.NumNodes())
-	} else {
-		q.Reset()
-	}
-	dist[src] = 0
-	q.Push(src)
-	for !q.Empty() {
-		u := q.Pop()
-		du := dist[u]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == Unreached {
-				dist[v] = du + 1
-				q.Push(v)
-			}
-		}
-	}
-}
-
-// WDistancesAuto dispatches to BFS when the graph is unweighted (detected
-// once by the caller and passed in) and Dial otherwise.
-func WDistancesAuto(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) {
-	if unweighted {
-		WDistancesBFS(g, src, s.Dist, s.Q)
-	} else {
-		WDistances(g, src, s.Dist, s.B)
 	}
 }
 

@@ -72,20 +72,13 @@ func TestWDistancesWeightedPath(t *testing.T) {
 func TestWDistancesEqualsBFSOnUnweighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 50)
-	wg := g.ToWeighted()
 	d1 := make([]int32, 50)
 	d2 := make([]int32, 50)
 	Distances(g, 13, d1, nil)
-	WDistances(wg, 13, d2, nil)
+	WDistances(g, 13, d2, nil)
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatalf("dist[%d]: BFS=%d Dial=%d", i, d1[i], d2[i])
-		}
-	}
-	WDistancesBFS(wg, 13, d2, nil)
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("WDistancesBFS dist[%d]: %d vs %d", i, d2[i], d1[i])
 		}
 	}
 }
@@ -96,12 +89,12 @@ func TestWDistancesAgainstBellmanFord(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(25) + 2
-		b := graph.NewWBuilder(n)
+		b := graph.NewBuilder(n)
 		for i := 1; i < n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(i)), int32(i), int32(rng.Intn(6)+1))
+			_ = b.AddWeightedEdge(int32(rng.Intn(i)), int32(i), int32(rng.Intn(6)+1))
 		}
 		for i := 0; i < n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(6)+1))
+			_ = b.AddWeightedEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(6)+1))
 		}
 		g := b.Build()
 		src := int32(rng.Intn(n))
@@ -117,7 +110,8 @@ func TestWDistancesAgainstBellmanFord(t *testing.T) {
 		ref[src] = 0
 		for it := 0; it < n; it++ {
 			changed := false
-			g.Edges(func(u, v int32, w int32) {
+			g.Edges(func(u, v int32) {
+				w, _ := g.EdgeWeight(u, v)
 				if ref[u]+w < ref[v] {
 					ref[v] = ref[u] + w
 					changed = true
@@ -205,23 +199,23 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 }
 
 // One-lane sweeps through MultiSourceW — the push/pull level-sync kernel on
-// unit weights, the lane-masked Dial otherwise — match WDistancesAuto on
-// both unweighted and weighted graphs.
+// an unweighted graph, the lane-masked Dial on a weighted one — match the
+// reference kernel ExactFarness routes the same graph to.
 func TestWHybridAutoMatchesWAuto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 90
 	g := randomConnected(rng, n)
-	for _, wg := range []*graph.WGraph{g.ToWeighted(), reweight(g, 1, 9, rng)} {
-		unweighted := wg.Unweighted()
-		s := NewScratch(n, wg.MaxWeight())
+	for _, wg := range []*graph.Graph{g, reweight(g, 1, 9, rng)} {
+		row := distancesOf(wg)
+		want := make([]int32, n)
 		ms := new(MSScratch)
 		got := make([]int32, n)
 		for src := int32(0); src < 10; src++ {
-			WDistancesAuto(wg, unweighted, src, s)
-			multiSourceWRows(wg, unweighted, []graph.NodeID{src}, ms, [][]int32{got})
-			for i := range s.Dist {
-				if s.Dist[i] != got[i] {
-					t.Fatalf("unweighted=%v src %d dist[%d]: auto=%d sweep=%d", unweighted, src, i, s.Dist[i], got[i])
+			row(src, want)
+			multiSourceWRows(wg, []graph.NodeID{src}, ms, [][]int32{got})
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("weighted=%v src %d dist[%d]: reference=%d sweep=%d", wg.Weighted(), src, i, want[i], got[i])
 				}
 			}
 		}
@@ -240,14 +234,19 @@ func TestExactFarnessPath(t *testing.T) {
 	}
 }
 
-func TestExactFarnessWMatchesUnweighted(t *testing.T) {
+// ExactFarness over a weighted graph sums Dial rows, and over an unweighted
+// one BFS rows.
+func TestExactFarnessRoutesByWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnected(rng, 40)
-	f1 := ExactFarness(g, 3)
-	f2 := ExactFarnessW(g.ToWeighted(), 3)
-	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatalf("farness[%d]: %v vs %v", i, f1[i], f2[i])
+	for _, wg := range []*graph.Graph{g, reweight(g, 1, 9, rng)} {
+		far := ExactFarness(wg, 3)
+		dist := make([]int32, wg.NumNodes())
+		for v := range far {
+			WDistances(wg, graph.NodeID(v), dist, nil)
+			if sum, _ := Sum(dist); far[v] != float64(sum) {
+				t.Fatalf("weighted=%v farness[%d] = %v, Dial row sums to %d", wg.Weighted(), v, far[v], sum)
+			}
 		}
 	}
 }

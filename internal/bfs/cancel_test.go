@@ -13,15 +13,15 @@ func cancelTestGraph(t *testing.T) *graph.Graph {
 	return gen.Community(4000, 7)
 }
 
-func cancelTestWGraph(t *testing.T) *graph.WGraph {
+func cancelTestWeighted(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := cancelTestGraph(t)
-	b := graph.NewWBuilder(g.NumNodes())
+	b := graph.NewBuilder(g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
 		for _, v := range g.Neighbors(graph.NodeID(u)) {
 			if graph.NodeID(u) < v {
 				w := int32(1 + (u+int(v))%3)
-				b.AddEdge(graph.NodeID(u), v, w)
+				b.AddWeightedEdge(graph.NodeID(u), v, w)
 			}
 		}
 	}
@@ -37,11 +37,10 @@ func TestRunBatchesCtxMatchesPlain(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sources = append(sources, graph.NodeID((i*37)%n))
 	}
-	wg := g.ToWeighted()
-	plain := runBatches(wg, sources, nil)
+	plain := runBatches(g, sources, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx := runBatches(wg, sources, ctx.Done())
+	withCtx := runBatches(g, sources, ctx.Done())
 	for i := range plain {
 		p, _ := Sum(plain[i])
 		c, _ := Sum(withCtx[i])
@@ -55,9 +54,9 @@ func TestRunBatchesCtxMatchesPlain(t *testing.T) {
 // next batched sweep stops at a frontier-level boundary and leaves its rows
 // partial, on the unit-weight and the masked-Dial kernel alike.
 func TestRunBatchesCtxCanceledMidRun(t *testing.T) {
-	for name, g := range map[string]*graph.WGraph{
-		"unit":     cancelTestGraph(t).ToWeighted(),
-		"weighted": cancelTestWGraph(t),
+	for name, g := range map[string]*graph.Graph{
+		"unit":     cancelTestGraph(t),
+		"weighted": cancelTestWeighted(t),
 	} {
 		n := g.NumNodes()
 		batch := make([]graph.NodeID, MSBFSWidth)
@@ -71,12 +70,12 @@ func TestRunBatchesCtxCanceledMidRun(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		s := NewMSScratch(n)
 		s.SetDone(ctx.Done())
-		multiSourceWRows(g, g.Unweighted(), batch, s, rows) // live: whole rows
+		multiSourceWRows(g, batch, s, rows) // live: whole rows
 		if _, reached := Sum(rows[0]); reached != n {
 			t.Fatalf("%s: live sweep reached %d of %d nodes", name, reached, n)
 		}
 		cancel()
-		multiSourceWRows(g, g.Unweighted(), batch, s, rows)
+		multiSourceWRows(g, batch, s, rows)
 		if _, reached := Sum(rows[0]); reached == n {
 			t.Fatalf("%s: cancellation did not stop the sweep", name)
 		}

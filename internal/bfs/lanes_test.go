@@ -115,7 +115,7 @@ func BenchmarkLaneSums(b *testing.B) {
 	for _, fam := range genFamilies {
 		g := graph.Connect(fam.build(6000, 1))
 		n := g.NumNodes()
-		pos := graph.BFSOrder(g.ToWeighted(), 1)
+		pos := graph.BFSOrder(g, 1)
 		at := make([]graph.NodeID, n)
 		for v, p := range pos {
 			at[p] = graph.NodeID(v)

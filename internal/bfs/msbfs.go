@@ -81,16 +81,11 @@ func (s *MSScratch) reset(n int) {
 //
 // The kernel is sequential by design; callers parallelise across batches
 // and keep one scratch per worker.
-func MultiSourceMasksInto(g *graph.Graph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
-	offsets, adj := g.CSR()
-	msLevelSync(offsets, adj, sources, s, visit)
-}
-
-// msLevelSync is the level-synchronous bit-parallel kernel over raw CSR
-// arrays, shared by the simple-graph and all-weights-one contracted-graph
-// entry points. Levels run top-down (push) until the frontier's out-edges
-// outgrow the unexplored edges by the alpha heuristic, then flip to
-// lane-masked bottom-up (pull) sweeps: every node missing at least one lane
+//
+// The sweep is level-synchronous over the raw CSR arrays and counts hops,
+// whatever the weights. Levels run top-down (push) until the frontier's
+// out-edges outgrow the unexplored edges by the alpha heuristic, then flip
+// to lane-masked bottom-up (pull) sweeps: every node missing at least one lane
 // scans its own neighbours, ORing in their current frontier masks, with an
 // early exit once all missing lanes are found. The per-(node, lane) visit
 // set of a level is the union over frontier neighbours either way, so push
@@ -112,7 +107,8 @@ func MultiSourceMasksInto(g *graph.Graph, sources []graph.NodeID, s *MSScratch, 
 //     the unseen region (msMergedTail): each adjacency row is expanded once
 //     and the full mask is handed to visit in one call per node, the "64
 //     BFSes for the price of one" regime of Wang et al.'s cluster-BFS.
-func msLevelSync(offsets []int64, adj []graph.NodeID, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
+func MultiSourceMasksInto(g *graph.Graph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
+	offsets, adj := g.CSR()
 	if len(sources) == 0 {
 		return
 	}

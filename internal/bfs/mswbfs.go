@@ -5,11 +5,11 @@ import (
 	"repro/internal/par"
 )
 
-// MultiSourceWMasksInto runs a lane-masked Dial (bucket-queue)
-// shortest-path sweep from up to 64 sources simultaneously over an
-// integer-weighted graph; the scratch grows its bucket ring to the graph's
-// maximum edge weight. visit receives the lanes newly settled at
-// v for weighted distance d as a bitmask. Unlike the unweighted kernel, the
+// multiSourceDial runs a lane-masked Dial (bucket-queue) shortest-path
+// sweep from up to 64 sources simultaneously over a weighted graph; the
+// scratch grows its bucket ring to the graph's maximum edge weight. visit
+// receives the lanes newly settled at v for weighted distance d as a
+// bitmask. Unlike the unweighted kernel, the
 // same (v, d) pair may be reported across several calls — bucket entries
 // arriving from different predecessors settle disjoint lane subsets — but
 // each (source, node) pair is still covered exactly once over the sweep.
@@ -21,7 +21,7 @@ import (
 // per-node seen mask. Entries landing on the same node at the same distance
 // are coalesced before edge relaxation, so lanes whose frontiers coincide
 // share one edge scan — the same win the unweighted kernel gets per level.
-func MultiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
+func multiSourceDial(g *graph.Graph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
 	if len(sources) == 0 {
 		return
 	}
@@ -99,28 +99,16 @@ func MultiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch
 	s.levelNodes = levelNodes[:0]
 }
 
-// multiSourceLevelSyncW is the unweighted multi-source kernel running over a
-// WGraph whose weights are all 1 (the common case after reductions that
-// contracted nothing); it avoids the bucket ring entirely and shares the
-// direction-optimising level-sync kernel with the simple-graph entry point.
-// Callers guarantee the all-weights-one precondition
-// (graph.WGraph.Unweighted).
-func multiSourceLevelSyncW(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
-	offsets, adj, _ := g.CSR()
-	msLevelSync(offsets, adj, sources, s, visit)
-}
-
 // MultiSourceW runs one sweep from up to 64 sources over g and hands every
 // reached (source, node) pair to visit exactly once, as lane masks the way
 // MultiSourceMasksInto does: the level-synchronous bit-parallel sweep when
-// every weight is 1, the lane-masked Dial otherwise, whose bucket ring spans
-// any maximum weight. unweighted is the caller's cached g.Unweighted(). An
-// interrupted sweep (see MSScratch.SetDone) returns with part of its visits
-// delivered.
-func MultiSourceW(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
-	if unweighted {
-		multiSourceLevelSyncW(g, batch, s, visit)
+// g is unweighted, the lane-masked Dial when it is weighted, whose bucket
+// ring spans any maximum weight. An interrupted sweep (see
+// MSScratch.SetDone) returns with part of its visits delivered.
+func MultiSourceW(g *graph.Graph, batch []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
+	if g.Weighted() {
+		multiSourceDial(g, batch, s, visit)
 		return
 	}
-	MultiSourceWMasksInto(g, batch, s, visit)
+	MultiSourceMasksInto(g, batch, s, visit)
 }

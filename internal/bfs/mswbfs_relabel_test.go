@@ -33,9 +33,12 @@ func relabelWeightRegimes() []struct {
 
 // permuteW renumbers a weighted graph so that node v becomes perm[v];
 // weights travel with their edges.
-func permuteW(g *graph.WGraph, perm []graph.NodeID) *graph.WGraph {
+func permuteW(g *graph.Graph, perm []graph.NodeID) *graph.Graph {
 	var edges [][3]int32
-	g.Edges(func(u, v graph.NodeID, w int32) { edges = append(edges, [3]int32{perm[u], perm[v], w}) })
+	g.Edges(func(u, v graph.NodeID) {
+		w, _ := g.EdgeWeight(u, v)
+		edges = append(edges, [3]int32{perm[u], perm[v], w})
+	})
 	return graph.FromWeightedEdges(g.NumNodes(), edges)
 }
 
@@ -61,7 +64,7 @@ func TestMultiSourceWRowsUnderRelabeling(t *testing.T) {
 					rows[i] = make([]int32, n)
 				}
 				s := NewMSScratch(n)
-				multiSourceWRows(rg, rg.Unweighted(), batchR, s, rows)
+				multiSourceWRows(rg, batchR, s, rows)
 
 				want := make([]int32, n)
 				b := queue.NewBucket(wg.MaxWeight())
@@ -100,7 +103,7 @@ func TestMultiSourceWMasksUnderRelabeling(t *testing.T) {
 		seen[i] = make([]int32, n)
 		Fill(seen[i])
 	}
-	MultiSourceWMasksInto(rg, batchR, NewMSScratch(n), func(v graph.NodeID, mask uint64, d int32) {
+	MultiSourceW(rg, batchR, NewMSScratch(n), func(v graph.NodeID, mask uint64, d int32) {
 		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m)
 			if seen[lane][v] != Unreached {

@@ -22,7 +22,7 @@ func layouts(g *graph.Graph, seed int64) []struct {
 	return []struct {
 		name string
 		perm []graph.NodeID
-	}{{"none", nil}, {"bfs", graph.BFSOrder(g.ToWeighted(), 2)}, {"random", shuffle}}
+	}{{"none", nil}, {"bfs", graph.BFSOrder(g, 2)}, {"random", shuffle}}
 }
 
 // TestFrontierMatchesDistancesOnFamilies cross-checks the direction-optimising
@@ -78,10 +78,10 @@ func TestFrontierMatchesDistancesOnFamilies(t *testing.T) {
 
 // TestWFrontierMatchesWDistances cross-checks one-lane sweeps through
 // MultiSourceW against a fresh sequential Dial on randomly weighted versions
-// of the four families: the level-sync kernel over the WGraph CSR on the
-// unit-weight range, the lane-masked Dial otherwise. As in core's traversal
-// driver, one scratch serves every sweep and grows to the largest graph and
-// weight it meets.
+// of the four families: the level-sync kernel on the unit-weight range,
+// where the graph is unweighted, the lane-masked Dial otherwise. As in
+// core's traversal driver, one scratch serves every sweep and grows to the
+// largest graph and weight it meets.
 func TestWFrontierMatchesWDistances(t *testing.T) {
 	weightRanges := []struct {
 		name   string
@@ -108,7 +108,7 @@ func TestWFrontierMatchesWDistances(t *testing.T) {
 					src := graph.NodeID(rng.Intn(n))
 					WDistances(wg, src, want, nil)
 					got := make([]int32, n)
-					multiSourceWRows(wg, wg.Unweighted(), []graph.NodeID{src}, s, [][]int32{got})
+					multiSourceWRows(wg, []graph.NodeID{src}, s, [][]int32{got})
 					for v := range want {
 						if got[v] != want[v] {
 							t.Fatalf("%s/%s src=%d node %d: sweep %d, dial %d",

@@ -1,8 +1,8 @@
 package bfs
 
 // The direction-optimisation (Beamer push/pull) switching rule of the
-// level-synchronous multi-source sweep (msLevelSync and its merged tail in
-// msbfs.go), the one unweighted kernel that runs sampled sources, at any
+// level-synchronous multi-source sweep (MultiSourceMasksInto and its merged
+// tail in msbfs.go), the one unweighted kernel that runs sampled sources, at any
 // lane count from 1 to 64. This is the single home of these constants;
 // kernels must not copy them.
 //

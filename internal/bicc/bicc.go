@@ -1,7 +1,8 @@
 // Package bicc implements the "B" of BRICS: decomposition of a graph into
 // its biconnected components (blocks) and construction of the block
 // cut-vertex tree (BCT) of the paper's Fig. 2. The decomposition runs on
-// the weighted reduced graph — edge weights play no role in biconnectivity.
+// the reduced graph — edge weights play no role in biconnectivity, and each
+// block edge carries its weight along.
 //
 // One engine produces the decomposition: an iterative Hopcroft–Tarjan DFS
 // with an explicit edge stack (deep road-network-like graphs cannot
@@ -86,18 +87,18 @@ type Timings struct {
 // that guarantee connectivity get the classic single-tree BCT. Decompose is
 // DecomposeWorkers at one worker — every worker count yields the same
 // Decomposition.
-func Decompose(g *graph.WGraph) *Decomposition { return DecomposeWorkers(g, 1) }
+func Decompose(g *graph.Graph) *Decomposition { return DecomposeWorkers(g, 1) }
 
 // DecomposeWorkers decomposes g at the given worker count (<1 means
 // GOMAXPROCS). The output is bit-identical for every worker count.
-func DecomposeWorkers(g *graph.WGraph, workers int) *Decomposition {
+func DecomposeWorkers(g *graph.Graph, workers int) *Decomposition {
 	d, _ := DecomposeTimed(g, AlgoAuto, workers)
 	return d
 }
 
 // DecomposeTimed is DecomposeWorkers returning the wall-clock split
 // alongside the decomposition.
-func DecomposeTimed(g *graph.WGraph, _ Algorithm, workers int) (*Decomposition, Timings) {
+func DecomposeTimed(g *graph.Graph, _ Algorithm, workers int) (*Decomposition, Timings) {
 	start := time.Now()
 	d, t := decompose(g, par.Workers(workers))
 	t.Total = time.Since(start)
@@ -229,7 +230,7 @@ func (d *Decomposition) CommonBlock(u, v graph.NodeID) int32 {
 // block membership counts, and the canonical ordering contract (ascending
 // U < V edges inside each block, blocks ascending by smallest node pair).
 // Used by tests and the fuzz target.
-func (d *Decomposition) Validate(g *graph.WGraph) error {
+func (d *Decomposition) Validate(g *graph.Graph) error {
 	edgeCount := 0
 	for b, blk := range d.BlockEdges {
 		edgeCount += len(blk)

@@ -13,7 +13,7 @@ import (
 
 // paperFig2 builds a graph shaped like the paper's Fig. 2 example: several
 // blocks glued at cut vertices.
-func paperFig2() *graph.WGraph {
+func paperFig2() *graph.Graph {
 	// Triangle {0,1,2}; 2 is a cut to bridge 2-3; 3 is a cut to triangle
 	// {3,4,5}; 5 is a cut to edge 5-6.
 	return graph.FromWeightedEdges(7, [][3]int32{
@@ -95,17 +95,17 @@ func TestCommonBlock(t *testing.T) {
 
 // bruteCuts recomputes articulation points by deleting each node and
 // counting components.
-func bruteCuts(g *graph.WGraph) []bool {
+func bruteCuts(g *graph.Graph) []bool {
 	n := g.NumNodes()
 	out := make([]bool, n)
-	_, base := graph.WComponents(g)
+	_, base := graph.Components(g)
 	for v := 0; v < n; v++ {
 		keep := make([]bool, n)
 		for i := range keep {
 			keep[i] = i != v
 		}
-		sub, _, _ := graph.WSubgraph(g, keep)
-		_, c := graph.WComponents(sub)
+		sub, _, _ := graph.Subgraph(g, keep)
+		_, c := graph.Components(sub)
 		// Removing an isolated-ish node must not be counted: compare
 		// against base components minus the one the node may have formed.
 		if c > base {
@@ -150,7 +150,7 @@ func blockSurvivesDeletion(blk []Edge, nodes []graph.NodeID, x graph.NodeID) boo
 // block partition: two blocks merged at a cut form a block the cut
 // disconnects, and a block split in two puts a non-cut node in two blocks.
 // Every further worker count must reproduce the decomposition bit for bit.
-func checkOracle(g *graph.WGraph, workers ...int) error {
+func checkOracle(g *graph.Graph, workers ...int) error {
 	d := DecomposeWorkers(g, 1)
 	if err := d.Validate(g); err != nil {
 		return err
@@ -190,13 +190,13 @@ func TestDecomposeMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(25) + 3
-		b := graph.NewWBuilder(n)
+		b := graph.NewBuilder(n)
 		for i := 1; i < n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(i)), int32(i), 1)
+			_ = b.AddWeightedEdge(int32(rng.Intn(i)), int32(i), 1)
 		}
 		extra := rng.Intn(2 * n)
 		for i := 0; i < extra; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), 1)
+			_ = b.AddWeightedEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), 1)
 		}
 		if err := checkOracle(b.Build(), oracleWorkers...); err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -212,13 +212,13 @@ func TestDecomposeMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(97))
 		for trial := 0; trial < 40; trial++ {
 			n := 10 + rng.Intn(300)
-			b := graph.NewWBuilder(n)
+			b := graph.NewBuilder(n)
 			m := rng.Intn(3 * n)
 			for i := 0; i < m; i++ {
 				u := int32(rng.Intn(n))
 				v := int32(rng.Intn(n))
 				if u != v {
-					_ = b.AddEdge(u, v, int32(1+rng.Intn(4)))
+					_ = b.AddWeightedEdge(u, v, int32(1+rng.Intn(4)))
 				}
 			}
 			if err := checkOracle(b.Build(), oracleWorkers...); err != nil {
@@ -235,34 +235,34 @@ func TestDecomposeMatchesBruteForce(t *testing.T) {
 func TestParallelMatchesSequentialDegenerate(t *testing.T) {
 	shapes := []struct {
 		name  string
-		build func() *graph.WGraph
+		build func() *graph.Graph
 	}{
-		{"empty", func() *graph.WGraph { return graph.NewWBuilder(0).Build() }},
-		{"isolated-nodes", func() *graph.WGraph { return graph.NewWBuilder(9).Build() }},
-		{"single-edge", func() *graph.WGraph {
+		{"empty", func() *graph.Graph { return graph.NewBuilder(0).Build() }},
+		{"isolated-nodes", func() *graph.Graph { return graph.NewBuilder(9).Build() }},
+		{"single-edge", func() *graph.Graph {
 			return graph.FromWeightedEdges(2, [][3]int32{{0, 1, 3}})
 		}},
-		{"single-edge-with-isolated", func() *graph.WGraph {
+		{"single-edge-with-isolated", func() *graph.Graph {
 			return graph.FromWeightedEdges(6, [][3]int32{{2, 4, 1}})
 		}},
-		{"path", func() *graph.WGraph {
-			b := graph.NewWBuilder(64)
+		{"path", func() *graph.Graph {
+			b := graph.NewBuilder(64)
 			for i := 1; i < 64; i++ {
-				_ = b.AddEdge(int32(i-1), int32(i), 1)
+				_ = b.AddWeightedEdge(int32(i-1), int32(i), 1)
 			}
 			return b.Build()
 		}},
-		{"bridges-only-tree", func() *graph.WGraph {
+		{"bridges-only-tree", func() *graph.Graph {
 			rng := rand.New(rand.NewSource(11))
 			n := 600
-			b := graph.NewWBuilder(n)
+			b := graph.NewBuilder(n)
 			for i := 1; i < n; i++ {
-				_ = b.AddEdge(int32(rng.Intn(i)), int32(i), int32(1+rng.Intn(5)))
+				_ = b.AddWeightedEdge(int32(rng.Intn(i)), int32(i), int32(1+rng.Intn(5)))
 			}
 			return b.Build()
 		}},
 		{"fig2", paperFig2},
-		{"disconnected-mixed", func() *graph.WGraph {
+		{"disconnected-mixed", func() *graph.Graph {
 			// Triangle, path, star and isolated nodes in one graph.
 			return graph.FromWeightedEdges(14, [][3]int32{
 				{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, // triangle
@@ -299,9 +299,9 @@ func TestDeepGraphNoOverflow(t *testing.T) {
 	// 200k-node path: a recursive DFS would overflow; the iterative one
 	// must not.
 	n := 200_000
-	b := graph.NewWBuilder(n)
+	b := graph.NewBuilder(n)
 	for i := 1; i < n; i++ {
-		_ = b.AddEdge(int32(i-1), int32(i), 1)
+		_ = b.AddWeightedEdge(int32(i-1), int32(i), 1)
 	}
 	g := b.Build()
 	d := Decompose(g)
@@ -326,7 +326,7 @@ func TestParallelMatchesSequentialFamilies(t *testing.T) {
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
-			g := f.build(4000, 7).ToWeighted()
+			g := f.build(4000, 7)
 			base := DecomposeWorkers(g, 1)
 			if err := base.Validate(g); err != nil {
 				t.Fatal(err)
@@ -347,7 +347,7 @@ func TestDecomposeWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
 		n := 20 + rng.Intn(180)
-		b := graph.NewWBuilder(n)
+		b := graph.NewBuilder(n)
 		// Sparse random edges without connecting: several components with
 		// bridges, cycles and isolated nodes.
 		m := n + rng.Intn(2*n)
@@ -355,7 +355,7 @@ func TestDecomposeWorkersDeterministic(t *testing.T) {
 			u := int32(rng.Intn(n))
 			v := int32(rng.Intn(n))
 			if u != v {
-				_ = b.AddEdge(u, v, int32(1+rng.Intn(4)))
+				_ = b.AddWeightedEdge(u, v, int32(1+rng.Intn(4)))
 			}
 		}
 		g := b.Build()
@@ -384,12 +384,12 @@ func FuzzDecompose(f *testing.F) {
 			return
 		}
 		n := 2 + int(data[0]%64)
-		b := graph.NewWBuilder(n)
+		b := graph.NewBuilder(n)
 		for i := 1; i+1 < len(data); i += 2 {
 			u := int32(int(data[i]) % n)
 			v := int32(int(data[i+1]) % n)
 			if u != v {
-				_ = b.AddEdge(u, v, int32(1+int(data[i])%3))
+				_ = b.AddWeightedEdge(u, v, int32(1+int(data[i])%3))
 			}
 		}
 		if err := checkOracle(b.Build(), 4); err != nil {

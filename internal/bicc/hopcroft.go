@@ -22,7 +22,7 @@ type frame struct {
 // them. A connected input (the pipeline's guarantee) has one component and
 // degenerates to a single sequential DFS; DESIGN.md section 13 records why
 // no intra-component parallel engine earns its place.
-func decompose(g *graph.WGraph, workers int) (*Decomposition, Timings) {
+func decompose(g *graph.Graph, workers int) (*Decomposition, Timings) {
 	n := g.NumNodes()
 	var t Timings
 	if n == 0 {
@@ -81,7 +81,7 @@ func decompose(g *graph.WGraph, workers int) (*Decomposition, Timings) {
 // component's nodes and returning its blocks in emission order (the
 // canonical assembler renumbers them). Safe to run concurrently for
 // node-disjoint components sharing the arrays.
-func decomposeComponent(g *graph.WGraph, root graph.NodeID, disc, low []int32) [][]Edge {
+func decomposeComponent(g *graph.Graph, root graph.NodeID, disc, low []int32) [][]Edge {
 	const unvisited = int32(-1)
 	var blocks [][]Edge
 	var timer int32
@@ -110,11 +110,10 @@ func decomposeComponent(g *graph.WGraph, root graph.NodeID, disc, low []int32) [
 		f := &stack[len(stack)-1]
 		v := f.v
 		nbrs := g.Neighbors(v)
-		ws := g.Weights(v)
 		advanced := false
 		for int(f.nextEdge) < len(nbrs) {
 			w := nbrs[f.nextEdge]
-			wt := ws[f.nextEdge]
+			wt := g.Weight(v, int(f.nextEdge))
 			f.nextEdge++
 			if w == f.parent {
 				continue // simple graph: exactly one parent edge

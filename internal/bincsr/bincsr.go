@@ -71,8 +71,8 @@ const (
 type Flags uint32
 
 const (
-	// FlagWeighted marks an artifact carrying a weights section; it round
-	// trips a WGraph instead of a Graph.
+	// FlagWeighted marks an artifact carrying a weights section; Write sets
+	// it exactly for a weighted graph.
 	FlagWeighted Flags = 1 << 0
 	// FlagConnected records that the converter verified (or enforced, via
 	// graph.Connect) connectivity, letting servers skip the O(n+m)
@@ -194,27 +194,27 @@ func decodeHeader(b []byte) (Header, error) {
 }
 
 // Artifact is one decoded .bricsbin: the header plus the graph. G is always
-// populated (for a weighted artifact it is the unweighted view over the
-// same arrays); W is populated only when the artifact carries weights.
+// populated and unweighted (for a weighted artifact it is the unweighted
+// view over the same arrays); W, the graph with its weights, is populated
+// only when the artifact carries a weights section.
 type Artifact struct {
 	Header Header
 	G      *graph.Graph
-	W      *graph.WGraph
+	W      *graph.Graph
 }
 
-// Write serialises g as a version-1 artifact. Pass FlagConnected when the
-// graph is known connected so loaders can skip the connectivity scan. The
-// three section checksums are computed concurrently before the (sequential,
-// buffered) write.
+// Write serialises g as a version-1 artifact, with a weights section
+// exactly when g is weighted (the FlagWeighted bit of flags is ignored).
+// Pass FlagConnected when the graph is known connected so loaders can skip
+// the connectivity scan. The three section checksums are computed
+// concurrently before the (sequential, buffered) write.
 func Write(w io.Writer, g *graph.Graph, flags Flags) error {
 	offsets, adj := g.CSR()
-	return writeSections(w, offsets, adj, nil, flags&^FlagWeighted)
-}
-
-// WriteW serialises a weighted graph, adding the weights section.
-func WriteW(w io.Writer, g *graph.WGraph, flags Flags) error {
-	offsets, adj, weights := g.CSR()
-	return writeSections(w, offsets, adj, weights, flags|FlagWeighted)
+	flags &^= FlagWeighted
+	if g.Weighted() {
+		flags |= FlagWeighted
+	}
+	return writeSections(w, offsets, adj, g.CSRWeights(), flags)
 }
 
 // WriteFile writes g to path via Write.
@@ -226,20 +226,6 @@ func WriteFile(path string, g *graph.Graph, flags Flags) (err error) {
 	defer closeKeepErr(&err, f)
 	bw := bufio.NewWriterSize(f, 1<<20)
 	if err := Write(bw, g, flags); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteFileW writes a weighted graph to path via WriteW.
-func WriteFileW(path string, g *graph.WGraph, flags Flags) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer closeKeepErr(&err, f)
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := WriteW(bw, g, flags); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -421,16 +407,26 @@ func readAll(r io.Reader, workers int) (*Artifact, error) {
 // the structural checks shared by both read paths: offsets via
 // graph.FromCSR, then the parallel neighbour-range/sortedness scan.
 func assemble(h Header, offsets []int64, adj []graph.NodeID, weights []int32, workers int) (*Artifact, error) {
-	g, err := graph.FromCSR(offsets, adj)
+	art, err := fromCSRArtifact(h, offsets, adj, weights)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		return nil, err
 	}
 	if err := scanAdjacency(offsets, adj, weights, workers); err != nil {
 		return nil, err
 	}
+	return art, nil
+}
+
+// fromCSRArtifact wraps arrays with the offsets check alone, without the
+// O(m) adjacency scan.
+func fromCSRArtifact(h Header, offsets []int64, adj, weights []int32) (*Artifact, error) {
+	g, err := graph.FromCSR(offsets, adj, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
 	art := &Artifact{Header: h, G: g}
 	if h.Weighted() {
-		if art.W, err = graph.WFromCSR(offsets, adj, weights); err != nil {
+		if art.W, err = graph.FromCSR(offsets, adj, weights); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
 	}

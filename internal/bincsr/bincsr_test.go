@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,8 +64,8 @@ func TestRoundTrip(t *testing.T) {
 func TestRoundTripWeighted(t *testing.T) {
 	w := graph.FromWeightedEdges(5, [][3]int32{{0, 1, 3}, {1, 2, 1}, {2, 3, 7}, {3, 4, 2}, {0, 4, 5}})
 	var buf bytes.Buffer
-	if err := WriteW(&buf, w, 0); err != nil {
-		t.Fatalf("WriteW: %v", err)
+	if err := Write(&buf, w, 0); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	art, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -80,8 +81,8 @@ func TestRoundTripWeighted(t *testing.T) {
 		t.Fatalf("EdgeWeight(2,3) = %d,%v want 7,true", d, ok)
 	}
 	// The unweighted view shares the same adjacency.
-	if art.G.NumEdges() != w.NumEdges() {
-		t.Fatalf("unweighted view has %d edges, want %d", art.G.NumEdges(), w.NumEdges())
+	if art.G.Weighted() || art.G.NumEdges() != w.NumEdges() {
+		t.Fatalf("unweighted view: weighted %v, %d edges, want false, %d", art.G.Weighted(), art.G.NumEdges(), w.NumEdges())
 	}
 }
 
@@ -263,26 +264,50 @@ func TestSectionAlignment(t *testing.T) {
 }
 
 func TestFromCSRContract(t *testing.T) {
-	if _, err := graph.FromCSR(nil, nil); err == nil {
+	if _, err := graph.FromCSR(nil, nil, nil); err == nil {
 		t.Fatal("FromCSR accepted empty offsets")
 	}
-	if _, err := graph.FromCSR([]int64{1, 2}, make([]graph.NodeID, 2)); err == nil {
+	if _, err := graph.FromCSR([]int64{1, 2}, make([]graph.NodeID, 2), nil); err == nil {
 		t.Fatal("FromCSR accepted offsets[0] != 0")
 	}
-	if _, err := graph.FromCSR([]int64{0, 2, 1}, make([]graph.NodeID, 1)); err == nil {
+	if _, err := graph.FromCSR([]int64{0, 2, 1}, make([]graph.NodeID, 1), nil); err == nil {
 		t.Fatal("FromCSR accepted non-monotone offsets")
 	}
-	if _, err := graph.FromCSR([]int64{0, 1}, make([]graph.NodeID, 2)); err == nil {
+	if _, err := graph.FromCSR([]int64{0, 1}, make([]graph.NodeID, 2), nil); err == nil {
 		t.Fatal("FromCSR accepted offsets not ending at len(adj)")
 	}
-	g, err := graph.FromCSR([]int64{0, 1, 2}, []graph.NodeID{1, 0})
+	g, err := graph.FromCSR([]int64{0, 1, 2}, []graph.NodeID{1, 0}, nil)
 	if err != nil {
 		t.Fatalf("FromCSR: %v", err)
 	}
 	if g.NumNodes() != 2 || g.NumEdges() != 1 {
 		t.Fatalf("FromCSR view: %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	if _, err := graph.WFromCSR([]int64{0, 1, 2}, []graph.NodeID{1, 0}, []int32{5}); err == nil {
-		t.Fatal("WFromCSR accepted mismatched weights length")
+	if _, err := graph.FromCSR([]int64{0, 1, 2}, []graph.NodeID{1, 0}, []int32{5}); err == nil {
+		t.Fatal("FromCSR accepted mismatched weights length")
+	}
+}
+
+// TestWriteBytesPinned pins the artifact bytes of a weighted and an
+// unweighted graph (FNV-64a of the whole encoding, recorded before Write
+// learned to emit the weights section for weighted graphs), so the on-disk
+// format stays byte for byte.
+func TestWriteBytesPinned(t *testing.T) {
+	w := graph.FromWeightedEdges(6, [][3]int32{{0, 1, 3}, {1, 2, 1}, {2, 3, 7}, {3, 4, 2}, {0, 4, 5}, {4, 5, 1}})
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		size int
+		hash uint64
+	}{
+		{"weighted", w, 304, 0xa75445d44af94adb},
+		{"road", gen.Road(300, 2), 7096, 0x1a1abbff94043ae6},
+	} {
+		data := encode(t, c.g, FlagConnected)
+		h := fnv.New64a()
+		h.Write(data)
+		if len(data) != c.size || h.Sum64() != c.hash {
+			t.Errorf("%s: %d bytes hashing to %016x, want %d bytes hashing to %016x", c.name, len(data), h.Sum64(), c.size, c.hash)
+		}
 	}
 }

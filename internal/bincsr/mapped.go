@@ -5,8 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"sync/atomic"
-
-	"repro/internal/graph"
 )
 
 // VerifyMode selects how much of an artifact OpenMapped checks before
@@ -149,21 +147,6 @@ func OpenMapped(path string, opts Options) (m *Mapped, err error) {
 	return m, nil
 }
 
-// fromCSRArtifact wraps arrays without the O(m) adjacency scan.
-func fromCSRArtifact(h Header, offsets []int64, adj, weights []int32) (*Artifact, error) {
-	g, err := graph.FromCSR(offsets, adj)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	art := &Artifact{Header: h, G: g}
-	if h.Weighted() {
-		if art.W, err = graph.WFromCSR(offsets, adj, weights); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-	}
-	return art, nil
-}
-
 // Mapped reports whether the artifact is an actual memory mapping (true on
 // linux little-endian hosts) or the copy fallback.
 func (m *Mapped) Mapped() bool { return m.mapped }
@@ -193,7 +176,7 @@ func (m *Mapped) VerifyFull(workers int) error {
 	offsets, adj := m.G.CSR()
 	var weights []int32
 	if m.W != nil {
-		_, _, weights = m.W.CSR()
+		weights = m.W.CSRWeights()
 	}
 	return scanAdjacency(offsets, adj, weights, workers)
 }

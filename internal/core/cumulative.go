@@ -1053,15 +1053,16 @@ func largestBlock(d *bicc.Decomposition) int32 {
 	return best
 }
 
-// buildBlockGraph materialises one block as a standalone weighted graph in
-// local coordinates (index into the block's sorted node list).
-func buildBlockGraph(d *bicc.Decomposition, b int32) *graph.WGraph {
+// buildBlockGraph materialises one block as a standalone graph in local
+// coordinates (index into the block's sorted node list), weighted when one
+// of its edges is.
+func buildBlockGraph(d *bicc.Decomposition, b int32) *graph.Graph {
 	members := d.BlockNodes[b]
-	wb := graph.NewWBuilder(len(members))
+	gb := graph.NewBuilder(len(members))
 	for _, e := range d.BlockEdges[b] {
-		_ = wb.AddEdge(localIndex(members, e.U), localIndex(members, e.V), e.W)
+		_ = gb.AddWeightedEdge(localIndex(members, e.U), localIndex(members, e.V), e.W)
 	}
-	return wb.Build()
+	return gb.Build()
 }
 
 // localIndex finds v in the sorted member list.

@@ -219,7 +219,7 @@ func newCumPlan(ctx context.Context, red *reduce.Reduction, d *bicc.Decompositio
 			if nb > 1 {
 				g = buildBlockGraph(d, int32(b))
 			}
-			cp.units[b] = newUnitGraph(g)
+			cp.units[b] = &unitGraph{g: g}
 			var cutOrig []graph.NodeID
 			for j, v := range members {
 				if tree.CutIndex[v] >= 0 {

@@ -39,7 +39,7 @@ func relabelPerms(g *graph.Graph) map[string][]graph.NodeID {
 	for i, p := range rand.New(rand.NewSource(1)).Perm(g.NumNodes()) {
 		shuffle[i] = graph.NodeID(p)
 	}
-	return map[string][]graph.NodeID{"bfs": graph.BFSOrder(g.ToWeighted(), 0), "random": shuffle}
+	return map[string][]graph.NodeID{"bfs": graph.BFSOrder(g, 0), "random": shuffle}
 }
 
 func relabelWorkerSweep() []int {

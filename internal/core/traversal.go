@@ -67,19 +67,13 @@ func permuted(xs []graph.NodeID, order []int) []graph.NodeID {
 	return out
 }
 
-// unitGraph is a traversal unit's graph as a Plan holds it: the graph, its
-// cached Unweighted(), and its BFS positions (graph.BFSOrder), computed by
-// the first run that clusters the unit's sources and shared by every later
-// one.
+// unitGraph is a traversal unit's graph as a Plan holds it: the graph and
+// its BFS positions (graph.BFSOrder), computed by the first run that
+// clusters the unit's sources and shared by every later one.
 type unitGraph struct {
-	g          *graph.WGraph
-	unweighted bool
-	posOnce    sync.Once
-	pos        []graph.NodeID
-}
-
-func newUnitGraph(g *graph.WGraph) *unitGraph {
-	return &unitGraph{g: g, unweighted: g.Unweighted()}
+	g       *graph.Graph
+	posOnce sync.Once
+	pos     []graph.NodeID
 }
 
 // positions returns the unit's BFS positions, computing them on first use.
@@ -187,7 +181,7 @@ func traverse(ctx context.Context, units []unit, workers int,
 		t, sink := tasks[ti], sinks[worker]
 		un := units[t.u]
 		sink.start(t.u, t.srcs)
-		bfs.MultiSourceW(un.g, un.unweighted, t.srcs, scratch[worker], sink.visit)
+		bfs.MultiSourceW(un.g, t.srcs, scratch[worker], sink.visit)
 		if par.Interrupted(done) {
 			return // canceled: the sweep may be partial; land nothing
 		}

@@ -153,7 +153,7 @@ func TestEstimateBatchingBitIdentical(t *testing.T) {
 			for _, rel := range []string{"none", "bfs"} {
 				g := base
 				if rel == "bfs" {
-					g = graph.Permute(base, graph.BFSOrder(base.ToWeighted(), 0))
+					g = graph.Permute(base, graph.BFSOrder(base, 0))
 				}
 				t.Run(fmt.Sprintf("%s/%s/relabel=%s", fam.name, tech, rel), func(t *testing.T) {
 					assertSweepWidthsIdentical(t, batchingCases, func(fraction float64, workers int) (*Result, error) {
@@ -192,18 +192,18 @@ func TestClusterOrder(t *testing.T) {
 // more than one batch of distinct sources.
 func traverseTestUnits() []unit {
 	rng := rand.New(rand.NewSource(3))
-	social := gen.Social(600, 2).ToWeighted()
+	social := gen.Social(600, 2)
 	road := gen.Road(700, 4)
-	wb := graph.NewWBuilder(road.NumNodes())
+	wb := graph.NewBuilder(road.NumNodes())
 	for u := 0; u < road.NumNodes(); u++ {
 		for _, v := range road.Neighbors(graph.NodeID(u)) {
 			if graph.NodeID(u) < v {
-				_ = wb.AddEdge(graph.NodeID(u), v, 1+rng.Int31n(6))
+				_ = wb.AddWeightedEdge(graph.NodeID(u), v, 1+rng.Int31n(6))
 			}
 		}
 	}
 	weighted := wb.Build()
-	units := []unit{{unitGraph: newUnitGraph(social)}, {unitGraph: newUnitGraph(weighted)}}
+	units := []unit{{unitGraph: &unitGraph{g: social}}, {unitGraph: &unitGraph{g: weighted}}}
 	for i, k := range []int{100, 70} {
 		for _, j := range rng.Perm(units[i].g.NumNodes())[:k] {
 			units[i].sources = append(units[i].sources, graph.NodeID(j))

@@ -101,7 +101,7 @@ func TableI(cfg Config) ([]TableIRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", ds.Name, err)
 		}
-		d := bicc.DecomposeWorkers(g.ToWeighted(), cfg.Workers)
+		d := bicc.DecomposeWorkers(g, cfg.Workers)
 		bs := d.Summarize()
 		rows = append(rows, TableIRow{
 			Dataset:             ds,

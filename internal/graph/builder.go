@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -9,12 +10,16 @@ import (
 // raw real-world input: duplicate edges, both orientations of the same edge,
 // and self loops are all silently dropped, matching the paper's
 // preprocessing ("each graph is made simple undirected, unweighted ... by
-// removing self loops, multiple edges", Section IV-B).
+// removing self loops, multiple edges", Section IV-B). Of parallel weighted
+// edges only the lightest is kept: a heavier parallel edge never carries a
+// shortest path, which is exactly the Type-3/Type-4 redundant-chain rule
+// after contraction.
 type Builder struct {
 	n     int
 	us    []NodeID
 	vs    []NodeID
-	fixed bool // n was set explicitly and must not grow
+	ws    []int32 // parallels us once an edge heavier than 1 was added; nil before
+	fixed bool    // n was set explicitly and must not grow
 }
 
 // NewBuilder returns a builder for a graph with n nodes. Edges touching
@@ -29,34 +34,48 @@ func NewGrowingBuilder() *Builder {
 	return &Builder{}
 }
 
-// AddEdge records the undirected edge {u, v}. Self loops are dropped.
-func (b *Builder) AddEdge(u, v NodeID) error {
+// AddEdge records the undirected edge {u, v} of weight 1. Self loops are
+// dropped.
+func (b *Builder) AddEdge(u, v NodeID) error { return b.AddWeightedEdge(u, v, 1) }
+
+// AddWeightedEdge records the undirected edge {u, v} of weight w. Weights
+// must be positive; self loops are dropped (a self loop never carries a
+// shortest path).
+func (b *Builder) AddWeightedEdge(u, v NodeID, w int32) error {
 	if u < 0 || v < 0 {
 		return fmt.Errorf("graph: negative node id in edge {%d,%d}", u, v)
 	}
 	if b.fixed && (int(u) >= b.n || int(v) >= b.n) {
 		return fmt.Errorf("graph: edge {%d,%d} outside fixed node range [0,%d)", u, v, b.n)
 	}
+	if w <= 0 {
+		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
+	}
 	if !b.fixed {
-		if int(u) >= b.n {
-			b.n = int(u) + 1
-		}
-		if int(v) >= b.n {
-			b.n = int(v) + 1
-		}
+		b.n = max(b.n, int(u)+1, int(v)+1)
 	}
 	if u == v {
 		return nil // self loop: normalised away
 	}
+	if w != 1 && b.ws == nil {
+		b.ws = make([]int32, len(b.us), cap(b.us))
+		for i := range b.ws {
+			b.ws[i] = 1
+		}
+	}
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
+	if b.ws != nil {
+		b.ws = append(b.ws, w)
+	}
 	return nil
 }
 
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.n }
 
-// Build produces the CSR graph. The builder can be reused afterwards.
+// Build produces the CSR graph, keeping the lightest of each group of
+// parallel edges. The builder can be reused afterwards.
 func (b *Builder) Build() *Graph {
 	n := b.n
 	deg := make([]int64, n+1)
@@ -68,32 +87,68 @@ func (b *Builder) Build() *Graph {
 		deg[v+1] += deg[v]
 	}
 	adj := make([]NodeID, deg[n])
+	var wts []int32
+	if b.ws != nil {
+		wts = make([]int32, deg[n])
+	}
 	cursor := make([]int64, n)
 	for i := range b.us {
 		u, v := b.us[i], b.vs[i]
-		adj[deg[u]+cursor[u]] = v
+		iu, iv := deg[u]+cursor[u], deg[v]+cursor[v]
+		adj[iu], adj[iv] = v, u
+		if wts != nil {
+			wts[iu], wts[iv] = b.ws[i], b.ws[i]
+		}
 		cursor[u]++
-		adj[deg[v]+cursor[v]] = u
 		cursor[v]++
 	}
-	// Sort each adjacency list and strip duplicates in place.
-	out := adj[:0]
+	// Sort each adjacency list, the lightest of parallel entries first, and
+	// keep the first entry of each group in place.
+	out := int64(0)
 	offsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		lo, hi := deg[v], deg[v+1]
-		nbrs := adj[lo:hi]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		offsets[v] = int64(len(out))
-		var prev NodeID = -1
-		for _, w := range nbrs {
-			if w != prev {
-				out = append(out, w)
-				prev = w
+		if wts == nil {
+			slices.Sort(adj[lo:hi])
+		} else {
+			sort.Sort(byNeighbor{adj[lo:hi], wts[lo:hi]})
+		}
+		offsets[v] = out
+		prev := NodeID(-1)
+		for i := lo; i < hi; i++ {
+			if adj[i] != prev {
+				prev = adj[i]
+				adj[out] = prev
+				if wts != nil {
+					wts[out] = wts[i]
+				}
+				out++
 			}
 		}
 	}
-	offsets[n] = int64(len(out))
-	return &Graph{offsets: offsets, adj: out[:len(out):len(out)]}
+	offsets[n] = out
+	if wts != nil {
+		wts = wts[:out:out]
+	}
+	return newGraph(offsets, adj[:out:out], wts)
+}
+
+// byNeighbor sorts one adjacency list with its weights by (neighbour,
+// weight).
+type byNeighbor struct {
+	adj []NodeID
+	w   []int32
+}
+
+func (s byNeighbor) Len() int { return len(s.adj) }
+
+func (s byNeighbor) Less(i, j int) bool {
+	return s.adj[i] < s.adj[j] || s.adj[i] == s.adj[j] && s.w[i] < s.w[j]
+}
+
+func (s byNeighbor) Swap(i, j int) {
+	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
+	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
 // FromEdges builds a graph with n nodes from an explicit edge list. It is a
@@ -108,108 +163,12 @@ func FromEdges(n int, edges [][2]NodeID) *Graph {
 	return b.Build()
 }
 
-// WBuilder accumulates weighted edges and produces a WGraph. When parallel
-// edges are added, only the minimum-weight one is kept: heavier parallel
-// edges never carry shortest paths, which is exactly the Type-3/Type-4
-// redundant-chain rule after contraction.
-type WBuilder struct {
-	n  int
-	us []NodeID
-	vs []NodeID
-	ws []int32
-}
-
-// NewWBuilder returns a weighted builder for a graph with n nodes.
-func NewWBuilder(n int) *WBuilder { return &WBuilder{n: n} }
-
-// AddEdge records the undirected weighted edge {u, v}. Weights must be
-// positive; self loops are dropped (a self loop never carries a shortest
-// path).
-func (b *WBuilder) AddEdge(u, v NodeID, w int32) error {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		return fmt.Errorf("graph: edge {%d,%d} outside node range [0,%d)", u, v, b.n)
-	}
-	if w <= 0 {
-		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
-	}
-	if u == v {
-		return nil
-	}
-	b.us = append(b.us, u)
-	b.vs = append(b.vs, v)
-	b.ws = append(b.ws, w)
-	return nil
-}
-
-// Build produces the weighted CSR graph, dropping all but the lightest of
-// each group of parallel edges.
-func (b *WBuilder) Build() *WGraph {
-	n := b.n
-	deg := make([]int64, n+1)
-	for i := range b.us {
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
-	}
-	for v := 0; v < n; v++ {
-		deg[v+1] += deg[v]
-	}
-	adj := make([]NodeID, deg[n])
-	wts := make([]int32, deg[n])
-	cursor := make([]int64, n)
-	put := func(from, to NodeID, w int32) {
-		idx := deg[from] + cursor[from]
-		adj[idx] = to
-		wts[idx] = w
-		cursor[from]++
-	}
-	for i := range b.us {
-		put(b.us[i], b.vs[i], b.ws[i])
-		put(b.vs[i], b.us[i], b.ws[i])
-	}
-	outAdj := adj[:0]
-	outW := wts[:0]
-	offsets := make([]int64, n+1)
-	type nw struct {
-		v NodeID
-		w int32
-	}
-	var scratch []nw
-	for v := 0; v < n; v++ {
-		lo, hi := deg[v], deg[v+1]
-		scratch = scratch[:0]
-		for i := lo; i < hi; i++ {
-			scratch = append(scratch, nw{adj[i], wts[i]})
-		}
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i].v != scratch[j].v {
-				return scratch[i].v < scratch[j].v
-			}
-			return scratch[i].w < scratch[j].w
-		})
-		offsets[v] = int64(len(outAdj))
-		var prev NodeID = -1
-		for _, e := range scratch {
-			if e.v != prev {
-				outAdj = append(outAdj, e.v)
-				outW = append(outW, e.w)
-				prev = e.v
-			}
-		}
-	}
-	offsets[n] = int64(len(outAdj))
-	return &WGraph{
-		offsets: offsets,
-		adj:     outAdj[:len(outAdj):len(outAdj)],
-		weights: outW[:len(outW):len(outW)],
-	}
-}
-
-// FromWeightedEdges builds a weighted graph from an explicit edge list;
-// convenience wrapper for tests.
-func FromWeightedEdges(n int, edges [][3]int32) *WGraph {
-	b := NewWBuilder(n)
+// FromWeightedEdges builds a graph with n nodes from an explicit list of
+// {u, v, weight} edges; convenience wrapper for tests.
+func FromWeightedEdges(n int, edges [][3]int32) *Graph {
+	b := NewBuilder(n)
 	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1], e[2]); err != nil {
+		if err := b.AddWeightedEdge(e[0], e[1], e[2]); err != nil {
 			panic(err)
 		}
 	}

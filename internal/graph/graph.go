@@ -1,15 +1,17 @@
-// Package graph provides compact CSR (compressed sparse row) representations
-// of undirected graphs, together with the construction, normalisation and
-// subgraph utilities that the BRICS reduction pipeline is built on.
+// Package graph provides the compact CSR (compressed sparse row)
+// representation of undirected graphs, together with the construction,
+// normalisation and subgraph utilities that the BRICS reduction pipeline is
+// built on.
 //
-// Two representations are provided:
-//
-//   - Graph: a simple, unweighted, undirected graph. This is the input type
-//     of the whole system; the paper's preprocessing (Section IV-B) turns any
-//     raw edge list into this form.
-//   - WGraph: an integer-weighted undirected multigraph. Chain contraction
-//     (internal/chains) produces these: a contracted chain of interior
-//     length ℓ becomes a single edge of weight ℓ+1.
+// One representation serves every stage: Graph, an undirected graph whose
+// edges carry optional positive integer weights. The paper's preprocessing
+// (Section IV-B) turns any raw edge list into an unweighted Graph, the input
+// of the whole system. Chain contraction (internal/chains) is the only step
+// that weighs an edge: a contracted chain of interior length ℓ becomes a
+// single edge of weight ℓ+1. A Graph stores no weight array exactly when
+// every edge weighs 1, which every constructor enforces, so Weighted() is a
+// nil check and traversals route on it: plain BFS when it is false, Dial's
+// algorithm when it is true.
 //
 // Node identifiers are dense int32 values in [0, NumNodes()). Every adjacency
 // list is sorted, which the twin-detection hashing and the redundant-node
@@ -33,11 +35,23 @@ type NodeID = int32
 const MaxNodeID = 1 << 27
 
 // Graph is a simple undirected graph in CSR form. Both directions of every
-// edge are stored, so len(Adj) == 2*NumEdges(). Adjacency lists are sorted
-// in increasing order and contain no duplicates and no self loops.
+// edge are stored, so len(adj) == 2*NumEdges(). Adjacency lists are sorted
+// in increasing order and contain no duplicates and no self loops. weights,
+// when present, parallels adj with the positive weight of every entry; it
+// is nil exactly when every edge weighs 1.
 type Graph struct {
 	offsets []int64
 	adj     []NodeID
+	weights []int32
+}
+
+// newGraph assembles a graph over the given arrays, dropping a weight array
+// in which every edge weighs 1.
+func newGraph(offsets []int64, adj []NodeID, weights []int32) *Graph {
+	if !slices.ContainsFunc(weights, func(w int32) bool { return w != 1 }) {
+		weights = nil
+	}
+	return &Graph{offsets: offsets, adj: adj, weights: weights}
 }
 
 // NumNodes returns the number of nodes.
@@ -55,6 +69,47 @@ func (g *Graph) Degree(v NodeID) int {
 // aliases the graph's storage and must not be modified.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
+}
+
+// Weighted reports whether some edge weighs more than 1. Traversals run
+// plain BFS when it is false and Dial's algorithm when it is true.
+func (g *Graph) Weighted() bool { return g.weights != nil }
+
+// Weights returns the edge weights parallel to Neighbors(v), or nil when
+// the graph is unweighted (every weight is 1). The slice aliases the
+// graph's storage and must not be modified.
+func (g *Graph) Weights(v NodeID) []int32 {
+	if g.weights == nil {
+		return nil
+	}
+	return g.weights[g.offsets[v]:g.offsets[v+1]]
+}
+
+// Weight returns the weight of v's i-th edge, the one to Neighbors(v)[i].
+func (g *Graph) Weight(v NodeID, i int) int32 {
+	if g.weights == nil {
+		return 1
+	}
+	return g.weights[g.offsets[v]+int64(i)]
+}
+
+// EdgeWeight returns the weight of edge {u, v} and whether it exists, by
+// binary search over u's adjacency.
+func (g *Graph) EdgeWeight(u, v NodeID) (int32, bool) {
+	i, found := slices.BinarySearch(g.Neighbors(u), v)
+	if !found {
+		return 0, false
+	}
+	return g.Weight(u, i), true
+}
+
+// MaxWeight returns the largest edge weight, or 0 for an edgeless graph.
+// Dial's algorithm sizes its bucket ring from this.
+func (g *Graph) MaxWeight() int32 {
+	if g.weights == nil {
+		return int32(min(len(g.adj), 1))
+	}
+	return slices.Max(g.weights)
 }
 
 // HasEdge reports whether the edge {u, v} is present. It runs a binary
@@ -75,37 +130,35 @@ func (g *Graph) CSR() (offsets []int64, adj []NodeID) {
 	return g.offsets, g.adj
 }
 
+// CSRWeights exposes the raw weight array parallel to the CSR adjacency,
+// nil when the graph is unweighted. It aliases the graph's storage and must
+// not be modified.
+func (g *Graph) CSRWeights() []int32 { return g.weights }
+
 // FromCSR wraps pre-built CSR arrays in a Graph without copying them.
+// weights, when non-nil, must parallel adj; a weight array in which every
+// edge weighs 1 is dropped, so the graph is unweighted.
 //
 // Aliasing contract: the Graph returned is a read-only *view* — it aliases
-// offsets and adj directly, so the caller must not modify either slice for
-// the lifetime of the graph, and the backing memory must outlive every
-// reader (for an mmap-backed artifact that means the mapping may only be
-// unmapped after all traversals over the graph have finished). Traversal
-// and reduction kernels run directly on the supplied arrays with no copy.
+// the arrays directly, so the caller must not modify any of them for the
+// lifetime of the graph, and the backing memory must outlive every reader
+// (for an mmap-backed artifact that means the mapping may only be unmapped
+// after all traversals over the graph have finished). Traversal and
+// reduction kernels run directly on the supplied arrays with no copy.
 //
 // Only the offsets array is checked here (non-empty, starts at 0, monotone,
-// ends at len(adj)) — a single O(n) pass over the small array. Neighbour
-// range, sortedness and symmetry are the caller's responsibility: binary
-// artifact loaders enforce them via checksums and Validate, trusted
-// builders by construction.
-func FromCSR(offsets []int64, adj []NodeID) (*Graph, error) {
+// ends at len(adj)) — a single O(n) pass over the small array — plus the
+// weights length. Neighbour range, sortedness, symmetry and positive
+// weights are the caller's responsibility: binary artifact loaders enforce
+// them via checksums and Validate, trusted builders by construction.
+func FromCSR(offsets []int64, adj []NodeID, weights []int32) (*Graph, error) {
 	if err := checkOffsets(offsets, int64(len(adj))); err != nil {
 		return nil, err
 	}
-	return &Graph{offsets: offsets, adj: adj}, nil
-}
-
-// WFromCSR is FromCSR for weighted graphs; weights must parallel adj. The
-// same aliasing contract applies to all three arrays.
-func WFromCSR(offsets []int64, adj []NodeID, weights []int32) (*WGraph, error) {
-	if err := checkOffsets(offsets, int64(len(adj))); err != nil {
-		return nil, err
-	}
-	if len(weights) != len(adj) {
+	if weights != nil && len(weights) != len(adj) {
 		return nil, fmt.Errorf("graph: weights length %d != adjacency length %d", len(weights), len(adj))
 	}
-	return &WGraph{offsets: offsets, adj: adj, weights: weights}, nil
+	return newGraph(offsets, adj, weights), nil
 }
 
 // checkOffsets validates a CSR offsets array against an adjacency length.
@@ -132,19 +185,13 @@ func checkOffsets(offsets []int64, adjLen int64) error {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		offsets: make([]int64, len(g.offsets)),
-		adj:     make([]NodeID, len(g.adj)),
-	}
-	copy(c.offsets, g.offsets)
-	copy(c.adj, g.adj)
-	return c
+	return &Graph{offsets: slices.Clone(g.offsets), adj: slices.Clone(g.adj), weights: slices.Clone(g.weights)}
 }
 
 // WithEdge returns a copy of g with the edge {u, v} added. The copy is one
 // O(n+m) pass that splices the two new entries into their sorted positions,
-// so no adjacency list is re-sorted. u and v must be distinct in-range nodes
-// that are not adjacent in g.
+// so no adjacency list is re-sorted. g must be unweighted, and u and v
+// distinct in-range nodes that are not adjacent in g.
 func (g *Graph) WithEdge(u, v NodeID) *Graph { return g.editEdge(u, v, 1) }
 
 // WithoutEdge returns a copy of g with the edge {u, v} removed, in one
@@ -197,18 +244,21 @@ func (g *Graph) Edges(fn func(u, v NodeID)) {
 }
 
 // Validate checks the structural invariants of the CSR representation:
-// offsets monotone, adjacency sorted, no self loops, no duplicates, and the
-// symmetry of every edge. It is used by tests and by the I/O layer after
-// parsing untrusted input.
+// offsets monotone, adjacency sorted, no self loops, no duplicates, the
+// symmetry of every edge, and for a weighted graph positive weights equal
+// in both directions with some weight above 1. Each reverse entry is found
+// by binary search, as in HasEdge. It is used by tests and by the I/O layer
+// after parsing untrusted input.
 func (g *Graph) Validate() error {
-	n := g.NumNodes()
-	if g.offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+	if err := checkOffsets(g.offsets, int64(len(g.adj))); err != nil {
+		return err
 	}
+	if g.weights != nil && len(g.weights) != len(g.adj) {
+		return fmt.Errorf("graph: weights length %d != adjacency length %d", len(g.weights), len(g.adj))
+	}
+	n := g.NumNodes()
+	heavy := false
 	for v := 0; v < n; v++ {
-		if g.offsets[v+1] < g.offsets[v] {
-			return fmt.Errorf("graph: offsets not monotone at node %d", v)
-		}
 		nbrs := g.Neighbors(NodeID(v))
 		for i, w := range nbrs {
 			if w < 0 || int(w) >= n {
@@ -220,146 +270,18 @@ func (g *Graph) Validate() error {
 			if i > 0 && nbrs[i-1] >= w {
 				return fmt.Errorf("graph: adjacency of node %d not strictly sorted", v)
 			}
-			if !g.HasEdge(w, NodeID(v)) {
+			back, ok := g.EdgeWeight(w, NodeID(v))
+			if !ok {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, w)
 			}
+			if wt := g.Weight(NodeID(v), i); wt <= 0 || back != wt {
+				return fmt.Errorf("graph: edge {%d,%d} has weights %d and %d, want one positive weight", v, w, wt, back)
+			}
+			heavy = heavy || back != 1
 		}
 	}
-	if int(g.offsets[n]) != len(g.adj) {
-		return fmt.Errorf("graph: offsets[n] = %d, want %d", g.offsets[n], len(g.adj))
+	if g.weights != nil && !heavy {
+		return fmt.Errorf("graph: weight array present but every edge weighs 1")
 	}
 	return nil
-}
-
-// WGraph is an integer-weighted undirected multigraph in CSR form. Parallel
-// edges with different weights may exist only transiently during
-// construction; NewWGraph keeps the minimum-weight edge of each parallel
-// group, since a heavier parallel edge can never lie on a shortest path.
-type WGraph struct {
-	offsets []int64
-	adj     []NodeID
-	weights []int32
-}
-
-// NumNodes returns the number of nodes.
-func (g *WGraph) NumNodes() int { return len(g.offsets) - 1 }
-
-// NumEdges returns the number of undirected edges.
-func (g *WGraph) NumEdges() int { return len(g.adj) / 2 }
-
-// Degree returns the degree of v.
-func (g *WGraph) Degree(v NodeID) int {
-	return int(g.offsets[v+1] - g.offsets[v])
-}
-
-// Neighbors returns the sorted adjacency list of v. The slice aliases graph
-// storage.
-func (g *WGraph) Neighbors(v NodeID) []NodeID {
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
-}
-
-// Weights returns the edge weights parallel to Neighbors(v). The slice
-// aliases graph storage.
-func (g *WGraph) Weights(v NodeID) []int32 {
-	return g.weights[g.offsets[v]:g.offsets[v+1]]
-}
-
-// CSR exposes the raw offsets, adjacency and weight arrays (see Graph.CSR).
-// All three slices alias the graph's storage and must not be modified.
-func (g *WGraph) CSR() (offsets []int64, adj []NodeID, weights []int32) {
-	return g.offsets, g.adj, g.weights
-}
-
-// EdgeWeight returns the weight of edge {u, v} and whether it exists.
-func (g *WGraph) EdgeWeight(u, v NodeID) (int32, bool) {
-	nbrs := g.Neighbors(u)
-	ws := g.Weights(u)
-	for i, w := range nbrs {
-		if w == v {
-			return ws[i], true
-		}
-	}
-	return 0, false
-}
-
-// MaxWeight returns the largest edge weight, or 0 for an edgeless graph.
-// Dial's algorithm sizes its bucket ring from this.
-func (g *WGraph) MaxWeight() int32 {
-	var mw int32
-	for _, w := range g.weights {
-		if w > mw {
-			mw = w
-		}
-	}
-	return mw
-}
-
-// Edges calls fn once per undirected edge {u, v, weight} with u < v.
-func (g *WGraph) Edges(fn func(u, v NodeID, w int32)) {
-	for u := NodeID(0); u < NodeID(g.NumNodes()); u++ {
-		nbrs := g.Neighbors(u)
-		ws := g.Weights(u)
-		for i, v := range nbrs {
-			if u < v {
-				fn(u, v, ws[i])
-			}
-		}
-	}
-}
-
-// Validate checks the CSR invariants of a weighted graph: sorted adjacency,
-// positive weights, no self loops, and symmetric edges with equal weights.
-func (g *WGraph) Validate() error {
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(NodeID(v))
-		ws := g.Weights(NodeID(v))
-		for i, w := range nbrs {
-			if w < 0 || int(w) >= n {
-				return fmt.Errorf("wgraph: node %d has out-of-range neighbour %d", v, w)
-			}
-			if int(w) == v {
-				return fmt.Errorf("wgraph: node %d has a self loop", v)
-			}
-			if i > 0 && nbrs[i-1] >= w {
-				return fmt.Errorf("wgraph: adjacency of node %d not strictly sorted", v)
-			}
-			if ws[i] <= 0 {
-				return fmt.Errorf("wgraph: edge {%d,%d} has non-positive weight %d", v, w, ws[i])
-			}
-			back, ok := g.EdgeWeight(w, NodeID(v))
-			if !ok || back != ws[i] {
-				return fmt.Errorf("wgraph: edge {%d,%d} asymmetric (weights %d vs %d, ok=%v)", v, w, ws[i], back, ok)
-			}
-		}
-	}
-	if int(g.offsets[n]) != len(g.adj) {
-		return fmt.Errorf("wgraph: offsets[n] = %d, want %d", g.offsets[n], len(g.adj))
-	}
-	return nil
-}
-
-// Unweighted reports whether every edge has weight 1; traversals can then
-// use plain BFS instead of Dial's algorithm.
-func (g *WGraph) Unweighted() bool {
-	for _, w := range g.weights {
-		if w != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// ToWeighted converts a simple graph into the equivalent weighted graph with
-// all weights 1.
-func (g *Graph) ToWeighted() *WGraph {
-	w := &WGraph{
-		offsets: g.offsets,
-		adj:     g.adj,
-		weights: make([]int32, len(g.adj)),
-	}
-	for i := range w.weights {
-		w.weights[i] = 1
-	}
-	return w
 }

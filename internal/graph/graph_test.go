@@ -217,29 +217,33 @@ func TestWBuilderParallelEdgesKeepMin(t *testing.T) {
 }
 
 func TestWBuilderRejectsBadWeight(t *testing.T) {
-	b := NewWBuilder(2)
-	if err := b.AddEdge(0, 1, 0); err == nil {
+	b := NewBuilder(2)
+	if err := b.AddWeightedEdge(0, 1, 0); err == nil {
 		t.Fatal("expected error for zero weight")
 	}
-	if err := b.AddEdge(0, 1, -3); err == nil {
+	if err := b.AddWeightedEdge(0, 1, -3); err == nil {
 		t.Fatal("expected error for negative weight")
 	}
 }
 
-func TestToWeighted(t *testing.T) {
-	g := pathGraph(4)
-	w := g.ToWeighted()
-	if !w.Unweighted() {
-		t.Fatal("ToWeighted should produce all-1 weights")
+// A graph whose every edge weighs 1 carries no weight array, however it
+// was built: weight accessors then read 1 and Validate accepts it.
+func TestUnitWeightsAreUnweighted(t *testing.T) {
+	g := FromWeightedEdges(4, [][3]int32{{0, 1, 1}, {1, 2, 1}, {2, 3, 3}, {2, 3, 1}})
+	if g.Weighted() {
+		t.Fatal("all-ones weights kept a weight array")
 	}
-	if w.NumEdges() != g.NumEdges() {
-		t.Fatal("edge count changed")
+	if g.Weights(1) != nil || g.Weight(1, 0) != 1 || g.MaxWeight() != 1 {
+		t.Fatalf("Weights %v, Weight %d, MaxWeight %d; want nil, 1, 1", g.Weights(1), g.Weight(1, 0), g.MaxWeight())
 	}
-	if err := w.Validate(); err != nil {
+	if w, ok := g.EdgeWeight(3, 2); !ok || w != 1 {
+		t.Fatalf("EdgeWeight(3,2) = %d,%v, want 1,true", w, ok)
+	}
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if w.MaxWeight() != 1 {
-		t.Fatalf("MaxWeight = %d, want 1", w.MaxWeight())
+	if FromEdges(3, nil).MaxWeight() != 0 {
+		t.Fatal("edgeless graph has a positive MaxWeight")
 	}
 }
 

@@ -70,34 +70,3 @@ func Connect(g *Graph) *Graph {
 	}
 	return b.Build()
 }
-
-// WComponents labels connected components of a weighted graph; semantics
-// match Components.
-func WComponents(g *WGraph) (labels []int32, count int) {
-	n := g.NumNodes()
-	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var stack []NodeID
-	for v := 0; v < n; v++ {
-		if labels[v] != -1 {
-			continue
-		}
-		c := int32(count)
-		count++
-		labels[v] = c
-		stack = append(stack[:0], NodeID(v))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(u) {
-				if labels[w] == -1 {
-					labels[w] = c
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return labels, count
-}

@@ -76,88 +76,10 @@ func CompactIDs(keep []bool, toNew []NodeID, workers int) int {
 
 // SubgraphInto extracts the subgraph induced by keep in parallel, writing
 // the old→new renumbering into toNew (len g.NumNodes(), -1 for dropped
-// nodes). Output is bit-identical to Subgraph for every worker count.
+// nodes). Edges between kept nodes survive with their weights. Output is
+// bit-identical to Subgraph for every worker count.
 func SubgraphInto(g *Graph, keep []bool, toNew []NodeID, workers int) *Graph {
-	n := g.NumNodes()
-	kept := CompactIDs(keep, toNew, workers)
-	offsets := make([]int64, kept+1)
-	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
-			}
-			cnt := int64(0)
-			for _, w := range g.Neighbors(NodeID(v)) {
-				if keep[w] {
-					cnt++
-				}
-			}
-			offsets[nv+1] = cnt
-		}
-	})
-	total := par.PrefixSum(offsets, workers)
-	adj := make([]NodeID, total)
-	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
-			}
-			out := offsets[nv]
-			for _, w := range g.Neighbors(NodeID(v)) {
-				if nw := toNew[w]; nw >= 0 {
-					adj[out] = nw
-					out++
-				}
-			}
-		}
-	})
-	return &Graph{offsets: offsets, adj: adj}
-}
-
-// WSubgraphInto is SubgraphInto for weighted graphs.
-func WSubgraphInto(g *WGraph, keep []bool, toNew []NodeID, workers int) *WGraph {
-	n := g.NumNodes()
-	kept := CompactIDs(keep, toNew, workers)
-	offsets := make([]int64, kept+1)
-	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
-			}
-			cnt := int64(0)
-			for _, w := range g.Neighbors(NodeID(v)) {
-				if keep[w] {
-					cnt++
-				}
-			}
-			offsets[nv+1] = cnt
-		}
-	})
-	total := par.PrefixSum(offsets, workers)
-	adj := make([]NodeID, total)
-	wts := make([]int32, total)
-	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
-			}
-			out := offsets[nv]
-			nbrs := g.Neighbors(NodeID(v))
-			ws := g.Weights(NodeID(v))
-			for i, w := range nbrs {
-				if nw := toNew[w]; nw >= 0 {
-					adj[out] = nw
-					wts[out] = ws[i]
-					out++
-				}
-			}
-		}
-	})
-	return &WGraph{offsets: offsets, adj: adj, weights: wts}
+	return ContractInto(g, keep, toNew, nil, workers)
 }
 
 // extEntry is one directed contracted-edge entry in new-id space.
@@ -237,7 +159,8 @@ func mergeCount(nbrs []NodeID, toNew []NodeID, ext []extEntry) int64 {
 
 // mergeFill writes the merged (neighbour, weight) lists for old node v into
 // adj/wts at out, taking the minimum weight when a graph edge and an extra
-// edge (or several extra edges) connect the same pair.
+// edge (or several extra edges) connect the same pair. A nil ws weighs
+// every graph edge 1; a nil wts (no weighted edge at all) takes no weights.
 func mergeFill(nbrs []NodeID, ws []int32, toNew []NodeID, ext []extEntry, adj []NodeID, wts []int32, out int64) {
 	j := 0
 	flushExtBefore := func(limit NodeID) {
@@ -252,13 +175,25 @@ func mergeFill(nbrs []NodeID, ws []int32, toNew []NodeID, ext []extEntry, adj []
 			out++
 		}
 	}
+	if wts == nil {
+		for _, nb := range nbrs {
+			if nw := toNew[nb]; nw >= 0 {
+				adj[out] = nw
+				out++
+			}
+		}
+		return
+	}
 	for i, nb := range nbrs {
 		nw := toNew[nb]
 		if nw < 0 {
 			continue
 		}
 		flushExtBefore(nw)
-		w := ws[i]
+		w := int32(1)
+		if ws != nil {
+			w = ws[i]
+		}
 		for j < len(ext) && ext[j].to == nw {
 			if ext[j].w < w {
 				w = ext[j].w
@@ -272,25 +207,12 @@ func mergeFill(nbrs []NodeID, ws []int32, toNew []NodeID, ext []extEntry, adj []
 	flushExtBefore(NodeID(len(toNew)))
 }
 
-// ones returns an all-ones weight view of length n for contracting an
-// unweighted graph, grown lazily in the caller's per-worker buffer.
-func ones(n int, buf *[]int32) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-		for i := range *buf {
-			(*buf)[i] = 1
-		}
-	}
-	return (*buf)[:n]
-}
-
-// ContractInto builds the weighted graph over the kept nodes of the simple
-// graph g: every kept-kept edge survives with weight 1 and the extra edges
-// (contracted chains, in g's ids, both endpoints kept) are merged in,
-// keeping the lightest of each parallel group — the WBuilder rule, built
-// directly in CSR form. toNew is filled like SubgraphInto. Bit-identical
-// output for every worker count.
-func ContractInto(g *Graph, keep []bool, toNew []NodeID, extra []WEdge, workers int) *WGraph {
+// ContractInto builds the graph over the kept nodes of g: every kept-kept
+// edge survives with its weight and the extra edges (contracted chains, in
+// g's ids, both endpoints kept) are merged in, keeping the lightest of each
+// parallel group — the Builder rule, built directly in CSR form. toNew is
+// filled like SubgraphInto. Bit-identical output for every worker count.
+func ContractInto(g *Graph, keep []bool, toNew []NodeID, extra []WEdge, workers int) *Graph {
 	n := g.NumNodes()
 	kept := CompactIDs(keep, toNew, workers)
 	ents := buildExtEntries(extra, toNew)
@@ -306,17 +228,16 @@ func ContractInto(g *Graph, keep []bool, toNew []NodeID, extra []WEdge, workers 
 	})
 	total := par.PrefixSum(offsets, workers)
 	adj := make([]NodeID, total)
-	wts := make([]int32, total)
+	var wts []int32
+	if g.Weighted() || len(ents) > 0 {
+		wts = make([]int32, total)
+	}
 	par.ForBlocks(n, workers, func(_, lo, hi int) {
-		var localOnes []int32
 		for v := lo; v < hi; v++ {
-			nv := toNew[v]
-			if nv < 0 {
-				continue
+			if nv := toNew[v]; nv >= 0 {
+				mergeFill(g.Neighbors(NodeID(v)), g.Weights(NodeID(v)), toNew, extSegment(ents, nv), adj, wts, offsets[nv])
 			}
-			nbrs := g.Neighbors(NodeID(v))
-			mergeFill(nbrs, ones(len(nbrs), &localOnes), toNew, extSegment(ents, nv), adj, wts, offsets[nv])
 		}
 	})
-	return &WGraph{offsets: offsets, adj: adj, weights: wts}
+	return newGraph(offsets, adj, wts)
 }

@@ -20,7 +20,7 @@ import (
 // The degree keys are computed in parallel; the sweep is sequential because
 // the visit order is the output, and a sequential sweep is what makes it
 // deterministic at every worker count.
-func BFSOrder(g *WGraph, workers int) []NodeID {
+func BFSOrder(g *Graph, workers int) []NodeID {
 	offsets, adj := g.offsets, g.adj
 	n := len(offsets) - 1
 	if n == 0 {

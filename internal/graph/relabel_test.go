@@ -17,14 +17,14 @@ func randomGraph(rng *rand.Rand, n int) *Graph {
 	return b.Build()
 }
 
-func randomWGraph(rng *rand.Rand, n int) *WGraph {
-	b := NewWBuilder(n)
+func randomWeighted(rng *rand.Rand, n int) *Graph {
+	b := NewBuilder(n)
 	for i := 0; i < 3*n; i++ {
 		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 		if u == v {
 			continue
 		}
-		_ = b.AddEdge(u, v, int32(rng.Intn(7)+1))
+		_ = b.AddWeightedEdge(u, v, int32(rng.Intn(7)+1))
 	}
 	return b.Build()
 }
@@ -68,7 +68,7 @@ func TestRelabelPreservesGraph(t *testing.T) {
 		order func(*Graph) []NodeID
 	}{
 		{"degree", degreePerm},
-		{"bfs", func(g *Graph) []NodeID { return BFSOrder(g.ToWeighted(), 4) }},
+		{"bfs", func(g *Graph) []NodeID { return BFSOrder(g, 4) }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			f := func(seed int64) bool {
@@ -104,7 +104,7 @@ func TestRelabelPreservesGraph(t *testing.T) {
 // consecutive new ids at most 2 apart, exactly the CM property).
 func TestBFSOrderOnPath(t *testing.T) {
 	g := pathGraph(10)
-	pos := BFSOrder(g.ToWeighted(), 1)
+	pos := BFSOrder(g, 1)
 	if pos[0] != 0 && pos[9] != 0 {
 		t.Fatalf("BFS positions %v, want an endpoint of the path first", pos)
 	}
@@ -123,12 +123,12 @@ func TestBFSOrderOnPath(t *testing.T) {
 // edge weights — a weighted graph orders exactly like its unit-weight copy.
 func TestRelabelWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(rng, 300).ToWeighted()
-	wg := randomWGraph(rng, 300)
-	b := NewWBuilder(wg.NumNodes())
-	wg.Edges(func(u, v NodeID, _ int32) { _ = b.AddEdge(u, v, 1) })
+	g := randomGraph(rng, 300)
+	wg := randomWeighted(rng, 300)
+	b := NewBuilder(wg.NumNodes())
+	wg.Edges(func(u, v NodeID) { _ = b.AddEdge(u, v) })
 	unit := b.Build()
-	for _, in := range []*WGraph{g, wg} {
+	for _, in := range []*Graph{g, wg} {
 		ref := BFSOrder(in, 1)
 		for _, workers := range []int{2, 3, 4, 7, 8} {
 			got := BFSOrder(in, workers)

@@ -10,13 +10,6 @@ func Subgraph(g *Graph, keep []bool) (sub *Graph, toOld []NodeID, toNew []NodeID
 	return sub, invertCompact(toNew, sub.NumNodes()), toNew
 }
 
-// WSubgraph is Subgraph for weighted graphs.
-func WSubgraph(g *WGraph, keep []bool) (sub *WGraph, toOld []NodeID, toNew []NodeID) {
-	toNew = make([]NodeID, g.NumNodes())
-	sub = WSubgraphInto(g, keep, toNew, 1)
-	return sub, invertCompact(toNew, sub.NumNodes()), toNew
-}
-
 // invertCompact turns a compact old→new renumbering into its newID→oldID
 // inverse.
 func invertCompact(toNew []NodeID, kept int) []NodeID {

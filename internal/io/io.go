@@ -147,10 +147,6 @@ func ReadMatrixMarket(r io.Reader) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
-// ReadFile loads a graph from a path; it is ReadAny under the historical
-// name.
-func ReadFile(path string) (*graph.Graph, error) { return ReadAny(path) }
-
 // ReadAny loads a graph from a path in any supported format, dispatching on
 // extension — .bricsbin (binary CSR artifact), .mtx (Matrix Market), .gr
 // (DIMACS shortest path), anything else an edge list — with transparent .gz

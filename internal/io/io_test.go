@@ -108,7 +108,7 @@ func TestReadFileDispatchAndGzip(t *testing.T) {
 	if err := os.WriteFile(el, []byte("0 1\n1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadFile(el)
+	g, err := ReadAny(el)
 	if err != nil || g.NumEdges() != 2 {
 		t.Fatalf("edge list: %v, %d edges", err, g.NumEdges())
 	}
@@ -122,12 +122,12 @@ func TestReadFileDispatchAndGzip(t *testing.T) {
 	if err := os.WriteFile(mm, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err = ReadFile(mm)
+	g, err = ReadAny(mm)
 	if err != nil || g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("mtx.gz: %v, %d/%d", err, g.NumNodes(), g.NumEdges())
 	}
 
-	if _, err := ReadFile(filepath.Join(dir, "missing.txt")); err == nil {
+	if _, err := ReadAny(filepath.Join(dir, "missing.txt")); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -195,7 +195,7 @@ func TestReadFileDIMACSDispatch(t *testing.T) {
 	if err := os.WriteFile(path, []byte("p sp 2 1\na 1 2 5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadFile(path)
+	g, err := ReadAny(path)
 	if err != nil || g.NumEdges() != 1 {
 		t.Fatalf("dispatch: %v %d", err, g.NumEdges())
 	}

@@ -101,7 +101,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // TestDeterminismRandomMixed stresses the sweep with adversarial random
 // graphs (the same generator the correctness property tests use), across
 // every stage subset — partial pipelines exercise the nil-curToOld
-// identity path and the ToWeighted shortcut.
+// identity path and a reduced graph that stays unweighted.
 func TestDeterminismRandomMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {

@@ -187,8 +187,9 @@ func (e *RedundantEvent) Extend(dist []int32) {
 type Reduction struct {
 	// Orig is the input graph.
 	Orig *graph.Graph
-	// G is the reduced weighted graph.
-	G *graph.WGraph
+	// G is the reduced graph, weighted when a contracted chain left an edge
+	// heavier than 1.
+	G *graph.Graph
 	// ToOld maps reduced ids to original ids; ToNew is the inverse (-1
 	// for removed originals).
 	ToOld []graph.NodeID
@@ -240,7 +241,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opts Options) (*Reduction, 
 }
 
 // pipeline carries the mutable state the stages thread through: the current
-// graph (simple until chain contraction, weighted after), the pooled
+// graph (weighted once chain contraction left a heavier edge), the pooled
 // scratch, and the current-stage→original id map. A nil curToOld is the
 // identity — no stage has shrunk the graph yet — which spares the identity
 // map the old sequential code allocated and filled up front.
@@ -248,9 +249,8 @@ type pipeline struct {
 	red      *Reduction
 	workers  int
 	sc       *scratch
-	curToOld []graph.NodeID // nil = identity; else pooled, len = cur graph size
-	cur      *graph.Graph   // simple graph, valid until stageChains
-	wg       *graph.WGraph  // weighted graph, valid from stageChains on
+	curToOld []graph.NodeID // nil = identity; else pooled, len = g's size
+	g        *graph.Graph
 }
 
 func (p *pipeline) oldOf(v graph.NodeID) graph.NodeID {
@@ -287,20 +287,20 @@ func (p *pipeline) compose(stageN, kept int) {
 	p.curToOld = next
 }
 
-// stageTwins removes identical nodes from the simple graph.
+// stageTwins removes identical nodes from the input graph.
 func (p *pipeline) stageTwins(g *graph.Graph, opts Options) {
-	p.cur = g
+	p.g = g
 	if !opts.Twins {
 		return
 	}
 	t0 := time.Now()
 	defer func() { p.red.Timings.Twins = time.Since(t0) }()
-	tw := twins.FindWorkers(p.cur, p.workers)
+	tw := twins.FindWorkers(p.g, p.workers)
 	if len(tw.Groups) == 0 {
 		return
 	}
 	red := p.red
-	stageN := p.cur.NumNodes()
+	stageN := p.g.NumNodes()
 	keep := p.sc.keepAll(stageN, p.workers)
 	for _, grp := range tw.Groups {
 		members := make([]graph.NodeID, 0, len(grp.Members)-1)
@@ -316,38 +316,33 @@ func (p *pipeline) stageTwins(g *graph.Graph, opts Options) {
 	}
 	red.Stats.IdenticalNodes = tw.Removed
 	red.Stats.TwinGroups = len(tw.Groups)
-	sub := graph.SubgraphInto(p.cur, keep, p.sc.toNew[:stageN], p.workers)
+	sub := graph.SubgraphInto(p.g, keep, p.sc.toNew[:stageN], p.workers)
 	p.compose(stageN, sub.NumNodes())
-	p.cur = sub
+	p.g = sub
 }
 
-// stageChains contracts chains of the (twin-reduced) simple graph; the
-// pipeline is weighted from here on.
+// stageChains contracts chains of the (twin-reduced) graph; a contracted
+// chain between two anchors becomes an edge of weight ℓ+1.
 func (p *pipeline) stageChains(opts Options) {
-	var ch *chains.Result
-	if opts.Chains {
-		t0 := time.Now()
-		defer func() { p.red.Timings.Chains = time.Since(t0) }()
-		ch = chains.FindWorkers(p.cur, p.workers)
-		// A graph that is (or became, after twin removal) a pure path or
-		// cycle has no anchor to hang chains from; skip the stage and
-		// leave the degree-≤2 nodes in place. Callers answer the original
-		// pure path/cycle case in closed form before reducing. An
-		// anchored graph with zero chains likewise has nothing to do.
-		if ch.WholeGraph || len(ch.Chains) == 0 {
-			ch = nil
-		}
+	if !opts.Chains {
+		return
 	}
-	if ch == nil {
-		p.wg = p.cur.ToWeighted()
-		p.cur = nil
+	t0 := time.Now()
+	defer func() { p.red.Timings.Chains = time.Since(t0) }()
+	ch := chains.FindWorkers(p.g, p.workers)
+	// A graph that is (or became, after twin removal) a pure path or cycle
+	// has no anchor to hang chains from; skip the stage and leave the
+	// degree-≤2 nodes in place. Callers answer the original pure path/cycle
+	// case in closed form before reducing. An anchored graph with zero
+	// chains likewise has nothing to do.
+	if ch.WholeGraph || len(ch.Chains) == 0 {
 		return
 	}
 	red := p.red
 	red.Stats.NumChains = len(ch.Chains)
 	red.Stats.ChainNodes = ch.Removed
-	identical := classifyIdentical(p.cur, ch.Chains)
-	stageN := p.cur.NumNodes()
+	identical := classifyIdentical(ch.Chains)
+	stageN := p.g.NumNodes()
 	keep := p.sc.keepAll(stageN, p.workers)
 	extra := make([]graph.WEdge, 0, len(ch.Chains))
 	for ci := range ch.Chains {
@@ -376,20 +371,19 @@ func (p *pipeline) stageChains(opts Options) {
 			extra = append(extra, graph.WEdge{U: c.U, V: c.V, W: c.EdgeWeight()})
 		}
 	}
-	wg := graph.ContractInto(p.cur, keep, p.sc.toNew[:stageN], extra, p.workers)
-	p.compose(stageN, wg.NumNodes())
-	p.wg = wg
-	p.cur = nil
+	sub := graph.ContractInto(p.g, keep, p.sc.toNew[:stageN], extra, p.workers)
+	p.compose(stageN, sub.NumNodes())
+	p.g = sub
 }
 
-// stageRedundant removes redundant 3/4-degree nodes from the weighted graph.
+// stageRedundant removes redundant 3/4-degree nodes.
 func (p *pipeline) stageRedundant(opts Options) {
 	if !opts.Redundant {
 		return
 	}
 	t0 := time.Now()
 	defer func() { p.red.Timings.Redundant = time.Since(t0) }()
-	rn := redundant.FindWorkers(p.wg, nil, p.workers)
+	rn := redundant.FindWorkers(p.g, nil, p.workers)
 	if len(rn.Nodes) == 0 {
 		return
 	}
@@ -397,7 +391,7 @@ func (p *pipeline) stageRedundant(opts Options) {
 	// redundant.Find, so the events take ownership instead of re-copying.
 	red := p.red
 	red.Stats.RedundantNodes = len(rn.Nodes)
-	stageN := p.wg.NumNodes()
+	stageN := p.g.NumNodes()
 	keep := p.sc.keepAll(stageN, p.workers)
 	for i := range rn.Nodes {
 		nd := &rn.Nodes[i]
@@ -412,17 +406,17 @@ func (p *pipeline) stageRedundant(opts Options) {
 			Weights: nd.Weights,
 		})
 	}
-	sub := graph.WSubgraphInto(p.wg, keep, p.sc.toNew[:stageN], p.workers)
+	sub := graph.SubgraphInto(p.g, keep, p.sc.toNew[:stageN], p.workers)
 	p.compose(stageN, sub.NumNodes())
-	p.wg = sub
+	p.g = sub
 }
 
 // finish materialises the caller-owned ToOld/ToNew from the pooled map and
 // hands over the reduced graph.
 func (p *pipeline) finish(n int) {
 	red := p.red
-	red.G = p.wg
-	kept := p.wg.NumNodes()
+	red.G = p.g
+	kept := p.g.NumNodes()
 	red.ToOld = make([]graph.NodeID, kept)
 	if p.curToOld == nil {
 		par.ForBlocks(kept, p.workers, func(_, lo, hi int) {
@@ -451,7 +445,7 @@ func (p *pipeline) finish(n int) {
 // endpoints with another chain of equal length. Only used for reporting —
 // the contraction's min-weight parallel-edge rule removes redundant
 // parallels regardless.
-func classifyIdentical(g *graph.Graph, cs []chains.Chain) []bool {
+func classifyIdentical(cs []chains.Chain) []bool {
 	type key struct {
 		a, b graph.NodeID
 		l    int

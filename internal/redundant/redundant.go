@@ -65,10 +65,10 @@ type Result struct {
 const MaxDegree = 4
 
 // Find detects an independent set of redundant nodes of degree 3..MaxDegree
-// in the weighted graph g. Nodes listed in `protected` (e.g. nodes another
+// in g, weighted or not. Nodes listed in `protected` (e.g. nodes another
 // stage already depends on) are never marked. Find is FindWorkers at one
 // worker — every worker count yields the same Result.
-func Find(g *graph.WGraph, protected []bool) *Result { return FindWorkers(g, protected, 1) }
+func Find(g *graph.Graph, protected []bool) *Result { return FindWorkers(g, protected, 1) }
 
 // FindWorkers splits detection into two phases: the expensive per-node
 // local test (the neighbourhood Floyd–Warshall plus 2-connectivity check)
@@ -77,7 +77,7 @@ func Find(g *graph.WGraph, protected []bool) *Result { return FindWorkers(g, pro
 // independent set — the same set the one-pass sequential scan picks,
 // because the local test never depends on the marks. Bit-identical output
 // for every worker count.
-func FindWorkers(g *graph.WGraph, protected []bool, workers int) *Result {
+func FindWorkers(g *graph.Graph, protected []bool, workers int) *Result {
 	n := g.NumNodes()
 	workers = par.Workers(workers)
 	res := &Result{Marked: make([]bool, n)}
@@ -113,11 +113,11 @@ func FindWorkers(g *graph.WGraph, protected []bool, workers int) *Result {
 			continue
 		}
 		res.Marked[v] = true
-		res.Nodes = append(res.Nodes, Node{
-			V:       id,
-			Nbrs:    append([]graph.NodeID(nil), nbrs...),
-			Weights: append([]int32(nil), g.Weights(id)...),
-		})
+		ws := make([]int32, len(nbrs))
+		for i := range ws {
+			ws[i] = g.Weight(id, i)
+		}
+		res.Nodes = append(res.Nodes, Node{V: id, Nbrs: append([]graph.NodeID(nil), nbrs...), Weights: ws})
 	}
 	return res
 }
@@ -139,9 +139,8 @@ func FindWorkers(g *graph.WGraph, protected []bool, workers int) *Result {
 // mutually adjacent neighbours (a triangle), and a degree-4 neighbourhood
 // with every neighbour adjacent to ≥2 others has minimum degree 2 on 4
 // vertices, which is always 2-connected.
-func isRedundant(g *graph.WGraph, v graph.NodeID) bool {
+func isRedundant(g *graph.Graph, v graph.NodeID) bool {
 	nbrs := g.Neighbors(v)
-	ws := g.Weights(v)
 	k := len(nbrs)
 	const inf = int32(1 << 30)
 	var d [MaxDegree][MaxDegree]int32
@@ -184,7 +183,7 @@ func isRedundant(g *graph.WGraph, v graph.NodeID) bool {
 	}
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if d[i][j] > ws[i]+ws[j] {
+			if d[i][j] > g.Weight(v, i)+g.Weight(v, j) {
 				return false
 			}
 		}

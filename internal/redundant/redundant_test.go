@@ -90,10 +90,10 @@ func TestWeightedDetour(t *testing.T) {
 func TestIndependence(t *testing.T) {
 	// Two adjacent redundant candidates inside K5: only an independent
 	// subset may be marked.
-	b := graph.NewWBuilder(5)
+	b := graph.NewBuilder(5)
 	for i := int32(0); i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			_ = b.AddEdge(i, j, 1)
+			_ = b.AddWeightedEdge(i, j, 1)
 		}
 	}
 	g := b.Build()
@@ -129,12 +129,12 @@ func TestRemovalPreservesDistances(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(20) + 5
-		b := graph.NewWBuilder(n)
+		b := graph.NewBuilder(n)
 		for i := 1; i < n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(i)), int32(i), int32(rng.Intn(3)+1))
+			_ = b.AddWeightedEdge(int32(rng.Intn(i)), int32(i), int32(rng.Intn(3)+1))
 		}
 		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(3)+1))
+			_ = b.AddWeightedEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(3)+1))
 		}
 		g := b.Build()
 		r := Find(g, nil)
@@ -145,9 +145,9 @@ func TestRemovalPreservesDistances(t *testing.T) {
 		for i := range keep {
 			keep[i] = !r.Marked[i]
 		}
-		sub, toOld, toNew := graph.WSubgraph(g, keep)
-		apFull := bfs.AllPairsW(g)
-		apSub := bfs.AllPairsW(sub)
+		sub, toOld, toNew := graph.Subgraph(g, keep)
+		apFull := bfs.AllPairs(g)
+		apSub := bfs.AllPairs(sub)
 		for u := 0; u < sub.NumNodes(); u++ {
 			for v := 0; v < sub.NumNodes(); v++ {
 				if apSub[u][v] != apFull[toOld[u]][toOld[v]] {
