@@ -93,14 +93,16 @@ func (g *Graph) Weight(v NodeID, i int) int32 {
 	return g.weights[g.offsets[v]+int64(i)]
 }
 
-// EdgeWeight returns the weight of edge {u, v} and whether it exists, by
-// binary search over u's adjacency.
+// EdgeWeight returns the weight of edge {u, v} and whether it exists. It
+// scans u's adjacency: its caller, the redundant-node test, probes the
+// short lists around a degree-3/4 node, where a scan beats a binary search.
 func (g *Graph) EdgeWeight(u, v NodeID) (int32, bool) {
-	i, found := slices.BinarySearch(g.Neighbors(u), v)
-	if !found {
-		return 0, false
+	for i, w := range g.Neighbors(u) {
+		if w == v {
+			return g.Weight(u, i), true
+		}
 	}
-	return g.Weight(u, i), true
+	return 0, false
 }
 
 // MaxWeight returns the largest edge weight, or 0 for an edgeless graph.
@@ -270,11 +272,12 @@ func (g *Graph) Validate() error {
 			if i > 0 && nbrs[i-1] >= w {
 				return fmt.Errorf("graph: adjacency of node %d not strictly sorted", v)
 			}
-			back, ok := g.EdgeWeight(w, NodeID(v))
+			j, ok := slices.BinarySearch(g.Neighbors(w), NodeID(v))
 			if !ok {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, w)
 			}
-			if wt := g.Weight(NodeID(v), i); wt <= 0 || back != wt {
+			wt, back := g.Weight(NodeID(v), i), g.Weight(w, j)
+			if wt <= 0 || back != wt {
 				return fmt.Errorf("graph: edge {%d,%d} has weights %d and %d, want one positive weight", v, w, wt, back)
 			}
 			heavy = heavy || back != 1

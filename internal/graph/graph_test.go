@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -202,7 +203,7 @@ func TestDegrees(t *testing.T) {
 	}
 }
 
-func TestWBuilderParallelEdgesKeepMin(t *testing.T) {
+func TestBuilderParallelEdgesKeepMin(t *testing.T) {
 	g := FromWeightedEdges(2, [][3]int32{{0, 1, 5}, {0, 1, 2}, {1, 0, 7}})
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
@@ -216,7 +217,7 @@ func TestWBuilderParallelEdgesKeepMin(t *testing.T) {
 	}
 }
 
-func TestWBuilderRejectsBadWeight(t *testing.T) {
+func TestBuilderRejectsBadWeight(t *testing.T) {
 	b := NewBuilder(2)
 	if err := b.AddWeightedEdge(0, 1, 0); err == nil {
 		t.Fatal("expected error for zero weight")
@@ -282,8 +283,9 @@ func TestSubgraphInducedProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(30) + 2
 		b := NewBuilder(n)
+		maxW := int32(rng.Intn(3) + 1) // 1: an unweighted graph
 		for i := 0; i < 3*n; i++ {
-			_ = b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+			_ = b.AddWeightedEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), rng.Int31n(maxW)+1)
 		}
 		g := b.Build()
 		keep := make([]bool, n)
@@ -291,13 +293,22 @@ func TestSubgraphInducedProperty(t *testing.T) {
 			keep[i] = rng.Intn(2) == 0
 		}
 		sub, toOld, _ := Subgraph(g, keep)
-		// Every subgraph edge must exist in g between the mapped originals.
-		ok := true
+		// Every subgraph edge must exist in g between the mapped originals,
+		// with its weight.
+		ok := sub.Validate() == nil
 		sub.Edges(func(u, v NodeID) {
-			if !g.HasEdge(toOld[u], toOld[v]) {
+			w, found := g.EdgeWeight(toOld[u], toOld[v])
+			sw, _ := sub.EdgeWeight(u, v)
+			if !found || w != sw {
 				ok = false
 			}
 		})
+		// The parallel builder and a contraction without contracted edges
+		// produce the same arrays at any worker count.
+		contracted := ContractInto(g, keep, make([]NodeID, n), nil, 3)
+		if par := SubgraphInto(g, keep, make([]NodeID, n), 3); !reflect.DeepEqual(par, sub) || !reflect.DeepEqual(contracted, sub) {
+			ok = false
+		}
 		// Count induced edges of g and compare.
 		want := 0
 		g.Edges(func(u, v NodeID) {

@@ -145,7 +145,9 @@ func isRedundant(g *graph.Graph, v graph.NodeID) bool {
 	const inf = int32(1 << 30)
 	var d [MaxDegree][MaxDegree]int32
 	var adj [MaxDegree][MaxDegree]bool
+	var wv [MaxDegree]int32 // w(v, nbrs[i])
 	for i := 0; i < k; i++ {
+		wv[i] = g.Weight(v, i)
 		for j := 0; j < k; j++ {
 			if i == j {
 				d[i][j] = 0
@@ -183,7 +185,7 @@ func isRedundant(g *graph.Graph, v graph.NodeID) bool {
 	}
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if d[i][j] > g.Weight(v, i)+g.Weight(v, j) {
+			if d[i][j] > wv[i]+wv[j] {
 				return false
 			}
 		}
