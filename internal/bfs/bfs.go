@@ -3,9 +3,9 @@
 // sweeps: the level-synchronous sweep on unweighted graphs and the
 // lane-masked Dial on the integer-weighted graphs produced by chain
 // contraction, picked by graph.Graph.Weighted (MultiSourceW). Plain
-// per-source BFS and Dial serve the exact oracles and reference checks, and a bidirectional BFS answers
-// point-to-point queries. All kernels write into caller-provided buffers so
-// that parallel drivers can reuse scratch per worker.
+// per-source BFS and Dial serve the exact oracles and reference checks, and
+// a bidirectional BFS answers point-to-point queries. All kernels write into
+// caller-provided buffers, so parallel drivers reuse scratch per worker.
 package bfs
 
 import (

@@ -9,10 +9,10 @@ import (
 // sweep from up to 64 sources simultaneously over a weighted graph; the
 // scratch grows its bucket ring to the graph's maximum edge weight. visit
 // receives the lanes newly settled at v for weighted distance d as a
-// bitmask. Unlike the unweighted kernel, the
-// same (v, d) pair may be reported across several calls — bucket entries
-// arriving from different predecessors settle disjoint lane subsets — but
-// each (source, node) pair is still covered exactly once over the sweep.
+// bitmask. Unlike the unweighted kernel, the same (v, d) pair may be
+// reported across several calls — bucket entries arriving from different
+// predecessors settle disjoint lane subsets — but each (source, node) pair
+// is still covered exactly once over the sweep.
 //
 // The kernel generalises Dial's monotone bucket ring to lane masks: each
 // bucket holds (node, mask) entries meaning "the lanes in mask may reach
