@@ -13,7 +13,7 @@
 // keep the graph connected, so this package *contracts* every chain with two
 // distinct live endpoints into a single weighted edge of weight ℓ+1 and
 // removes the interior nodes; redundant parallels are then dropped
-// automatically by the weighted builder, which keeps only the lightest edge
+// automatically by graph.ContractInto, which keeps only the lightest edge
 // of each parallel group. Interior distances are recovered per BFS source by
 // the split formula of the paper's Algorithm 2 (see Extend).
 package chains
